@@ -24,8 +24,8 @@ import numpy as np
 
 from . import linalg
 from .field import Field, make_field
-from .linalg import mat_mul, null_space, rank, solve, zeros
-from .verobj import RawTModule, VerObject, decompose
+from .linalg import eye, mat_mul, null_space, rank, solve
+from .verobj import RawTModule, VerObject, decompose, json_ints
 
 
 class Subobject:
@@ -63,25 +63,6 @@ class Subobject:
         return f"Subobject(dim={self.dim} of {self.ambient!r})"
 
 
-def _slot_arrays(obj: VerObject):
-    vs = np.arange(obj.m, dtype=np.int64)
-    ws = obj.m + 2 * np.arange(obj.n, dtype=np.int64)
-    xs = ws + 1
-    return vs, ws, xs
-
-
-def _t_compatible(obj: VerObject, G: np.ndarray) -> bool:
-    """Entrywise form of T^T G = G T: x-rows/columns vanish off the w-block
-    and the (x, w) block matches the (w, x) block."""
-    vs, ws, xs = _slot_arrays(obj)
-    if obj.n == 0:
-        return True
-    non_w = np.concatenate([vs, xs])
-    if non_w.size and (G[np.ix_(xs, non_w)].any() or G[np.ix_(non_w, xs)].any()):
-        return False
-    return bool(np.array_equal(G[np.ix_(xs, ws)], G[np.ix_(ws, xs)]))
-
-
 class BilinearForm:
     """A Gram matrix on the standard basis of a VerObject.
 
@@ -94,7 +75,7 @@ class BilinearForm:
         gram = linalg.as_matrix(obj.field, gram)
         if gram.shape != (obj.dim, obj.dim):
             raise ValueError(f"gram shape {gram.shape} does not match dim {obj.dim}")
-        if not _t_compatible(obj, gram):
+        if not obj.is_compatible(gram):
             raise ValueError("gram violates the t-compatibility law")
         self.obj = obj
         self.gram = gram
@@ -126,11 +107,8 @@ class BilinearForm:
 
     def is_alternating(self) -> bool:
         self._require_symmetric()
-        obj = self.obj
-        d = np.diagonal(self.gram)
-        if any(d[obj.v_slot(i)] for i in range(obj.m)):
-            return False
-        return not any(d[obj.x_slot(k)] for k in range(obj.n))
+        # the x-diagonal vanishes by compatibility, leaving the v's
+        return not self.obj.gram_blocks(self.gram)[0].diagonal().any()
 
     def is_oscillating(self) -> bool:
         self._require_symmetric()
@@ -192,16 +170,13 @@ class BilinearForm:
     @classmethod
     def from_json(cls, doc: dict) -> "BilinearForm":
         try:
-            k = doc["field"]["k"]
-            m = doc["object"]["m"]
-            n = doc["object"]["n"]
-            gram = doc["gram"]
+            k, obj_doc, gram = doc["field"]["k"], doc["object"], doc["gram"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed form document: missing {exc}") from exc
-        if not all(isinstance(v, int) for v in (k, m, n)):
-            raise ValueError("field degree and object sizes must be integers")
-        F = make_field(k)
-        return cls(VerObject(F, m, n), np.array(gram, dtype=np.int64))
+        F = make_field(json_ints(k, "field degree k"))
+        obj = VerObject.from_json(F, obj_doc)
+        gram = json_ints(gram, "gram entries", depth=2, bound=F.order)
+        return cls(obj, np.array(gram, dtype=np.int64))
 
     def __repr__(self):
         return f"BilinearForm({self.obj!r})"
@@ -226,16 +201,7 @@ def subobject_standard_basis(sub: Subobject) -> tuple[VerObject, np.ndarray]:
 
 def standard_subobject(obj: VerObject, v_indices, pair_indices) -> Subobject:
     """Subobject spanned by chosen standard v's and (w, x) pairs."""
-    cols = []
-    d = obj.dim
-    for i in v_indices:
-        e = np.zeros(d, dtype=np.int64)
-        e[obj.v_slot(i)] = 1
-        cols.append(e)
-    for k in pair_indices:
-        for slot in (obj.w_slot(k), obj.x_slot(k)):
-            e = np.zeros(d, dtype=np.int64)
-            e[slot] = 1
-            cols.append(e)
-    span = np.column_stack(cols) if cols else zeros(d, 0)
-    return Subobject(obj, span)
+    v = np.asarray(list(v_indices), dtype=np.int64)
+    p = np.asarray(list(pair_indices), dtype=np.int64)
+    slots = np.concatenate([obj.vs[v], np.stack([obj.ws[p], obj.xs[p]], axis=1).reshape(-1)])
+    return Subobject(obj, eye(obj.dim)[:, slots])

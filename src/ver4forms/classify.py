@@ -71,12 +71,13 @@ def good_pairs(beta: BilinearForm) -> GoodPairSpace:
     if not beta.is_symmetric():
         raise ValueError("good pairs are defined for symmetric forms")
     F = beta.field
-    obj, G = beta.obj, beta.gram
-    q1 = np.diagonal(G).copy()
-    q2 = np.zeros(beta.dim, dtype=np.int64)
-    for k in range(obj.n):
-        q2[obj.w_slot(k)] = G[obj.w_slot(k), obj.x_slot(k)]
-    rows = np.stack([q2, q1], axis=1) if beta.dim else zeros(0, 2)
+    m, n = beta.obj.m, beta.obj.n
+    vv, _, ww, wx = beta.obj.gram_blocks(beta.gram)
+    # one row (beta(b, t.b), beta(b, b)) per v and per w; x rows are zero
+    rows = zeros(m + n, 2)
+    rows[:m, 1] = vv.diagonal()
+    rows[m:, 0] = wx.diagonal()
+    rows[m:, 1] = ww.diagonal()
     sol = null_space(F, rows)
     if sol.shape[1] == 0:
         return GoodPairSpace("zero")
@@ -106,20 +107,13 @@ def x_matrix(beta: BilinearForm) -> np.ndarray:
     forms.
     """
     _require_alternating_nondegenerate(beta)
-    obj, G = beta.obj, beta.gram
-    n = obj.n
-    M = zeros(n, n)
-    for j in range(n):
-        for k in range(n):
-            M[j, k] = G[obj.x_slot(j), obj.w_slot(k)]
-    return M
+    return beta.obj.gram_blocks(beta.gram)[3].copy()
 
 
 def x_function(beta: BilinearForm) -> np.ndarray:
     """Values f(x_k) = beta(w_k, w_k); well-defined on ker-t cosets."""
     _require_alternating_nondegenerate(beta)
-    obj, G = beta.obj, beta.gram
-    return np.array([G[obj.w_slot(k), obj.w_slot(k)] for k in range(obj.n)], dtype=np.int64)
+    return beta.obj.gram_blocks(beta.gram)[2].diagonal().copy()
 
 
 def form_invariant(beta: BilinearForm) -> int:

@@ -33,7 +33,7 @@ import numpy as np
 from .bform import BilinearForm, Subobject, standard_subobject, subobject_standard_basis
 from .field import Field, make_field
 from .linalg import eye, kron, mat_mul, rank, solve, zeros
-from .verobj import Morphism, VerObject, braiding, tensor
+from .verobj import Morphism, VerObject, braiding, json_ints, tensor
 
 
 @dataclass(eq=False)
@@ -234,14 +234,12 @@ class QuadraticForm:
     @classmethod
     def from_json(cls, doc: dict) -> "QuadraticForm":
         try:
-            k = doc["field"]["k"]
-            m = doc["object"]["m"]
-            n = doc["object"]["n"]
-            values = doc["values"]
+            k, obj_doc, values = doc["field"]["k"], doc["object"], doc["values"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed quadratic form document: missing {exc}") from exc
-        F = make_field(k)
-        return cls(VerObject(F, m, n), values)
+        F = make_field(json_ints(k, "field degree k"))
+        obj = VerObject.from_json(F, obj_doc)
+        return cls(obj, json_ints(values, "quadratic form values", depth=1, bound=F.order))
 
     def __repr__(self):
         return f"QuadraticForm({self.obj!r})"
@@ -413,20 +411,11 @@ def quadratic_from_bilinear(beta: BilinearForm) -> QuadraticForm:
         raise ValueError("the bijection with quadratic forms needs an object nP")
     if not beta.is_symmetric():
         raise ValueError("requires a symmetric form")
-    G = beta.gram
-    values = []
-    for line in gamma2(obj).lines:
-        fam, idx = line.family, line.indices
-        if fam == 4:
-            values.append(G[obj.w_slot(idx[0]), obj.w_slot(idx[0])])
-        elif fam == 5:
-            values.append(G[obj.w_slot(idx[0]), obj.x_slot(idx[0])])
-        elif fam == 6:
-            values.append(G[obj.w_slot(idx[0]), obj.x_slot(idx[1])])
-        elif fam == 7:
-            values.append(G[obj.w_slot(idx[0]), obj.w_slot(idx[1])])
-        else:  # pragma: no cover
-            raise AssertionError("unexpected line family on nP")
+    _, _, ww, wx = obj.gram_blocks(beta.gram)
+    # lines on nP: w_k*w_k and w_k*w_l (k < l) read G_ww, w_k*x_k and
+    # w_k*x_l read G_wx
+    block = {4: ww, 5: wx, 6: wx, 7: ww}
+    values = [block[ln.family][ln.indices[0], ln.indices[-1]] for ln in gamma2(obj).lines]
     return QuadraticForm(obj, values)
 
 

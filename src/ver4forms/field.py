@@ -55,9 +55,6 @@ class Field:
 
     __slots__ = ("k", "order", "modulus", "_gorder", "_exp", "_log", "_sqrt", "_logz", "_expz")
 
-    # sentinel exponent for log(0); sums of two real logs stay below it
-    _ZLOG = 1 << 17
-
     def __init__(self, k: int):
         if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_DEGREE:
             raise ValueError(f"field degree k must be an integer in 1..{MAX_DEGREE}, got {k!r}")
@@ -92,26 +89,23 @@ class Field:
             exp[om:] = exp[:om]
         self._exp = exp
         self._log = log
-        # zero-aware tables: log(0) maps to a sentinel so that the summed
-        # exponent of any product with 0 lands in a zero region of _expz
+        # zero-aware tables: log(0) maps to a sentinel just past `exp`, so
+        # the summed exponent of any product with 0 lands in the zero tail
+        # of _expz (sums of two real logs stay inside `exp`)
+        zlog = exp.shape[0]
         logz = log.copy()
-        logz[0] = self._ZLOG
+        logz[0] = zlog
         self._logz = logz
-        expz = np.zeros(2 * self._ZLOG + 1, dtype=np.int64)
-        expz[: exp.shape[0]] = exp
+        expz = np.zeros(2 * zlog + 1, dtype=np.int64)
+        expz[:zlog] = exp
         self._expz = expz
-        # sqrt via the inverse of the Frobenius bijection a -> a^2
+        # sqrt via the inverse of the Frobenius bijection a -> a^2, which
+        # sends exp[i] to exp[2i]
         sq = np.zeros(self.order, dtype=np.int64)
-        for a in range(self.order):
-            sq[self.mul(a, a)] = a
+        sq[exp[::2]] = exp[:om]
         self._sqrt = sq
 
     # -- scalar operations -------------------------------------------------
-
-    def check_element(self, a: int) -> int:
-        if not 0 <= a < self.order:
-            raise ValueError(f"{a!r} is not an element encoding of GF(2^{self.k})")
-        return int(a)
 
     def add(self, a: int, b: int) -> int:
         return a ^ b

@@ -60,10 +60,6 @@ def dot(F: Field, u: np.ndarray, v: np.ndarray) -> int:
     return int(np.bitwise_xor.reduce(p)) if p.size else 0
 
 
-def scale_vec(F: Field, c: int, v: np.ndarray) -> np.ndarray:
-    return F.mul_arr(np.int64(c), v)
-
-
 def kron(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Kronecker product with field multiplication of entries."""
     ra, ca = A.shape

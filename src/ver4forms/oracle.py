@@ -14,7 +14,7 @@ enumerated set, and are constant under `classify`.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -23,7 +23,7 @@ from . import linalg
 from .bform import BilinearForm
 from .classify import CanonicalClass, canonical_rep, classify
 from .field import Field
-from .linalg import batch_congruence, zeros
+from .linalg import batch_congruence
 from .verobj import VerObject
 
 DEFAULT_BUDGET_BITS = 24
@@ -41,40 +41,51 @@ def _check_budget(m: int, n: int, F: Field, budget_bits: int):
         )
 
 
+_CHUNK = 4096  # candidates assembled per batch in enumerate_forms
+
+
+def _product_order(q: int, count: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of itertools.product(range(q), repeat=count)."""
+    place = q ** np.arange(count - 1, -1, -1, dtype=np.int64)
+    return np.arange(start, stop, dtype=np.int64)[:, None] // place % q
+
+
+def _symmetric(upper: np.ndarray, s: int) -> np.ndarray:
+    """Symmetric (..., s, s) blocks from their upper triangles in row order."""
+    i, j = np.triu_indices(s)
+    out = np.zeros(upper.shape[:-1] + (s, s), dtype=np.int64)
+    out[..., i, j] = upper
+    out[..., j, i] = upper
+    return out
+
+
 def enumerate_forms(m: int, n: int, F: Field, budget_bits: int = DEFAULT_BUDGET_BITS):
     """Yield every non-degenerate symmetric compatible form exactly once."""
     _check_budget(m, n, F, budget_bits)
     obj = VerObject(F, m, n)
-    d = obj.dim
-    q = F.order
-    sym_m = [(i, j) for i in range(m) for j in range(i, m)]
-    vw = [(i, k) for i in range(m) for k in range(n)]
-    sym_n = [(j, k) for j in range(n) for k in range(j, n)]
-    cnt = len(sym_m) + len(vw) + 2 * len(sym_n)
-    for entries in itertools.product(range(q), repeat=cnt):
-        G = zeros(d, d)
-        at = 0
-        for i, j in sym_m:
-            G[obj.v_slot(i), obj.v_slot(j)] = entries[at]
-            G[obj.v_slot(j), obj.v_slot(i)] = entries[at]
-            at += 1
-        for i, k in vw:
-            G[obj.v_slot(i), obj.w_slot(k)] = entries[at]
-            G[obj.w_slot(k), obj.v_slot(i)] = entries[at]
-            at += 1
-        for j, k in sym_n:
-            G[obj.w_slot(j), obj.w_slot(k)] = entries[at]
-            G[obj.w_slot(k), obj.w_slot(j)] = entries[at]
-            at += 1
-        for j, k in sym_n:
-            v = entries[at]
-            G[obj.w_slot(j), obj.x_slot(k)] = v
-            G[obj.x_slot(k), obj.w_slot(j)] = v
-            G[obj.w_slot(k), obj.x_slot(j)] = v
-            G[obj.x_slot(j), obj.w_slot(k)] = v
-            at += 1
-        if linalg.is_invertible(F, G):
-            yield BilinearForm(obj, G)
+    q, count = F.order, free_entry_count(m, n)
+    cuts = np.cumsum([m * (m + 1) // 2, m * n, n * (n + 1) // 2])
+    total = q**count
+    for start in range(0, total, _CHUNK):
+        entries = _product_order(q, count, start, min(start + _CHUNK, total))
+        vv, vw, ww, wx = np.split(entries, cuts, axis=1)
+        grams = obj.gram_from_blocks(
+            _symmetric(vv, m), vw.reshape(len(vw), m, n), _symmetric(ww, n), _symmetric(wx, n)
+        )
+        for G in grams:
+            if linalg.is_invertible(F, G):
+                yield BilinearForm(obj, G)
+
+
+def _all_matrices(q: int, rows: int, cols: int) -> np.ndarray:
+    """Every rows x cols matrix over GF(q), in itertools.product order."""
+    count = q ** (rows * cols)
+    return _product_order(q, rows * cols, 0, count).reshape(count, rows, cols)
+
+
+def _gl(F: Field, s: int) -> np.ndarray:
+    """Every invertible s x s matrix over F, in itertools.product order."""
+    return np.stack([M for M in _all_matrices(F.order, s, s) if linalg.is_invertible(F, M)])
 
 
 def equivariant_group(m: int, n: int, F: Field):
@@ -82,40 +93,19 @@ def equivariant_group(m: int, n: int, F: Field):
 
     Shape: v's map through a GL(m) block plus arbitrary x-components, w's
     through a GL(n) block plus arbitrary v- and x-components (x-columns
-    follow the w-columns).
+    follow the w-columns).  The group is built as one stacked array, ordered
+    by (A, E, C, D, F) in `VerObject.equivariant_matrix` terms with the last
+    block varying fastest, and yielded element by element.
     """
     obj = VerObject(F, m, n)
     q = F.order
-
-    def gl(size):
-        for entries in itertools.product(range(q), repeat=size * size):
-            M = np.array(entries, dtype=np.int64).reshape(size, size)
-            if linalg.is_invertible(F, M):
-                yield M
-
-    def full(rows, cols):
-        for entries in itertools.product(range(q), repeat=rows * cols):
-            yield np.array(entries, dtype=np.int64).reshape(rows, cols)
-
-    for A in gl(m):
-        for E in gl(n):
-            for C in full(n, m):
-                for D in full(m, n):
-                    for Fm in full(n, n):
-                        M = zeros(obj.dim, obj.dim)
-                        for j in range(m):
-                            for i in range(m):
-                                M[obj.v_slot(i), obj.v_slot(j)] = A[i, j]
-                            for k in range(n):
-                                M[obj.x_slot(k), obj.v_slot(j)] = C[k, j]
-                        for j in range(n):
-                            for i in range(m):
-                                M[obj.v_slot(i), obj.w_slot(j)] = D[i, j]
-                            for k in range(n):
-                                M[obj.w_slot(k), obj.w_slot(j)] = E[k, j]
-                                M[obj.x_slot(k), obj.w_slot(j)] = Fm[k, j]
-                                M[obj.x_slot(k), obj.x_slot(j)] = E[k, j]
-                        yield M
+    sets = [_gl(F, m), _gl(F, n)] + [_all_matrices(q, r, c) for r, c in ((n, m), (m, n), (n, n))]
+    # set i goes on batch axis i of five, so broadcasting forms every tuple
+    A, E, C, D, Fm = (
+        s.reshape((1,) * i + (len(s),) + (1,) * (4 - i) + s.shape[1:]) for i, s in enumerate(sets)
+    )
+    group = obj.equivariant_matrix(A, C, D, E, Fm)
+    yield from group.reshape(math.prod(map(len, sets)), obj.dim, obj.dim)
 
 
 def class_inventory(m: int, n: int, F: Field) -> list[CanonicalClass]:

@@ -23,7 +23,7 @@ Tensor products carry the t-action t.(u (x) r) = t.u (x) r + u (x) t.r.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,9 +32,40 @@ from .field import Field
 from .linalg import SpanTracker, eye, inverse, kron, mat_mul, null_space, zeros
 
 
+def json_ints(data, what: str, depth: int = 0, bound: int | None = None):
+    """Check untrusted JSON before any numpy conversion and return it.
+
+    `data` must be an int (depth 0) or lists nested `depth` deep whose
+    leaves are ints in [0, bound), with no upper bound when `bound` is None.
+    Bools, floats and strings are rejected, never coerced.
+    """
+    items = [data]
+    for _ in range(depth):
+        if not all(isinstance(x, list) for x in items):
+            raise ValueError(f"{what} must be {depth}-fold nested lists of integers")
+        items = [y for x in items for y in x]
+    for x in items:
+        if type(x) is not int or x < 0 or (bound is not None and x >= bound):
+            limit = "" if bound is None else f" below {bound}"
+            raise ValueError(f"{what} must be non-negative integers{limit}, got {x!r:.40}")
+    return data
+
+
+def _readonly(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class VerObject:
-    """The standard module m1 + nP over a fixed field."""
+    """The standard module m1 + nP over a fixed field.
+
+    Owns the slot layout: `slots` (as slices) and `vs`, `ws`, `xs` (as index
+    arrays) are the basis positions of the v's, w's and x's, and the block
+    helpers below are the one place that turns Gram blocks and
+    equivariant-matrix blocks into full matrices (and back).  The block
+    helpers accept leading batch axes.
+    """
 
     field: Field
     m: int
@@ -48,6 +79,24 @@ class VerObject:
     def dim(self) -> int:
         return self.m + 2 * self.n
 
+    @cached_property
+    def slots(self) -> tuple[slice, slice, slice]:
+        """The v-, w- and x-positions as slices: v's first, then (w, x) pairs."""
+        m, d = self.m, self.dim
+        return slice(0, m), slice(m, d, 2), slice(m + 1, d, 2)
+
+    @cached_property
+    def vs(self) -> np.ndarray:
+        return _readonly(np.arange(self.dim)[self.slots[0]])
+
+    @cached_property
+    def ws(self) -> np.ndarray:
+        return _readonly(np.arange(self.dim)[self.slots[1]])
+
+    @cached_property
+    def xs(self) -> np.ndarray:
+        return _readonly(np.arange(self.dim)[self.slots[2]])
+
     def v_slot(self, i: int) -> int:
         return i
 
@@ -58,10 +107,55 @@ class VerObject:
         return self.m + 2 * k + 1
 
     def t_action(self) -> np.ndarray:
+        _, w, x = self.slots
         T = zeros(self.dim, self.dim)
-        for k in range(self.n):
-            T[self.x_slot(k), self.w_slot(k)] = 1
+        T[x, w] = eye(self.n)
         return T
+
+    def is_compatible(self, G: np.ndarray) -> bool:
+        """The law T^T G = G T, with both sides built by moving x-rows and
+        x-columns of G onto the w-slots (T sends w_k to x_k)."""
+        _, w, x = self.slots
+        tg = np.zeros_like(G)
+        tg[w] = G[x]
+        gt = np.zeros_like(G)
+        gt[:, w] = G[:, x]
+        return bool(np.array_equal(tg, gt))
+
+    def gram_blocks(self, G: np.ndarray):
+        """The free blocks (G_vv, G_vw, G_ww, G_wx) of a symmetric compatible
+        Gram, as views into G; every other entry is zero or a mirror of one
+        of these."""
+        v, w, x = self.slots
+        return G[..., v, v], G[..., v, w], G[..., w, w], G[..., w, x]
+
+    def gram_from_blocks(self, vv, vw, ww, wx) -> np.ndarray:
+        """Inverse of `gram_blocks`: the symmetric compatible Gram with the
+        given blocks (vv, ww and wx must be symmetric), mirrored entries
+        filled in."""
+        v, w, x = self.slots
+        return self._assemble(
+            (v, v, vv), (v, w, vw), (w, v, np.swapaxes(vw, -1, -2)),
+            (w, w, ww), (w, x, wx), (x, w, np.swapaxes(wx, -1, -2)),
+        )
+
+    def equivariant_matrix(self, a, c, d, e, f) -> np.ndarray:
+        """The matrix commuting with T built from its five free blocks:
+        v -> v by `a` (m x m), v -> x by `c` (n x m), w -> v by `d` (m x n),
+        w -> w and x -> x both by `e` (n x n), w -> x by `f` (n x n).  It is
+        invertible iff `a` and `e` are."""
+        v, w, x = self.slots
+        return self._assemble((v, v, a), (x, v, c), (v, w, d), (w, w, e), (x, w, f), (x, x, e))
+
+    def _assemble(self, *placed) -> np.ndarray:
+        """Zero matrices (batch axes broadcast from the blocks) with each
+        (row slots, column slots, block) written in."""
+        blocks = [np.asarray(b, dtype=np.int64) for _, _, b in placed]
+        batch = np.broadcast_shapes(*(b.shape[:-2] for b in blocks))
+        M = np.zeros(batch + (self.dim, self.dim), dtype=np.int64)
+        for (rows, cols, _), b in zip(placed, blocks):
+            M[..., rows, cols] = b
+        return M
 
     def basis_labels(self) -> list[str]:
         labels = [f"v{i + 1}" for i in range(self.m)]
@@ -78,9 +172,7 @@ class VerObject:
             m, n = doc["m"], doc["n"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed object document: missing {exc}") from exc
-        if not isinstance(m, int) or not isinstance(n, int):
-            raise ValueError("object sizes must be integers")
-        return cls(field, m, n)
+        return cls(field, json_ints(m, "object size m"), json_ints(n, "object size n"))
 
     def __repr__(self):
         return f"VerObject(GF(2^{self.field.k}), {self.m}*1 + {self.n}*P)"
@@ -114,8 +206,8 @@ class RawTModule:
             dim, t = doc["dim"], doc["t"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed raw module document: missing {exc}") from exc
-        t = np.array(t, dtype=np.int64)
-        if t.shape != (dim, dim):
+        t = np.array(json_ints(t, "t-action entries", depth=2, bound=field.order), dtype=np.int64)
+        if t.shape != (json_ints(dim, "dim"),) * 2:
             raise ValueError("t-action shape does not match the declared dimension")
         return cls(field, t)
 
@@ -275,12 +367,11 @@ def dual(obj: VerObject) -> tuple[VerObject, Morphism]:
     F = obj.field
     d = obj.dim
     dobj = VerObject(F, obj.m, obj.n)
+    (v, w, x), (dv, dw, dx) = obj.slots, dobj.slots
     P = zeros(d, d)
-    for i in range(obj.m):
-        P[i, i] = 1
-    for k in range(obj.n):
-        P[dobj.w_slot(k), obj.x_slot(k)] = 1  # x*_k pairs with x_k
-        P[dobj.x_slot(k), obj.w_slot(k)] = 1  # w*_k pairs with w_k
+    P[dv, v] = eye(obj.m)
+    P[dw, x] = eye(obj.n)  # x*_k pairs with x_k
+    P[dx, w] = eye(obj.n)  # w*_k pairs with w_k
     ev = Morphism(tensor_raw(dobj, obj), unit_object(F), P.reshape(1, d * d))
     return dobj, ev
 
@@ -310,20 +401,7 @@ def random_equivariant_matrix(obj: VerObject, rng: np.random.Generator) -> np.nd
     C = rng.integers(0, q, size=(n, m), dtype=np.int64)
     D = rng.integers(0, q, size=(m, n), dtype=np.int64)
     Fm = rng.integers(0, q, size=(n, n), dtype=np.int64)
-    M = zeros(obj.dim, obj.dim)
-    vs = np.arange(m)
-    ws = m + 2 * np.arange(n)
-    xs = ws + 1
-    if m:
-        M[np.ix_(vs, vs)] = A
-    if m and n:
-        M[np.ix_(xs, vs)] = C
-        M[np.ix_(vs, ws)] = D
-    if n:
-        M[np.ix_(ws, ws)] = E
-        M[np.ix_(xs, ws)] = Fm
-        M[np.ix_(xs, xs)] = E
-    return M
+    return obj.equivariant_matrix(A, C, D, E, Fm)
 
 
 def random_equivariant_automorphism(obj: VerObject, rng: np.random.Generator) -> Morphism:

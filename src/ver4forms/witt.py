@@ -4,8 +4,8 @@ Isomorphism classes of non-degenerate symmetric bilinear forms carry a
 commutative semi-ring structure: direct sum and the braided tensor product.
 At class level the operations close over the six canonical families; the
 transcribed rules live in `expected_sum_class` / `expected_product_class`,
-and `sum_class` / `product_class` compute the honest form-level operation
-on canonical representatives, classify it and cross-check the rule.
+and `table_cell` computes the honest form-level operation on canonical
+representatives, classifies it and pairs it with the rule's answer.
 
 Orientation of the rules: the first operand lives on m1 + nP (parameter a
 for E/F), the second on p1 + qP (parameter b); both tables are symmetric.
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import linalg
 from .bform import BilinearForm
-from .classify import CanonicalClass, InternalCheckError, classify, canonical_rep
+from .classify import CanonicalClass, classify, canonical_rep
 from .field import Field
 from .linalg import congruence, eye, kron, mat_mul, zeros
 from .verobj import VerObject, braiding, tensor
@@ -43,22 +43,15 @@ def direct_sum(b1: BilinearForm, b2: BilinearForm) -> BilinearForm:
     F = b1.field
     o1, o2 = b1.obj, b2.obj
     target = VerObject(F, o1.m + o2.m, o1.n + o2.n)
+    # pos[target slot] = the same basis vector's slot in b1 (+) b2
     pos = np.zeros(target.dim, dtype=np.int64)
-    for i in range(target.m):
-        pos[target.v_slot(i)] = o1.v_slot(i) if i < o1.m else o1.dim + o2.v_slot(i - o1.m)
-    for k in range(target.n):
-        if k < o1.n:
-            pos[target.w_slot(k)] = o1.w_slot(k)
-            pos[target.x_slot(k)] = o1.x_slot(k)
-        else:
-            pos[target.w_slot(k)] = o1.dim + o2.w_slot(k - o1.n)
-            pos[target.x_slot(k)] = o1.dim + o2.x_slot(k - o1.n)
+    pos[target.vs] = np.concatenate([o1.vs, o1.dim + o2.vs])
+    pos[target.ws] = np.concatenate([o1.ws, o1.dim + o2.ws])
+    pos[target.xs] = np.concatenate([o1.xs, o1.dim + o2.xs])
     cat = zeros(o1.dim + o2.dim, o1.dim + o2.dim)
     cat[: o1.dim, : o1.dim] = b1.gram
     cat[o1.dim :, o1.dim :] = b2.gram
-    if target.dim == 0:
-        return BilinearForm(target, cat)
-    return BilinearForm(target, cat[np.ix_(pos, pos)])
+    return BilinearForm(target, cat[pos[:, None], pos])
 
 
 def tensor_product(b1: BilinearForm, b2: BilinearForm) -> BilinearForm:
@@ -181,44 +174,19 @@ def expected_product_class(c1: CanonicalClass, c2: CanonicalClass, F: Field) -> 
     raise AssertionError(f"unhandled family pair {pair}")  # pragma: no cover
 
 
-def sum_class(c1: CanonicalClass, c2: CanonicalClass, F: Field) -> CanonicalClass:
-    """Class of the sum, computed on representatives and checked vs the rule."""
-    got = classify(direct_sum(canonical_rep(c1, F), canonical_rep(c2, F)))
-    want = expected_sum_class(c1, c2)
-    if got != want:
-        raise InternalCheckError(f"sum {c1} + {c2}: computed {got}, rule says {want}")
-    return got
-
-
-def product_class(c1: CanonicalClass, c2: CanonicalClass, F: Field) -> CanonicalClass:
-    """Class of the product, computed on representatives and checked vs the rule."""
-    got = classify(tensor_product(canonical_rep(c1, F), canonical_rep(c2, F)))
-    want = expected_product_class(c1, c2, F)
-    if got != want:
-        raise InternalCheckError(f"product {c1} x {c2}: computed {got}, rule says {want}")
-    return got
+def table_cell(op: str, c1: CanonicalClass, c2: CanonicalClass, F: Field):
+    """One table cell: (got, expected), where `got` classifies the honest
+    form-level sum or product of the canonical representatives and
+    `expected` is the transcribed rule; `op` is "sum" or "product"."""
+    r1, r2 = canonical_rep(c1, F), canonical_rep(c2, F)
+    if op == "sum":
+        return classify(direct_sum(r1, r2)), expected_sum_class(c1, c2)
+    return classify(tensor_product(r1, r2)), expected_product_class(c1, c2, F)
 
 
 # -- full table verification -----------------------------------------------------
 
-
-@dataclass(frozen=True)
-class WittTables:
-    """The transcribed class-level tables for one field.
-
-    `sum_rule` and `product_rule` evaluate the expected result class for a
-    pair of operand classes; both are symmetric in their arguments.  The
-    SYMBOLIC_* constants carry the human-readable cell rules.
-    """
-
-    field: Field
-
-    def sum_rule(self, c1: CanonicalClass, c2: CanonicalClass) -> CanonicalClass:
-        return expected_sum_class(c1, c2)
-
-    def product_rule(self, c1: CanonicalClass, c2: CanonicalClass) -> CanonicalClass:
-        return expected_product_class(c1, c2, self.field)
-
+_OP_SYMBOL = {"sum": "+", "product": "x"}
 
 SYMBOLIC_SUM = {
     ("A", "A"): "A",
@@ -316,7 +284,7 @@ class TableReport:
 
     def to_markdown(self) -> str:
         table = SYMBOLIC_SUM if self.operation == "sum" else SYMBOLIC_PRODUCT
-        op = "+" if self.operation == "sum" else "x"
+        op = _OP_SYMBOL[self.operation]
         fams = list("ABCDEF")
         lines = [
             f"# Witt semi-ring {self.operation} table over GF(2^{self.field_k})",
@@ -374,36 +342,24 @@ def emit_tables(
     """
     if F.k < 2:
         raise ValueError("tables require a field with k >= 2")
-    sum_rep = TableReport("sum", F.k)
-    prod_rep = TableReport("product", F.k)
-    for c1, c2 in _grid_pairs(F, max_size, params):
-        expected = expected_sum_class(c1, c2)
-        got = classify(direct_sum(canonical_rep(c1, F), canonical_rep(c2, F)))
-        sum_rep.cells += 1
-        sum_rep.records.append(
-            (c1.family, c1.m, c1.n, c1.param, c2.family, c2.m, c2.n, c2.param,
-             got.label(), expected.label(), got == expected)
-        )
-        if got != expected:
-            sum_rep.mismatches.append(f"{c1} + {c2}: computed {got}, rule {expected}")
-        if _sum_coefficient_collapsed(c1, c2):
-            sum_rep.coincidences.append(f"{c1} + {c2}")
+    reports = {"sum": TableReport("sum", F.k), "product": TableReport("product", F.k)}
+    collapsed = {"sum": _sum_coefficient_collapsed, "product": _product_coefficient_collapsed}
     for c1, c2 in _grid_pairs(F, max_size, params):
         dim = (c1.m + 2 * c1.n) * (c2.m + 2 * c2.n)
-        if dim > product_dim_cap:
-            continue
-        expected = expected_product_class(c1, c2, F)
-        got = classify(tensor_product(canonical_rep(c1, F), canonical_rep(c2, F)))
-        prod_rep.cells += 1
-        prod_rep.records.append(
-            (c1.family, c1.m, c1.n, c1.param, c2.family, c2.m, c2.n, c2.param,
-             got.label(), expected.label(), got == expected)
-        )
-        if got != expected:
-            prod_rep.mismatches.append(f"{c1} x {c2}: computed {got}, rule {expected}")
-        if _product_coefficient_collapsed(c1, c2):
-            prod_rep.coincidences.append(f"{c1} x {c2}")
-    return sum_rep, prod_rep
+        for op in ("sum",) if dim > product_dim_cap else ("sum", "product"):
+            rep = reports[op]
+            got, expected = table_cell(op, c1, c2, F)
+            rep.cells += 1
+            rep.records.append(
+                (c1.family, c1.m, c1.n, c1.param, c2.family, c2.m, c2.n, c2.param,
+                 got.label(), expected.label(), got == expected)
+            )
+            cell = f"{c1} {_OP_SYMBOL[op]} {c2}"
+            if got != expected:
+                rep.mismatches.append(f"{cell}: computed {got}, rule {expected}")
+            if collapsed[op](c1, c2):
+                rep.coincidences.append(cell)
+    return reports["sum"], reports["product"]
 
 
 def _sum_coefficient_collapsed(c1: CanonicalClass, c2: CanonicalClass) -> bool:

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from ver4forms.cli import main
 
 
@@ -43,6 +45,23 @@ def test_schema_violation(tmp_path):
     doc = bp_doc(2)
     doc["object"] = {"m": 1, "n": 1}
     assert main(["classify", _write(tmp_path, "g.json", doc)]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("classify", {"field": {"k": 2}, "object": {"m": 0, "n": 1}, "gram": [[2.9, 1.2], [1, 0]]}),
+        ("classify", {"field": {"k": 2}, "object": {"m": True, "n": 0}, "gram": [[1]]}),
+        ("classify", {"field": {"k": 2}, "object": {"m": 0, "n": 1}, "gram": [[2**63, 1], [1, 0]]}),
+        ("quad-classify", {"field": {"k": 2}, "object": {"m": "0", "n": 1}, "values": [0, 1]}),
+        ("quad-classify", {"field": {"k": 2}, "object": {"m": 2, "n": 0}, "values": [0, 0, 1.0]}),
+    ],
+    ids=["float-gram", "bool-size", "gram-2^63", "string-size", "float-value"],
+)
+def test_strict_integer_input(tmp_path, capsys, command, doc):
+    assert main([command, _write(tmp_path, "f.json", doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_canonicalize_command(tmp_path, capsys):

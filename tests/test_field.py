@@ -80,7 +80,7 @@ def test_sqrt_examples():
 
 
 def test_sqrt_is_frobenius_inverse():
-    for k in (1, 2, 3, 4, 8):
+    for k in (1, 2, 3, 4, 8, 16):
         F = make_field(k)
         for a in F.elements():
             assert F.mul(F.sqrt(a), F.sqrt(a)) == a
@@ -147,14 +147,19 @@ def test_mul_matches_polynomial_reference(k, a, b):
 
 
 def test_mul_arr_matches_scalar():
-    F = make_field(3)
-    rng = np.random.default_rng(5)
-    a = rng.integers(0, F.order, size=(6, 7))
-    b = rng.integers(0, F.order, size=(6, 7))
-    out = F.mul_arr(a, b)
-    for i in range(6):
-        for j in range(7):
-            assert out[i, j] == F.mul(int(a[i, j]), int(b[i, j]))
+    for k in (1, 2, 3, 16):
+        F = make_field(k)
+        rng = np.random.default_rng(5)
+        a = rng.integers(0, F.order, size=(6, 7))
+        b = rng.integers(0, F.order, size=(6, 7))
+        a[0] = 0  # products with 0 on either side and 0 * 0
+        b[:, 0] = 0
+        out = F.mul_arr(a, b)
+        for i in range(6):
+            for j in range(7):
+                assert out[i, j] == F.mul(int(a[i, j]), int(b[i, j]))
+        every = np.arange(F.order)
+        assert not F.mul_arr(every, 0).any() and not F.mul_arr(0, every).any()
 
 
 def test_serialization_is_decimal_encoding():

@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from ver4forms.field import make_field
@@ -45,6 +48,13 @@ def test_equivariant_group_order():
     assert len(group) == 12  # |GL1| * q for the x-component
     group = list(equivariant_group(1, 0, F4))
     assert len(group) == 3
+    q = F4.order
+    gl = lambda s: math.prod(q**s - q**i for i in range(s))
+    for m, n in ((1, 1), (0, 2), (2, 0)):
+        group = list(equivariant_group(m, n, F4))
+        assert len(group) == gl(m) * gl(n) * q ** (2 * m * n + n * n)
+        assert len({M.tobytes() for M in group}) == len(group)
+        assert all(M.shape == (m + 2 * n,) * 2 and M.dtype == np.int64 for M in group)
 
 
 def test_class_inventory_counts():

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ver4forms import linalg as la
 from ver4forms.field import make_field
@@ -211,3 +212,62 @@ def test_morphism_compose_and_inverse():
     assert np.array_equal(ab.matrix, la.mat_mul(F, a.matrix, b.matrix))
     ainv = a.inverse()
     assert np.array_equal(a.compose(ainv).matrix, la.eye(U.dim))
+
+
+# -- the slot layout and its block helpers ------------------------------------
+
+_layout = given(
+    k=st.integers(2, 16), m=st.integers(0, 4), n=st.integers(0, 4), seed=st.integers(0, 2**32 - 1)
+)
+
+
+def _sym(rng, q, s, batch=2):
+    upper = np.triu(rng.integers(0, q, size=(batch, s, s)))
+    return upper ^ np.triu(upper, 1).swapaxes(-1, -2)
+
+
+@settings(max_examples=25, deadline=None)
+@_layout
+def test_gram_from_blocks_is_compatible_and_reads_back(k, m, n, seed):
+    Fk, rng = make_field(k), np.random.default_rng(seed)
+    obj, q = VerObject(Fk, m, n), Fk.order
+    blocks = (_sym(rng, q, m), rng.integers(0, q, size=(2, m, n)), _sym(rng, q, n), _sym(rng, q, n))
+    grams = obj.gram_from_blocks(*blocks)
+    assert grams.shape == (2, obj.dim, obj.dim)
+    T = obj.t_action()
+    for b, G in enumerate(grams):
+        assert np.array_equal(la.mat_mul(Fk, T.T, G), la.mat_mul(Fk, G, T))
+        assert np.array_equal(G, G.T)
+        assert obj.is_compatible(G)
+        for got, want in zip(obj.gram_blocks(G), blocks):
+            assert np.array_equal(got, want[b])
+
+
+@settings(max_examples=25, deadline=None)
+@_layout
+def test_equivariant_matrix_commutes_with_t(k, m, n, seed):
+    Fk, rng = make_field(k), np.random.default_rng(seed)
+    obj, q = VerObject(Fk, m, n), Fk.order
+    A, E = rng.integers(0, q, size=(m, m)), rng.integers(0, q, size=(n, n))
+    if rng.integers(2):  # make singular blocks likely on one side
+        A[:, :1] = 0
+    M = obj.equivariant_matrix(
+        A, rng.integers(0, q, size=(n, m)), rng.integers(0, q, size=(m, n)), E,
+        rng.integers(0, q, size=(n, n)),
+    )
+    T = obj.t_action()
+    assert np.array_equal(la.mat_mul(Fk, T, M), la.mat_mul(Fk, M, T))
+    blocks_invertible = la.is_invertible(Fk, A) and la.is_invertible(Fk, E)
+    assert la.is_invertible(Fk, M) == blocks_invertible
+
+
+def test_compatibility_check_matches_t_action_law():
+    rng = np.random.default_rng(11)
+    for m, n in ((0, 1), (1, 1), (2, 2), (3, 1)):
+        obj = VerObject(F, m, n)
+        T = obj.t_action()
+        for _ in range(200):
+            sparse = rng.random((obj.dim, obj.dim)) < 0.2
+            G = rng.integers(0, F.order, size=(obj.dim, obj.dim)) * sparse
+            law = np.array_equal(la.mat_mul(F, T.T, G), la.mat_mul(F, G, T))
+            assert obj.is_compatible(G) == law
