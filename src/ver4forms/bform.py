@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .field import Field, make_field
-from .linalg import eye, mat_mul, null_space, rank, solve
+from .linalg import eye, mat_mul, null_space, rank, row_reduce, solve
 from .verobj import RawTModule, VerObject, decompose, json_ints
 
 
@@ -36,28 +36,21 @@ class Subobject:
         if span.shape[0] != ambient.dim:
             raise ValueError("spanning matrix has wrong ambient dimension")
         F = ambient.field
-        r = rank(F, span)
-        T = ambient.t_action()
-        stacked = np.concatenate([span, mat_mul(F, T, span)], axis=1)
-        if rank(F, stacked) != r:
+        stacked = np.concatenate([span, mat_mul(F, ambient.t_action(), span)], axis=1)
+        pivots = row_reduce(F, stacked)[1]
+        if pivots and pivots[-1] >= span.shape[1]:  # a t-image outside the span
             raise ValueError("column space is not t-stable")
         self.ambient = ambient
         self.span = span
-        self._rank = r
+        self._pivots = pivots
 
     @property
     def dim(self) -> int:
-        return self._rank
+        return len(self._pivots)
 
     def basis(self) -> np.ndarray:
         """Column basis: the first independent columns of the spanning matrix."""
-        F = self.ambient.field
-        cols = []
-        tracker = linalg.SpanTracker(F, self.ambient.dim)
-        for j in range(self.span.shape[1]):
-            if tracker.add(self.span[:, j]):
-                cols.append(j)
-        return self.span[:, cols]
+        return self.span[:, self._pivots]
 
     def __repr__(self):
         return f"Subobject(dim={self.dim} of {self.ambient!r})"
@@ -175,8 +168,10 @@ class BilinearForm:
             raise ValueError(f"malformed form document: missing {exc}") from exc
         F = make_field(json_ints(k, "field degree k"))
         obj = VerObject.from_json(F, obj_doc)
-        gram = json_ints(gram, "gram entries", depth=2, bound=F.order)
-        return cls(obj, np.array(gram, dtype=np.int64))
+        gram = np.array(json_ints(gram, "gram entries", depth=2, bound=F.order), dtype=np.int64)
+        if not gram.size:  # a dim-0 form writes "gram": [], which numpy reads as 1-D
+            gram = gram.reshape(0, 0)
+        return cls(obj, gram)
 
     def __repr__(self):
         return f"BilinearForm({self.obj!r})"

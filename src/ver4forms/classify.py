@@ -287,24 +287,6 @@ def _scaled(F: Field, c: int, v: np.ndarray) -> np.ndarray:
     return F.mul_arr(np.int64(c), v)
 
 
-def _pick_v_complement(F: Field, T: np.ndarray, obj: VerObject) -> np.ndarray:
-    """A complement of im(t) inside ker(t), by greedy pivoting."""
-    d = obj.dim
-    tracker = linalg.SpanTracker(F, d)
-    for j in range(d):
-        col = T[:, j]
-        if col.any():
-            tracker.add(col)
-    ker = null_space(F, T)
-    v_cols = []
-    for j in range(ker.shape[1]):
-        if tracker.add(ker[:, j]):
-            v_cols.append(ker[:, j].copy())
-    if len(v_cols) != obj.m:  # pragma: no cover
-        raise AssertionError("complement of im(t) in ker(t) has wrong size")
-    return np.column_stack(v_cols) if v_cols else zeros(d, 0)
-
-
 def _reduce_unit_part(F: Field, G: np.ndarray, V: np.ndarray):
     """Classical canonical form of the restriction to the 1-part.
 
@@ -507,13 +489,14 @@ def _pforms_chain(F, G, T, p_blocks):
     return [p_blocks[i] for i in order]
 
 
-def canonicalize(beta: BilinearForm) -> tuple[Morphism, BilinearForm]:
+def canonicalize(beta: BilinearForm) -> tuple[Morphism, BilinearForm, CanonicalClass]:
     """Invertible equivariant T with T^T G T equal to the canonical Gram.
 
     Follows the constructive reduction: split off a complement of im(t) in
     ker(t), normalise its classical form, carve the P-part into bP/b2P
     blocks, homogenise, and normalise block scalars.  The result is
-    cross-checked against the invariant-based `classify`.
+    cross-checked against the invariant-based `classify`.  Returns
+    (T, canonical form, class), the class being the one both paths agree on.
     """
     _require_classifiable(beta)
     F = beta.field
@@ -523,9 +506,9 @@ def canonicalize(beta: BilinearForm) -> tuple[Morphism, BilinearForm]:
     m, n = obj.m, obj.n
     bv = lambda u, v: _beta_vec(F, G, u, v)
 
-    V = _pick_v_complement(F, T, obj)
     if m:
-        Vp, v_alt = _reduce_unit_part(F, G, V)
+        # the v-slots span a complement of im(t) in ker(t)
+        Vp, v_alt = _reduce_unit_part(F, G, eye(obj.dim)[:, obj.vs])
     else:
         Vp, v_alt = zeros(obj.dim, 0), True
     if n:
@@ -610,4 +593,4 @@ def canonicalize(beta: BilinearForm) -> tuple[Morphism, BilinearForm]:
         raise InternalCheckError("canonicalizing transform is singular")
     if not np.array_equal(congruence(F, Tmat, G), canon.gram):
         raise InternalCheckError("transform does not reach the canonical Gram")
-    return transform, canon
+    return transform, canon, cls

@@ -20,14 +20,22 @@ from .bform import BilinearForm
 from .classify import (
     CanonicalClass,
     InternalCheckError,
+    canonical_rep,
     canonicalize,
     classify,
     form_invariant,
     good_pairs,
 )
-from .divided import QuadraticForm, classify_quadratic, gamma2
+from .divided import QuadraticForm, classify_quadratic, gamma2, gamma2_dim_formula
 from .field import make_field
-from .verobj import VerObject, check_r_matrix_axioms, hexagons_hold, random_equivariant_automorphism
+from .linalg import congruence, eye, mat_mul
+from .verobj import (
+    VerObject,
+    braiding,
+    check_r_matrix_axioms,
+    hexagons_hold,
+    random_equivariant_automorphism,
+)
 from .witt import direct_sum, emit_tables, tensor_product
 from . import oracle as oracle_mod
 
@@ -40,6 +48,8 @@ def _load_json(path: str) -> dict:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{path} is not valid JSON: nested too deeply") from exc
 
 
 def _load_form(path: str) -> BilinearForm:
@@ -73,9 +83,9 @@ def _cmd_classify(args) -> int:
 def _cmd_canonicalize(args) -> int:
     beta = _load_form(args.file)
     _require_classifiable_field(beta.field.k)
-    transform, canon = canonicalize(beta)
+    transform, canon, cls = canonicalize(beta)
     payload = {
-        "class": classify(beta).to_json(),
+        "class": cls.to_json(),
         "transform": transform.matrix.tolist(),
         "canonical_gram": canon.gram.tolist(),
     }
@@ -223,20 +233,14 @@ def _cmd_selfcheck(args) -> int:
     # braiding involution and hexagons on small objects
     objs = [VerObject(F4, m, n) for m, n in ((1, 0), (0, 1), (1, 1), (2, 1))]
     ok = True
-    from .verobj import braiding
-
     for a in objs:
         for b in objs:
             cab, cba = braiding(a, b).matrix, braiding(b, a).matrix
-            from .linalg import eye, mat_mul
-
             ok = ok and np.array_equal(mat_mul(F4, cba, cab), eye(a.dim * b.dim))
     check("braiding squares to the identity", ok)
     ok = all(all(hexagons_hold(x, y, z)) for x in objs[:2] for y in objs[:2] for z in objs[:2])
     check("hexagon identities", ok)
     # gamma2 dimensions
-    from .divided import gamma2_dim_formula
-
     ok = True
     for m in range(4):
         for n in range(3):
@@ -244,9 +248,6 @@ def _cmd_selfcheck(args) -> int:
             ok = ok and gamma2(obj).dim == gamma2_dim_formula(m, n)
     check("second divided power dimensions", ok)
     # classification stability on random congruences
-    from .classify import canonical_rep
-    from .linalg import congruence
-
     classes = [
         CanonicalClass("A", 2, 2),
         CanonicalClass("B", 1, 1),
@@ -261,9 +262,9 @@ def _cmd_selfcheck(args) -> int:
         for _ in range(args.trials // 4 + 1):
             phi = random_equivariant_automorphism(rep.obj, rng)
             scr = BilinearForm(rep.obj, congruence(F4, phi.matrix, rep.gram))
-            ok = ok and classify(scr) == cls
-            transform, canon = canonicalize(scr)
-            ok = ok and np.array_equal(canon.gram, rep.gram)
+            # canonicalize raises unless its class matches classify's
+            _, canon, got = canonicalize(scr)
+            ok = ok and got == cls and np.array_equal(canon.gram, rep.gram)
     check("classification stable under random equivariant congruence", ok)
     # witt table sample
     sum_rep, prod_rep = emit_tables(F4, max_size=2)

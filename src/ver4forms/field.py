@@ -126,11 +126,6 @@ class Field:
     def sqrt(self, a: int) -> int:
         return int(self._sqrt[a])
 
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            return 0 if e else 1
-        return int(self._exp[(int(self._log[a]) * e) % self._gorder])
-
     def elements(self) -> range:
         return range(self.order)
 

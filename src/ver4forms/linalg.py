@@ -72,6 +72,9 @@ def row_reduce(F: Field, M: np.ndarray, n_pivot_cols: int | None = None):
     """Reduced row echelon form over the field.
 
     Returns (R, pivots); pivots are the pivot column indices in order.
+    They are the greedy leftmost independent columns of M (column j is a
+    pivot iff it is not in the span of columns 0..j-1), which is how every
+    "first independent columns" choice in the package is made.
     Pivot search can be limited to the first `n_pivot_cols` columns (for
     augmented systems); row operations always apply to the full width.
     """
@@ -173,38 +176,3 @@ def batch_congruence(F: Field, Ts: np.ndarray, G: np.ndarray) -> np.ndarray:
         out ^= F.mul_arr(left[:, :, l, None], Ts[:, None, l, :])
     return out
 
-
-class SpanTracker:
-    """Incremental membership test for the span of a growing vector set."""
-
-    def __init__(self, F: Field, length: int):
-        self.F = F
-        self.length = length
-        self.rows: list[np.ndarray] = []  # echelonised, one pivot each
-        self.pivots: list[int] = []
-
-    def _reduce(self, vec: np.ndarray) -> np.ndarray:
-        v = np.array(vec, dtype=np.int64, copy=True)
-        for row, p in zip(self.rows, self.pivots):
-            if v[p]:
-                v ^= self.F.mul_arr(np.int64(v[p]), row)
-        return v
-
-    def contains(self, vec) -> bool:
-        return not self._reduce(vec).any()
-
-    def add(self, vec) -> bool:
-        """Add `vec` to the span; True if it was independent."""
-        v = self._reduce(vec)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        p = int(nz[0])
-        v = self.F.mul_arr(np.int64(self.F.inv(int(v[p]))), v)
-        self.rows.append(v)
-        self.pivots.append(p)
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .field import Field
-from .linalg import SpanTracker, eye, inverse, kron, mat_mul, null_space, zeros
+from .linalg import eye, inverse, kron, mat_mul, null_space, row_reduce, zeros
 
 
 def json_ints(data, what: str, depth: int = 0, bound: int | None = None):
@@ -270,10 +270,10 @@ def decompose(raw) -> tuple[VerObject, Morphism]:
 
     Returns (obj, phi) with obj = m1 + nP, n = rank(T), m = dim - 2n, and phi
     an invertible morphism from `raw` to the standard object.  The new w's
-    are chosen greedily among standard basis vectors, preferring those whose
-    t-image has the smallest support (ties by index); the 1-part is filled
-    greedily from the reduced kernel basis.  This makes the output matrix
-    deterministic.
+    are chosen greedily (as row_reduce pivots) among standard basis vectors,
+    preferring those whose t-image has the smallest support (ties by index);
+    the 1-part is filled greedily from the reduced kernel basis.  This makes
+    the output matrix deterministic.
     """
     F = raw.field
     T = raw.t_action()
@@ -282,33 +282,20 @@ def decompose(raw) -> tuple[VerObject, Morphism]:
         (j for j in range(d) if T[:, j].any()),
         key=lambda j: (int(np.count_nonzero(T[:, j])), j),
     )
-    image_span = SpanTracker(F, d)
-    w_cols: list[np.ndarray] = []
-    x_cols: list[np.ndarray] = []
-    for j in candidates:
-        img = T[:, j]
-        if image_span.add(img):
-            e = np.zeros(d, dtype=np.int64)
-            e[j] = 1
-            w_cols.append(e)
-            x_cols.append(img.copy())
-    n = len(w_cols)
+    w_idx = [candidates[j] for j in row_reduce(F, T[:, candidates])[1]]
+    X = T[:, w_idx]
+    n = len(w_idx)
     m = d - 2 * n
-    ker = null_space(F, T)
-    full_span = SpanTracker(F, d)
-    for x in x_cols:
-        full_span.add(x)
-    v_cols: list[np.ndarray] = []
-    for j in range(ker.shape[1]):
-        if full_span.add(ker[:, j]):
-            v_cols.append(ker[:, j].copy())
-    if len(v_cols) != m:
+    XK = np.concatenate([X, null_space(F, T)], axis=1)
+    v_piv = row_reduce(F, XK)[1][n:]
+    if len(v_piv) != m:
         raise AssertionError("kernel completion failed")  # pragma: no cover
-    cols = v_cols[:]
-    for w, x in zip(w_cols, x_cols):
-        cols += [w, x]
-    B = np.column_stack(cols) if cols else zeros(d, 0)
     obj = VerObject(F, m, n)
+    v, _, x = obj.slots
+    B = zeros(d, d)
+    B[:, v] = XK[:, v_piv]
+    B[w_idx, obj.ws] = 1
+    B[:, x] = X
     phi = Morphism(raw, obj, inverse(F, B) if d else zeros(0, 0))
     return obj, phi
 

@@ -153,7 +153,7 @@ def test_criterion_6_classification_stability_and_canonicalize():
             T_std = rep.obj.t_action()
             for i in range(0, 1000, 40):
                 beta = BilinearForm(rep.obj, grams[i])
-                transform, canon = canonicalize(beta)
+                transform, canon, _ = canonicalize(beta)
                 assert np.array_equal(canon.gram, rep.gram)
                 assert np.array_equal(
                     la.congruence(F8, transform.matrix, beta.gram), rep.gram

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ver4forms import linalg as la
 from ver4forms.bform import BilinearForm, Subobject, standard_subobject
@@ -182,6 +183,34 @@ def test_subobject_requires_t_stability():
         Subobject(obj, span)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    k=st.integers(2, 16), m=st.integers(0, 3), n=st.integers(0, 3), r=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_subobject_basis_is_first_independent_columns(k, m, n, r, seed):
+    Fk, rng = make_field(k), np.random.default_rng(seed)
+    obj = VerObject(Fk, m, n)
+    R = rng.integers(0, Fk.order, size=(obj.dim, r))
+    TR = la.mat_mul(Fk, obj.t_action(), R)
+    # t-stable: R, its t-image and combinations of R, with scalar multiples
+    # and repeats, in random column order
+    extra = la.mat_mul(Fk, R, rng.integers(0, Fk.order, size=(r, 3)))
+    span = np.concatenate([R, TR, extra, R[:, :1]], axis=1)
+    span = span[:, rng.permutation(span.shape[1])]
+    sub = Subobject(obj, span)
+    keep = [j for j in range(span.shape[1]) if la.rank(Fk, span[:, : j + 1]) > la.rank(Fk, span[:, :j])]
+    assert np.array_equal(sub.basis(), span[:, keep])
+    assert sub.dim == len(keep) == la.rank(Fk, span)
+    # R alone is t-stable iff adding its t-image keeps the rank
+    stable = la.rank(Fk, np.concatenate([R, TR], axis=1)) == la.rank(Fk, R)
+    if stable:
+        assert Subobject(obj, R).dim == la.rank(Fk, R)
+    else:
+        with pytest.raises(ValueError, match="not t-stable"):
+            Subobject(obj, R)
+
+
 def test_alternating_matches_divided_power_kernel_definition():
     # beta alternating iff it kills every generator of ker(1 - c)
     rng = np.random.default_rng(13)
@@ -213,10 +242,10 @@ def test_predicate_implications_exhaustive_gf4():
 
 
 def test_json_roundtrip():
-    beta = bp(3)
-    doc = beta.to_json()
-    back = BilinearForm.from_json(doc)
-    assert np.array_equal(back.gram, beta.gram)
-    assert back.obj == beta.obj
+    for beta in (bp(3), BilinearForm(VerObject(F, 0, 0), la.zeros(0, 0))):
+        back = BilinearForm.from_json(beta.to_json())
+        assert back.gram.shape == beta.gram.shape
+        assert np.array_equal(back.gram, beta.gram)
+        assert back.obj == beta.obj
     with pytest.raises(ValueError):
         BilinearForm.from_json({"field": {"k": 2}, "object": {"m": 0}, "gram": []})

@@ -194,7 +194,7 @@ def test_canonicalize_two_p_blocks():
     # mixed scalars land on the F representative bP(1) + bP(y1+y2+1)
     for y, z in itertools.product(F4.elements(), repeat=2):
         beta = direct_sum(bp(y), bp(z))
-        transform, canon = canonicalize(beta)
+        transform, canon, _ = canonicalize(beta)
         if y == z:
             assert classify(beta).family == "E"
         else:
@@ -207,7 +207,7 @@ def test_canonicalize_unit_absorbs_p_scalar():
     for y in F4.elements():
         one = BilinearForm(VerObject(F4, 1, 0), la.eye(1))
         beta = direct_sum(one, bp(y))
-        transform, canon = canonicalize(beta)
+        transform, canon, _ = canonicalize(beta)
         assert classify(beta) == CanonicalClass("B", 1, 1)
         assert canon.gram.tolist() == [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
 
@@ -216,7 +216,7 @@ def test_canonicalize_unit_absorbs_2p_tag():
     one = BilinearForm(VerObject(F4, 1, 0), la.eye(1))
     b2p1 = canonical_rep(CanonicalClass("D", 0, 2), F4)
     beta = direct_sum(one, b2p1)
-    transform, canon = canonicalize(beta)
+    transform, canon, _ = canonicalize(beta)
     assert classify(beta) == CanonicalClass("A", 1, 2)
     want = direct_sum(one, canonical_rep(CanonicalClass("C", 0, 2), F4)).gram
     assert np.array_equal(canon.gram, want)
@@ -237,7 +237,8 @@ def test_canonicalize_transform_contract():
         for _ in range(15):
             phi = random_equivariant_automorphism(rep.obj, rng)
             scrambled = BilinearForm(rep.obj, la.congruence(F8, phi.matrix, rep.gram))
-            transform, canon = canonicalize(scrambled)
+            transform, canon, got = canonicalize(scrambled)
+            assert got == cls
             assert np.array_equal(canon.gram, rep.gram)
             assert np.array_equal(
                 la.congruence(F8, transform.matrix, scrambled.gram), rep.gram
@@ -272,7 +273,7 @@ def test_canonicalize_absorbs_hyperbolic_pairs_into_units():
     # alpha1 + alpha2 on 3*1 is congruent to the identity
     G = np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=np.int64)
     beta = BilinearForm(VerObject(F4, 3, 0), G)
-    transform, canon = canonicalize(beta)
+    transform, canon, _ = canonicalize(beta)
     assert canon.gram.tolist() == la.eye(3).tolist()
     assert classify(beta) == CanonicalClass("A", 3, 0)
     # and with two hyperbolic pairs
@@ -281,7 +282,7 @@ def test_canonicalize_absorbs_hyperbolic_pairs_into_units():
     for at in (1, 3):
         G5[at, at + 1] = G5[at + 1, at] = 1
     beta5 = BilinearForm(VerObject(F4, 5, 0), G5)
-    transform, canon = canonicalize(beta5)
+    transform, canon, _ = canonicalize(beta5)
     assert canon.gram.tolist() == la.eye(5).tolist()
 
 
@@ -292,8 +293,8 @@ def test_canonicalize_every_enumerated_form_on_tiny_objects():
 
     for m, n, F in [(0, 1, F4), (1, 1, F4), (2, 0, F4), (0, 2, F4), (0, 1, F8)]:
         for beta in enumerate_forms(m, n, F):
-            transform, canon = canonicalize(beta)
-            cls = classify(beta)
+            transform, canon, cls = canonicalize(beta)
+            assert cls == classify(beta)
             assert np.array_equal(canon.gram, canonical_rep(cls, F).gram)
             assert np.array_equal(
                 la.congruence(F, transform.matrix, beta.gram), canon.gram
@@ -313,7 +314,7 @@ def test_classify_and_canonicalize_beyond_acceptance_grid():
         phi = random_equivariant_matrix(rep.obj, rng)
         scr = BilinearForm(rep.obj, la.congruence(F16, phi, rep.gram))
         assert classify(scr) == cls
-        transform, canon = canonicalize(scr)
+        transform, canon, _ = canonicalize(scr)
         assert np.array_equal(canon.gram, rep.gram)
 
 

@@ -36,6 +36,14 @@ def test_malformed_json(tmp_path, capsys):
     assert main(["classify", str(path)]) == 1
     path2 = _write(tmp_path, "bad2.json", {"field": {"k": 2}})
     assert main(["classify", path2]) == 1
+    capsys.readouterr()
+    # written as raw text: json.dumps would itself recurse this deep
+    deep = tmp_path / "deep.json"
+    gram = "[" * 100_000 + "]" * 100_000
+    deep.write_text(f'{{"field": {{"k": 2}}, "object": {{"m": 0, "n": 0}}, "gram": {gram}}}')
+    assert main(["classify", str(deep)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not valid JSON" in err
 
 
 def test_schema_violation(tmp_path):

@@ -44,6 +44,17 @@ def _poly_eval(F, bits, x):
     return acc
 
 
+def _pow(F, a, e):
+    """a^e by square-and-multiply over F.mul."""
+    acc = 1
+    while e:
+        if e & 1:
+            acc = F.mul(acc, a)
+        a = F.mul(a, a)
+        e >>= 1
+    return acc
+
+
 def test_conway_norm_compatibility():
     # the length-(2^d - 1) norm of a generator must be a root of the
     # degree-d modulus, for every proper subfield degree d | k
@@ -55,7 +66,7 @@ def test_conway_norm_compatibility():
             # degree-1 uses the x convention; compatibility holds for x + 1
             sub_bits = 0b11 if d == 1 else CONWAY_POLY_BITS[d]
             power = (F.order - 1) // ((1 << d) - 1)
-            root = F.pow(2, power)
+            root = _pow(F, 2, power)
             assert _poly_eval(F, sub_bits, root) == 0, (k, d)
 
 
@@ -92,7 +103,7 @@ def test_sqrt_is_power_two_k_minus_one():
         F = make_field(k)
         e = 1 << (k - 1)
         for a in F.elements():
-            assert F.sqrt(a) == F.pow(a, e)
+            assert F.sqrt(a) == _pow(F, a, e)
 
 
 def test_inverse_exhaustive_small():

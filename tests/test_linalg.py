@@ -94,12 +94,3 @@ def test_batch_congruence_matches_loop():
     for i in range(7):
         assert np.array_equal(out[i], la.congruence(F, Ts[i], G))
 
-
-def test_span_tracker():
-    tr = la.SpanTracker(F, 4)
-    assert tr.add(np.array([1, 0, 2, 0], dtype=np.int64))
-    assert not tr.add(np.array([3, 0, 6, 0], dtype=np.int64))  # scalar multiple
-    assert tr.add(np.array([0, 1, 0, 0], dtype=np.int64))
-    assert tr.dim == 2
-    assert tr.contains(np.array([2, 5, 4, 0], dtype=np.int64))
-    assert not tr.contains(np.array([0, 0, 0, 1], dtype=np.int64))

@@ -221,6 +221,22 @@ _layout = given(
 )
 
 
+@settings(max_examples=25, deadline=None)
+@_layout
+def test_decompose_of_conjugated_standard_action(k, m, n, seed):
+    Fk, rng = make_field(k), np.random.default_rng(seed)
+    obj = VerObject(Fk, m, n)
+    while True:
+        M = rng.integers(0, Fk.order, size=(obj.dim, obj.dim))
+        if la.is_invertible(Fk, M):
+            break
+    raw = RawTModule(Fk, la.mat_mul(Fk, la.mat_mul(Fk, M, obj.t_action()), la.inverse(Fk, M)))
+    got, phi = decompose(raw)
+    assert (got.m, got.n) == (m, n)
+    # Morphism checks equivariance on construction
+    assert phi.source is raw and phi.target == got and phi.is_invertible()
+
+
 def _sym(rng, q, s, batch=2):
     upper = np.triu(rng.integers(0, q, size=(batch, s, s)))
     return upper ^ np.triu(upper, 1).swapaxes(-1, -2)
