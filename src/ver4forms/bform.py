@@ -65,13 +65,8 @@ class BilinearForm:
     """
 
     def __init__(self, obj: VerObject, gram: np.ndarray):
-        gram = linalg.as_matrix(obj.field, gram)
-        if gram.shape != (obj.dim, obj.dim):
-            raise ValueError(f"gram shape {gram.shape} does not match dim {obj.dim}")
-        if not obj.is_compatible(gram):
-            raise ValueError("gram violates the t-compatibility law")
         self.obj = obj
-        self.gram = gram
+        self.gram = obj.as_grams(gram)
         self._rank: int | None = None
 
     @property

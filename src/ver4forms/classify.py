@@ -20,7 +20,10 @@ is additive under direct sums.
 Two classification paths are implemented and cross-checked: `classify`
 reads off the invariants (alternating flag, good-pair space, form
 invariant), while `canonicalize` constructs an explicit invertible
-equivariant congruence onto the canonical representative.
+equivariant congruence onto the canonical representative.  The invariants
+are decided on the free Gram blocks for a whole stack at once
+(`classify_batch`); `classify`, `good_pairs` and `form_invariant` are that
+code with a batch of one.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 from . import linalg
 from .bform import BilinearForm
 from .field import Field
-from .linalg import congruence, eye, inverse, mat_mul, mat_vec, null_space, zeros
+from .linalg import congruence, eye, mat_mul, mat_vec, null_space, zeros
 from .verobj import Morphism, VerObject
 
 FAMILIES = ("A", "B", "C", "D", "E", "F")
@@ -70,33 +73,56 @@ def good_pairs(beta: BilinearForm) -> GoodPairSpace:
     """
     if not beta.is_symmetric():
         raise ValueError("good pairs are defined for symmetric forms")
-    F = beta.field
-    m, n = beta.obj.m, beta.obj.n
-    vv, _, ww, wx = beta.obj.gram_blocks(beta.gram)
-    # one row (beta(b, t.b), beta(b, b)) per v and per w; x rows are zero
-    rows = zeros(m + n, 2)
-    rows[:m, 1] = vv.diagonal()
-    rows[m:, 0] = wx.diagonal()
-    rows[m:, 1] = ww.diagonal()
-    sol = null_space(F, rows)
-    if sol.shape[1] == 0:
-        return GoodPairSpace("zero")
-    if sol.shape[1] == 2:
-        return GoodPairSpace("full")
-    k0, l0 = int(sol[0, 0]), int(sol[1, 0])
-    if l0 == 0:
-        return GoodPairSpace("k_axis")
-    return GoodPairSpace("slope", F.div(k0, l0))
+    return _good_pair_spaces(beta.field, beta.obj.gram_blocks(beta.gram[None]))[0]
+
+
+def _diag(a: np.ndarray) -> np.ndarray:
+    return np.diagonal(a, axis1=-2, axis2=-1)
+
+
+def _good_pair_spaces(F: Field, blocks) -> list[GoodPairSpace]:
+    """`good_pairs` of a stack of symmetric compatible Grams, given by its
+    `gram_blocks`: the null space of the rows (beta(b, t.b), beta(b, b)) is
+    K^2 if all rows are zero, 0 if two are not proportional, and else the
+    solutions of k*r0 + l*r1 = 0 for any nonzero row: the k-axis if r0 = 0,
+    else the slope r1/r0."""
+    vv, _, ww, wx = blocks
+    b, m, n = len(vv), vv.shape[-1], wx.shape[-1]
+    # rows for the v's and w's (x rows are zero), plus a zero row for dim 0
+    rows = np.zeros((b, m + n + 1, 2), dtype=np.int64)
+    rows[:, :m, 1] = _diag(vv)
+    rows[:, m:-1, 0] = _diag(wx)
+    rows[:, m:-1, 1] = _diag(ww)
+    # the first nonzero row; at rank 1 every row is proportional to it
+    ref = rows[np.arange(b), rows.any(axis=2).argmax(axis=1)]
+    cross = F.mul_arr(ref[:, None, 0], rows[..., 1]) ^ F.mul_arr(ref[:, None, 1], rows[..., 0])
+    rank2 = cross.any(axis=1)
+    slope = F.mul_arr(ref[:, 1], F.inv_arr(ref[:, 0]))
+    out = []
+    for (r0, r1), two, w in zip(ref.tolist(), rank2.tolist(), slope.tolist()):
+        if two:
+            out.append(GoodPairSpace("zero"))
+        elif r0:
+            out.append(GoodPairSpace("slope", w))
+        elif r1:
+            out.append(GoodPairSpace("k_axis"))
+        else:
+            out.append(GoodPairSpace("full"))
+    return out
 
 
 # -- X-data and the form invariant --------------------------------------------
 
 
-def _require_alternating_nondegenerate(beta: BilinearForm):
+def _require_alternating_nondegenerate(beta: BilinearForm) -> int:
+    """Raise ValueError unless beta is alternating and non-degenerate;
+    returns its form invariant, which the block test computes anyway."""
     if not beta.is_alternating():
         raise ValueError("operation requires an alternating form")
-    if not beta.is_nondegenerate():
+    nondegenerate, invariant = _block_invariants(beta.field, beta.obj.gram_blocks(beta.gram[None]))
+    if not nondegenerate[0]:
         raise ValueError("operation requires a non-degenerate form")
+    return int(invariant[0])
 
 
 def x_matrix(beta: BilinearForm) -> np.ndarray:
@@ -118,16 +144,21 @@ def x_function(beta: BilinearForm) -> np.ndarray:
 
 def form_invariant(beta: BilinearForm) -> int:
     """The basis-invariant scalar sum_i f(x_i) * (M^-1)_ii."""
-    F = beta.field
-    M = x_matrix(beta)
-    f = x_function(beta)
-    if M.shape[0] == 0:
-        return 0
-    Minv = inverse(F, M)
-    acc = 0
-    for i in range(M.shape[0]):
-        acc ^= F.mul(int(f[i]), int(Minv[i, i]))
-    return acc
+    return _require_alternating_nondegenerate(beta)
+
+
+def _block_invariants(F: Field, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(nondegenerate, form invariant) of a stack of symmetric compatible
+    Grams, given by its `gram_blocks`.  Block lemma: G is non-degenerate
+    iff G_vv and G_wx are invertible (eliminating the x-rows [0, G_xw, 0]
+    against the w-columns leaves G_vv).  The invariant sum_i f_i
+    (G_wx^-1)_ii, f the G_ww diagonal, means something where G is
+    non-degenerate and alternating."""
+    vv, _, ww, wx = blocks
+    ok_v, _ = linalg.batch_invert(F, vv)
+    ok_x, wx_inv = linalg.batch_invert(F, wx)
+    invariant = np.bitwise_xor.reduce(F.mul_arr(_diag(ww), _diag(wx_inv)), axis=1)
+    return ok_v & ok_x, invariant
 
 
 # -- canonical classes ---------------------------------------------------------
@@ -246,34 +277,53 @@ def canonical_rep(cls: CanonicalClass, F: Field) -> BilinearForm:
 # -- invariant-based classification -------------------------------------------
 
 
-def _require_classifiable(beta: BilinearForm):
-    if beta.field.k < 2:
-        raise ValueError("classification requires GF(2^k) with k >= 2")
-    if not beta.is_symmetric():
-        raise ValueError("classification requires a symmetric form")
-    if not beta.is_nondegenerate():
-        raise ValueError("classification requires a non-degenerate form")
-
-
 def classify(beta: BilinearForm) -> CanonicalClass:
     """Assign the canonical class from alternation, good pairs and the
-    form invariant."""
-    _require_classifiable(beta)
-    m, n = beta.obj.m, beta.obj.n
-    gp = good_pairs(beta)
-    if not beta.is_alternating():
-        if gp.shape == "k_axis":
-            return CanonicalClass("A", m, n)
-        if gp.shape == "zero":
-            return CanonicalClass("B", m, n)
-        raise InternalCheckError(f"non-alternating form with good pairs {gp}")
-    if gp.shape == "full":
-        return CanonicalClass("C", m, n)
-    if gp.shape == "k_axis":
-        return CanonicalClass("D", m, n)
-    if gp.shape == "slope":
-        return CanonicalClass("E", m, n, gp.witness)
-    return CanonicalClass("F", m, n, form_invariant(beta))
+    form invariant: `classify_batch` with a batch of one."""
+    return _classify_grams(beta.obj, beta.gram[None])[0]
+
+
+def classify_batch(obj: VerObject, grams: np.ndarray) -> list[CanonicalClass]:
+    """Canonical class of each Gram in a (b, d, d) stack on `obj`.
+
+    Raises ValueError if the stack is not Grams on `obj`
+    (`VerObject.as_grams`) and, as `classify` does, for a field with k < 2
+    or any asymmetric or degenerate Gram.
+    """
+    return _classify_grams(obj, obj.as_grams(grams, stacked=True))
+
+
+def _classify_grams(obj: VerObject, G: np.ndarray) -> list[CanonicalClass]:
+    """`classify_batch` of a stack already valid as Grams on `obj`."""
+    F, m, n = obj.field, obj.m, obj.n
+    if F.k < 2:
+        raise ValueError("classification requires GF(2^k) with k >= 2")
+    if not np.array_equal(G, np.swapaxes(G, 1, 2)):
+        raise ValueError("classification requires a symmetric form")
+    blocks = obj.gram_blocks(G)
+    nondegenerate, invariant = _block_invariants(F, blocks)
+    if not nondegenerate.all():
+        raise ValueError("classification requires a non-degenerate form")
+    alternating = ~_diag(blocks[0]).any(axis=1)
+    spaces = _good_pair_spaces(F, blocks)
+    out = []
+    for alt, gp, inv in zip(alternating.tolist(), spaces, invariant.tolist()):
+        if not alt:
+            if gp.shape == "k_axis":
+                out.append(CanonicalClass("A", m, n))
+            elif gp.shape == "zero":
+                out.append(CanonicalClass("B", m, n))
+            else:
+                raise InternalCheckError(f"non-alternating form with good pairs {gp}")
+        elif gp.shape == "full":
+            out.append(CanonicalClass("C", m, n))
+        elif gp.shape == "k_axis":
+            out.append(CanonicalClass("D", m, n))
+        elif gp.shape == "slope":
+            out.append(CanonicalClass("E", m, n, gp.witness))
+        else:
+            out.append(CanonicalClass("F", m, n, inv))
+    return out
 
 
 # -- constructive canonicalization --------------------------------------------
@@ -498,7 +548,9 @@ def canonicalize(beta: BilinearForm) -> tuple[Morphism, BilinearForm, CanonicalC
     cross-checked against the invariant-based `classify`.  Returns
     (T, canonical form, class), the class being the one both paths agree on.
     """
-    _require_classifiable(beta)
+    # the invariant path runs first: it raises ValueError for k < 2 and for
+    # asymmetric or degenerate forms, which the reduction below assumes away
+    invariant_cls = classify(beta)
     F = beta.field
     obj = beta.obj
     G = beta.gram
@@ -582,7 +634,6 @@ def canonicalize(beta: BilinearForm) -> tuple[Morphism, BilinearForm, CanonicalC
     Tmat = np.column_stack(cols) if cols else zeros(0, 0)
 
     cls = CanonicalClass(family, m, n, param)
-    invariant_cls = classify(beta)
     if cls != invariant_cls:
         raise InternalCheckError(
             f"constructive path found {cls} but invariants say {invariant_cls}"

@@ -202,7 +202,7 @@ def _cmd_tables(args) -> int:
 def _cmd_oracle(args) -> int:
     F = make_field(args.k)
     _require_classifiable_field(F.k)
-    report = oracle_mod.orbit_classes(args.m, args.n, F, budget_bits=args.budget)
+    report = oracle_mod.orbit_classes(args.m, args.n, F)
     _emit(report.to_json(), args, report.summary())
     return 0
 
@@ -331,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=oracle_mod.DEFAULT_BUDGET_BITS)
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("selfcheck", help="run the module invariant suites")

@@ -48,7 +48,7 @@ class Field:
     """Arithmetic context for GF(2^k), with scalar and numpy-array operations.
 
     Scalar operations take and return plain int encodings.  Array operations
-    (`add_arr`, `mul_arr`) accept numpy int arrays of encodings and
+    (`add_arr`, `mul_arr`, `inv_arr`) accept numpy int arrays of encodings and
     broadcast; they are the building blocks of the exact linear algebra
     layer.
     """
@@ -70,6 +70,16 @@ class Field:
             a ^= self.modulus
         return a
 
+    def _times(self, c: int, a: np.ndarray) -> np.ndarray:
+        """c * a elementwise for a fixed scalar c.  Multiplying by c is
+        GF(2)-linear, so it is the XOR of the images c * x^j over the set
+        bits j of a."""
+        out = np.zeros_like(a)
+        for j in range(self.k):
+            out ^= ((a >> j) & 1) * c
+            c = self._xtime(c)
+        return out
+
     def _build_tables(self):
         om = self._gorder
         exp = np.zeros(2 * om if om > 1 else 2, dtype=np.int64)
@@ -77,14 +87,17 @@ class Field:
         if om == 1:
             exp[:] = 1
         else:
-            e = 1
-            for i in range(om):
-                exp[i] = e
-                log[e] = i
-                e = self._xtime(e)
+            # exp[i] = x^i, filled by doubling: exp[s:2s] = x^s * exp[:s]
+            exp[0] = 1
+            s = 1
+            while s < om:
+                t = min(s, om - s)
+                exp[s : s + t] = self._times(self._xtime(int(exp[s - 1])), exp[:t])
+                s += t
+            log[exp[:om]] = np.arange(om)
             # x must generate the full multiplicative group (Conway moduli
             # are primitive); anything else means a bad constant.
-            if e != 1 or np.count_nonzero(log) != om - 1:
+            if self._xtime(int(exp[om - 1])) != 1 or np.count_nonzero(log) != om - 1:
                 raise AssertionError(f"modulus for k={self.k} is not primitive")
             exp[om:] = exp[:om]
         self._exp = exp
@@ -138,6 +151,11 @@ class Field:
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         return self._expz[self._logz[a] + self._logz[b]]
+
+    def inv_arr(self, a) -> np.ndarray:
+        """Elementwise inverse; 0, which has none, maps to 0."""
+        # log(0)'s sentinel turns into a negative index into the zero tail
+        return self._expz[self._gorder - self._logz[np.asarray(a, dtype=np.int64)]]
 
     # -- misc ----------------------------------------------------------------
 

@@ -3,7 +3,9 @@
 Matrices are 2-D numpy int64 arrays of element encodings; a `Field` context
 supplies the arithmetic.  Row reduction uses standard Gaussian elimination
 with vectorised row operations (row addition is XOR, scaling goes through
-the field's exp/log tables), so everything stays exact.
+the field's exp/log tables), so everything stays exact.  There are two
+elimination kernels: `row_reduce` (RREF and pivots of one matrix) and
+`batch_invert` (invertibility and inverses of a stack of square blocks).
 """
 
 from __future__ import annotations
@@ -21,11 +23,13 @@ def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
-def as_matrix(F: Field, data) -> np.ndarray:
-    """Validate and copy `data` into an int64 matrix of field encodings."""
+def as_matrix(F: Field, data, stacked: bool = False) -> np.ndarray:
+    """Validate and copy `data` into an int64 matrix of field encodings, or
+    with `stacked` into a (b, rows, cols) stack of them."""
     M = np.array(data, dtype=np.int64)
-    if M.ndim != 2:
-        raise ValueError(f"expected a matrix, got array of ndim {M.ndim}")
+    if M.ndim != 2 + stacked:
+        what = "stack of matrices" if stacked else "matrix"
+        raise ValueError(f"expected a {what}, got array of ndim {M.ndim}")
     if M.size and (M.min() < 0 or M.max() >= F.order):
         raise ValueError(f"matrix entries must be encodings in [0, {F.order})")
     return M
@@ -129,15 +133,52 @@ def null_space(F: Field, M: np.ndarray) -> np.ndarray:
     return basis
 
 
+def batch_invert(F: Field, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Invertibility and inverses of a (b, s, s) stack of square matrices.
+
+    Returns (ok, inv): ok[i] tells whether A[i] is invertible, and inv[i] is
+    its inverse when it is (unspecified otherwise).  One Gauss-Jordan pass
+    runs over the whole batch axis; for column c each member takes its first
+    row at or below c with a nonzero entry as pivot.  A batch of one goes
+    through `row_reduce` instead: on dense GF(8) matrices with s = 1..14,
+    the stacked pass on one matrix took 1.0-2.6x the time of
+    `is_invertible`, the most at s <= 2.
+    """
+    A = np.asarray(A, dtype=np.int64)
+    b, s, s2 = A.shape
+    if s != s2:
+        raise ValueError(f"batch_invert needs square blocks, got {A.shape}")
+    if b == 1:
+        R, piv = row_reduce(F, np.concatenate([A[0], eye(s)], axis=1), n_pivot_cols=s)
+        return np.array([len(piv) == s]), R[None, :, s:]
+    R = np.zeros((b, s, 2 * s), dtype=np.int64)
+    R[:, :, :s] = A
+    R[:, :, s:] = eye(s)
+    at = np.arange(b)
+    # each step skips work that is zero for the whole batch, as row_reduce does
+    for c in range(s):
+        if not R[:, c, c].all():
+            p = c + (R[:, c:, c] != 0).argmax(axis=1)
+            R[at, c], R[at, p] = R[at, p], R[at, c]
+        # a singular member finds no pivot here; its row c becomes 0 and stays 0
+        pivot = R[:, c, c]
+        if (pivot != 1).any():
+            R[:, c] = F.mul_arr(R[:, c], F.inv_arr(pivot)[:, None])
+        factor = R[:, :, c].copy()
+        factor[:, c] = 0
+        if factor.any():
+            R ^= F.mul_arr(factor[:, :, None], R[:, None, c, :])
+    ok = (np.diagonal(R, axis1=1, axis2=2) == 1).all(axis=1)
+    return ok, R[:, :, s:]
+
+
 def inverse(F: Field, M: np.ndarray) -> np.ndarray:
-    n = M.shape[0]
-    if M.shape[1] != n:
+    if M.shape[0] != M.shape[1]:
         raise ValueError("inverse of a non-square matrix")
-    aug = np.concatenate([M, eye(n)], axis=1)
-    R, piv = row_reduce(F, aug, n_pivot_cols=n)
-    if piv != list(range(n)):
+    ok, inv = batch_invert(F, M[None])
+    if not ok[0]:
         raise ValueError("matrix is singular")
-    return R[:, n:]
+    return inv[0]
 
 
 def solve(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:

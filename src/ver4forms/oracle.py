@@ -4,12 +4,18 @@
 m1 + nP exactly once by iterating over the free entries left by the
 compatibility law: the symmetric m x m unit block, the m x n block pairing
 v's with w's, the symmetric n x n w-w block and the symmetric n x n w-x
-block (everything else is zero or determined).
+block (everything else is zero or determined).  A Gram's key is the base-q
+number whose digits are those entries (upper triangles in row order), i.e.
+its row in itertools.product(range(q), repeat=free_entry_count); candidates
+are walked in key order, and non-degeneracy is the full d x d rank.
 
 `orbit_classes` computes the congruence orbits under the full group of
 invertible equivariant maps by applying the whole group to each canonical
 representative, then checks that the orbits are disjoint, cover the
-enumerated set, and are constant under `classify`.
+enumerated set, and are constant under `classify`.  Sets of Grams are
+boolean masks or sorted arrays of keys.  The candidate count and the
+group order are each bounded by 2^BUDGET_BITS, checked from their
+formulas before anything is allocated.
 """
 
 from __future__ import annotations
@@ -19,35 +25,47 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import linalg
 from .bform import BilinearForm
-from .classify import CanonicalClass, canonical_rep, classify
+from .classify import CanonicalClass, canonical_rep, classify_batch
 from .field import Field
-from .linalg import batch_congruence
+from .linalg import batch_congruence, batch_invert
 from .verobj import VerObject
 
-DEFAULT_BUDGET_BITS = 24
+BUDGET_BITS = 24
 
 
 def free_entry_count(m: int, n: int) -> int:
     return m * (m + 1) // 2 + m * n + n * (n + 1) // 2 + n * (n + 1) // 2
 
 
-def _check_budget(m: int, n: int, F: Field, budget_bits: int):
-    bits = F.k * free_entry_count(m, n)
-    if bits > budget_bits:
-        raise ValueError(
-            f"enumeration needs 2^{bits} candidates, over the 2^{budget_bits} budget"
-        )
+def _check_budget(what: str, bits: float):
+    if bits > BUDGET_BITS:
+        raise ValueError(f"{what}: 2^{bits:.4g} is over the 2^{BUDGET_BITS} budget")
 
 
-_CHUNK = 4096  # candidates assembled per batch in enumerate_forms
+def _check_enumeration_budget(m: int, n: int, F: Field):
+    _check_budget("candidate Grams to enumerate", F.k * free_entry_count(m, n))
 
 
-def _product_order(q: int, count: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of itertools.product(range(q), repeat=count)."""
-    place = q ** np.arange(count - 1, -1, -1, dtype=np.int64)
-    return np.arange(start, stop, dtype=np.int64)[:, None] // place % q
+def _group_bits(m: int, n: int, F: Field) -> float:
+    """log2 of the equivariant group's order |GL_m| |GL_n| q^(2mn + n^2),
+    from the formula (nothing is built)."""
+    q = F.order
+    gl = lambda s: math.prod(q**s - q**i for i in range(s))
+    return math.log2(gl(m) * gl(n)) + F.k * (2 * m * n + n * n)
+
+
+_CHUNK = 4096  # candidates assembled per batch in _candidates
+
+
+def _place(q: int, count: int) -> np.ndarray:
+    return q ** np.arange(count - 1, -1, -1, dtype=np.int64)
+
+
+def _digits(keys: np.ndarray, q: int, count: int) -> np.ndarray:
+    """Base-q digits of each key, most significant first: row `key` of
+    itertools.product(range(q), repeat=count)."""
+    return keys[:, None] // _place(q, count) % q
 
 
 def _symmetric(upper: np.ndarray, s: int) -> np.ndarray:
@@ -59,33 +77,55 @@ def _symmetric(upper: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
-def enumerate_forms(m: int, n: int, F: Field, budget_bits: int = DEFAULT_BUDGET_BITS):
-    """Yield every non-degenerate symmetric compatible form exactly once."""
-    _check_budget(m, n, F, budget_bits)
-    obj = VerObject(F, m, n)
-    q, count = F.order, free_entry_count(m, n)
+def _grams_of_keys(obj: VerObject, keys: np.ndarray) -> np.ndarray:
+    """The symmetric compatible Grams with the given keys, as (b, d, d)."""
+    m, n = obj.m, obj.n
+    entries = _digits(keys, obj.field.order, free_entry_count(m, n))
     cuts = np.cumsum([m * (m + 1) // 2, m * n, n * (n + 1) // 2])
-    total = q**count
+    vv, vw, ww, wx = np.split(entries, cuts, axis=1)
+    return obj.gram_from_blocks(
+        _symmetric(vv, m), vw.reshape(len(vw), m, n), _symmetric(ww, n), _symmetric(wx, n)
+    )
+
+
+def _keys_of_grams(obj: VerObject, grams: np.ndarray) -> np.ndarray:
+    """Inverse of `_grams_of_keys` on symmetric compatible Grams; reads only
+    the free entries."""
+    vv, vw, ww, wx = obj.gram_blocks(grams)
+    upper = lambda a: a[(slice(None),) + np.triu_indices(a.shape[-1])]
+    entries = np.concatenate([upper(vv), vw.reshape(len(vw), -1), upper(ww), upper(wx)], axis=1)
+    return entries @ _place(obj.field.order, entries.shape[1])
+
+
+def _candidates(obj: VerObject):
+    """(keys, grams, nondegenerate) for every candidate Gram, in key order
+    and in chunks; non-degenerate means full d x d rank."""
+    total = obj.field.order ** free_entry_count(obj.m, obj.n)
     for start in range(0, total, _CHUNK):
-        entries = _product_order(q, count, start, min(start + _CHUNK, total))
-        vv, vw, ww, wx = np.split(entries, cuts, axis=1)
-        grams = obj.gram_from_blocks(
-            _symmetric(vv, m), vw.reshape(len(vw), m, n), _symmetric(ww, n), _symmetric(wx, n)
-        )
-        for G in grams:
-            if linalg.is_invertible(F, G):
-                yield BilinearForm(obj, G)
+        keys = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        grams = _grams_of_keys(obj, keys)
+        yield keys, grams, batch_invert(obj.field, grams)[0]
+
+
+def enumerate_forms(m: int, n: int, F: Field):
+    """Yield every non-degenerate symmetric compatible form exactly once."""
+    _check_enumeration_budget(m, n, F)
+    obj = VerObject(F, m, n)
+    for _, grams, ok in _candidates(obj):
+        for G in grams[ok]:
+            yield BilinearForm(obj, G)
 
 
 def _all_matrices(q: int, rows: int, cols: int) -> np.ndarray:
     """Every rows x cols matrix over GF(q), in itertools.product order."""
     count = q ** (rows * cols)
-    return _product_order(q, rows * cols, 0, count).reshape(count, rows, cols)
+    return _digits(np.arange(count, dtype=np.int64), q, rows * cols).reshape(count, rows, cols)
 
 
 def _gl(F: Field, s: int) -> np.ndarray:
     """Every invertible s x s matrix over F, in itertools.product order."""
-    return np.stack([M for M in _all_matrices(F.order, s, s) if linalg.is_invertible(F, M)])
+    M = _all_matrices(F.order, s, s)
+    return M[batch_invert(F, M)[0]]
 
 
 def equivariant_group(m: int, n: int, F: Field):
@@ -170,38 +210,38 @@ class OrbitReport:
         return "\n".join(lines)
 
 
-def orbit_classes(m: int, n: int, F: Field, budget_bits: int = DEFAULT_BUDGET_BITS) -> OrbitReport:
+def orbit_classes(m: int, n: int, F: Field) -> OrbitReport:
     """Compute orbits by sweeping the group over canonical representatives.
 
     Verifies that orbits are pairwise disjoint, cover the enumerated form
     set, and that `classify` is constant on each orbit with the predicted
-    label.
+    label.  Refuses, before any work, a candidate set or a group over
+    2^BUDGET_BITS.
     """
-    all_grams: dict[bytes, np.ndarray] = {}
-    for form in enumerate_forms(m, n, F, budget_bits):
-        all_grams[form.gram.tobytes()] = form.gram
-    group = np.stack(list(equivariant_group(m, n, F)))
-    inventory = class_inventory(m, n, F)
+    _check_enumeration_budget(m, n, F)
+    _check_budget("equivariant group elements to sweep", _group_bits(m, n, F))
     obj = VerObject(F, m, n)
-    report = OrbitReport(m, n, F.k, len(all_grams), group.shape[0])
-    covered: set[bytes] = set()
-    for cls in inventory:
+    enumerated = np.zeros(F.order ** free_entry_count(m, n), dtype=bool)
+    for keys, _, ok in _candidates(obj):
+        enumerated[keys] = ok
+    group = np.stack(list(equivariant_group(m, n, F)))
+    report = OrbitReport(m, n, F.k, int(enumerated.sum()), group.shape[0])
+    covered = np.zeros_like(enumerated)
+    for cls in class_inventory(m, n, F):
         rep = canonical_rep(cls, F)
         images = batch_congruence(F, group, rep.gram)
-        flat = np.unique(images.reshape(images.shape[0], -1), axis=0)
-        orbit = {flat[idx].reshape(obj.dim, obj.dim).tobytes() for idx in range(flat.shape[0])}
-        if not orbit <= set(all_grams):
+        # a symmetric compatible image is exactly the Gram its key names
+        symmetric = np.array_equal(images, np.swapaxes(images, 1, 2))
+        orbit = np.unique(_keys_of_grams(obj, images))
+        if not (symmetric and obj.is_compatible(images) and enumerated[orbit].all()):
             raise AssertionError(f"orbit of {cls} leaves the enumerated set")
-        if orbit & covered:
+        if covered[orbit].any():
             raise AssertionError(f"orbit of {cls} meets a previous orbit")
-        for key in orbit:
-            got = classify(BilinearForm(obj, all_grams[key]))
+        for got in classify_batch(obj, _grams_of_keys(obj, orbit)):
             if got != cls:
-                raise AssertionError(
-                    f"orbit member of {cls} classified as {got}"
-                )
-        covered |= orbit
+                raise AssertionError(f"orbit member of {cls} classified as {got}")
+        covered[orbit] = True
         report.orbits.append((cls.label(), len(orbit), rep.gram))
-    if covered != set(all_grams):
+    if not np.array_equal(covered, enumerated):
         raise AssertionError("orbits do not cover the enumerated form set")
     return report

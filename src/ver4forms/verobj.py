@@ -114,13 +114,25 @@ class VerObject:
 
     def is_compatible(self, G: np.ndarray) -> bool:
         """The law T^T G = G T, with both sides built by moving x-rows and
-        x-columns of G onto the w-slots (T sends w_k to x_k)."""
+        x-columns of G onto the w-slots (T sends w_k to x_k).  With batch
+        axes: whether every Gram of the stack obeys it."""
         _, w, x = self.slots
         tg = np.zeros_like(G)
-        tg[w] = G[x]
+        tg[..., w, :] = G[..., x, :]
         gt = np.zeros_like(G)
-        gt[:, w] = G[:, x]
+        gt[..., :, w] = G[..., :, x]
         return bool(np.array_equal(tg, gt))
+
+    def as_grams(self, data, stacked: bool = False) -> np.ndarray:
+        """Validate and copy `data` into a Gram on this object, or with
+        `stacked` into a (b, d, d) stack of them: field encodings of shape
+        d x d obeying the compatibility law."""
+        G = linalg.as_matrix(self.field, data, stacked)
+        if G.shape[-2:] != (self.dim, self.dim):
+            raise ValueError(f"gram shape {G.shape[-2:]} does not match dim {self.dim}")
+        if not self.is_compatible(G):
+            raise ValueError("gram violates the t-compatibility law")
+        return G
 
     def gram_blocks(self, G: np.ndarray):
         """The free blocks (G_vv, G_vw, G_ww, G_wx) of a symmetric compatible

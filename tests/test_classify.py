@@ -2,14 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ver4forms import linalg as la
 from ver4forms.bform import BilinearForm
 from ver4forms.classify import (
+    FAMILIES,
     CanonicalClass,
     canonical_rep,
     canonicalize,
     classify,
+    classify_batch,
     form_invariant,
     good_pairs,
     x_function,
@@ -17,7 +20,7 @@ from ver4forms.classify import (
     _replace_pair,
 )
 from ver4forms.field import make_field
-from ver4forms.verobj import VerObject, random_equivariant_automorphism
+from ver4forms.verobj import VerObject, random_equivariant_automorphism, random_equivariant_matrix
 from ver4forms.witt import direct_sum
 
 F4 = make_field(2)
@@ -322,3 +325,68 @@ def test_labels():
     assert CanonicalClass("E", 0, 2, 3).label() == "E[0,2](3)"
     assert CanonicalClass("A", 1, 0).label() == "A[1,0]"
     assert str(CanonicalClass("F", 2, 3, 0)) == "F[2,3](0)"
+
+
+def _sparse_sym(rng, q, s, batch):
+    """Symmetric (batch, s, s) blocks with many zeros, so singular ones are common."""
+    upper = np.triu(rng.integers(0, q, size=(batch, s, s)) * (rng.random((batch, s, s)) < 0.4))
+    return upper ^ np.triu(upper, 1).swapaxes(-1, -2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(2, 16), m=st.integers(0, 4), n=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+def test_block_lemma(k, m, n, seed):
+    # a compatible symmetric Gram is non-degenerate iff G_vv and G_wx are invertible
+    Fk, rng = make_field(k), np.random.default_rng(seed)
+    obj, q = VerObject(Fk, m, n), Fk.order
+    grams = obj.gram_from_blocks(
+        _sparse_sym(rng, q, m, 16), rng.integers(0, q, size=(16, m, n)),
+        _sparse_sym(rng, q, n, 16), _sparse_sym(rng, q, n, 16),
+    )
+    vv, _, _, wx = obj.gram_blocks(grams)
+    blocks_ok = la.batch_invert(Fk, vv)[0] & la.batch_invert(Fk, wx)[0]
+    for G, ok in zip(grams, blocks_ok):
+        assert BilinearForm(obj, G).is_nondegenerate() == ok
+
+
+@st.composite
+def _classes(draw):
+    k = draw(st.integers(2, 16))
+    fam = draw(st.sampled_from(FAMILIES))
+    m, n = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    param = draw(st.integers(0, (1 << k) - 1)) if fam in "EF" else None
+    try:
+        cls = CanonicalClass(fam, m, n, param)
+    except ValueError:
+        assume(False)
+    return make_field(k), cls
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=_classes(), seed=st.integers(0, 2**32 - 1))
+def test_classify_batch_of_scrambles(case, seed):
+    Fk, cls = case
+    rng = np.random.default_rng(seed)
+    rep = canonical_rep(cls, Fk)
+    obj = rep.obj
+    mats = np.stack([random_equivariant_matrix(obj, rng) for _ in range(6)])
+    grams = la.batch_congruence(Fk, mats, rep.gram)
+    assert classify_batch(obj, grams) == [cls] * 6
+    assert classify_batch(obj, grams[:0]) == []
+    # one bad member makes the whole batch raise: a singular G_vv or G_wx
+    for singular in (0, 3):
+        blocks = [blk.copy() for blk in obj.gram_blocks(grams)]
+        if blocks[singular].shape[-1]:
+            blocks[singular][2, 0, :] = blocks[singular][2, :, 0] = 0
+            with pytest.raises(ValueError, match="non-degenerate"):
+                classify_batch(obj, obj.gram_from_blocks(*blocks))
+    # off-slot entries that the compatibility law leaves free, set one-sided
+    v, w = obj.vs, obj.ws
+    free = [(v[0], w[0])] if len(v) and len(w) else []
+    free += [(v[0], v[1])] if len(v) >= 2 else []
+    free += [(w[0], w[1])] if len(w) >= 2 else []
+    if free:
+        asymmetric = grams.copy()
+        asymmetric[4][free[0]] ^= 1
+        with pytest.raises(ValueError, match="symmetric"):
+            classify_batch(obj, asymmetric)

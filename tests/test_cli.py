@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -151,6 +152,22 @@ def test_oracle_command(capsys):
 
 def test_oracle_budget(capsys):
     assert main(["oracle", "--m", "4", "--n", "4", "--k", "2"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # few enough candidates, but |G| is ~2^35.5 and ~2^25.1
+        ["--m", "0", "--n", "3", "--k", "2"],
+        ["--m", "1", "--n", "2", "--k", "2"],
+    ],
+    ids=["group-0-3", "group-1-2"],
+)
+def test_oracle_refuses_before_work(argv, capsys):
+    start = time.perf_counter()
+    assert main(["oracle", *argv]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_selfcheck(capsys):

@@ -70,6 +70,34 @@ def test_conway_norm_compatibility():
             assert _poly_eval(F, sub_bits, root) == 0, (k, d)
 
 
+def test_tables_match_scalar_reference():
+    # exp/log by stepping x^i one scalar xtime at a time; sqrt inverts squaring
+    for k in range(1, 17):
+        F = Field(k)
+        q, poly = 1 << k, CONWAY_POLY_BITS[k]
+        om = q - 1
+        exp, log, e = [], [0] * q, 1
+        for i in range(om):
+            exp.append(e)
+            log[e] = i
+            e <<= 1
+            if e >> k:
+                e ^= poly
+        sqrt = [0] * q
+        for i in range(om):
+            sqrt[exp[2 * i % om]] = exp[i]
+        assert F._exp.tolist() == (exp * 2 if om > 1 else [1, 1]), k
+        assert F._log.tolist() == log, k
+        assert F._sqrt.tolist() == sqrt, k
+
+
+def test_inv_arr_matches_scalar():
+    for k in (1, 2, 3, 16):
+        F = make_field(k)
+        a = np.arange(min(F.order, 4096))
+        assert F.inv_arr(a).tolist() == [0] + [F.inv(int(x)) for x in a[1:]]
+
+
 def test_gf4_multiplication_table():
     F = make_field(2)
     assert F.mul(2, 2) == 3  # x * x = x + 1

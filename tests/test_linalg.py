@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ver4forms import linalg as la
 from ver4forms.field import make_field
@@ -94,3 +95,24 @@ def test_batch_congruence_matches_loop():
     for i in range(7):
         assert np.array_equal(out[i], la.congruence(F, Ts[i], G))
 
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(2, 16), s=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_batch_invert_matches_serial(k, s, seed):
+    Fk, rng = make_field(k), np.random.default_rng(seed)
+    A = rng.integers(0, Fk.order, size=(12, s, s))
+    A[6:] = rng.integers(0, 2, size=(6, s, s))  # 0/1 entries: often singular
+    if s:
+        A[0, :, rng.integers(s)] = 0
+    if s >= 2:
+        A[1, -1] = Fk.mul_arr(A[1, 0], rng.integers(1, Fk.order)) ^ A[1, 1]
+    ok, inv = la.batch_invert(Fk, A)
+    assert ok.shape == (12,) and inv.shape == A.shape
+    for i, (M, good, Minv) in enumerate(zip(A, ok, inv)):
+        assert good == la.is_invertible(Fk, M)
+        # a batch of one takes the row_reduce path; `inverse` goes through it too
+        assert la.batch_invert(Fk, A[i : i + 1])[0][0] == good
+        if good:
+            assert np.array_equal(Minv, la.inverse(Fk, M))
+    if s:
+        assert not ok[0]

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from ver4forms import linalg as la
 from ver4forms.field import make_field
 from ver4forms.oracle import (
     class_inventory,
@@ -11,6 +13,7 @@ from ver4forms.oracle import (
     free_entry_count,
     orbit_classes,
 )
+from ver4forms.verobj import VerObject
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -40,7 +43,7 @@ def test_enumerate_unit_form_gf2():
 
 def test_enumerate_respects_budget():
     with pytest.raises(ValueError):
-        list(enumerate_forms(4, 4, F4, budget_bits=24))
+        list(enumerate_forms(4, 4, F4))
 
 
 def test_equivariant_group_order():
@@ -81,3 +84,31 @@ def test_orbit_report_json():
     assert doc["orbit_count"] == 4
     assert doc["field"] == {"k": 2}
     assert len(doc["orbits"]) == 4
+
+
+def _reference_forms(m, n, F):
+    """itertools.product over the free entries (upper triangles in row
+    order), each Gram filled in slot by slot, kept when invertible."""
+    obj = VerObject(F, m, n)
+    upper = lambda s: list(itertools.combinations_with_replacement(range(s), 2))
+    for entries in itertools.product(range(F.order), repeat=free_entry_count(m, n)):
+        G, it = la.zeros(obj.dim, obj.dim), iter(entries)
+        for i, j in upper(m):
+            G[obj.v_slot(i), obj.v_slot(j)] = G[obj.v_slot(j), obj.v_slot(i)] = next(it)
+        for i, j in itertools.product(range(m), range(n)):
+            G[obj.v_slot(i), obj.w_slot(j)] = G[obj.w_slot(j), obj.v_slot(i)] = next(it)
+        for i, j in upper(n):
+            G[obj.w_slot(i), obj.w_slot(j)] = G[obj.w_slot(j), obj.w_slot(i)] = next(it)
+        for i, j in upper(n):
+            e = next(it)
+            for a, b in ((i, j), (j, i)):
+                G[obj.w_slot(a), obj.x_slot(b)] = G[obj.x_slot(b), obj.w_slot(a)] = e
+        if la.is_invertible(F, G):
+            yield G
+
+
+@pytest.mark.parametrize("k,m,n", [(2, 0, 1), (2, 1, 1), (2, 0, 2), (2, 2, 0), (1, 1, 0)])
+def test_enumerate_matches_product_reference(k, m, n):
+    F = make_field(k)
+    got = [beta.gram.tolist() for beta in enumerate_forms(m, n, F)]
+    assert got == [G.tolist() for G in _reference_forms(m, n, F)]

@@ -72,7 +72,9 @@ def test_decompose_rank_one_dim_four():
     assert phi.is_invertible()
 
 
-def test_decompose_stable_under_equivariant_scramble():
+def test_equivariant_automorphisms_commute_with_t():
+    # conjugating T by an equivariant automorphism gives T back; decompose of
+    # a genuinely conjugated action is test_decompose_of_conjugated_standard_action
     rng = np.random.default_rng(3)
     for m, n in [(1, 1), (2, 2), (0, 3)]:
         obj = VerObject(F, m, n)
@@ -80,9 +82,7 @@ def test_decompose_stable_under_equivariant_scramble():
         for _ in range(10):
             phi = random_equivariant_automorphism(obj, rng)
             Minv = la.inverse(F, phi.matrix)
-            scrambled = la.mat_mul(F, la.mat_mul(F, phi.matrix, T), Minv)
-            got, _ = decompose(RawTModule(F, scrambled))
-            assert (got.m, got.n) == (m, n)
+            assert np.array_equal(la.mat_mul(F, la.mat_mul(F, phi.matrix, T), Minv), T)
 
 
 def test_tensor_sizes_and_rank():
@@ -287,3 +287,25 @@ def test_compatibility_check_matches_t_action_law():
             G = rng.integers(0, F.order, size=(obj.dim, obj.dim)) * sparse
             law = np.array_equal(la.mat_mul(F, T.T, G), la.mat_mul(F, G, T))
             assert obj.is_compatible(G) == law
+
+
+def test_as_grams_checks_matrices_and_stacks():
+    obj = VerObject(F, 1, 1)
+    G = obj.gram_from_blocks([[1]], [[0]], [[0]], [[1]])
+    assert np.array_equal(obj.as_grams(G), G)
+    assert np.array_equal(obj.as_grams(np.stack([G, G]), stacked=True), np.stack([G, G]))
+    bad_entry = G.copy()
+    bad_entry[0, 0] = F.order
+    incompatible = G.copy()
+    incompatible[0, 2] = 1  # beta(v, x) must vanish
+    cases = [
+        (G, True, "stack of matrices"),
+        (G[None], False, "expected a matrix"),
+        (G[:2, :2], False, "does not match dim"),
+        (bad_entry[None], True, "encodings"),
+        (incompatible, False, "compatibility"),
+        (np.stack([G, incompatible]), True, "compatibility"),
+    ]
+    for data, stacked, message in cases:
+        with pytest.raises(ValueError, match=message):
+            obj.as_grams(data, stacked)
