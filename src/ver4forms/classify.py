@@ -36,7 +36,7 @@ import numpy as np
 from . import linalg
 from .bform import BilinearForm
 from .field import Field
-from .linalg import congruence, eye, mat_mul, mat_vec, null_space, zeros
+from .linalg import block_diag, congruence, eye, mat_mul, mat_vec, null_space, readonly, zeros
 from .verobj import Morphism, VerObject
 
 FAMILIES = ("A", "B", "C", "D", "E", "F")
@@ -238,21 +238,11 @@ def _beta_2p(tag: int) -> np.ndarray:
     return G
 
 
-def _block_diag(blocks: list[np.ndarray], dim: int) -> np.ndarray:
-    G = zeros(dim, dim)
-    at = 0
-    for b in blocks:
-        s = b.shape[0]
-        G[at : at + s, at : at + s] = b
-        at += s
-    return G
-
-
 @lru_cache(maxsize=None)
 def canonical_rep(cls: CanonicalClass, F: Field) -> BilinearForm:
     """The block-diagonal representative Gram of a canonical class.
 
-    Cached; treat the returned form as read-only.
+    Cached, with the Gram made read-only.
     """
     fam, m, n, p = cls.family, cls.m, cls.n, cls.param
     if p is not None and not 0 <= p < F.order:
@@ -271,7 +261,9 @@ def canonical_rep(cls: CanonicalClass, F: Field) -> BilinearForm:
         blocks += [_beta_p(p)] * n
     else:  # F
         blocks += [_beta_p(0)] * (n - 2) + [_beta_p(1), _beta_p(1 ^ p)]
-    return BilinearForm(VerObject(F, m, n), _block_diag(blocks, m + 2 * n))
+    rep = BilinearForm(VerObject(F, m, n), block_diag(*blocks))
+    readonly(rep.gram)
+    return rep
 
 
 # -- invariant-based classification -------------------------------------------

@@ -140,9 +140,16 @@ def _cmd_quad_classify(args) -> int:
     return 0
 
 
+# gamma2-basis builds and verifies the basis at a cost growing as ~dim^6
+# (dim 24 takes seconds, 32 over half a minute), so larger objects are refused
+GAMMA2_BASIS_MAX_DIM = 24
+
+
 def _cmd_gamma2_basis(args) -> int:
     F = make_field(args.k)
     obj = VerObject(F, args.m, args.n)
+    if obj.dim > GAMMA2_BASIS_MAX_DIM:
+        raise ValueError(f"gamma2-basis is capped at dim m + 2n <= {GAMMA2_BASIS_MAX_DIM}, got {obj.dim}")
     basis = gamma2(obj)
     lines = []
     for line in basis.lines:
@@ -315,7 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.set_defaults(func=_cmd_quad_classify)
 
-    p = sub.add_parser("gamma2-basis", help="generator list of the second divided power")
+    what = f"generator list of the second divided power (m + 2n <= {GAMMA2_BASIS_MAX_DIM})"
+    p = sub.add_parser("gamma2-basis", help=what, description=what)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=2)

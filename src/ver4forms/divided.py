@@ -17,10 +17,19 @@ for a total dimension m + m(m-1)/2 + 2mn + 2n + 2n(n-1).
 
 A quadratic form is a module map Gamma^2(U) -> 1.  Such a map kills every
 t-image, so it is determined by one field value per line, stored in the
-family order above with lexicographic indices.  The associated bilinear
-form is beta_q = q o (1 - c): the canonical quotient-and-identify
-composition collapses to this because the identification of the kernel and
-cokernel of Gamma^2 -> S^2 is induced by (1 - c) itself.
+family order above with lexicographic indices; q_f(idx) below is the value
+of the family-f line.  The associated bilinear form is beta_q = q o (1 - c)
+(the identification of the kernel and cokernel of Gamma^2 -> S^2 is
+induced by (1 - c) itself).  Each (1 - c)(e_a (x) e_b) is a line top or a
+t-image, and q kills t-images, so the free Gram blocks of beta_q are the
+line values themselves:
+
+  G_vv[i,j] = q_2(i,j)  (zero diagonal)      G_vw[i,k] = q_3(i,k)
+  G_ww[k,k] = q_4(k),   G_ww[k,l] = q_7(k,l)
+  G_wx[k,k] = q_5(k),   G_wx[k,l] = q_6(k,l)
+
+while family 1 (the Frobenius twist) does not enter.  `_beta_q_blocks` and
+its inverse `_line_values` own this map.
 """
 
 from __future__ import annotations
@@ -30,9 +39,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bform import BilinearForm, Subobject, standard_subobject, subobject_standard_basis
+from .bform import BilinearForm, Subobject, subobject_standard_basis
 from .field import Field, make_field
-from .linalg import eye, kron, mat_mul, rank, solve, zeros
+from .linalg import batch_invert, block_diag, dot, eye, kron, mat_mul, mat_vec, rank, readonly, solve, zeros
 from .verobj import Morphism, VerObject, braiding, json_ints, tensor
 
 
@@ -67,20 +76,11 @@ class Gamma2Basis:
         self.lines = lines
         self.num_lines = len(lines)
         self.dim = sum(line.dim for line in lines)
-        cols = []
-        for line in lines:
-            cols.append(line.top)
-            if line.image is not None:
-                cols.append(line.image)
-        d2 = obj.dim * obj.dim
-        self._basis = np.column_stack(cols) if cols else zeros(d2, 0)
+        # gamma2 caches this object, so the arrays it shares are frozen
+        cols = [readonly(v) for line in lines for v in (line.top, line.image) if v is not None]
+        self._basis = readonly(np.column_stack(cols) if cols else zeros(obj.dim**2, 0))
         # positions of line tops inside the full basis matrix
-        pos = []
-        at = 0
-        for line in lines:
-            pos.append(at)
-            at += line.dim
-        self._top_positions = pos
+        self._top_positions = np.cumsum([0] + [line.dim for line in lines])[:-1]
 
     def basis_matrix(self) -> np.ndarray:
         return self._basis
@@ -101,10 +101,7 @@ def _pair_vec(obj: VerObject, a: int, b: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def gamma2(obj: VerObject) -> Gamma2Basis:
     """Generator list for Gamma^2(U) in the fixed family order."""
-    m, n = obj.m, obj.n
-    vs = [obj.v_slot(i) for i in range(m)]
-    ws = [obj.w_slot(k) for k in range(n)]
-    xs = [obj.x_slot(k) for k in range(n)]
+    m, n, vs, ws, xs = obj.m, obj.n, obj.vs, obj.ws, obj.xs
     pv = lambda a, b: _pair_vec(obj, a, b)
     lines: list[Line] = []
     for i in range(m):
@@ -163,6 +160,41 @@ def gamma2_dim_formula(m: int, n: int) -> int:
     return m + m * (m - 1) // 2 + 2 * m * n + 2 * n + 2 * n * (n - 1)
 
 
+def _family_sizes(m: int, n: int) -> tuple[int, ...]:
+    """Line counts of families 1..7 on m1 + nP (their sum is num_lines)."""
+    return m, m * (m - 1) // 2, m * n, n, n, n * (n - 1) // 2, n * (n - 1) // 2
+
+
+def _symmetric(s: int, diag, upper) -> np.ndarray:
+    """Symmetric s x s block from its diagonal and upper triangle (row order)."""
+    i, j = np.triu_indices(s, 1)
+    out = zeros(s, s)
+    out[i, j] = out[j, i] = upper
+    out[range(s), range(s)] = diag
+    return out
+
+
+def _beta_q_blocks(obj: VerObject, values):
+    """The free blocks (G_vv, G_vw, G_ww, G_wx) of beta_q, read off the line
+    values as the module docstring says; family 1 does not enter."""
+    m, n = obj.m, obj.n
+    cuts = np.cumsum(_family_sizes(m, n))[:-1]
+    _, q2, q3, q4, q5, q6, q7 = np.split(np.asarray(values, dtype=np.int64), cuts)
+    return _symmetric(m, 0, q2), q3.reshape(m, n), _symmetric(n, q4, q7), _symmetric(n, q5, q6)
+
+
+def _line_values(obj: VerObject, blocks) -> np.ndarray:
+    """Inverse of `_beta_q_blocks` on families 2..7: the line values whose
+    beta_q has these blocks (vv, ww, wx symmetric), 0 on family 1."""
+    vv, vw, ww, wx = blocks
+    iv, jv = np.triu_indices(obj.m, 1)
+    kn, ln = np.triu_indices(obj.n, 1)
+    return np.concatenate([
+        np.zeros(obj.m, dtype=np.int64), vv[iv, jv], np.reshape(vw, -1),
+        np.diagonal(ww), np.diagonal(wx), wx[kn, ln], ww[kn, ln],
+    ])
+
+
 def frobenius_twist_rank(obj: VerObject) -> int:
     """Rank of the composite Gamma^2(U) -> U (x) U -> S^2(U)."""
     F = obj.field
@@ -195,10 +227,10 @@ class QuadraticForm:
 
     def __init__(self, obj: VerObject, values):
         values = np.array(values, dtype=np.int64)
-        basis = gamma2(obj)
-        if values.shape != (basis.num_lines,):
+        lines = sum(_family_sizes(obj.m, obj.n))
+        if values.shape != (lines,):
             raise ValueError(
-                f"expected {basis.num_lines} values for Gamma^2({obj.m},{obj.n}), got {values.shape}"
+                f"expected {lines} values for Gamma^2({obj.m},{obj.n}), got {values.shape}"
             )
         if values.size and (values.min() < 0 or values.max() >= obj.field.order):
             raise ValueError("values must be field element encodings")
@@ -246,64 +278,38 @@ class QuadraticForm:
 
 
 def beta_q(q: QuadraticForm) -> BilinearForm:
-    """Associated bilinear form beta_q(u, u') = q((1 - c)(u (x) u'))."""
-    obj = q.obj
-    F = q.field
-    d = obj.dim
-    basis = q.basis()
-    omc = one_minus_braiding(obj)
-    if d == 0:
-        return BilinearForm(obj, zeros(0, 0))
-    coords = solve(F, basis.basis_matrix(), omc)
-    full = basis.extend_values(q.values)
-    flat = mat_mul(F, full[None, :], coords)[0]
-    return BilinearForm(obj, flat.reshape(d, d))
+    """Associated bilinear form beta_q(u, u') = q((1 - c)(u (x) u')).
+
+    Assembled from the line values in closed form (`_beta_q_blocks`), with
+    no braiding matrix and no Gamma^2 basis built.
+    """
+    return BilinearForm(q.obj, q.obj.gram_from_blocks(*_beta_q_blocks(q.obj, q.values)))
 
 
 def quad_restrict(q: QuadraticForm, sub: Subobject) -> QuadraticForm:
     """Restriction along Gamma^2(S) inside Gamma^2(U), on S's standard form."""
-    F = q.field
-    sobj, B = subobject_standard_basis(sub)
-    if B.shape[1] == 0:
-        return QuadraticForm(sobj, [])
-    sub_basis = gamma2(sobj)
-    push = kron(F, B, B)
-    tops = np.column_stack([line.top for line in sub_basis.lines])
-    vals = q.evaluate(mat_mul(F, push, tops))
-    return QuadraticForm(sobj, vals)
+    return _pullback(q, *subobject_standard_basis(sub))
+
+
+def _pullback(q: QuadraticForm, obj: VerObject, M: np.ndarray) -> QuadraticForm:
+    """The form on obj whose line values are q on its line tops pushed
+    forward by M (x) M, for M: obj -> q.obj."""
+    lines = gamma2(obj).lines
+    if not lines:
+        return QuadraticForm(obj, [])
+    tops = np.column_stack([line.top for line in lines])
+    return QuadraticForm(obj, q.evaluate(mat_mul(q.field, kron(q.field, M, M), tops)))
 
 
 def quad_sum(q: QuadraticForm, r: QuadraticForm) -> QuadraticForm:
-    """Orthogonal sum on U + R: values live on same-side lines, 0 on mixed."""
+    """Orthogonal sum on U + R: values live on same-side lines, 0 on mixed,
+    so the sum's beta_q blocks are block sums and family 1 is concatenated."""
     if q.field != r.field:
         raise ValueError("summands live over different fields")
-    F = q.field
-    m1, n1 = q.obj.m, q.obj.n
-    m2, n2 = r.obj.m, r.obj.n
-    target = VerObject(F, m1 + m2, n1 + n2)
-    q_lut = {(line.family, line.indices): v for line, v in zip(gamma2(q.obj).lines, q.values)}
-    r_lut = {(line.family, line.indices): v for line, v in zip(gamma2(r.obj).lines, r.values)}
-    values = []
-    for line in gamma2(target).lines:
-        fam, idx = line.family, line.indices
-        if fam in (1, 2):
-            sides = [i < m1 for i in idx]
-        elif fam == 3:
-            sides = [idx[0] < m1, idx[1] < n1]
-        else:
-            sides = [k < n1 for k in idx]
-        if all(sides):
-            values.append(q_lut[(fam, idx)])
-        elif not any(sides):
-            if fam in (1, 2):
-                shifted = tuple(i - m1 for i in idx)
-            elif fam == 3:
-                shifted = (idx[0] - m1, idx[1] - n1)
-            else:
-                shifted = tuple(k - n1 for k in idx)
-            values.append(r_lut[(fam, shifted)])
-        else:
-            values.append(0)
+    target = VerObject(q.field, q.obj.m + r.obj.m, q.obj.n + r.obj.n)
+    blocks = zip(_beta_q_blocks(q.obj, q.values), _beta_q_blocks(r.obj, r.values))
+    values = _line_values(target, [block_diag(a, b) for a, b in blocks])
+    values[: target.m] = np.concatenate([q.values[: q.obj.m], r.values[: r.obj.m]])
     return QuadraticForm(target, values)
 
 
@@ -333,57 +339,26 @@ def quad_product(gamma: BilinearForm, q: QuadraticForm) -> QuadraticForm:
 
     prod = tensor_product(gamma, beta_q(q))
     tobj, phi = tensor(V, W)
-    Gp = prod.gram
-    lines = gamma2(tobj).lines
-    values = np.zeros(len(lines), dtype=np.int64)
-    f1_pos: dict[int, int] = {}
-    f2_val: dict[tuple[int, int], int] = {}
-    for pos, line in enumerate(lines):
-        fam, idx = line.family, line.indices
-        if fam == 1:
-            f1_pos[idx[0]] = pos
-        elif fam == 2:
-            v = int(Gp[tobj.v_slot(idx[1]), tobj.v_slot(idx[0])])
-            values[pos] = v
-            f2_val[idx] = v
-        elif fam == 3:
-            values[pos] = Gp[tobj.w_slot(idx[1]), tobj.v_slot(idx[0])]
-        elif fam == 4:
-            values[pos] = Gp[tobj.w_slot(idx[0]), tobj.w_slot(idx[0])]
-        elif fam == 5:
-            values[pos] = Gp[tobj.w_slot(idx[0]), tobj.x_slot(idx[0])]
-        elif fam == 6:
-            values[pos] = Gp[tobj.w_slot(idx[0]), tobj.x_slot(idx[1])]
-        else:
-            values[pos] = Gp[tobj.w_slot(idx[1]), tobj.w_slot(idx[0])]
+    blocks = tobj.gram_blocks(prod.gram)
+    values = _line_values(tobj, blocks)
     if tobj.m:
-        f4_pos = {ln.indices[0]: pos for pos, ln in enumerate(lines) if ln.family == 4}
-        q_unit = {
-            ln.indices[0]: val
-            for ln, val in zip(gamma2(W).lines, q.values)
-            if ln.family == 1
-        }
+        vv, _, ww, _ = blocks
+        upper = np.triu(vv, 1)
         rows = []
         rhs = []
         for i in range(V.m):
             for j in range(W.m):
-                kron_idx = V.v_slot(i) * W.dim + W.v_slot(j)
-                s = phi.matrix[:, kron_idx]
-                cof = np.array([s[tobj.v_slot(a)] for a in range(tobj.m)], dtype=np.int64)
-                if any(s[tobj.w_slot(k)] for k in range(tobj.n)):  # pragma: no cover
+                s = phi.matrix[:, V.v_slot(i) * W.dim + W.v_slot(j)]
+                if s[tobj.ws].any():  # pragma: no cover
                     raise AssertionError("pure kernel tensor left ker t")
-                acc = F.mul(int(gamma.gram[V.v_slot(i), V.v_slot(i)]), q_unit[j])
-                for k in range(tobj.n):
-                    d = int(s[tobj.x_slot(k)])
-                    acc ^= F.mul(F.mul(d, d), int(values[f4_pos[k]]))
-                for a in range(tobj.m):
-                    for a2 in range(a + 1, tobj.m):
-                        acc ^= F.mul(F.mul(int(cof[a]), int(cof[a2])), f2_val[(a, a2)])
+                cof, x = s[tobj.vs], s[tobj.xs]
+                # s (x) s meets family 1 (unknown), 4 and 2; the known two go
+                # to the side of gamma(v_i, v_i) q(v_j (x) v_j) (family 1 first)
+                acc = F.mul(int(gamma.gram[V.v_slot(i), V.v_slot(i)]), int(q.values[j]))
+                acc ^= dot(F, F.mul_arr(x, x), np.diagonal(ww)) ^ dot(F, cof, mat_vec(F, upper, cof))
                 rows.append(F.mul_arr(cof, cof))
                 rhs.append(acc)
-        sol = solve(F, np.stack(rows), np.array(rhs, dtype=np.int64))
-        for a in range(tobj.m):
-            values[f1_pos[a]] = sol[a]
+        values[: tobj.m] = solve(F, np.stack(rows), np.array(rhs, dtype=np.int64))
     return QuadraticForm(tobj, values)
 
 
@@ -391,13 +366,7 @@ def quad_transform(q: QuadraticForm, phi: Morphism) -> QuadraticForm:
     """Pullback q o Gamma^2(phi) along an isomorphism phi: U -> U."""
     if phi.source != q.obj or phi.target != q.obj:
         raise ValueError("transform must be an automorphism of the form's object")
-    F = q.field
-    M = phi.matrix
-    push = kron(F, M, M)
-    tops = np.column_stack([line.top for line in q.basis().lines])
-    if tops.size == 0:
-        return QuadraticForm(q.obj, [])
-    return QuadraticForm(q.obj, q.evaluate(mat_mul(F, push, tops)))
+    return _pullback(q, q.obj, phi.matrix)
 
 
 def quadratic_from_bilinear(beta: BilinearForm) -> QuadraticForm:
@@ -411,24 +380,14 @@ def quadratic_from_bilinear(beta: BilinearForm) -> QuadraticForm:
         raise ValueError("the bijection with quadratic forms needs an object nP")
     if not beta.is_symmetric():
         raise ValueError("requires a symmetric form")
-    _, _, ww, wx = obj.gram_blocks(beta.gram)
-    # lines on nP: w_k*w_k and w_k*w_l (k < l) read G_ww, w_k*x_k and
-    # w_k*x_l read G_wx
-    block = {4: ww, 5: wx, 6: wx, 7: ww}
-    values = [block[ln.family][ln.indices[0], ln.indices[-1]] for ln in gamma2(obj).lines]
-    return QuadraticForm(obj, values)
+    return QuadraticForm(obj, _line_values(obj, obj.gram_blocks(beta.gram)))
 
 
 def hyperbolic_quadratic(F: Field, h: int) -> QuadraticForm:
     """h hyperbolic planes: q(a v + b w) = ab on each 2-dimensional piece."""
     obj = VerObject(F, 2 * h, 0)
-    values = []
-    for line in gamma2(obj).lines:
-        if line.family == 2 and line.indices[1] == line.indices[0] + 1 and line.indices[0] % 2 == 0:
-            values.append(1)
-        else:
-            values.append(0)
-    return QuadraticForm(obj, values)
+    vv = np.kron(eye(h), [[0, 1], [1, 0]])  # beta_q(v_2i, v_2i+1) = 1
+    return QuadraticForm(obj, _line_values(obj, (vv, zeros(2 * h, 0), zeros(0, 0), zeros(0, 0))))
 
 
 def quad_from_parts(F: Field, h: int, gamma_np: BilinearForm | None) -> QuadraticForm:
@@ -442,24 +401,26 @@ def quad_from_parts(F: Field, h: int, gamma_np: BilinearForm | None) -> Quadrati
 def classify_quadratic(q: QuadraticForm):
     """Hyperbolic multiplicity and the canonical class of the nP part.
 
-    Requires beta_q non-degenerate.  The 1-multiplicity m must then be even
-    (an odd-dimensional alternating block over a vector space is always
-    degenerate), the vector-space part is m/2 hyperbolic planes, and the nP
-    part classifies through the associated bilinear form.
+    Decided on the blocks of beta_q (`_beta_q_blocks`), which must be
+    non-degenerate: by the block lemma, G_vv and G_wx invertible.  The
+    1-multiplicity m is then even (an odd alternating block is degenerate)
+    and gives m/2 hyperbolic planes.  The nP part, the complement of the
+    v's, is spanned by w'_k = w_k + V G_vv^-1 G_vw[:, k] and x_k; its blocks
+    are the Schur complement G_ww + G_vw^T G_vv^-1 G_vw and G_wx (unchanged,
+    as G_vx = 0), and `classify` names its class.
     """
     from .classify import CanonicalClass, classify
 
-    bq = beta_q(q)
-    if not bq.is_nondegenerate():
+    obj, F = q.obj, q.field
+    vv, vw, ww, wx = _beta_q_blocks(obj, q.values)
+    ok_v, vv_inv = batch_invert(F, vv[None])
+    if not (ok_v[0] and batch_invert(F, wx[None])[0][0]):
         raise ValueError("quadratic form is degenerate (beta_q is singular)")
-    obj = q.obj
     if obj.m % 2:
         raise ValueError("no non-degenerate quadratic form has odd unit multiplicity")
     h = obj.m // 2
     if obj.n == 0:
         return h, CanonicalClass("C", 0, 0)
-    if obj.m == 0:
-        return h, classify(bq)
-    V = standard_subobject(obj, range(obj.m), [])
-    comp = bq.orthogonal_complement(V)
-    return h, classify(bq.restrict(comp))
+    schur = ww ^ mat_mul(F, mat_mul(F, vw.T, vv_inv[0]), vw)
+    np_obj = VerObject(F, 0, obj.n)
+    return h, classify(BilinearForm(np_obj, np_obj.gram_from_blocks(zeros(0, 0), zeros(0, obj.n), schur, wx)))

@@ -23,6 +23,23 @@ def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
+def readonly(a: np.ndarray) -> np.ndarray:
+    """Freeze `a` in place (writes raise ValueError) and return it; for
+    arrays that cached results share."""
+    a.flags.writeable = False
+    return a
+
+
+def block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix of the given (possibly rectangular) blocks."""
+    out = zeros(sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks))
+    r = c = 0
+    for b in blocks:
+        out[r : r + b.shape[0], c : c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
 def as_matrix(F: Field, data, stacked: bool = False) -> np.ndarray:
     """Validate and copy `data` into an int64 matrix of field encodings, or
     with `stacked` into a (b, rows, cols) stack of them."""

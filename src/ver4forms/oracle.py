@@ -13,9 +13,10 @@ are walked in key order, and non-degeneracy is the full d x d rank.
 invertible equivariant maps by applying the whole group to each canonical
 representative, then checks that the orbits are disjoint, cover the
 enumerated set, and are constant under `classify`.  Sets of Grams are
-boolean masks or sorted arrays of keys.  The candidate count and the
-group order are each bounded by 2^BUDGET_BITS, checked from their
-formulas before anything is allocated.
+boolean masks or sorted arrays of keys.  The candidate count, and the
+entry count of the largest array the group sweep builds, are each bounded
+by 2^BUDGET_BITS, checked from their formulas before anything is
+allocated.
 """
 
 from __future__ import annotations
@@ -47,12 +48,16 @@ def _check_enumeration_budget(m: int, n: int, F: Field):
     _check_budget("candidate Grams to enumerate", F.k * free_entry_count(m, n))
 
 
-def _group_bits(m: int, n: int, F: Field) -> float:
-    """log2 of the equivariant group's order |GL_m| |GL_n| q^(2mn + n^2),
-    from the formula (nothing is built)."""
-    q = F.order
+def _check_group_budget(m: int, n: int, F: Field):
+    """Refuse, from the formulas, a group sweep whose largest array has over
+    2^BUDGET_BITS entries: the GL_m and GL_n candidates (q^(s^2) of s x s)
+    or the group, |GL_m| |GL_n| q^(2mn + n^2) d x d matrices like its
+    congruence images (the C, D, F block sets are smaller)."""
+    q, d = F.order, m + 2 * n
     gl = lambda s: math.prod(q**s - q**i for i in range(s))
-    return math.log2(gl(m) * gl(n)) + F.k * (2 * m * n + n * n)
+    group = gl(m) * gl(n) * q ** (2 * m * n + n * n)
+    entries = max(q ** (m * m) * m * m, q ** (n * n) * n * n, group * d * d, 1)
+    _check_budget("entries in the largest array of the group sweep", math.log2(entries))
 
 
 _CHUNK = 4096  # candidates assembled per batch in _candidates
@@ -133,10 +138,17 @@ def equivariant_group(m: int, n: int, F: Field):
 
     Shape: v's map through a GL(m) block plus arbitrary x-components, w's
     through a GL(n) block plus arbitrary v- and x-components (x-columns
-    follow the w-columns).  The group is built as one stacked array, ordered
-    by (A, E, C, D, F) in `VerObject.equivariant_matrix` terms with the last
-    block varying fastest, and yielded element by element.
+    follow the w-columns).  Yields the elements of `_group` in its order.
     """
+    yield from _group(m, n, F)
+
+
+def _group(m: int, n: int, F: Field) -> np.ndarray:
+    """The equivariant group as one (|G|, d, d) array, ordered by
+    (A, E, C, D, F) in `VerObject.equivariant_matrix` terms with the last
+    block varying fastest.  Refuses, before building anything, an array
+    over the budget."""
+    _check_group_budget(m, n, F)
     obj = VerObject(F, m, n)
     q = F.order
     sets = [_gl(F, m), _gl(F, n)] + [_all_matrices(q, r, c) for r, c in ((n, m), (m, n), (n, n))]
@@ -145,7 +157,7 @@ def equivariant_group(m: int, n: int, F: Field):
         s.reshape((1,) * i + (len(s),) + (1,) * (4 - i) + s.shape[1:]) for i, s in enumerate(sets)
     )
     group = obj.equivariant_matrix(A, C, D, E, Fm)
-    yield from group.reshape(math.prod(map(len, sets)), obj.dim, obj.dim)
+    return group.reshape(math.prod(map(len, sets)), obj.dim, obj.dim)
 
 
 def class_inventory(m: int, n: int, F: Field) -> list[CanonicalClass]:
@@ -215,16 +227,15 @@ def orbit_classes(m: int, n: int, F: Field) -> OrbitReport:
 
     Verifies that orbits are pairwise disjoint, cover the enumerated form
     set, and that `classify` is constant on each orbit with the predicted
-    label.  Refuses, before any work, a candidate set or a group over
-    2^BUDGET_BITS.
+    label.  Refuses, before any work, a candidate set or a group-sweep
+    array over 2^BUDGET_BITS.
     """
     _check_enumeration_budget(m, n, F)
-    _check_budget("equivariant group elements to sweep", _group_bits(m, n, F))
+    group = _group(m, n, F)
     obj = VerObject(F, m, n)
     enumerated = np.zeros(F.order ** free_entry_count(m, n), dtype=bool)
     for keys, _, ok in _candidates(obj):
         enumerated[keys] = ok
-    group = np.stack(list(equivariant_group(m, n, F)))
     report = OrbitReport(m, n, F.k, int(enumerated.sum()), group.shape[0])
     covered = np.zeros_like(enumerated)
     for cls in class_inventory(m, n, F):

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .field import Field
-from .linalg import eye, inverse, kron, mat_mul, null_space, row_reduce, zeros
+from .linalg import eye, inverse, kron, mat_mul, null_space, readonly, row_reduce, zeros
 
 
 def json_ints(data, what: str, depth: int = 0, bound: int | None = None):
@@ -49,11 +49,6 @@ def json_ints(data, what: str, depth: int = 0, bound: int | None = None):
             limit = "" if bound is None else f" below {bound}"
             raise ValueError(f"{what} must be non-negative integers{limit}, got {x!r:.40}")
     return data
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -87,15 +82,15 @@ class VerObject:
 
     @cached_property
     def vs(self) -> np.ndarray:
-        return _readonly(np.arange(self.dim)[self.slots[0]])
+        return readonly(np.arange(self.dim)[self.slots[0]])
 
     @cached_property
     def ws(self) -> np.ndarray:
-        return _readonly(np.arange(self.dim)[self.slots[1]])
+        return readonly(np.arange(self.dim)[self.slots[1]])
 
     @cached_property
     def xs(self) -> np.ndarray:
-        return _readonly(np.arange(self.dim)[self.slots[2]])
+        return readonly(np.arange(self.dim)[self.slots[2]])
 
     def v_slot(self, i: int) -> int:
         return i
@@ -325,7 +320,7 @@ def tensor(a, b) -> tuple[VerObject, Morphism]:
     """Standard form of a (x) b plus the morphism from the Kronecker basis.
 
     Sizes follow m' = m*p and n' = 2nq + mq + np.  Results for standard
-    objects are cached; treat the returned morphism as read-only.
+    objects are cached, with the morphism's matrix made read-only.
     """
     if isinstance(a, VerObject) and isinstance(b, VerObject):
         return _tensor_cached(a, b)
@@ -334,7 +329,9 @@ def tensor(a, b) -> tuple[VerObject, Morphism]:
 
 @lru_cache(maxsize=None)
 def _tensor_cached(a: VerObject, b: VerObject) -> tuple[VerObject, Morphism]:
-    return decompose(tensor_raw(a, b))
+    obj, phi = decompose(tensor_raw(a, b))
+    readonly(phi.matrix)
+    return obj, phi
 
 
 def braiding(a, b) -> Morphism:

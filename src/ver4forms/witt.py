@@ -32,7 +32,7 @@ from . import linalg
 from .bform import BilinearForm
 from .classify import CanonicalClass, classify, canonical_rep
 from .field import Field
-from .linalg import congruence, eye, kron, mat_mul, zeros
+from .linalg import block_diag, congruence, eye, kron, mat_mul, zeros
 from .verobj import VerObject, braiding, tensor
 
 
@@ -48,10 +48,7 @@ def direct_sum(b1: BilinearForm, b2: BilinearForm) -> BilinearForm:
     pos[target.vs] = np.concatenate([o1.vs, o1.dim + o2.vs])
     pos[target.ws] = np.concatenate([o1.ws, o1.dim + o2.ws])
     pos[target.xs] = np.concatenate([o1.xs, o1.dim + o2.xs])
-    cat = zeros(o1.dim + o2.dim, o1.dim + o2.dim)
-    cat[: o1.dim, : o1.dim] = b1.gram
-    cat[o1.dim :, o1.dim :] = b2.gram
-    return BilinearForm(target, cat[pos[:, None], pos])
+    return BilinearForm(target, block_diag(b1.gram, b2.gram)[pos[:, None], pos])
 
 
 def tensor_product(b1: BilinearForm, b2: BilinearForm) -> BilinearForm:

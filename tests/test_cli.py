@@ -1,9 +1,16 @@
 import json
 import time
 
+import numpy as np
 import pytest
 
+from ver4forms.bform import BilinearForm
+from ver4forms.classify import CanonicalClass, canonical_rep
 from ver4forms.cli import main
+from ver4forms.divided import quadratic_from_bilinear
+from ver4forms.field import make_field
+from ver4forms.linalg import congruence
+from ver4forms.verobj import random_equivariant_matrix
 
 
 def _write(tmp_path, name, doc):
@@ -124,6 +131,23 @@ def test_quad_classify_command(tmp_path, capsys):
     assert main(["quad-classify", _write(tmp_path, "q2.json", bad)]) == 1
 
 
+def test_quad_classify_large_object(tmp_path, capsys):
+    # 2550 line values on 50P: classified on Gram blocks, with no 10^4 x 10^4
+    # braiding on U (x) U
+    F = make_field(2)
+    cls = CanonicalClass("F", 0, 50, 2)
+    rep = canonical_rep(cls, F)
+    M = random_equivariant_matrix(rep.obj, np.random.default_rng(50))
+    q = quadratic_from_bilinear(BilinearForm(rep.obj, congruence(F, M, rep.gram)))
+    assert len(q.values) == 2550
+    path = _write(tmp_path, "q50.json", q.to_json())
+    start = time.perf_counter()
+    assert main(["--json", "quad-classify", path]) == 0
+    assert time.perf_counter() - start < 10.0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"hyperbolic_multiplicity": 0, "np_class": cls.to_json()}
+
+
 def test_gamma2_basis_command(capsys):
     assert main(["--json", "gamma2-basis", "--m", "0", "--n", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -133,6 +157,13 @@ def test_gamma2_basis_command(capsys):
     assert main(["gamma2-basis", "--m", "1", "--n", "1"]) == 0
     out = capsys.readouterr().out
     assert "x1*x1" in out
+
+
+def test_gamma2_basis_refuses_over_the_cap(capsys):
+    start = time.perf_counter()
+    assert main(["gamma2-basis", "--m", "1", "--n", "12"]) == 1  # dim 25
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error: gamma2-basis is capped at dim m + 2n <= 24")
 
 
 def test_tables_command(tmp_path, capsys):
@@ -157,11 +188,13 @@ def test_oracle_budget(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # few enough candidates, but |G| is ~2^35.5 and ~2^25.1
+        # few enough candidates, but |G| is ~2^35.5, ~2^25.1 and ~2^23.8
+        # (the last as 4 x 4 matrices: ~2^27.8 entries)
         ["--m", "0", "--n", "3", "--k", "2"],
         ["--m", "1", "--n", "2", "--k", "2"],
+        ["--m", "0", "--n", "2", "--k", "3"],
     ],
-    ids=["group-0-3", "group-1-2"],
+    ids=["group-0-3", "group-1-2", "group-0-2-gf8"],
 )
 def test_oracle_refuses_before_work(argv, capsys):
     start = time.perf_counter()

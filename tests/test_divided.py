@@ -2,12 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ver4forms import linalg as la
-from ver4forms.bform import BilinearForm, Subobject
-from ver4forms.classify import CanonicalClass, canonical_rep
+from ver4forms.bform import BilinearForm, Subobject, standard_subobject
+from ver4forms.classify import CanonicalClass, canonical_rep, classify
 from ver4forms.divided import (
     QuadraticForm,
+    _beta_q_blocks,
+    _family_sizes,
+    _line_values,
     a2_iso_check,
     beta_q,
     classify_quadratic,
@@ -24,10 +28,54 @@ from ver4forms.divided import (
     quadratic_from_bilinear,
 )
 from ver4forms.field import make_field
-from ver4forms.verobj import VerObject, random_equivariant_automorphism
+from ver4forms.verobj import Morphism, VerObject, random_equivariant_automorphism, tensor
 
 F2 = make_field(1)
 F4 = make_field(2)
+
+
+@st.composite
+def quadratic_forms(draw):
+    """Random q with k in [2, 16], m <= 4, n <= 3.  Odd m (always
+    degenerate) is drawn less often, and a third of the forms are sparse,
+    which makes degenerate beta_q with even m common too."""
+    F = make_field(draw(st.integers(2, 16)))
+    m = draw(st.sampled_from([0, 2, 4, 0, 2, 4, 1, 3]))
+    obj = VerObject(F, m, draw(st.integers(0, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(0, F.order, size=sum(_family_sizes(obj.m, obj.n)))
+    if draw(st.integers(0, 2)) == 0:
+        values *= rng.random(values.size) < 0.3
+    return QuadraticForm(obj, values)
+
+
+def _literal_beta_q(q: QuadraticForm) -> BilinearForm:
+    """beta_q(e_a, e_b) = q((1 - c)(e_a (x) e_b)), evaluated through the
+    Gamma^2 basis on every column of the braiding's 1 - c."""
+    d = q.obj.dim
+    return BilinearForm(q.obj, q.evaluate(one_minus_braiding(q.obj)).reshape(d, d))
+
+
+def _classify_quadratic_reference(q: QuadraticForm):
+    """classify_quadratic through the literal beta_q and the generic
+    orthogonal complement, restriction and classify."""
+    obj = q.obj
+    bq = _literal_beta_q(q)
+    if not bq.is_nondegenerate():
+        raise ValueError("quadratic form is degenerate (beta_q is singular)")
+    if obj.m % 2:
+        raise ValueError("no non-degenerate quadratic form has odd unit multiplicity")
+    if obj.n == 0:
+        return obj.m // 2, CanonicalClass("C", 0, 0)
+    comp = bq.orthogonal_complement(standard_subobject(obj, range(obj.m), []))
+    return obj.m // 2, classify(bq.restrict(comp))
+
+
+def _outcome(f, q):
+    try:
+        return f(q)
+    except ValueError as exc:
+        return str(exc)
 
 
 def test_gamma2_on_p():
@@ -110,19 +158,54 @@ def test_beta_q_zero():
     assert not beta_q(QuadraticForm(obj, [0] * L)).gram.any()
 
 
-def test_beta_q_matches_direct_evaluation():
-    # beta_q(u, u') = q((1 - c)(u (x) u')) on every basis pair
-    rng = np.random.default_rng(31)
-    for m, n in [(1, 1), (0, 2), (2, 1)]:
-        obj = VerObject(F4, m, n)
-        L = gamma2(obj).num_lines
-        q = QuadraticForm(obj, rng.integers(0, 4, size=L))
-        bq = beta_q(q)
-        omc = one_minus_braiding(obj)
-        for i in range(obj.dim):
-            for j in range(obj.dim):
-                vec = omc[:, i * obj.dim + j]
-                assert bq.gram[i, j] == q.evaluate(vec)
+@settings(max_examples=40, deadline=None)
+@given(q=quadratic_forms())
+def test_beta_q_matches_direct_evaluation(q):
+    # the closed form equals beta_q(e_a, e_b) = q((1 - c)(e_a (x) e_b)) on
+    # every basis pair
+    assert np.array_equal(beta_q(q).gram, _literal_beta_q(q).gram)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=quadratic_forms())
+def test_classify_quadratic_matches_complement_reference(q):
+    # the block lemma and the Schur complement agree with the generic path,
+    # error messages included
+    assert _outcome(classify_quadratic, q) == _outcome(_classify_quadratic_reference, q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=quadratic_forms())
+def test_line_values_and_beta_q_blocks_are_inverse(q):
+    obj = q.obj
+    blocks = _beta_q_blocks(obj, q.values)
+    values = _line_values(obj, blocks)
+    assert np.array_equal(values[obj.m :], q.values[obj.m :])  # families 2..7
+    assert not values[: obj.m].any()  # family 1 does not enter beta_q
+    for got, want in zip(_beta_q_blocks(obj, values), blocks):
+        assert np.array_equal(got, want)
+
+
+def test_line_count_formula():
+    for m in range(6):
+        for n in range(6):
+            obj = VerObject(F2, m, n)
+            lines = gamma2(obj).num_lines
+            assert sum(_family_sizes(m, n)) == lines
+            assert lines == m + m * (m - 1) // 2 + m * n + 2 * n + n * (n - 1)
+    obj = VerObject(F4, 2, 1)
+    with pytest.raises(ValueError, match=r"^expected 7 values for Gamma\^2\(2,1\), got \(8,\)$"):
+        QuadraticForm(obj, [0] * 8)
+
+
+def test_cached_results_are_read_only():
+    rep = canonical_rep(CanonicalClass("E", 0, 2, 1), F4)
+    _, phi = tensor(VerObject(F4, 1, 1), VerObject(F4, 0, 1))
+    basis = gamma2(VerObject(F4, 1, 1))
+    line = next(ln for ln in basis.lines if ln.image is not None)
+    for frozen in (rep.gram, phi.matrix, basis.basis_matrix(), line.top, line.image):
+        with pytest.raises(ValueError, match="read-only"):
+            frozen[...] = 0
 
 
 def test_quad_values_determine_q_and_kill_images():
@@ -181,6 +264,8 @@ def test_quad_sum_beta_q_is_block_sum():
     qb = QuadraticForm(b, rng.integers(0, 4, size=gamma2(b).num_lines))
     s = quad_sum(qa, qb)
     assert np.array_equal(beta_q(s).gram, direct_sum(beta_q(qa), beta_q(qb)).gram)
+    # family 1 (the v_i (x) v_i lines) is the two summands' family 1 in turn
+    assert s.values[:3].tolist() == qa.values[:1].tolist() + qb.values[:2].tolist()
 
 
 def test_quadratic_from_bilinear_roundtrip():
@@ -310,3 +395,10 @@ def test_quadratic_json_roundtrip():
     back = QuadraticForm.from_json(q.to_json())
     assert np.array_equal(back.values, q.values)
     assert back.obj == q.obj
+
+
+def test_pullbacks_on_the_zero_object():
+    zero = VerObject(F4, 0, 0)
+    q = QuadraticForm(zero, [])
+    assert quad_transform(q, Morphism(zero, zero, la.zeros(0, 0))).values.size == 0
+    assert quad_restrict(q, Subobject(zero, la.zeros(0, 0))).values.size == 0

@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -58,6 +59,28 @@ def test_equivariant_group_order():
         assert len(group) == gl(m) * gl(n) * q ** (2 * m * n + n * n)
         assert len({M.tobytes() for M in group}) == len(group)
         assert all(M.shape == (m + 2 * n,) * 2 and M.dtype == np.int64 for M in group)
+
+
+@pytest.mark.parametrize(
+    "m, n, k",
+    [(0, 2, 3), (5, 0, 1)],
+    ids=["group-0-2-gf8", "gl5-candidates-gf2"],
+)
+def test_group_sweep_refused_by_entry_count(m, n, k):
+    # |G| passes 2^24 elements in both, but (0,2)/GF(8) would stack 2^27.8
+    # group entries and (5,0)/GF(2) 2^25 candidate 5 x 5 matrices for GL_5
+    F = make_field(k)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="entries in the largest array"):
+        orbit_classes(m, n, F)
+    with pytest.raises(ValueError, match="entries in the largest array"):
+        next(equivariant_group(m, n, F))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_group_sweep_budget_keeps_largest_census_shape():
+    # (2,1) over GF(4): 552,960 elements as 4 x 4 matrices, ~8.8M entries
+    assert sum(1 for _ in equivariant_group(2, 1, F4)) == 552_960
 
 
 def test_class_inventory_counts():
