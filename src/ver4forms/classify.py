@@ -20,10 +20,18 @@ is additive under direct sums.
 Two classification paths are implemented and cross-checked: `classify`
 reads off the invariants (alternating flag, good-pair space, form
 invariant), while `canonicalize` constructs an explicit invertible
-equivariant congruence onto the canonical representative.  The invariants
-are decided on the free Gram blocks for a whole stack at once
-(`classify_batch`); `classify`, `good_pairs` and `form_invariant` are that
-code with a batch of one.
+equivariant congruence onto the canonical representative.  Both work on
+the free Gram blocks (G_vv, G_vw, G_ww, G_wx) of a whole stack
+(`classify_batch`, `canonicalize_batch`); `classify`, `good_pairs`,
+`form_invariant` and `canonicalize` are that code with a batch of one.
+
+The construction reduces the unit part on G_vv alone.  The Schur
+complement S = G_ww + G_vw^T G_vv^-1 G_vw decouples the v's, which leaves
+an n x n problem: the x-pairing M = G_wx and the x-function f = diag(S)
+under E in GL_n (the transform's w -> w block), acting by M -> E^T M E and
+f -> (E o E)^T f.  Symmetric elimination on M with E tracked, and the
+bP/b2P normalisations of f, reduce that pair; the w -> x block of the
+transform, which clears the off-diagonal of S, is then read in closed form.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import numpy as np
 from . import linalg
 from .bform import BilinearForm
 from .field import Field
-from .linalg import block_diag, congruence, eye, mat_mul, mat_vec, null_space, readonly, zeros
+from .linalg import block_diag, eye, mat_mul, readonly, zeros
 from .verobj import Morphism, VerObject
 
 FAMILIES = ("A", "B", "C", "D", "E", "F")
@@ -319,321 +327,255 @@ def _classify_grams(obj: VerObject, G: np.ndarray) -> list[CanonicalClass]:
 
 
 # -- constructive canonicalization --------------------------------------------
+#
+# Everything below works on the free Gram blocks.  An equivariant T is given
+# by its blocks (A, C, D, E, F) (`VerObject.equivariant_matrix`): v -> A v +
+# C x, w -> D v + E w + F x, x -> E x.  The reduction chooses A with
+# A^T G_vv A = U and E with E^T G_wx E = Mc canonical (`_congruence_basis`),
+# normalises the x-function f with E (and, when U = I, with the absorption
+# Z below), and reads C, D and F in closed form (`_reduce`).
 
 
-def _beta_vec(F: Field, G: np.ndarray, u: np.ndarray, v: np.ndarray) -> int:
-    return linalg.dot(F, u, mat_vec(F, G, v))
+def _mix(F: Field, X: np.ndarray, cols: list[int], R) -> None:
+    """Replace the columns `cols` of X by X[:, cols] @ R, in place."""
+    X[:, cols] = mat_mul(F, X[:, cols], np.array(R, dtype=np.int64))
 
 
-def _scaled(F: Field, c: int, v: np.ndarray) -> np.ndarray:
-    return F.mul_arr(np.int64(c), v)
+def _congruence_basis(F: Field, M: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(E, alternating) with E^T M E canonical for a symmetric invertible M:
+    hyperbolic [[0, 1], [1, 0]] blocks on consecutive columns if M is
+    alternating (zero diagonal), else the identity.
 
-
-def _reduce_unit_part(F: Field, G: np.ndarray, V: np.ndarray):
-    """Classical canonical form of the restriction to the 1-part.
-
-    Returns (V', alternating) where the columns of V' carry either the
-    identity Gram (non-alternating case) or antidiagonal 2x2 blocks.
+    Symmetric elimination, whole rows at a time.  A still-active column
+    with a nonzero diagonal entry, scaled to 1, is cleared from the other
+    active columns, and the active part of M drops the Schur term of that
+    pivot; with none left, a hyperbolic pair (k, j) is the pivot, and if a
+    unit column g is done already, the three become the unit columns
+    g + k, g + j, g + k + j.
     """
-    cols = [V[:, j].copy() for j in range(V.shape[1])]
-    bv = lambda u, v: _beta_vec(F, G, u, v)
-    alternating = all(bv(c, c) == 0 for c in cols)
-    if alternating:
-        pairs = []
-        rest = cols
-        while rest:
-            c0 = rest.pop(0)
-            j = next(i for i, c in enumerate(rest) if bv(c0, c))
-            c1 = _scaled(F, F.inv(bv(c0, rest[j])), rest.pop(j))
-            rest = [
-                c ^ _scaled(F, bv(c, c1), c0) ^ _scaled(F, bv(c, c0), c1) for c in rest
-            ]
-            pairs += [c0, c1]
-        out = pairs
-    else:
-        done: list[np.ndarray] = []
-        rest = cols
-        while rest:
-            idx = next((i for i, c in enumerate(rest) if bv(c, c)), None)
-            if idx is not None:
-                u = rest.pop(idx)
-                u = _scaled(F, F.inv(F.sqrt(bv(u, u))), u)
-                rest = [c ^ _scaled(F, bv(c, u), u) for c in rest]
-                done.append(u)
-            else:
-                # remaining block is alternating: pair it up, then absorb
-                # each hyperbolic pair into a unit vector three at a time
-                g = done.pop()
-                c0 = rest.pop(0)
-                j = next(i for i, c in enumerate(rest) if bv(c0, c))
-                c1 = _scaled(F, F.inv(bv(c0, rest[j])), rest.pop(j))
-                rest = [
-                    c ^ _scaled(F, bv(c, c1), c0) ^ _scaled(F, bv(c, c0), c1)
-                    for c in rest
-                ]
-                done += [g ^ c0, g ^ c1, g ^ c0 ^ c1]
-        out = done
-    Vp = np.column_stack(out) if out else zeros(V.shape[0], 0)
-    return Vp, alternating
-
-
-def _orth_within(F: Field, G: np.ndarray, span: np.ndarray, killers: list[np.ndarray]) -> np.ndarray:
-    """Vectors of the span orthogonal to every killer."""
-    K = np.stack(killers)
-    rows = mat_mul(F, mat_mul(F, K, G), span)
-    return mat_mul(F, span, null_space(F, rows))
-
-
-def _extract_p_blocks(F: Field, G: np.ndarray, T: np.ndarray, S: np.ndarray):
-    """Split the P-part into orthogonal bP(y) and b2P(tag) blocks.
-
-    Returns (p_blocks, tp_blocks): p_blocks are (u, y) with beta(u,t.u) = 1
-    and y = beta(u,u); tp_blocks are (p, q, tag) carrying the exact
-    canonical 4x4 Gram on (p, t.p, q, t.q).
-    """
-    p_blocks: list[tuple[np.ndarray, int]] = []
-    tp_blocks: list[tuple[np.ndarray, np.ndarray, int]] = []
-    bv = lambda u, v: _beta_vec(F, G, u, v)
-    while S.shape[1]:
-        cols = [S[:, j] for j in range(S.shape[1])]
-        osc = next((c for c in cols if bv(c, mat_vec(F, T, c))), None)
-        if osc is not None:
-            u = _scaled(F, F.inv(F.sqrt(bv(osc, mat_vec(F, T, osc)))), osc)
-            p_blocks.append((u, bv(u, u)))
-            S = _orth_within(F, G, S, [u, mat_vec(F, T, u)])
-            continue
-        # oscillating piece: carve out a 2P block
-        p = next(c for c in cols if mat_vec(F, T, c).any())
-        tp = mat_vec(F, T, p)
-        q = next(c for c in cols if bv(tp, c))
-        s = F.inv(F.sqrt(bv(tp, q)))
-        p, q = _scaled(F, s, p), _scaled(F, s, q)
-        q = q ^ _scaled(F, bv(p, q), mat_vec(F, T, q))
-        b, a = bv(p, p), bv(q, q)
-        if b == 0 and a != 0:
-            p, q = q, p
-            b, a = a, 0
-        if a == 0 and b == 0:
-            tag = 0
-        elif a == 0:
-            p = _scaled(F, F.inv(F.sqrt(b)), p)
-            q = _scaled(F, F.sqrt(b), q)
-            tag = 1
+    n = len(M)
+    M, E = M.copy(), eye(n)
+    active = np.ones(n, dtype=bool)
+    units: list[int] = []
+    pairs: list[int] = []
+    while active.any():
+        diag = np.flatnonzero(active & (np.diagonal(M) != 0))
+        if diag.size:
+            k = int(diag[0])
+            piv, scale = [k], [F.inv(F.sqrt(int(M[k, k])))]
         else:
-            rb = F.sqrt(b)
-            p_new = _scaled(F, F.inv(rb), p ^ _scaled(F, b, mat_vec(F, T, q)))
-            q = _scaled(F, F.sqrt(a), p) ^ _scaled(F, rb, q)
-            p = p_new
-            tag = 1
-        tp_blocks.append((p, q, tag))
-        S = _orth_within(F, G, S, [p, mat_vec(F, T, p), q, mat_vec(F, T, q)])
-    return p_blocks, tp_blocks
+            k = int(np.flatnonzero(active)[0])
+            j = int(np.flatnonzero(active & (M[k] != 0))[0])
+            piv, scale = [k, j], [1, F.inv(int(M[k, j]))]
+        active[piv] = False
+        scale = np.array(scale, dtype=np.int64)
+        E[:, piv] = F.mul_arr(E[:, piv], scale)
+        # the scaled pivot rows on the active columns; the pivot block is
+        # [1] or [[0, 1], [1, 0]], its own inverse, so the coefficients of
+        # the pivot columns are these rows in reverse order
+        rows = F.mul_arr(M[piv], scale[:, None]) * active
+        E ^= mat_mul(F, E[:, piv], rows[::-1])
+        M ^= mat_mul(F, rows.T, rows[::-1])
+        if len(piv) == 1:
+            units += piv
+        elif units:
+            g = units.pop()
+            _mix(F, E, [g] + piv, [[1, 1, 1], [1, 0, 1], [0, 1, 1]])
+            units += [g] + piv
+        else:
+            pairs += piv
+    return E[:, units or pairs], not units
 
 
-def _merge_mixture(F, G, T, p_blocks, tp_blocks):
-    """Rewrite one bP + one b2P as three bP blocks until homogeneous."""
-    bv = lambda u, v: _beta_vec(F, G, u, v)
-    while p_blocks and tp_blocks:
-        u, y = p_blocks.pop(0)
-        qq, rr, tag = tp_blocks.pop(0)
-        p1 = u ^ qq ^ rr ^ _scaled(F, y ^ tag, mat_vec(F, T, u))
-        q1 = u ^ qq
-        six = np.column_stack(
-            [u, mat_vec(F, T, u), qq, mat_vec(F, T, qq), rr, mat_vec(F, T, rr)]
-        )
-        rest = _orth_within(
-            F, G, six, [p1, mat_vec(F, T, p1), q1, mat_vec(F, T, q1)]
-        )
-        third = next(
-            rest[:, j] for j in range(rest.shape[1]) if bv(rest[:, j], mat_vec(F, T, rest[:, j]))
-        )
-        third = _scaled(F, F.inv(F.sqrt(bv(third, mat_vec(F, T, third)))), third)
-        for vec in (p1, q1, third):
-            p_blocks.append((vec, bv(vec, vec)))
-    return p_blocks, tp_blocks
+def _hyperbolic_tags(F: Field, E: np.ndarray, f: np.ndarray) -> str:
+    """C or D, with E's hyperbolic pairs changed in place so that the
+    x-function reads 0, or (1, 0, 0, ...) for D.
+
+    On a pair (p, q) with f = (b, a) != 0 the symplectic mix p' = p/sqrt(b)
+    (q/sqrt(a) if b = 0), q' = sqrt(a) p + sqrt(b) q gives f = (1, 0).  Each
+    further such pair (p2, q2) is cleared against the first (p1, q1) by
+    p2' = p2 + p1, q1' = q1 + q2, and the first pair moves to the front.
+    """
+    tagged = []
+    for i in range(0, len(f), 2):
+        b, a = int(f[i]), int(f[i + 1])
+        if b or a:
+            rb, ra = F.sqrt(b), F.sqrt(a)
+            p = [F.inv(rb), 0] if b else [0, F.inv(ra)]
+            _mix(F, E, [i, i + 1], [[p[0], ra], [p[1], rb]])
+            tagged.append(i)
+    if not tagged:
+        return "C"
+    keep, rest = tagged[0], tagged[1:]
+    if rest:
+        E[:, rest] ^= E[:, [keep]]
+        E[:, keep + 1] ^= np.bitwise_xor.reduce(E[:, [i + 1 for i in rest]], axis=1)
+    E[:] = E[:, [keep, keep + 1] + [c for c in range(len(f)) if c not in (keep, keep + 1)]]
+    return "D"
 
 
-def _replace_pair(F, G, T, p_blocks, i: int, j: int, a: int):
-    """Congruence sending bP(y) + bP(z), y != z, to bP(a) + bP(y+z+a)."""
-    u1, y = p_blocks[i]
-    u2, z = p_blocks[j]
+def _replace_pair(F: Field, E: np.ndarray, f: list[int], i: int, j: int, a: int) -> None:
+    """Send bP(y) + bP(z), y != z, on the columns i, j of E (x-function
+    values f[i], f[j]) to bP(a) + bP(y+z+a), in place: the orthogonal mix
+    [[k, k+1], [k+1, k]] with k^2 = (z+a)/(z+y)."""
+    y, z = f[i], f[j]
     if y == z:
         raise ValueError("pair replacement needs distinct scalars")
     k = F.sqrt(F.div(z ^ a, z ^ y))
-    c = F.mul(k, y)
-    dd = F.mul(k ^ 1, z)
-    u3 = (
-        _scaled(F, k, u1)
-        ^ _scaled(F, k ^ 1, u2)
-        ^ _scaled(F, c, mat_vec(F, T, u1))
-        ^ _scaled(F, dd, mat_vec(F, T, u2))
-    )
-    u4 = _scaled(F, k ^ 1, u1) ^ _scaled(F, k, u2)
-    p_blocks[i] = (u3, a)
-    p_blocks[j] = (u4, y ^ z ^ a)
+    _mix(F, E, [i, j], [[k, k ^ 1], [k ^ 1, k]])
+    f[i], f[j] = a, y ^ z ^ a
 
 
-def _pforms_chain(F, G, T, p_blocks):
-    """Rewrite sum of bP(y_i), scalars not all equal, as
-    (n-2) bP(0) + bP(1) + bP(k); returns the reordered blocks."""
-    n = len(p_blocks)
-    scal = lambda: [y for _, y in p_blocks]
+def _pforms_chain(F: Field, E: np.ndarray, f: list[int]) -> list[int]:
+    """Rewrite the sum of bP(f_i), scalars not all equal, as
+    (n-2) bP(0) + bP(1) + bP(k) by `_replace_pair` steps; returns the
+    column order: the zeros, then the 1, then the free scalar."""
+    n = len(f)
     if n == 2:
-        _replace_pair(F, G, T, p_blocks, 0, 1, 1)
+        _replace_pair(F, E, f, 0, 1, 1)
     else:
         while True:
-            ys = scal()
-            zero_idx = [i for i, y in enumerate(ys) if y == 0]
+            zero_idx = [i for i, y in enumerate(f) if y == 0]
             if len(zero_idx) >= n - 2:
                 break
-            nz_idx = [i for i, y in enumerate(ys) if y != 0]
+            nz_idx = [i for i, y in enumerate(f) if y != 0]
             if not zero_idx:
-                i, j = next(
-                    (i, j) for i in range(n) for j in range(i + 1, n) if ys[i] != ys[j]
-                )
-                _replace_pair(F, G, T, p_blocks, i, j, 0)
+                i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if f[i] != f[j])
+                _replace_pair(F, E, f, i, j, 0)
                 continue
             z = zero_idx[0]
             ia, ib, ic = nz_idx[0], nz_idx[1], nz_idx[2]
-            ya, yb, yc = ys[ia], ys[ib], ys[ic]
-            excl = {0, yb, ya ^ yc}
+            excl = {0, f[ib], f[ia] ^ f[ic]}
             d = next(e for e in range(1, F.order) if e not in excl)
-            _replace_pair(F, G, T, p_blocks, z, ia, d)
-            _replace_pair(F, G, T, p_blocks, z, ib, 0)
-            _replace_pair(F, G, T, p_blocks, ia, ic, 0)
-        ys = scal()
-        nz_idx = [i for i, y in enumerate(ys) if y != 0]
+            _replace_pair(F, E, f, z, ia, d)
+            _replace_pair(F, E, f, z, ib, 0)
+            _replace_pair(F, E, f, ia, ic, 0)
+        nz_idx = [i for i, y in enumerate(f) if y != 0]
         if len(nz_idx) == 1:
-            lam = ys[nz_idx[0]]
-            if lam != 1:
-                _replace_pair(F, G, T, p_blocks, nz_idx[0], [i for i in range(n) if ys[i] == 0][0], 1)
+            if f[nz_idx[0]] != 1:
+                _replace_pair(F, E, f, nz_idx[0], f.index(0), 1)
         elif len(nz_idx) == 2:
             i, j = nz_idx
-            if ys[i] != ys[j]:
-                _replace_pair(F, G, T, p_blocks, i, j, 1)
+            if f[i] != f[j]:
+                _replace_pair(F, E, f, i, j, 1)
             else:
-                z = [i2 for i2 in range(n) if ys[i2] == 0][0]
-                _replace_pair(F, G, T, p_blocks, z, i, 1)
+                z = f.index(0)
+                _replace_pair(F, E, f, z, i, 1)
                 # scalars at (z, i) are now (1, lam+1); clear against j
-                _replace_pair(F, G, T, p_blocks, i, j, 1)
+                _replace_pair(F, E, f, i, j, 1)
         else:  # pragma: no cover
             raise AssertionError("endgame reached with wrong zero count")
-    # order: zeros first, then the 1, then the free scalar
-    ys = scal()
-    ones = [i for i, y in enumerate(ys) if y == 1]
-    if len([y for y in ys if y == 0]) == n - 1:
-        free = [i for i in range(n) if ys[i] == 0][-1]
-        one = ones[0]
+    zeros_at = [i for i, y in enumerate(f) if y == 0]
+    one = f.index(1)
+    if len(zeros_at) == n - 1:
+        free = zeros_at.pop()
     else:
-        one = ones[0]
-        free = next(i for i in range(n) if i != one and ys[i] != 0)
-    order = [i for i in range(n) if ys[i] == 0 and i != free] + [one, free]
-    return [p_blocks[i] for i in order]
+        free = next(i for i in range(n) if i != one and f[i] != 0)
+    return [i for i in zeros_at if i != free] + [one, free]
+
+
+def _reduce(obj: VerObject, G: np.ndarray) -> tuple[np.ndarray, CanonicalClass]:
+    """(T, class) for one non-degenerate symmetric compatible Gram: T is
+    equivariant and T^T G T is the class's canonical Gram.
+
+    T has the blocks (A, C, D, E, F) of the comment above.  A and E come
+    from `_congruence_basis`: A^T G_vv A = U and E^T G_wx E = Mc.  With
+    K = G_vv^-1 G_vw, D = K E + A Z and C = E Mc Z^T U keep the v's
+    orthogonal to the w's, and the w-w block of T^T G T is
+    E^T S E + Z^T U Z + N + N^T, with S = G_ww + G_vw^T K the Schur
+    complement and N = E^T G_wx F.  N + N^T has a zero diagonal, and
+    F = E Mc N, N the strict upper triangle of E^T S E + Z^T U Z, clears
+    everything off it.  What is left is the diagonal
+    (E o E)^T diag(S) + diag(Z^T U Z): the x-function f = (E o E)^T diag(S)
+    is normalised by changing E (keeping Mc), or, when U = I, absorbed by Z.
+    """
+    F, m, n = obj.field, obj.m, obj.n
+    vv, vw, ww, wx = obj.gram_blocks(G)
+    A, v_alt = _congruence_basis(F, vv)
+    E, x_alt = _congruence_basis(F, wx)
+    # U and Mc are the identity or hyperbolic blocks: their own inverses, and
+    # multiplying by one permutes rows by u_rows / x_rows
+    u_rows, x_rows = np.arange(m) ^ v_alt, np.arange(n) ^ x_alt
+    P = mat_mul(F, A.T, vw)
+    S = ww ^ mat_mul(F, P.T, P[u_rows])
+    f = np.bitwise_xor.reduce(F.mul_arr(F.mul_arr(E, E), np.diagonal(S)[:, None]), axis=0)
+    Z = zeros(m, n)
+    param = None
+    if not v_alt:
+        # U = I: w_k + sqrt(f_k) u_0 has x-function 0
+        family = "A" if x_alt else "B"
+        Z[0] = [F.sqrt(y) for y in f.tolist()]
+    elif x_alt:
+        family = _hyperbolic_tags(F, E, f)
+    else:
+        f = f.tolist()
+        if len(set(f)) == 1:
+            family, param = "E", f[0]
+        else:
+            order = _pforms_chain(F, E, f)
+            E[:] = E[:, order]
+            family, param = "F", 1 ^ f[order[-1]]
+    UZ = Z[u_rows]
+    N = np.triu(mat_mul(F, mat_mul(F, E.T, S), E) ^ mat_mul(F, Z.T, UZ), 1)
+    T = obj.equivariant_matrix(
+        A,
+        mat_mul(F, E, UZ.T[x_rows]),
+        mat_mul(F, A, mat_mul(F, P[u_rows], E) ^ Z),
+        E,
+        mat_mul(F, E, N[x_rows]),
+    )
+    return T, CanonicalClass(family, m, n, param)
 
 
 def canonicalize(beta: BilinearForm) -> tuple[Morphism, BilinearForm, CanonicalClass]:
-    """Invertible equivariant T with T^T G T equal to the canonical Gram.
+    """Invertible equivariant T with T^T G T equal to the canonical Gram:
+    `canonicalize_batch` with a batch of one.
 
-    Follows the constructive reduction: split off a complement of im(t) in
-    ker(t), normalise its classical form, carve the P-part into bP/b2P
-    blocks, homogenise, and normalise block scalars.  The result is
-    cross-checked against the invariant-based `classify`.  Returns
-    (T, canonical form, class), the class being the one both paths agree on.
+    The constructive reduction runs on the free Gram blocks (`_reduce`):
+    the unit part is the congruence of G_vv alone; the Schur complement
+    decouples the v's from the P-part, which becomes the pair of the
+    x-pairing G_wx and the x-function f on K^n under the w -> w block E of
+    T in GL_n (G_wx -> E^T G_wx E, f -> (E o E)^T f); symmetric elimination
+    with the bP/b2P normalisations reduces that pair; and the w -> x block
+    of T is read in closed form.  Returns (T, canonical form, class), the class
+    being the one this path and the invariant-based `classify` agree on.
     """
+    return _canonicalize_grams(beta.obj, beta.gram[None])[0]
+
+
+def canonicalize_batch(
+    obj: VerObject, grams: np.ndarray
+) -> list[tuple[Morphism, BilinearForm, CanonicalClass]]:
+    """`canonicalize` of each Gram in a (b, d, d) stack on `obj`.
+
+    Raises ValueError, as `classify_batch` does, if any member is not a
+    symmetric non-degenerate Gram on `obj` over a field with k >= 2.
+    """
+    return _canonicalize_grams(obj, obj.as_grams(grams, stacked=True))
+
+
+def _canonicalize_grams(obj: VerObject, G: np.ndarray):
+    """`canonicalize_batch` of a stack already valid as Grams on `obj`.
+
+    Each result is certified three ways: its class equals the invariant
+    path's (`_classify_grams`, which also raises the ValueErrors), its
+    transform is equivariant (`Morphism`) and invertible, and T^T G T is
+    exactly the canonical Gram; else InternalCheckError.
+    """
+    F, d = obj.field, obj.dim
     # the invariant path runs first: it raises ValueError for k < 2 and for
-    # asymmetric or degenerate forms, which the reduction below assumes away
-    invariant_cls = classify(beta)
-    F = beta.field
-    obj = beta.obj
-    G = beta.gram
-    T = obj.t_action()
-    m, n = obj.m, obj.n
-    bv = lambda u, v: _beta_vec(F, G, u, v)
-
-    if m:
-        # the v-slots span a complement of im(t) in ker(t)
-        Vp, v_alt = _reduce_unit_part(F, G, eye(obj.dim)[:, obj.vs])
-    else:
-        Vp, v_alt = zeros(obj.dim, 0), True
-    if n:
-        S = null_space(F, mat_mul(F, Vp.T, G)) if m else eye(obj.dim)
-        p_blocks, tp_blocks = _extract_p_blocks(F, G, T, S)
-        p_blocks, tp_blocks = _merge_mixture(F, G, T, p_blocks, tp_blocks)
-    else:
-        p_blocks, tp_blocks = [], []
-
-    param = None
-    if not v_alt:
-        g = Vp[:, 0].copy()
-        if tp_blocks:
-            family = "A"
-            new_tp = []
-            for p, q, tag in tp_blocks:
-                if tag:
-                    tq = mat_vec(F, T, q)
-                    g, p = g ^ tq, g ^ p
-                new_tp.append((p, q, 0))
-            tp_blocks = new_tp
-        elif p_blocks:
-            family = "B"
-            new_p = []
-            for u, y in p_blocks:
-                if y:
-                    r = F.sqrt(y)
-                    u_new = _scaled(F, r, g) ^ u
-                    g = g ^ _scaled(F, r, mat_vec(F, T, u))
-                    u = u_new
-                new_p.append((u, 0))
-            p_blocks = new_p
-        else:
-            family = "A"
-        Vp = Vp.copy()
-        Vp[:, 0] = g
-    else:
-        if tp_blocks:
-            ones = [i for i, b in enumerate(tp_blocks) if b[2]]
-            while len(ones) >= 2:
-                i1, i2 = ones[0], ones[1]
-                u1, u2, _ = tp_blocks[i1]
-                u3, u4, _ = tp_blocks[i2]
-                tp_blocks[i1] = (u1 ^ u3, u2, 0)
-                tp_blocks[i2] = (u3 ^ mat_vec(F, T, u2), u2 ^ u4, 1)
-                ones = [i for i, b in enumerate(tp_blocks) if b[2]]
-            if ones:
-                family = "D"
-                tp_blocks = [tp_blocks[ones[0]]] + [
-                    b for i, b in enumerate(tp_blocks) if i != ones[0]
-                ]
-            else:
-                family = "C"
-        elif p_blocks:
-            ys = {y for _, y in p_blocks}
-            if len(ys) == 1:
-                family = "E"
-                param = ys.pop()
-            else:
-                family = "F"
-                p_blocks = _pforms_chain(F, G, T, p_blocks)
-                param = 1 ^ p_blocks[-1][1]
-        else:
-            family = "C"
-
-    cols = [Vp[:, j] for j in range(Vp.shape[1])]
-    for u, _y in p_blocks:
-        cols += [u, mat_vec(F, T, u)]
-    for p, q, _tag in tp_blocks:
-        cols += [p, mat_vec(F, T, p), q, mat_vec(F, T, q)]
-    Tmat = np.column_stack(cols) if cols else zeros(0, 0)
-
-    cls = CanonicalClass(family, m, n, param)
-    if cls != invariant_cls:
-        raise InternalCheckError(
-            f"constructive path found {cls} but invariants say {invariant_cls}"
-        )
-    canon = canonical_rep(cls, F)
-    transform = Morphism(obj, obj, Tmat)
-    if not transform.is_invertible():
+    # asymmetric or degenerate forms, which the reduction assumes away
+    invariant = _classify_grams(obj, G)
+    reduced = [_reduce(obj, g) for g in G]
+    for (_, cls), want in zip(reduced, invariant):
+        if cls != want:
+            raise InternalCheckError(f"constructive path found {cls} but invariants say {want}")
+    Ts = np.array([T for T, _ in reduced], dtype=np.int64).reshape(len(G), d, d)
+    transforms = [Morphism(obj, obj, T) for T in Ts]
+    if not linalg.batch_invert(F, Ts)[0].all():
         raise InternalCheckError("canonicalizing transform is singular")
-    if not np.array_equal(congruence(F, Tmat, G), canon.gram):
+    canon = [canonical_rep(cls, F) for cls in invariant]
+    want = np.array([c.gram for c in canon], dtype=np.int64).reshape(len(G), d, d)
+    if not np.array_equal(linalg.batch_congruence(F, Ts, G), want):
         raise InternalCheckError("transform does not reach the canonical Gram")
-    return transform, canon, cls
+    return list(zip(transforms, canon, invariant))

@@ -402,12 +402,13 @@ def classify_quadratic(q: QuadraticForm):
     """Hyperbolic multiplicity and the canonical class of the nP part.
 
     Decided on the blocks of beta_q (`_beta_q_blocks`), which must be
-    non-degenerate: by the block lemma, G_vv and G_wx invertible.  The
-    1-multiplicity m is then even (an odd alternating block is degenerate)
-    and gives m/2 hyperbolic planes.  The nP part, the complement of the
-    v's, is spanned by w'_k = w_k + V G_vv^-1 G_vw[:, k] and x_k; its blocks
-    are the Schur complement G_ww + G_vw^T G_vv^-1 G_vw and G_wx (unchanged,
-    as G_vx = 0), and `classify` names its class.
+    non-degenerate: by the block lemma, G_vv and G_wx invertible.  G_vv is
+    alternating, so for odd m it is singular and the degenerate error
+    covers odd unit multiplicity; an even m gives m/2 hyperbolic planes.
+    The nP part, the complement of the v's, is spanned by
+    w'_k = w_k + V G_vv^-1 G_vw[:, k] and x_k; its blocks are the Schur
+    complement G_ww + G_vw^T G_vv^-1 G_vw and G_wx (unchanged, as
+    G_vx = 0), and `classify` names its class.
     """
     from .classify import CanonicalClass, classify
 
@@ -416,8 +417,6 @@ def classify_quadratic(q: QuadraticForm):
     ok_v, vv_inv = batch_invert(F, vv[None])
     if not (ok_v[0] and batch_invert(F, wx[None])[0][0]):
         raise ValueError("quadratic form is degenerate (beta_q is singular)")
-    if obj.m % 2:
-        raise ValueError("no non-degenerate quadratic form has odd unit multiplicity")
     h = obj.m // 2
     if obj.n == 0:
         return h, CanonicalClass("C", 0, 0)

@@ -52,6 +52,14 @@ def as_matrix(F: Field, data, stacked: bool = False) -> np.ndarray:
     return M
 
 
+# Products with at most this many scalar terms are one broadcast `mul_arr`
+# and one XOR-reduce; larger ones loop over the inner index, skipping zero
+# columns of A and rows of B.  On dense square GF(8) matrices (2-CPU x86
+# VM) the broadcast took 0.1-0.3x the loop's time from 2x2 to 28x28, broke
+# even near 40x40 and took 1.5x at 81x81.
+ONE_SHOT_ENTRIES = 1 << 15
+
+
 def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
@@ -59,6 +67,8 @@ def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     innerb, cb = B.shape
     if inner != innerb:
         raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
+    if ra * inner * cb <= ONE_SHOT_ENTRIES:
+        return np.bitwise_xor.reduce(F.mul_arr(A[:, :, None], B[None, :, :]), axis=1)
     C = zeros(ra, cb)
     for l in range(inner):
         col = A[:, l]
@@ -221,14 +231,18 @@ def congruence(F: Field, T: np.ndarray, G: np.ndarray) -> np.ndarray:
 
 
 def batch_congruence(F: Field, Ts: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """T^T G T for a stack Ts of shape (b, n, n); returns (b, n, n)."""
+    """T^T G T for a stack Ts of shape (b, n, n) and one Gram G, or a stack
+    of b Grams; returns (b, n, n)."""
     b, n, _ = Ts.shape
+    if b * n**3 <= ONE_SHOT_ENTRIES:
+        left = np.bitwise_xor.reduce(F.mul_arr(Ts[..., None], G[..., :, None, :]), axis=1)
+        return np.bitwise_xor.reduce(F.mul_arr(left[..., None], Ts[:, None]), axis=2)
     left = np.zeros((b, n, n), dtype=np.int64)  # Ts^T @ G
     for l in range(n):
-        row = G[l]
+        row = G[..., l, None, :]
         if not row.any():
             continue
-        left ^= F.mul_arr(Ts[:, l, :, None], row[None, None, :])
+        left ^= F.mul_arr(Ts[:, l, :, None], row)
     out = np.zeros((b, n, n), dtype=np.int64)
     for l in range(n):
         out ^= F.mul_arr(left[:, :, l, None], Ts[:, None, l, :])

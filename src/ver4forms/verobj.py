@@ -265,9 +265,6 @@ class Morphism:
     def inverse(self) -> "Morphism":
         return Morphism(self.target, self.source, inverse(self.field, self.matrix))
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return linalg.mat_vec(self.field, self.matrix, vec)
-
     def __repr__(self):
         return f"Morphism({self.source!r} -> {self.target!r})"
 

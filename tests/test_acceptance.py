@@ -15,7 +15,7 @@ from ver4forms.bform import BilinearForm, Subobject
 from ver4forms.classify import (
     CanonicalClass,
     canonical_rep,
-    canonicalize,
+    canonicalize_batch,
     classify,
     form_invariant,
 )
@@ -151,12 +151,13 @@ def test_criterion_6_classification_stability_and_canonicalize():
             for i in range(1000):
                 assert classify(BilinearForm(rep.obj, grams[i])) == cls
             T_std = rep.obj.t_action()
-            for i in range(0, 1000, 40):
-                beta = BilinearForm(rep.obj, grams[i])
-                transform, canon, _ = canonicalize(beta)
+            picked = grams[::40]
+            results = canonicalize_batch(rep.obj, picked)
+            assert len(results) == len(picked) == 25
+            for G, (transform, canon, _) in zip(picked, results):
                 assert np.array_equal(canon.gram, rep.gram)
                 assert np.array_equal(
-                    la.congruence(F8, transform.matrix, beta.gram), rep.gram
+                    la.congruence(F8, transform.matrix, G), rep.gram
                 )
                 assert np.array_equal(
                     la.mat_mul(F8, transform.matrix, T_std),

@@ -11,6 +11,7 @@ from ver4forms.classify import (
     CanonicalClass,
     canonical_rep,
     canonicalize,
+    canonicalize_batch,
     classify,
     classify_batch,
     form_invariant,
@@ -173,22 +174,21 @@ def test_classify_of_every_canonical_rep_roundtrips():
 
 
 def test_replace_pair_matches_target_scalars():
-    # bP(y) + bP(z), y != z, is congruent to bP(a) + bP(y+z+a) for any a
+    # bP(y) + bP(z), y != z, is congruent to bP(a) + bP(y+z+a) for any a:
+    # the pair is mixed on the w-coordinates E, and the w -> x block F
+    # clears the off-diagonal of E^T S E (G_wx = I on both sides)
+    obj = VerObject(F4, 0, 2)
     for y, z, a in itertools.product(F4.elements(), repeat=3):
         if y == z:
             continue
         beta = direct_sum(bp(y), bp(z))
-        G, T = beta.gram, beta.obj.t_action()
-        u1 = np.array([1, 0, 0, 0], dtype=np.int64)
-        u2 = np.array([0, 0, 1, 0], dtype=np.int64)
-        blocks = [(u1, y), (u2, z)]
-        _replace_pair(F4, G, T, blocks, 0, 1, a)
-        (v1, s1), (v2, s2) = blocks
-        assert (s1, s2) == (a, y ^ z ^ a)
-        cols = np.column_stack(
-            [v1, la.mat_vec(F4, T, v1), v2, la.mat_vec(F4, T, v2)]
-        )
-        got = la.congruence(F4, cols, G)
+        E, f = la.eye(2), [y, z]
+        _replace_pair(F4, E, f, 0, 1, a)
+        assert f == [a, y ^ z ^ a]
+        S = np.diag([y, z])
+        fm = la.mat_mul(F4, E, np.triu(la.congruence(F4, E, S), 1))
+        T = obj.equivariant_matrix(la.zeros(0, 0), la.zeros(2, 0), la.zeros(0, 2), E, fm)
+        got = la.congruence(F4, T, beta.gram)
         want = direct_sum(bp(a), bp(y ^ z ^ a)).gram
         assert np.array_equal(got, want)
 
@@ -390,3 +390,88 @@ def test_classify_batch_of_scrambles(case, seed):
         asymmetric[4][free[0]] ^= 1
         with pytest.raises(ValueError, match="symmetric"):
             classify_batch(obj, asymmetric)
+
+
+def _symmetric_invertible(Fk, rng, s, alternating):
+    """A random symmetric invertible s x s block: zero diagonal if
+    `alternating`, else a nonzero first diagonal entry."""
+    while True:
+        upper = np.triu(rng.integers(0, Fk.order, size=(s, s)), 1)
+        B = upper ^ upper.T
+        if not alternating:
+            B[np.diag_indices(s)] = rng.integers(0, Fk.order, size=s)
+            B[0, 0] = rng.integers(1, Fk.order)
+        if la.is_invertible(Fk, B):
+            return B
+
+
+def _family_gram(Fk, obj, family, rng):
+    """A random non-degenerate compatible Gram drawn from its free blocks
+    and steered into `family`: G_vv alternating or not (A/B against C-F),
+    G_wx alternating or not (A/C/D against B/E/F), and for C/D/E the
+    x-function diag(G_ww): zero (C), nonzero (D), c * diag(G_wx) (E)."""
+    m, n, q = obj.m, obj.n, Fk.order
+    vv = _symmetric_invertible(Fk, rng, m, family not in "AB")
+    wx = _symmetric_invertible(Fk, rng, n, family in "ACD")
+    upper = np.triu(rng.integers(0, q, size=(n, n)), 1)
+    ww = upper ^ upper.T
+    ww[np.diag_indices(n)] = rng.integers(0, q, size=n)
+    if family == "C":
+        ww[np.diag_indices(n)] = 0
+    elif family == "D":
+        ww[0, 0] = rng.integers(1, q)
+    elif family == "E":
+        ww[np.diag_indices(n)] = Fk.mul_arr(rng.integers(0, q), wx.diagonal())
+    return obj.gram_from_blocks(vv, rng.integers(0, q, size=(m, n)), ww, wx)
+
+
+def _families_for(m, n):
+    alt_v, alt_x = m % 2 == 0, n % 2 == 0
+    fams = [("A", m > 0 and alt_x), ("B", m > 0 and n > 0), ("C", alt_v and alt_x),
+            ("D", alt_v and alt_x and n >= 2), ("E", alt_v and n > 0), ("F", alt_v and n >= 2)]
+    return [f for f, ok in fams if ok]
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(2, 16), m=st.integers(0, 5), n=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+def test_canonicalize_random_block_grams(k, m, n, seed):
+    # one Gram per family the shape allows (all six when m, n >= 2 are
+    # even), drawn from random blocks rather than scrambled representatives
+    Fk, rng = make_field(k), np.random.default_rng(seed)
+    obj = VerObject(Fk, m, n)
+    T_std = obj.t_action()
+    families = _families_for(m, n)
+    grams = np.stack([_family_gram(Fk, obj, fam, rng) for fam in families])
+    results = [canonicalize(BilinearForm(obj, G)) for G in grams]
+    for fam, G, (transform, canon, cls) in zip(families, grams, results):
+        assert cls == classify(BilinearForm(obj, G))
+        assert cls.family == fam or (fam, cls.family) == ("F", "E")
+        assert np.array_equal(canon.gram, canonical_rep(cls, Fk).gram)
+        assert np.array_equal(la.congruence(Fk, transform.matrix, G), canon.gram)
+        M = transform.matrix
+        assert np.array_equal(la.mat_mul(Fk, M, T_std), la.mat_mul(Fk, T_std, M))
+        assert la.is_invertible(Fk, M)
+    batch = canonicalize_batch(obj, grams)
+    assert len(batch) == len(results)
+    for (t1, c1, k1), (t2, c2, k2) in zip(batch, results):
+        assert k1 == k2
+        assert np.array_equal(t1.matrix, t2.matrix)
+        assert np.array_equal(c1.gram, c2.gram)
+
+
+def test_canonicalize_batch_rejects_like_classify_batch():
+    rep = canonical_rep(CanonicalClass("F", 2, 3, 5), F8)
+    obj, G = rep.obj, rep.gram
+    assert canonicalize_batch(obj, G[None][:0]) == []
+    bad_rows = G.copy()
+    bad_rows[2:4] = 0
+    bad_rows[:, 2:4] = 0
+    for stack, message in [
+        (np.stack([G, bad_rows]), "non-degenerate"),
+        (G, "stack of matrices"),
+        (np.stack([G, G[:, ::-1]]), "compatibility"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            canonicalize_batch(obj, stack)
+        with pytest.raises(ValueError, match=message):
+            classify_batch(obj, stack)

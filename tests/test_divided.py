@@ -380,6 +380,30 @@ def test_odd_unit_multiplicity_never_nondegenerate():
             assert not beta_q(q).is_nondegenerate()
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(2, 16),
+    m=st.sampled_from([1, 3, 5]),
+    n=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+    sparse=st.booleans(),
+)
+def test_odd_unit_multiplicity_is_reported_degenerate(k, m, n, seed, sparse):
+    # beta_q's G_vv is alternating, so an odd one is singular: every odd-m
+    # form gets the degenerate error, and no other odd-m error is needed
+    F = make_field(k)
+    obj = VerObject(F, m, n)
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, F.order, size=sum(_family_sizes(m, n)))
+    if sparse:
+        values *= rng.random(values.size) < 0.3
+    q = QuadraticForm(obj, values)
+    vv = _beta_q_blocks(obj, q.values)[0]
+    assert not vv.diagonal().any() and not la.is_invertible(F, vv)
+    with pytest.raises(ValueError, match="degenerate"):
+        classify_quadratic(q)
+
+
 def test_quad_transform_preserves_class():
     rng = np.random.default_rng(77)
     gamma = canonical_rep(CanonicalClass("F", 0, 3, 5), make_field(3))
