@@ -36,7 +36,7 @@ class Subobject:
         if span.shape[0] != ambient.dim:
             raise ValueError("spanning matrix has wrong ambient dimension")
         F = ambient.field
-        stacked = np.concatenate([span, mat_mul(F, ambient.t_action(), span)], axis=1)
+        stacked = np.concatenate([span, ambient.t_times(span)], axis=1)
         pivots = row_reduce(F, stacked)[1]
         if pivots and pivots[-1] >= span.shape[1]:  # a t-image outside the span
             raise ValueError("column space is not t-stable")
@@ -100,8 +100,7 @@ class BilinearForm:
 
     def is_oscillating(self) -> bool:
         self._require_symmetric()
-        gt = mat_mul(self.field, self.gram, self.obj.t_action())
-        return not np.diagonal(gt).any()
+        return not np.diagonal(self.obj.times_t(self.gram)).any()
 
     def is_super_alternating(self) -> bool:
         self._require_symmetric()
@@ -182,8 +181,7 @@ def subobject_standard_basis(sub: Subobject) -> tuple[VerObject, np.ndarray]:
     Sb = sub.basis()
     if Sb.shape[1] == 0:
         return VerObject(F, 0, 0), Sb
-    T = sub.ambient.t_action()
-    t_sub = solve(F, Sb, mat_mul(F, T, Sb))
+    t_sub = solve(F, Sb, sub.ambient.t_times(Sb))
     sobj, phi = decompose(RawTModule(F, t_sub))
     B = mat_mul(F, Sb, linalg.inverse(F, phi.matrix))
     return sobj, B

@@ -9,14 +9,16 @@ number whose digits are those entries (upper triangles in row order), i.e.
 its row in itertools.product(range(q), repeat=free_entry_count); candidates
 are walked in key order, and non-degeneracy is the full d x d rank.
 
-`orbit_classes` computes the congruence orbits under the full group of
-invertible equivariant maps by applying the whole group to each canonical
-representative, then checks that the orbits are disjoint, cover the
-enumerated set, and are constant under `classify`.  Sets of Grams are
-boolean masks or sorted arrays of keys.  The candidate count, and the
-entry count of the largest array the group sweep builds, are each bounded
-by 2^BUDGET_BITS, checked from their formulas before anything is
-allocated.
+`orbit_classes` computes the congruence orbits of the group G of invertible
+equivariant maps, then checks that they are disjoint, cover the enumerated
+set, and are constant under `classify`.  G = U L uniquely, with U the
+unipotent part (A = E = I) and L the Levi part (C = D = F = 0) in
+`VerObject.equivariant_matrix` blocks: l = diag(A, E, E) from g's diagonal
+blocks leaves u = g l^-1 equivariant with diagonal blocks I, and U meets L
+only in I.  As (u l)^T R (u l) = l^T (u^T R u) l, an orbit is swept as U on
+R, then L on each distinct U-image, each deduplicated by key.  Sets of Grams
+are boolean masks or sorted arrays of keys.  The candidate count and the
+largest sweep array's entry count are bounded by 2^BUDGET_BITS up front.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ def _check_enumeration_budget(m: int, n: int, F: Field):
 def _check_group_budget(m: int, n: int, F: Field):
     """Refuse, from the formulas, a group sweep whose largest array has over
     2^BUDGET_BITS entries: the GL_m and GL_n candidates (q^(s^2) of s x s)
-    or the group, |GL_m| |GL_n| q^(2mn + n^2) d x d matrices like its
-    congruence images (the C, D, F block sets are smaller)."""
+    or the group, |GL_m| |GL_n| q^(2mn + n^2) d x d matrices, as many as the
+    census's stage-2 stacks at most (U, L, C, D, F sets are all smaller)."""
     q, d = F.order, m + 2 * n
     gl = lambda s: math.prod(q**s - q**i for i in range(s))
     group = gl(m) * gl(n) * q ** (2 * m * n + n * n)
@@ -143,15 +145,16 @@ def equivariant_group(m: int, n: int, F: Field):
     yield from _group(m, n, F)
 
 
-def _group(m: int, n: int, F: Field) -> np.ndarray:
+def _group(m: int, n: int, F: Field, levi: bool = True, unipotent: bool = True) -> np.ndarray:
     """The equivariant group as one (|G|, d, d) array, ordered by
     (A, E, C, D, F) in `VerObject.equivariant_matrix` terms with the last
-    block varying fastest.  Refuses, before building anything, an array
-    over the budget."""
+    block varying fastest, or its part U (no `levi`: A = E = I) or L (no
+    `unipotent`: C = D = F = 0).  Refuses an array over the budget first."""
     _check_group_budget(m, n, F)
     obj = VerObject(F, m, n)
-    q = F.order
-    sets = [_gl(F, m), _gl(F, n)] + [_all_matrices(q, r, c) for r, c in ((n, m), (m, n), (n, n))]
+    sets = [_gl(F, s) if levi else np.eye(s, dtype=np.int64)[None] for s in (m, n)]
+    q = F.order if unipotent else 1  # over {0}, 0 is the only matrix
+    sets += [_all_matrices(q, r, c) for r, c in ((n, m), (m, n), (n, n))]
     # set i goes on batch axis i of five, so broadcasting forms every tuple
     A, E, C, D, Fm = (
         s.reshape((1,) * i + (len(s),) + (1,) * (4 - i) + s.shape[1:]) for i, s in enumerate(sets)
@@ -222,37 +225,46 @@ class OrbitReport:
         return "\n".join(lines)
 
 
-def orbit_classes(m: int, n: int, F: Field) -> OrbitReport:
-    """Compute orbits by sweeping the group over canonical representatives.
+def _orbit(obj: VerObject, cls: CanonicalClass, unipotent, levi, enumerated):
+    """(sorted keys, one Gram per key) of the orbit of `cls`'s representative.
+    Images are checked symmetric and compatible, so keyed exactly, and `enumerated`."""
+    grams = canonical_rep(cls, obj.field).gram[None]
+    for Ts in (unipotent, levi):
+        pairs = np.tile(Ts, (len(grams), 1, 1)), np.repeat(grams, len(Ts), axis=0)
+        images = batch_congruence(obj.field, *pairs)
+        symmetric = np.array_equal(images, np.swapaxes(images, 1, 2))
+        keys, first = np.unique(_keys_of_grams(obj, images), return_index=True)
+        if not (symmetric and obj.is_compatible(images) and enumerated[keys].all()):
+            raise AssertionError(f"orbit of {cls} leaves the enumerated set")
+        grams = images[first]
+    return keys, grams
 
-    Verifies that orbits are pairwise disjoint, cover the enumerated form
-    set, and that `classify` is constant on each orbit with the predicted
-    label.  Refuses, before any work, a candidate set or a group-sweep
-    array over 2^BUDGET_BITS.
-    """
+
+def orbit_classes(m: int, n: int, F: Field) -> OrbitReport:
+    """Compute orbits by sweeping U, then L on the distinct U-images, over
+    canonical representatives (G = U L: see the module docstring).
+
+    Verifies that every image is a symmetric compatible enumerated Gram, that
+    orbits are disjoint and cover the enumerated form set, and that `classify`
+    is constant on each orbit with the predicted label.  Refuses, before any
+    work, an array over 2^BUDGET_BITS."""
     _check_enumeration_budget(m, n, F)
-    group = _group(m, n, F)
     obj = VerObject(F, m, n)
+    unipotent, levi = _group(m, n, F, levi=False), _group(m, n, F, unipotent=False)
     enumerated = np.zeros(F.order ** free_entry_count(m, n), dtype=bool)
     for keys, _, ok in _candidates(obj):
         enumerated[keys] = ok
-    report = OrbitReport(m, n, F.k, int(enumerated.sum()), group.shape[0])
+    report = OrbitReport(m, n, F.k, int(enumerated.sum()), len(unipotent) * len(levi))
     covered = np.zeros_like(enumerated)
     for cls in class_inventory(m, n, F):
-        rep = canonical_rep(cls, F)
-        images = batch_congruence(F, group, rep.gram)
-        # a symmetric compatible image is exactly the Gram its key names
-        symmetric = np.array_equal(images, np.swapaxes(images, 1, 2))
-        orbit = np.unique(_keys_of_grams(obj, images))
-        if not (symmetric and obj.is_compatible(images) and enumerated[orbit].all()):
-            raise AssertionError(f"orbit of {cls} leaves the enumerated set")
+        orbit, members = _orbit(obj, cls, unipotent, levi, enumerated)
         if covered[orbit].any():
             raise AssertionError(f"orbit of {cls} meets a previous orbit")
-        for got in classify_batch(obj, _grams_of_keys(obj, orbit)):
+        for got in classify_batch(obj, members):
             if got != cls:
                 raise AssertionError(f"orbit member of {cls} classified as {got}")
         covered[orbit] = True
-        report.orbits.append((cls.label(), len(orbit), rep.gram))
+        report.orbits.append((cls.label(), len(orbit), canonical_rep(cls, F).gram))
     if not np.array_equal(covered, enumerated):
         raise AssertionError("orbits do not cover the enumerated form set")
     return report

@@ -102,21 +102,27 @@ class VerObject:
         return self.m + 2 * k + 1
 
     def t_action(self) -> np.ndarray:
-        _, w, x = self.slots
-        T = zeros(self.dim, self.dim)
-        T[x, w] = eye(self.n)
-        return T
+        return self.t_times(eye(self.dim))
+
+    def t_times(self, M: np.ndarray) -> np.ndarray:
+        """T M by a slot move: row x_k of T M is row w_k of M, the rest zero."""
+        out = np.zeros_like(M)
+        out[..., self.slots[2], :] = M[..., self.slots[1], :]
+        return out
+
+    def times_t(self, M: np.ndarray) -> np.ndarray:
+        """M T by a slot move: column w_k of M T is column x_k of M, the rest zero."""
+        out = np.zeros_like(M)
+        out[..., :, self.slots[1]] = M[..., :, self.slots[2]]
+        return out
 
     def is_compatible(self, G: np.ndarray) -> bool:
-        """The law T^T G = G T, with both sides built by moving x-rows and
-        x-columns of G onto the w-slots (T sends w_k to x_k).  With batch
-        axes: whether every Gram of the stack obeys it."""
+        """The law T^T G = G T by slot moves: T^T G moves the x-rows of G onto
+        the w-slots.  With batch axes: whether every Gram of the stack obeys it."""
         _, w, x = self.slots
         tg = np.zeros_like(G)
         tg[..., w, :] = G[..., x, :]
-        gt = np.zeros_like(G)
-        gt[..., :, w] = G[..., :, x]
-        return bool(np.array_equal(tg, gt))
+        return bool(np.array_equal(tg, self.times_t(G)))
 
     def as_grams(self, data, stacked: bool = False) -> np.ndarray:
         """Validate and copy `data` into a Gram on this object, or with
@@ -204,6 +210,12 @@ class RawTModule:
     def t_action(self) -> np.ndarray:
         return self.t
 
+    def t_times(self, M: np.ndarray) -> np.ndarray:
+        return mat_mul(self.field, self.t, M)
+
+    def times_t(self, M: np.ndarray) -> np.ndarray:
+        return mat_mul(self.field, M, self.t)
+
     def to_json(self) -> dict:
         return {"dim": self.dim, "t": self.t.tolist()}
 
@@ -240,10 +252,7 @@ class Morphism:
             raise ValueError(
                 f"matrix shape {matrix.shape} does not map dim {source.dim} to dim {target.dim}"
             )
-        F = source.field
-        lhs = mat_mul(F, target.t_action(), matrix)
-        rhs = mat_mul(F, matrix, source.t_action())
-        if not np.array_equal(lhs, rhs):
+        if not np.array_equal(target.t_times(matrix), source.times_t(matrix)):
             raise ValueError("matrix does not commute with the t-actions")
         self.source = source
         self.target = target

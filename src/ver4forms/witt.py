@@ -60,11 +60,7 @@ def tensor_product(b1: BilinearForm, b2: BilinearForm) -> BilinearForm:
     tobj, phi = tensor(U, R)
     if tobj.dim == 0:
         return BilinearForm(tobj, zeros(0, 0))
-    K = kron(F, b1.gram, b2.gram) ^ kron(
-        F,
-        mat_mul(F, b1.gram, U.t_action()),
-        mat_mul(F, b2.gram, R.t_action()),
-    )
+    K = kron(F, b1.gram, b2.gram) ^ kron(F, U.times_t(b1.gram), R.times_t(b2.gram))
     B = linalg.inverse(F, phi.matrix)
     return BilinearForm(tobj, congruence(F, B, K))
 

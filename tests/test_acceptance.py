@@ -31,7 +31,7 @@ from ver4forms.divided import (
     quad_transform,
 )
 from ver4forms.field import make_field
-from ver4forms.oracle import orbit_classes
+from ver4forms.oracle import class_inventory, orbit_classes
 from ver4forms.verobj import (
     VerObject,
     braiding,
@@ -129,13 +129,22 @@ def test_criterion_4_invariant_basis_independence():
 
 
 def test_criterion_5_oracle_concordance():
-    with criterion(5, "orbit censuses over GF(4) match the predicted inventories"):
+    with criterion(5, "orbit censuses over GF(4), GF(8), GF(16) match the predicted inventories"):
         expected = {(0, 1): 4, (1, 1): 1, (0, 2): 9, (2, 0): 2}
         for (m, n), count in expected.items():
             report = orbit_classes(m, n, F4)
             assert report.orbit_count == count, (m, n)
             labels = [label for label, _, _ in report.orbits]
             assert len(set(labels)) == count
+            assert report.total_forms == sum(size for _, size, _ in report.orbits)
+        more = [(F4, (2, 1), 5), (F4, (3, 0), 1)]
+        for F in (F8, F16):
+            more += [(F, (0, 1), F.order), (F, (1, 1), 1), (F, (2, 0), 2)]
+        for F, (m, n), count in more:
+            report = orbit_classes(m, n, F)
+            labels = [label for label, _, _ in report.orbits]
+            assert labels == [c.label() for c in class_inventory(m, n, F)], (F.k, m, n)
+            assert report.orbit_count == len(class_inventory(m, n, F)) == count, (F.k, m, n)
             assert report.total_forms == sum(size for _, size, _ in report.orbits)
 
 

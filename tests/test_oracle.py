@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from ver4forms import linalg as la
+from ver4forms.classify import canonical_rep
 from ver4forms.field import make_field
 from ver4forms.oracle import (
+    _group,
+    _keys_of_grams,
+    _orbit,
     class_inventory,
     enumerate_forms,
     equivariant_group,
@@ -81,6 +85,33 @@ def test_group_sweep_refused_by_entry_count(m, n, k):
 def test_group_sweep_budget_keeps_largest_census_shape():
     # (2,1) over GF(4): 552,960 elements as 4 x 4 matrices, ~8.8M entries
     assert sum(1 for _ in equivariant_group(2, 1, F4)) == 552_960
+
+
+@pytest.mark.parametrize(
+    "k,m,n",
+    [(2, 0, 0), (2, 1, 0), (2, 0, 1), (2, 1, 1), (2, 2, 0), (2, 0, 2), (3, 0, 1), (3, 1, 1)],
+)
+def test_group_is_unipotent_times_levi(k, m, n):
+    F = make_field(k)
+    unipotent, levi = _group(m, n, F, levi=False), _group(m, n, F, unipotent=False)
+    products = sorted(la.mat_mul(F, u, l).tobytes() for u in unipotent for l in levi)
+    group = sorted(g.tobytes() for g in equivariant_group(m, n, F))
+    assert products == group
+    assert len(set(group)) == len(group)  # so each element is one product
+
+
+@pytest.mark.parametrize("m, n", [(0, 1), (1, 1), (0, 2), (2, 0)])
+def test_orbits_match_whole_group_sweep(m, n):
+    # reference: every element of the group applied to each representative
+    obj = VerObject(F4, m, n)
+    group = np.stack(list(equivariant_group(m, n, F4)))
+    unipotent, levi = _group(m, n, F4, levi=False), _group(m, n, F4, unipotent=False)
+    everything = np.ones(F4.order ** free_entry_count(m, n), dtype=bool)
+    for cls in class_inventory(m, n, F4):
+        images = la.batch_congruence(F4, group, canonical_rep(cls, F4).gram)
+        keys, members = _orbit(obj, cls, unipotent, levi, everything)
+        assert np.array_equal(keys, np.unique(_keys_of_grams(obj, images)))
+        assert np.array_equal(_keys_of_grams(obj, members), keys)
 
 
 def test_class_inventory_counts():

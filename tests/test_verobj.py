@@ -289,6 +289,46 @@ def test_compatibility_check_matches_t_action_law():
             assert obj.is_compatible(G) == law
 
 
+def _equivariant_between(source, target, rng):
+    """A random M with T_target M = M T_source: v's into ker T_target, w's
+    anywhere, and x_k to T_target of w_k's image."""
+    q = source.field.order
+    M = rng.integers(0, q, size=(target.dim, source.dim))
+    M[target.ws[:, None], source.vs] = 0
+    M[:, source.xs] = 0
+    M[target.xs[:, None], source.xs] = M[target.ws[:, None], source.ws]
+    return M
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(2, 16),
+    shapes=st.tuples(*[st.integers(0, 4)] * 4),
+    raw=st.tuples(st.booleans(), st.booleans()),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_morphism_accepts_exactly_the_t_action_law(k, shapes, raw, seed):
+    Fk, rng = make_field(k), np.random.default_rng(seed)
+    source, target = VerObject(Fk, *shapes[:2]), VerObject(Fk, *shapes[2:])
+    Ts, Tt = (la.zeros(o.dim, o.dim) for o in (source, target))
+    Ts[source.xs, source.ws] = Tt[target.xs, target.ws] = 1  # t.w_k = x_k, literally
+    # each side as a standard object or as a raw module with the same action
+    src, tgt = (RawTModule(Fk, T) if r else o for o, r, T in zip((source, target), raw, (Ts, Tt)))
+    equivariant = _equivariant_between(source, target, rng)
+    flipped = equivariant.copy()
+    if flipped.size:
+        flipped[rng.integers(target.dim), rng.integers(source.dim)] ^= rng.integers(1, Fk.order)
+    sparse = rng.random((target.dim, source.dim)) < 0.3
+    for M in (equivariant, flipped, rng.integers(0, Fk.order, size=sparse.shape) * sparse):
+        law = np.array_equal(la.mat_mul(Fk, Tt, M), la.mat_mul(Fk, M, Ts))
+        if law:
+            assert np.array_equal(Morphism(src, tgt, M).matrix, M)
+        else:
+            with pytest.raises(ValueError, match="does not commute with the t-actions"):
+                Morphism(src, tgt, M)
+    assert np.array_equal(la.mat_mul(Fk, Tt, equivariant), la.mat_mul(Fk, equivariant, Ts))
+
+
 def test_as_grams_checks_matrices_and_stacks():
     obj = VerObject(F, 1, 1)
     G = obj.gram_from_blocks([[1]], [[0]], [[0]], [[1]])
