@@ -26,7 +26,7 @@ from .classify import (
     form_invariant,
     good_pairs,
 )
-from .divided import QuadraticForm, classify_quadratic, gamma2, gamma2_dim_formula
+from .divided import GAMMA2_BASIS_MAX_DIM, QuadraticForm, classify_quadratic, gamma2, gamma2_dim_formula
 from .field import make_field
 from .linalg import congruence, eye, mat_mul
 from .verobj import (
@@ -140,16 +140,9 @@ def _cmd_quad_classify(args) -> int:
     return 0
 
 
-# gamma2-basis builds and verifies the basis at a cost growing as ~dim^6
-# (dim 24 takes seconds, 32 over half a minute), so larger objects are refused
-GAMMA2_BASIS_MAX_DIM = 24
-
-
 def _cmd_gamma2_basis(args) -> int:
     F = make_field(args.k)
     obj = VerObject(F, args.m, args.n)
-    if obj.dim > GAMMA2_BASIS_MAX_DIM:
-        raise ValueError(f"gamma2-basis is capped at dim m + 2n <= {GAMMA2_BASIS_MAX_DIM}, got {obj.dim}")
     basis = gamma2(obj)
     lines = []
     for line in basis.lines:

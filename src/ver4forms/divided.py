@@ -30,6 +30,16 @@ line values themselves:
 
 while family 1 (the Frobenius twist) does not enter.  `_beta_q_blocks` and
 its inverse `_line_values` own this map.
+
+On u in ker t = span(v, x) the v (x) x and x (x) x terms of u (x) u are
+t-images, so `_kernel_squares` reads q(u (x) u) off the same data:
+
+  sum_a u_{v_a}^2 q_1(a) + sum_k u_{x_k}^2 G_ww[k,k] + u_v^T triu(G_vv, 1) u_v.
+
+`_pullback` (`quad_transform`, `quad_restrict`) and `quad_product` take
+family 1 from it, so no quadratic operation builds the Gamma^2 basis:
+`gamma2` serves `QuadraticForm.evaluate`, the independent reference path,
+and the Frobenius-twist checks.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ import numpy as np
 
 from .bform import BilinearForm, Subobject, subobject_standard_basis
 from .field import Field, make_field
-from .linalg import batch_invert, block_diag, dot, eye, kron, mat_mul, mat_vec, rank, readonly, solve, zeros
+from .linalg import batch_invert, block_diag, congruence, eye, mat_mul, rank, readonly, solve, zeros
 from .verobj import Morphism, VerObject, braiding, json_ints, tensor
 
 
@@ -85,24 +95,24 @@ class Gamma2Basis:
     def basis_matrix(self) -> np.ndarray:
         return self._basis
 
-    def extend_values(self, values: np.ndarray) -> np.ndarray:
-        """Spread per-line values over the full basis (zero on t-images)."""
-        full = np.zeros(self.dim, dtype=np.int64)
-        full[self._top_positions] = values
-        return full
 
-
-def _pair_vec(obj: VerObject, a: int, b: int) -> np.ndarray:
-    v = np.zeros(obj.dim * obj.dim, dtype=np.int64)
-    v[a * obj.dim + b] = 1
-    return v
+# verifying the basis against the d^2 x d^2 braiding costs ~dim^6 (seconds at
+# dim 24, over half a minute at 32), so gamma2 refuses larger objects up front
+GAMMA2_BASIS_MAX_DIM = 24
 
 
 @lru_cache(maxsize=None)
 def gamma2(obj: VerObject) -> Gamma2Basis:
     """Generator list for Gamma^2(U) in the fixed family order."""
+    if obj.dim > GAMMA2_BASIS_MAX_DIM:
+        raise ValueError(f"gamma2-basis is capped at dim m + 2n <= {GAMMA2_BASIS_MAX_DIM}, got {obj.dim}")
     m, n, vs, ws, xs = obj.m, obj.n, obj.vs, obj.ws, obj.xs
-    pv = lambda a, b: _pair_vec(obj, a, b)
+
+    def pv(a: int, b: int) -> np.ndarray:
+        v = np.zeros(obj.dim**2, dtype=np.int64)
+        v[a * obj.dim + b] = 1
+        return v
+
     lines: list[Line] = []
     for i in range(m):
         lines.append(Line(1, (i,), pv(vs[i], vs[i]), None))
@@ -241,20 +251,14 @@ class QuadraticForm:
     def field(self) -> Field:
         return self.obj.field
 
-    def basis(self) -> Gamma2Basis:
-        return gamma2(self.obj)
-
     def evaluate(self, vecs: np.ndarray) -> np.ndarray:
-        """Evaluate on columns of `vecs`, which must lie in Gamma^2(U)."""
-        basis = self.basis()
+        """Evaluate on columns of `vecs`, which must lie in Gamma^2(U), by
+        a solve against the Gamma^2 basis (the reference path)."""
+        basis = gamma2(self.obj)
         vecs = np.asarray(vecs, dtype=np.int64)
-        vec_in = vecs.ndim == 1
-        if vec_in:
-            vecs = vecs[:, None]
-        coords = solve(self.field, basis.basis_matrix(), vecs)
-        full = basis.extend_values(self.values)
-        out = mat_mul(self.field, full[None, :], coords)[0]
-        return int(out[0]) if vec_in else out
+        coords = solve(self.field, basis.basis_matrix(), vecs[:, None] if vecs.ndim == 1 else vecs)
+        out = mat_mul(self.field, self.values[None, :], coords[basis._top_positions])[0]  # 0 on t-images
+        return int(out[0]) if vecs.ndim == 1 else out
 
     def to_json(self) -> dict:
         return {
@@ -291,14 +295,23 @@ def quad_restrict(q: QuadraticForm, sub: Subobject) -> QuadraticForm:
     return _pullback(q, *subobject_standard_basis(sub))
 
 
+def _kernel_squares(q: QuadraticForm, U: np.ndarray) -> np.ndarray:
+    """q(u (x) u) for each column u of U, which must lie in ker t, by the
+    module docstring's formula."""
+    F, obj = q.field, q.obj
+    vv, _, ww, _ = _beta_q_blocks(obj, q.values)
+    uv, ker = U[obj.vs], U[np.concatenate([obj.vs, obj.xs])]
+    weights = np.concatenate([q.values[: obj.m], np.diagonal(ww)])
+    cross = np.bitwise_xor.reduce(F.mul_arr(uv, mat_mul(F, np.triu(vv, 1), uv)), axis=0)
+    return mat_mul(F, weights[None, :], F.mul_arr(ker, ker))[0] ^ cross
+
+
 def _pullback(q: QuadraticForm, obj: VerObject, M: np.ndarray) -> QuadraticForm:
-    """The form on obj whose line values are q on its line tops pushed
-    forward by M (x) M, for M: obj -> q.obj."""
-    lines = gamma2(obj).lines
-    if not lines:
-        return QuadraticForm(obj, [])
-    tops = np.column_stack([line.top for line in lines])
-    return QuadraticForm(obj, q.evaluate(mat_mul(q.field, kron(q.field, M, M), tops)))
+    """q o Gamma^2(M) on obj for an equivariant M: obj -> q.obj; families
+    2..7 from its beta M^T beta_q M, family 1 from q on the M v_i."""
+    values = _line_values(obj, obj.gram_blocks(congruence(q.field, M, beta_q(q).gram)))
+    values[: obj.m] = _kernel_squares(q, M[:, obj.vs])
+    return QuadraticForm(obj, values)
 
 
 def quad_sum(q: QuadraticForm, r: QuadraticForm) -> QuadraticForm:
@@ -339,26 +352,17 @@ def quad_product(gamma: BilinearForm, q: QuadraticForm) -> QuadraticForm:
 
     prod = tensor_product(gamma, beta_q(q))
     tobj, phi = tensor(V, W)
-    blocks = tobj.gram_blocks(prod.gram)
-    values = _line_values(tobj, blocks)
+    values = _line_values(tobj, tobj.gram_blocks(prod.gram))
     if tobj.m:
-        vv, _, ww, _ = blocks
-        upper = np.triu(vv, 1)
-        rows = []
-        rhs = []
-        for i in range(V.m):
-            for j in range(W.m):
-                s = phi.matrix[:, V.v_slot(i) * W.dim + W.v_slot(j)]
-                if s[tobj.ws].any():  # pragma: no cover
-                    raise AssertionError("pure kernel tensor left ker t")
-                cof, x = s[tobj.vs], s[tobj.xs]
-                # s (x) s meets family 1 (unknown), 4 and 2; the known two go
-                # to the side of gamma(v_i, v_i) q(v_j (x) v_j) (family 1 first)
-                acc = F.mul(int(gamma.gram[V.v_slot(i), V.v_slot(i)]), int(q.values[j]))
-                acc ^= dot(F, F.mul_arr(x, x), np.diagonal(ww)) ^ dot(F, cof, mat_vec(F, upper, cof))
-                rows.append(F.mul_arr(cof, cof))
-                rhs.append(acc)
-        values[: tobj.m] = solve(F, np.stack(rows), np.array(rhs, dtype=np.int64))
+        # s = phi(v_i (x) v_j) (i outer) lies in ker t; gamma(v_i, v_i) q(v_j (x) v_j)
+        # = q'(s (x) s) is family 1 weighted by s_v^2 plus the known rest
+        S = phi.matrix[:, np.add.outer(V.vs * W.dim, W.vs).reshape(-1)]
+        if S[tobj.ws].any():  # pragma: no cover
+            raise AssertionError("pure kernel tensor left ker t")
+        gamma_vv = np.diagonal(gamma.gram)[V.vs]
+        rhs = F.mul_arr(np.repeat(gamma_vv, W.m), np.tile(q.values[: W.m], V.m))
+        rhs ^= _kernel_squares(QuadraticForm(tobj, values), S)
+        values[: tobj.m] = solve(F, F.mul_arr(S[tobj.vs], S[tobj.vs]).T, rhs)
     return QuadraticForm(tobj, values)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ver4forms import linalg as la
-from ver4forms.bform import BilinearForm, Subobject, standard_subobject
+from ver4forms.bform import BilinearForm, Subobject, standard_subobject, subobject_standard_basis
 from ver4forms.classify import CanonicalClass, canonical_rep, classify
 from ver4forms.divided import (
     QuadraticForm,
@@ -71,6 +71,16 @@ def _classify_quadratic_reference(q: QuadraticForm):
     return obj.m // 2, classify(bq.restrict(comp))
 
 
+def _pullback_via_gamma2(q: QuadraticForm, obj: VerObject, M: np.ndarray) -> list[int]:
+    """The line values of q o Gamma^2(M) on obj through the Gamma^2 basis:
+    q evaluated on obj's line tops pushed forward by M (x) M."""
+    lines = gamma2(obj).lines
+    if not lines:
+        return []
+    tops = np.column_stack([line.top for line in lines])
+    return q.evaluate(la.mat_mul(q.field, la.kron(q.field, M, M), tops)).tolist()
+
+
 def _outcome(f, q):
     try:
         return f(q)
@@ -98,6 +108,11 @@ def test_gamma2_mixed():
     basis = gamma2(VerObject(F4, 1, 1))
     assert basis.dim == 5
     assert basis.num_lines == 4  # families 1, 3, 4, 5
+
+
+def test_gamma2_refuses_objects_over_the_cap():
+    with pytest.raises(ValueError, match=r"^gamma2-basis is capped at dim m \+ 2n <= 24, got 25$"):
+        gamma2(VerObject(F4, 1, 12))
 
 
 def test_gamma2_dim_matches_kernel_nullity():
@@ -241,6 +256,51 @@ def test_quad_restrict_commutes_with_beta_q():
         lhs = beta_q(restricted)
         rhs = beta_q(q).restrict(sub)
         assert np.array_equal(lhs.gram, rhs.gram)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=quadratic_forms(), seed=st.integers(0, 2**32 - 1))
+def test_pullbacks_match_the_gamma2_reference(q, seed):
+    # the closed-form pullback equals q evaluated through the Gamma^2 basis,
+    # on automorphisms and on restrictions to scrambled standard subobjects
+    obj, F = q.obj, q.field
+    rng = np.random.default_rng(seed)
+    phi = random_equivariant_automorphism(obj, rng)
+    assert quad_transform(q, phi).values.tolist() == _pullback_via_gamma2(q, obj, phi.matrix)
+    units = [i for i in range(obj.m) if rng.integers(2)]
+    pairs = [k for k in range(obj.n) if rng.integers(2)]
+    psi = random_equivariant_automorphism(obj, rng)
+    sub = Subobject(obj, la.mat_mul(F, psi.matrix, standard_subobject(obj, units, pairs).basis()))
+    sobj, B = subobject_standard_basis(sub)
+    restricted = quad_restrict(q, sub)
+    assert restricted.obj == sobj
+    assert restricted.values.tolist() == _pullback_via_gamma2(q, sobj, B)
+
+
+def test_quadratic_operations_build_no_gamma2_basis():
+    # gamma2 refuses dim > 24, so any use of the basis on these objects of
+    # dim 26 and 28 raises, and its cache stays empty
+    gamma2.cache_clear()
+    F = make_field(3)
+    rng = np.random.default_rng(29)
+    q = quad_from_parts(F, 2, canonical_rep(CanonicalClass("F", 0, 12, 5), F))
+    assert q.obj.dim == 28
+    base = classify_quadratic(q)
+    assert base == (2, CanonicalClass("F", 0, 12, 5))
+    phi = random_equivariant_automorphism(q.obj, rng)
+    moved = quad_transform(q, phi)
+    assert np.array_equal(beta_q(moved).gram, la.congruence(F, phi.matrix, beta_q(q).gram))
+    assert classify_quadratic(moved) == base
+    # back along phi^-1, one hyperbolic plane and the nP part of q
+    keep = standard_subobject(q.obj, [0, 1], range(12)).basis()
+    sub = Subobject(q.obj, la.mat_mul(F, phi.inverse().matrix, keep))
+    restricted = quad_restrict(moved, sub)
+    assert restricted.obj.dim == 26
+    assert classify_quadratic(restricted) == (1, CanonicalClass("F", 0, 12, 5))
+    one = BilinearForm(VerObject(F, 1, 0), la.eye(1))
+    assert classify_quadratic(quad_product(one, moved)) == base
+    assert classify_quadratic(quad_sum(restricted, hyperbolic_quadratic(F, 1))) == base
+    assert gamma2.cache_info().currsize == 0
 
 
 def test_quad_sum_with_empty_is_identity():
