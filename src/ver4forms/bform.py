@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg
 from .field import Field, make_field
 from .linalg import eye, mat_mul, null_space, rank, row_reduce, solve
-from .verobj import RawTModule, VerObject, decompose, json_ints
+from .verobj import RawTModule, VerObject, json_ints, standard_basis
 
 
 class Subobject:
@@ -124,16 +124,10 @@ class BilinearForm:
         return Subobject(self.obj, null_space(self.field, rows))
 
     def restrict(self, sub: Subobject) -> "BilinearForm":
-        return self.restrict_with_basis(sub)[0]
-
-    def restrict_with_basis(self, sub: Subobject) -> tuple["BilinearForm", np.ndarray]:
-        """Re-express the form on a standard basis of the subobject.
-
-        Returns (form, B) where the columns of B are the chosen standard
-        basis of the subobject in ambient coordinates.
-        """
+        """Re-express the form on the standard basis of the subobject
+        (`subobject_standard_basis`)."""
         sobj, B = subobject_standard_basis(sub)
-        return BilinearForm(sobj, linalg.congruence(self.field, B, self.gram)), B
+        return BilinearForm(sobj, linalg.congruence(self.field, B, self.gram))
 
     def split(self, sub: Subobject) -> tuple["BilinearForm", "BilinearForm"]:
         """Restrictions to S and S-perp; requires beta|_S non-degenerate."""
@@ -182,9 +176,8 @@ def subobject_standard_basis(sub: Subobject) -> tuple[VerObject, np.ndarray]:
     if Sb.shape[1] == 0:
         return VerObject(F, 0, 0), Sb
     t_sub = solve(F, Sb, sub.ambient.t_times(Sb))
-    sobj, phi = decompose(RawTModule(F, t_sub))
-    B = mat_mul(F, Sb, linalg.inverse(F, phi.matrix))
-    return sobj, B
+    sobj, B = standard_basis(RawTModule(F, t_sub))
+    return sobj, mat_mul(F, Sb, B)
 
 
 def standard_subobject(obj: VerObject, v_indices, pair_indices) -> Subobject:

@@ -48,9 +48,9 @@ class Field:
     """Arithmetic context for GF(2^k), with scalar and numpy-array operations.
 
     Scalar operations take and return plain int encodings.  Array operations
-    (`add_arr`, `mul_arr`, `inv_arr`) accept numpy int arrays of encodings and
+    (`mul_arr`, `inv_arr`) accept numpy int arrays of encodings and
     broadcast; they are the building blocks of the exact linear algebra
-    layer.
+    layer (addition is XOR).
     """
 
     __slots__ = ("k", "order", "modulus", "_gorder", "_exp", "_log", "_sqrt", "_logz", "_expz")
@@ -143,9 +143,6 @@ class Field:
         return range(self.order)
 
     # -- vectorised operations ---------------------------------------------
-
-    def add_arr(self, a, b) -> np.ndarray:
-        return np.bitwise_xor(a, b)
 
     def mul_arr(self, a, b) -> np.ndarray:
         a = np.asarray(a, dtype=np.int64)

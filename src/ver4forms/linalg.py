@@ -92,11 +92,12 @@ def dot(F: Field, u: np.ndarray, v: np.ndarray) -> int:
 
 
 def kron(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kronecker product with field multiplication of entries."""
-    ra, ca = A.shape
-    rb, cb = B.shape
-    out = F.mul_arr(A[:, None, :, None], B[None, :, None, :])
-    return out.reshape(ra * rb, ca * cb)
+    """Kronecker product with field multiplication of entries; leading batch
+    axes of A and B broadcast."""
+    ra, ca = A.shape[-2:]
+    rb, cb = B.shape[-2:]
+    out = F.mul_arr(A[..., :, None, :, None], B[..., None, :, None, :])
+    return out.reshape(out.shape[:-4] + (ra * rb, ca * cb))
 
 
 def row_reduce(F: Field, M: np.ndarray, n_pivot_cols: int | None = None):
@@ -228,6 +229,38 @@ def solve(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def congruence(F: Field, T: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Gram transform T^T G T."""
     return mat_mul(F, mat_mul(F, T.T, G), T)
+
+
+def column_support(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B by its column support: read-only (rows, coefs), both (s, cols) with
+    s the most non-zeros in a column, such that column j of B is
+    sum_a coefs[a, j] e_rows[a, j].  Shorter columns are padded with
+    coefficient 0."""
+    nz = B != 0
+    s = int(nz.sum(axis=0).max(initial=0))
+    rows = np.argsort(~nz, axis=0, kind="stable")[:s].copy()
+    return readonly(rows), readonly(np.take_along_axis(B, rows, axis=0))
+
+
+def support_congruence(F: Field, support, K: np.ndarray) -> np.ndarray:
+    """B^T K B for a (..., r, r) stack K, with B given by its
+    `column_support`: K B is s column gathers of K and B^T (K B) is s row
+    gathers of that, each weighted by its coefficients, so a member costs
+    O(s r c) entries rather than a product's O(r^2 c)."""
+    rows, coefs = support
+
+    def gather(M, axis):
+        shape = list(M.shape)
+        shape[axis] = rows.shape[1]
+        out = np.zeros(shape, dtype=np.int64)
+        for r, c in zip(rows, coefs):
+            part = np.take(M, r, axis=axis)
+            if (c != 1).any():
+                part = F.mul_arr(part, c if axis == -1 else c[:, None])
+            out ^= part
+        return out
+
+    return gather(gather(K, -1), -2)
 
 
 def batch_congruence(F: Field, Ts: np.ndarray, G: np.ndarray) -> np.ndarray:

@@ -282,11 +282,20 @@ def decompose(raw) -> tuple[VerObject, Morphism]:
     """Standard form of a module with nilpotent t-action.
 
     Returns (obj, phi) with obj = m1 + nP, n = rank(T), m = dim - 2n, and phi
-    an invertible morphism from `raw` to the standard object.  The new w's
-    are chosen greedily (as row_reduce pivots) among standard basis vectors,
-    preferring those whose t-image has the smallest support (ties by index);
-    the 1-part is filled greedily from the reduced kernel basis.  This makes
-    the output matrix deterministic.
+    an invertible morphism from `raw` to the standard object: the inverse
+    of `standard_basis(raw)`'s B.
+    """
+    obj, B = standard_basis(raw)
+    return obj, Morphism(raw, obj, inverse(raw.field, B))
+
+
+def standard_basis(raw) -> tuple[VerObject, np.ndarray]:
+    """(obj, B): the standard form of `raw` and its standard basis as the
+    columns of B, in `raw`'s coordinates.  The new w's are chosen greedily
+    (as row_reduce pivots) among standard basis vectors, preferring those
+    whose t-image has the smallest support (ties by index); the 1-part is
+    filled greedily from the reduced kernel basis.  This makes B
+    deterministic.
     """
     F = raw.field
     T = raw.t_action()
@@ -309,8 +318,7 @@ def decompose(raw) -> tuple[VerObject, Morphism]:
     B[:, v] = XK[:, v_piv]
     B[w_idx, obj.ws] = 1
     B[:, x] = X
-    phi = Morphism(raw, obj, inverse(F, B) if d else zeros(0, 0))
-    return obj, phi
+    return obj, B
 
 
 def tensor_raw(a, b) -> RawTModule:
@@ -329,15 +337,25 @@ def tensor(a, b) -> tuple[VerObject, Morphism]:
     objects are cached, with the morphism's matrix made read-only.
     """
     if isinstance(a, VerObject) and isinstance(b, VerObject):
-        return _tensor_cached(a, b)
+        return _tensor_cached(a, b)[:2]
     return decompose(tensor_raw(a, b))
 
 
+def tensor_support(a: VerObject, b: VerObject) -> tuple[VerObject, tuple]:
+    """The standard object of a (x) b and the `linalg.column_support` of
+    its standard basis on the Kronecker basis (the inverse of
+    `tensor(a, b)`'s matrix), cached with `tensor`."""
+    obj, _, support = _tensor_cached(a, b)
+    return obj, support
+
+
 @lru_cache(maxsize=None)
-def _tensor_cached(a: VerObject, b: VerObject) -> tuple[VerObject, Morphism]:
-    obj, phi = decompose(tensor_raw(a, b))
+def _tensor_cached(a: VerObject, b: VerObject):
+    raw = tensor_raw(a, b)
+    obj, B = standard_basis(raw)
+    phi = Morphism(raw, obj, inverse(a.field, B))
     readonly(phi.matrix)
-    return obj, phi
+    return obj, phi, linalg.column_support(B)
 
 
 def braiding(a, b) -> Morphism:

@@ -66,10 +66,11 @@ def test_criterion_1_sum_table():
 
 
 def test_criterion_2_product_table():
-    with criterion(2, "product table reproduced over GF(8), result dims <= 24"):
-        _, prod_rep = emit_tables(F8, max_size=4, product_dim_cap=24)
+    with criterion(2, "product table reproduced over GF(8), sizes <= 4, all parameters"):
+        _, prod_rep = emit_tables(F8, max_size=4, product_dim_cap=144)
         assert prod_rep.mismatches == []
         assert prod_rep.cells >= 4000
+        assert prod_rep.cells == 21736  # the whole grid: result dims up to 144
         # the rational rule must actually get exercised
         ee = [r for r in prod_rep.records if r[0] == "E" and r[4] == "E" and r[3] != r[7]]
         assert len(ee) > 500

@@ -11,6 +11,7 @@ from ver4forms.divided import (
     QuadraticForm,
     _beta_q_blocks,
     _family_sizes,
+    _kernel_squares,
     _line_values,
     a2_iso_check,
     beta_q,
@@ -275,6 +276,20 @@ def test_pullbacks_match_the_gamma2_reference(q, seed):
     restricted = quad_restrict(q, sub)
     assert restricted.obj == sobj
     assert restricted.values.tolist() == _pullback_via_gamma2(q, sobj, B)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=quadratic_forms(), seed=st.integers(0, 2**32 - 1), count=st.integers(1, 6))
+def test_kernel_squares_match_evaluate_on_general_kernel_vectors(q, seed, count):
+    # random combinations of the v and x columns, so the x^2 G_ww and the
+    # triu(G_vv, 1) cross terms are exercised, not only single v columns
+    obj, F = q.obj, q.field
+    rng = np.random.default_rng(seed)
+    U = np.zeros((obj.dim, count), dtype=np.int64)
+    ker = np.concatenate([obj.vs, obj.xs])
+    U[ker] = rng.integers(0, F.order, size=(ker.size, count))
+    squares = F.mul_arr(U[:, None, :], U[None, :, :]).reshape(obj.dim**2, count)
+    assert _kernel_squares(q, U).tolist() == q.evaluate(squares).tolist()
 
 
 def test_quadratic_operations_build_no_gamma2_basis():

@@ -116,3 +116,38 @@ def test_batch_invert_matches_serial(k, s, seed):
             assert np.array_equal(Minv, la.inverse(Fk, M))
     if s:
         assert not ok[0]
+
+
+def test_kron_broadcasts_batch_axes():
+    A, B = RNG.integers(0, 8, size=(3, 2, 4)), RNG.integers(0, 8, size=(3, 3, 2))
+    stacked = la.kron(F, A, B)
+    assert stacked.shape == (3, 6, 8)
+    for a, b, got in zip(A, B, stacked):
+        assert np.array_equal(got, la.kron(F, a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 16),
+    r=st.integers(0, 6),
+    c=st.integers(0, 6),
+    b=st.integers(1, 3),
+    density=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_support_congruence_matches_congruence_for_any_basis(k, r, c, b, density, seed):
+    # any coefficients and any number of non-zeros per column, not only the
+    # 0/1 columns with at most two entries that tensor bases have
+    Fk = make_field(k)
+    rng = np.random.default_rng(seed)
+    B = rng.integers(0, Fk.order, size=(r, c)) * (rng.random((r, c)) < density)
+    rows, coefs = support = la.column_support(B)
+    rebuilt = np.zeros((r, c), dtype=np.int64)
+    for row, coef in zip(rows, coefs):
+        rebuilt[row, np.arange(c)] ^= coef
+    assert np.array_equal(rebuilt, B)
+    K = rng.integers(0, Fk.order, size=(b, r, r))
+    got = la.support_congruence(Fk, support, K)
+    assert got.shape == (b, c, c)
+    for Km, g in zip(K, got):
+        assert np.array_equal(g, la.congruence(Fk, B, Km))

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ver4forms import linalg as la
 from ver4forms.bform import BilinearForm
@@ -9,9 +10,12 @@ from ver4forms.classify import CanonicalClass, canonical_rep, classify, form_inv
 from ver4forms.field import make_field
 from ver4forms.verobj import VerObject
 from ver4forms.witt import (
+    _product_grams,
     all_class_instances,
     direct_sum,
     emit_tables,
+    expected_product_class,
+    expected_sum_class,
     table_cell,
     tensor_product,
     tensor_product_via_braiding,
@@ -145,6 +149,71 @@ def test_tensor_product_matches_braiding_composition():
         direct = tensor_product(b1, b2)
         viabraid = tensor_product_via_braiding(b1, b2)
         assert np.array_equal(direct.gram, viabraid.gram)
+
+
+def _compatible_grams(obj, rng, b, symmetric):
+    """b random Grams obeying the compatibility law on obj, from random free
+    blocks; without `symmetric` the w-v block and the diagonal blocks are
+    drawn independently of their mirrors."""
+    q, m, n = obj.field.order, obj.m, obj.n
+    draw = lambda r, c: rng.integers(0, q, size=(b, r, c), dtype=np.int64)
+    vv, vw, ww, wx = draw(m, m), draw(m, n), draw(n, n), draw(n, n)
+    if symmetric:
+        sym = lambda a: np.triu(a) ^ np.swapaxes(np.triu(a, 1), 1, 2)
+        return obj.gram_from_blocks(sym(vv), vw, sym(ww), sym(wx))
+    v, w, x = obj.slots
+    G = np.zeros((b, obj.dim, obj.dim), dtype=np.int64)
+    G[:, v, v], G[:, v, w], G[:, w, v], G[:, w, w] = vv, vw, draw(n, m), ww
+    G[:, w, x] = G[:, x, w] = wx  # beta(w_k, x_l) = beta(x_k, w_l)
+    return obj.as_grams(G, stacked=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(2, 16),
+    sizes=st.tuples(*[st.integers(0, 3)] * 4),
+    b=st.integers(1, 4),
+    symmetric=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_product_gather_matches_braiding_composition_on_random_grams(k, sizes, b, symmetric, seed):
+    # the gathered congruence onto the standard basis equals the literal
+    # braiding composition, member by member, and a stack equals its
+    # members computed one at a time
+    F = make_field(k)
+    U, R = VerObject(F, *sizes[:2]), VerObject(F, *sizes[2:])
+    assume(U.dim * R.dim <= 36)  # the braiding path builds a (UR)^2 x (UR)^2 matrix
+    rng = np.random.default_rng(seed)
+    G1, G2 = _compatible_grams(U, rng, b, symmetric), _compatible_grams(R, rng, b, symmetric)
+    tobj, stacked = _product_grams(U, R, G1, G2)
+    assert stacked.shape == (b, tobj.dim, tobj.dim)
+    for g1, g2, got in zip(G1, G2, stacked):
+        one = tensor_product(BilinearForm(U, g1), BilinearForm(R, g2))
+        ref = tensor_product_via_braiding(BilinearForm(U, g1), BilinearForm(R, g2))
+        assert one.obj == ref.obj == tobj
+        assert np.array_equal(got, ref.gram)
+        assert np.array_equal(one.gram, got)
+
+
+def test_emit_tables_matches_cell_by_cell_reference():
+    # grouped and stacked cells come back in grid order with the records a
+    # per-cell sum / braiding-product classification gives
+    sum_rep, prod_rep = emit_tables(F4, max_size=2, product_dim_cap=36)
+    insts = all_class_instances(F4, 2, 2)
+    pairs = [(c1, c2) for i, c1 in enumerate(insts) for c2 in insts[i:]]
+    for rep, op, rule in (
+        (sum_rep, direct_sum, expected_sum_class),
+        (prod_rep, tensor_product_via_braiding, lambda c1, c2: expected_product_class(c1, c2, F4)),
+    ):
+        want = []
+        for c1, c2 in pairs:
+            got = classify(op(canonical_rep(c1, F4), canonical_rep(c2, F4)))
+            expected = rule(c1, c2)
+            want.append((c1.family, c1.m, c1.n, c1.param, c2.family, c2.m, c2.n, c2.param,
+                         got.label(), expected.label(), got == expected))
+        assert rep.cells == len(pairs)
+        assert rep.records == want
+        assert rep.mismatches == []
 
 
 def test_product_with_unit_class():
