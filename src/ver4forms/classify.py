@@ -293,11 +293,16 @@ def classify_batch(obj: VerObject, grams: np.ndarray) -> list[CanonicalClass]:
     return _classify_grams(obj, obj.as_grams(grams, stacked=True))
 
 
+def require_classifiable_field(F: Field):
+    """Refuse GF(2), where the classification does not hold."""
+    if F.k < 2:
+        raise ValueError("classification requires GF(2^k) with k >= 2")
+
+
 def _classify_grams(obj: VerObject, G: np.ndarray) -> list[CanonicalClass]:
     """`classify_batch` of a stack already valid as Grams on `obj`."""
     F, m, n = obj.field, obj.m, obj.n
-    if F.k < 2:
-        raise ValueError("classification requires GF(2^k) with k >= 2")
+    require_classifiable_field(F)
     if not np.array_equal(G, np.swapaxes(G, 1, 2)):
         raise ValueError("classification requires a symmetric form")
     blocks = obj.gram_blocks(G)
@@ -559,8 +564,8 @@ def _canonicalize_grams(obj: VerObject, G: np.ndarray):
 
     Each result is certified three ways: its class equals the invariant
     path's (`_classify_grams`, which also raises the ValueErrors), its
-    transform is equivariant (`Morphism`) and invertible, and T^T G T is
-    exactly the canonical Gram; else InternalCheckError.
+    transform is equivariant and invertible, and T^T G T is exactly the
+    canonical Gram; else InternalCheckError.
     """
     F, d = obj.field, obj.dim
     # the invariant path runs first: it raises ValueError for k < 2 and for
@@ -571,11 +576,12 @@ def _canonicalize_grams(obj: VerObject, G: np.ndarray):
         if cls != want:
             raise InternalCheckError(f"constructive path found {cls} but invariants say {want}")
     Ts = np.array([T for T, _ in reduced], dtype=np.int64).reshape(len(G), d, d)
-    transforms = [Morphism(obj, obj, T) for T in Ts]
+    if not np.array_equal(obj.t_times(Ts), obj.times_t(Ts)):
+        raise InternalCheckError("canonicalizing transform does not commute with the t-actions")
     if not linalg.batch_invert(F, Ts)[0].all():
         raise InternalCheckError("canonicalizing transform is singular")
     canon = [canonical_rep(cls, F) for cls in invariant]
     want = np.array([c.gram for c in canon], dtype=np.int64).reshape(len(G), d, d)
     if not np.array_equal(linalg.batch_congruence(F, Ts, G), want):
         raise InternalCheckError("transform does not reach the canonical Gram")
-    return list(zip(transforms, canon, invariant))
+    return list(zip((Morphism(obj, obj, T) for T in Ts), canon, invariant))

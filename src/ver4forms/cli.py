@@ -67,14 +67,8 @@ def _emit(payload: dict, args, prose: str | None = None):
         print(prose)
 
 
-def _require_classifiable_field(k: int):
-    if k < 2:
-        raise ValueError("classification requires GF(2^k) with k >= 2; got k = 1")
-
-
 def _cmd_classify(args) -> int:
     beta = _load_form(args.file)
-    _require_classifiable_field(beta.field.k)
     cls = classify(beta)
     _emit(cls.to_json(), args, cls.label())
     return 0
@@ -82,7 +76,6 @@ def _cmd_classify(args) -> int:
 
 def _cmd_canonicalize(args) -> int:
     beta = _load_form(args.file)
-    _require_classifiable_field(beta.field.k)
     transform, canon, cls = canonicalize(beta)
     payload = {
         "class": cls.to_json(),
@@ -133,7 +126,6 @@ def _binary_op(args, op) -> int:
 
 def _cmd_quad_classify(args) -> int:
     q = _load_quadratic(args.file)
-    _require_classifiable_field(q.field.k)
     h, cls = classify_quadratic(q)
     payload = {"hyperbolic_multiplicity": h, "np_class": cls.to_json()}
     _emit(payload, args, f"{h} hyperbolic plane(s) + {cls.label()}")
@@ -171,7 +163,6 @@ def _cmd_gamma2_basis(args) -> int:
 
 def _cmd_tables(args) -> int:
     F = make_field(args.k)
-    _require_classifiable_field(F.k)
     params = None
     if F.order > 8:
         params = sorted(set(range(min(F.order, 4))) | {F.order - 1})
@@ -201,7 +192,6 @@ def _cmd_tables(args) -> int:
 
 def _cmd_oracle(args) -> int:
     F = make_field(args.k)
-    _require_classifiable_field(F.k)
     report = oracle_mod.orbit_classes(args.m, args.n, F)
     _emit(report.to_json(), args, report.summary())
     return 0

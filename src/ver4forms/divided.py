@@ -29,15 +29,16 @@ line values themselves:
   G_wx[k,k] = q_5(k),   G_wx[k,l] = q_6(k,l)
 
 while family 1 (the Frobenius twist) does not enter.  `_beta_q_blocks` and
-its inverse `_line_values` own this map.
+`_line_values`, which undoes it, own this map.
 
 On u in ker t = span(v, x) the v (x) x and x (x) x terms of u (x) u are
 t-images, so `_kernel_squares` reads q(u (x) u) off the same data:
 
   sum_a u_{v_a}^2 q_1(a) + sum_k u_{x_k}^2 G_ww[k,k] + u_v^T triu(G_vv, 1) u_v.
 
-`_pullback` (`quad_transform`, `quad_restrict`) and `quad_product` take
-family 1 from it, so no quadratic operation builds the Gamma^2 basis:
+`_pullback` (`quad_transform`, `quad_restrict`) takes family 1 from it and
+`quad_product` reads family 1 off the v_i (x) v_j in closed form, so no
+quadratic operation builds the Gamma^2 basis:
 `gamma2` serves `QuadraticForm.evaluate`, the independent reference path,
 and the Frobenius-twist checks.
 """
@@ -194,7 +195,7 @@ def _beta_q_blocks(obj: VerObject, values):
 
 
 def _line_values(obj: VerObject, blocks) -> np.ndarray:
-    """Inverse of `_beta_q_blocks` on families 2..7: the line values whose
+    """`_beta_q_blocks` undone on families 2..7: the line values whose
     beta_q has these blocks (vv, ww, wx symmetric), 0 on family 1."""
     vv, vw, ww, wx = blocks
     iv, jv = np.triu_indices(obj.m, 1)
@@ -338,9 +339,11 @@ def quad_product(gamma: BilinearForm, q: QuadraticForm) -> QuadraticForm:
     Property (a) pins the values on im(1 - c): every non-unit line top has
     an explicit preimage under 1 - c, and the product form (alternating,
     because beta_q is) evaluates preimages consistently.  Property (b) pins
-    the remaining unit-square lines via a Frobenius-linear solve.  With the
-    unit form on 1 this reproduces q, and on vector spaces it is the
-    classical product of a symmetric bilinear with a quadratic form.
+    the unit-square lines in closed form: the v's of the standard basis of
+    V (x) W are the v_i (x) v_j (i outer), so family 1 is
+    gamma(v_i, v_i) q_1(j).  With the unit form on 1 this reproduces q, and
+    on vector spaces it is the classical product of a symmetric bilinear
+    with a quadratic form.
     """
     F = gamma.field
     if F != q.field:
@@ -351,18 +354,13 @@ def quad_product(gamma: BilinearForm, q: QuadraticForm) -> QuadraticForm:
     from .witt import tensor_product
 
     prod = tensor_product(gamma, beta_q(q))
-    tobj, phi = tensor(V, W)
+    tobj, B, _ = tensor(V, W)
+    kron_vs = np.add.outer(V.vs * W.dim, W.vs).reshape(-1)
+    if (B[kron_vs, tobj.vs] != 1).any() or np.count_nonzero(B[:, tobj.vs]) != tobj.m:
+        raise AssertionError("tensor basis v's are not the v_i (x) v_j")  # pragma: no cover
     values = _line_values(tobj, tobj.gram_blocks(prod.gram))
-    if tobj.m:
-        # s = phi(v_i (x) v_j) (i outer) lies in ker t; gamma(v_i, v_i) q(v_j (x) v_j)
-        # = q'(s (x) s) is family 1 weighted by s_v^2 plus the known rest
-        S = phi.matrix[:, np.add.outer(V.vs * W.dim, W.vs).reshape(-1)]
-        if S[tobj.ws].any():  # pragma: no cover
-            raise AssertionError("pure kernel tensor left ker t")
-        gamma_vv = np.diagonal(gamma.gram)[V.vs]
-        rhs = F.mul_arr(np.repeat(gamma_vv, W.m), np.tile(q.values[: W.m], V.m))
-        rhs ^= _kernel_squares(QuadraticForm(tobj, values), S)
-        values[: tobj.m] = solve(F, F.mul_arr(S[tobj.vs], S[tobj.vs]).T, rhs)
+    gamma_vv = np.diagonal(gamma.gram)[V.vs]
+    values[: tobj.m] = F.mul_arr(gamma_vv[:, None], q.values[: W.m][None, :]).reshape(-1)
     return QuadraticForm(tobj, values)
 
 
@@ -412,11 +410,12 @@ def classify_quadratic(q: QuadraticForm):
     The nP part, the complement of the v's, is spanned by
     w'_k = w_k + V G_vv^-1 G_vw[:, k] and x_k; its blocks are the Schur
     complement G_ww + G_vw^T G_vv^-1 G_vw and G_wx (unchanged, as
-    G_vx = 0), and `classify` names its class.
+    G_vx = 0), and `classify` names its class.  GF(2) is refused first.
     """
-    from .classify import CanonicalClass, classify
+    from .classify import CanonicalClass, classify, require_classifiable_field
 
     obj, F = q.obj, q.field
+    require_classifiable_field(F)
     vv, vw, ww, wx = _beta_q_blocks(obj, q.values)
     ok_v, vv_inv = batch_invert(F, vv[None])
     if not (ok_v[0] and batch_invert(F, wx[None])[0][0]):

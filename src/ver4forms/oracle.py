@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .bform import BilinearForm
-from .classify import CanonicalClass, canonical_rep, classify_batch
+from .classify import CanonicalClass, canonical_rep, classify_batch, require_classifiable_field
 from .field import Field
 from .linalg import batch_congruence, batch_invert
 from .verobj import VerObject
@@ -247,8 +247,10 @@ def orbit_classes(m: int, n: int, F: Field) -> OrbitReport:
     Verifies that every image is a symmetric compatible enumerated Gram, that
     orbits are disjoint and cover the enumerated form set, and that `classify`
     is constant on each orbit with the predicted label.  Refuses, before any
-    work, an array over 2^BUDGET_BITS."""
+    work, an array over 2^BUDGET_BITS and then GF(2)."""
     _check_enumeration_budget(m, n, F)
+    _check_group_budget(m, n, F)
+    require_classifiable_field(F)
     obj = VerObject(F, m, n)
     unipotent, levi = _group(m, n, F, levi=False), _group(m, n, F, unipotent=False)
     enumerated = np.zeros(F.order ** free_entry_count(m, n), dtype=bool)

@@ -9,8 +9,8 @@ fixes the standard basis ordering
     v_1, ..., v_m, w_1, x_1, ..., w_n, x_n
 
 with t.v_j = 0, t.w_k = x_k, t.x_k = 0.  `RawTModule` carries an arbitrary
-nilpotent action; `decompose` produces the standard form together with an
-invertible equivariant change of basis.
+nilpotent action; `standard_basis` produces the standard form together with
+its standard basis, an invertible equivariant change of basis.
 
 The braided (symmetric) structure is induced by the triangular R-matrix
 R = 1 (x) 1 + t (x) t on A, which twists the plain swap into
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .field import Field
-from .linalg import eye, inverse, kron, mat_mul, null_space, readonly, row_reduce, zeros
+from .linalg import eye, kron, mat_mul, null_space, readonly, row_reduce, zeros
 
 
 def json_ints(data, what: str, depth: int = 0, bound: int | None = None):
@@ -272,21 +272,10 @@ class Morphism:
         return linalg.is_invertible(self.field, self.matrix)
 
     def inverse(self) -> "Morphism":
-        return Morphism(self.target, self.source, inverse(self.field, self.matrix))
+        return Morphism(self.target, self.source, linalg.inverse(self.field, self.matrix))
 
     def __repr__(self):
         return f"Morphism({self.source!r} -> {self.target!r})"
-
-
-def decompose(raw) -> tuple[VerObject, Morphism]:
-    """Standard form of a module with nilpotent t-action.
-
-    Returns (obj, phi) with obj = m1 + nP, n = rank(T), m = dim - 2n, and phi
-    an invertible morphism from `raw` to the standard object: the inverse
-    of `standard_basis(raw)`'s B.
-    """
-    obj, B = standard_basis(raw)
-    return obj, Morphism(raw, obj, inverse(raw.field, B))
 
 
 def standard_basis(raw) -> tuple[VerObject, np.ndarray]:
@@ -330,32 +319,19 @@ def tensor_raw(a, b) -> RawTModule:
     return RawTModule(a.field, T)
 
 
-def tensor(a, b) -> tuple[VerObject, Morphism]:
-    """Standard form of a (x) b plus the morphism from the Kronecker basis.
-
-    Sizes follow m' = m*p and n' = 2nq + mq + np.  Results for standard
-    objects are cached, with the morphism's matrix made read-only.
-    """
-    if isinstance(a, VerObject) and isinstance(b, VerObject):
-        return _tensor_cached(a, b)[:2]
-    return decompose(tensor_raw(a, b))
-
-
-def tensor_support(a: VerObject, b: VerObject) -> tuple[VerObject, tuple]:
-    """The standard object of a (x) b and the `linalg.column_support` of
-    its standard basis on the Kronecker basis (the inverse of
-    `tensor(a, b)`'s matrix), cached with `tensor`."""
-    obj, _, support = _tensor_cached(a, b)
-    return obj, support
-
-
 @lru_cache(maxsize=None)
-def _tensor_cached(a: VerObject, b: VerObject):
+def tensor(a: VerObject, b: VerObject) -> tuple[VerObject, np.ndarray, tuple]:
+    """Standard form of a (x) b for standard objects: (obj, B, support).
+
+    B holds obj's standard basis as columns on the Kronecker basis (left
+    factor outer), read-only and certified equivariant; it is invertible
+    by `standard_basis`'s construction.  `support` is its
+    `linalg.column_support`.  Sizes follow m' = m*p and n' = 2nq + mq + np.
+    """
     raw = tensor_raw(a, b)
     obj, B = standard_basis(raw)
-    phi = Morphism(raw, obj, inverse(a.field, B))
-    readonly(phi.matrix)
-    return obj, phi, linalg.column_support(B)
+    Morphism(obj, raw, B)  # raises unless B is equivariant
+    return obj, readonly(B), linalg.column_support(B)
 
 
 def braiding(a, b) -> Morphism:

@@ -17,7 +17,9 @@ from ver4forms.classify import (
     canonical_rep,
     canonicalize_batch,
     classify,
+    classify_batch,
     form_invariant,
+    _block_invariants,
 )
 from ver4forms.divided import (
     QuadraticForm,
@@ -124,9 +126,11 @@ def test_criterion_4_invariant_basis_independence():
                 [random_equivariant_matrix(rep.obj, rng) for _ in range(1000)]
             )
             grams = la.batch_congruence(F8, mats, rep.gram)
-            for i in range(1000):
-                beta = BilinearForm(rep.obj, grams[i])
-                assert form_invariant(beta) == expected
+            assert classify_batch(rep.obj, grams) == [cls] * 1000
+            _, invariants = _block_invariants(F8, rep.obj.gram_blocks(grams))
+            assert invariants.tolist() == [expected] * 1000
+            for G in grams[::40]:
+                assert form_invariant(BilinearForm(rep.obj, G)) == expected
 
 
 def test_criterion_5_oracle_concordance():
@@ -158,10 +162,11 @@ def test_criterion_6_classification_stability_and_canonicalize():
                 [random_equivariant_matrix(rep.obj, rng) for _ in range(1000)]
             )
             grams = la.batch_congruence(F8, mats, rep.gram)
-            for i in range(1000):
-                assert classify(BilinearForm(rep.obj, grams[i])) == cls
-            T_std = rep.obj.t_action()
+            assert classify_batch(rep.obj, grams) == [cls] * 1000
             picked = grams[::40]
+            for G in picked:
+                assert classify(BilinearForm(rep.obj, G)) == cls
+            T_std = rep.obj.t_action()
             results = canonicalize_batch(rep.obj, picked)
             assert len(results) == len(picked) == 25
             for G, (transform, canon, _) in zip(picked, results):

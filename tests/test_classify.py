@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from ver4forms.bform import BilinearForm
 from ver4forms.classify import (
     FAMILIES,
     CanonicalClass,
+    InternalCheckError,
     canonical_rep,
     canonicalize,
     canonicalize_batch,
@@ -475,3 +477,34 @@ def test_canonicalize_batch_rejects_like_classify_batch():
             canonicalize_batch(obj, stack)
         with pytest.raises(ValueError, match=message):
             classify_batch(obj, stack)
+
+
+def _tamper_reduce(monkeypatch, tamper):
+    """Route every constructive reduction's (T, class) through `tamper`."""
+    module = sys.modules["ver4forms.classify"]
+    reduce = module._reduce
+    monkeypatch.setattr(module, "_reduce", lambda obj, g: tamper(*reduce(obj, g)))
+
+
+def _flip_x_to_w(T, cls):
+    T = T.copy()
+    T[cls.m, cls.m + 1] ^= 1  # row w_1, column x_1: zero in every equivariant T
+    return T, cls
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda T, cls: (T, CanonicalClass("A", cls.m, cls.n)), "constructive path found A"),
+        (_flip_x_to_w, "does not commute with the t-actions"),
+        (lambda T, cls: (np.zeros_like(T), cls), "transform is singular"),
+        (lambda T, cls: (F8.mul_arr(T, 2), cls), "does not reach the canonical Gram"),
+    ],
+)
+def test_canonicalize_certificates_catch_a_bad_reduction(monkeypatch, tamper, message):
+    rng = np.random.default_rng(11)
+    rep = canonical_rep(CanonicalClass("B", 2, 2), F8)
+    G = la.congruence(F8, random_equivariant_matrix(rep.obj, rng), rep.gram)
+    _tamper_reduce(monkeypatch, tamper)
+    with pytest.raises(InternalCheckError, match=message):
+        canonicalize(BilinearForm(rep.obj, G))

@@ -1,4 +1,5 @@
 import json
+import sys
 import time
 
 import numpy as np
@@ -86,6 +87,21 @@ def test_canonicalize_command(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["canonical_gram"] == [[3, 1], [1, 0]]
     assert doc["class"]["label"] == "E[0,1](3)"
+
+
+def test_canonicalize_reports_a_non_equivariant_transform_as_internal(tmp_path, capsys, monkeypatch):
+    module = sys.modules["ver4forms.classify"]
+    reduce = module._reduce
+
+    def tampered(obj, g):
+        T, cls = reduce(obj, g)
+        T = T.copy()
+        T[0, 1] ^= 1  # row w_1, column x_1: zero in every equivariant T
+        return T, cls
+
+    monkeypatch.setattr(module, "_reduce", tampered)
+    assert main(["canonicalize", _write(tmp_path, "f.json", bp_doc(3))]) == 2
+    assert capsys.readouterr().err.startswith("internal mismatch:")
 
 
 def test_invariants_command(tmp_path, capsys):

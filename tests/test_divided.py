@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ver4forms import linalg as la
 from ver4forms.bform import BilinearForm, Subobject, standard_subobject, subobject_standard_basis
@@ -216,10 +216,10 @@ def test_line_count_formula():
 
 def test_cached_results_are_read_only():
     rep = canonical_rep(CanonicalClass("E", 0, 2, 1), F4)
-    _, phi = tensor(VerObject(F4, 1, 1), VerObject(F4, 0, 1))
+    _, B, (rows, coefs) = tensor(VerObject(F4, 1, 1), VerObject(F4, 0, 1))
     basis = gamma2(VerObject(F4, 1, 1))
     line = next(ln for ln in basis.lines if ln.image is not None)
-    for frozen in (rep.gram, phi.matrix, basis.basis_matrix(), line.top, line.image):
+    for frozen in (rep.gram, B, rows, coefs, basis.basis_matrix(), line.top, line.image):
         with pytest.raises(ValueError, match="read-only"):
             frozen[...] = 0
 
@@ -402,18 +402,39 @@ def test_quad_product_defining_property_on_kernel_tensors():
     prod = quad_product(gamma, q)
     from ver4forms.verobj import tensor
 
-    tobj, phi = tensor(V, W)
+    tobj, B, _ = tensor(V, W)
     for _ in range(40):
         cv = rng.integers(0, 4, size=V.dim).astype(np.int64)
         cv[[V.w_slot(k) for k in range(V.n)]] = 0  # v in ker t_V
         cw = rng.integers(0, 4, size=W.dim).astype(np.int64)
         cw[[W.w_slot(k) for k in range(W.n)]] = 0
         z_kron = F4.mul_arr(cv[:, None], cw[None, :]).reshape(-1)
-        s = la.mat_vec(F4, phi.matrix, z_kron)
+        s = la.solve(F4, B, z_kron)
         lhs = prod.evaluate(la.kron(F4, s[:, None], s[:, None]).reshape(-1))
         w_sq = la.kron(F4, cw[:, None], cw[:, None]).reshape(-1)
         rhs = F4.mul(gamma.evaluate(cv, cv), q.evaluate(w_sq))
         assert lhs == rhs
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=quadratic_forms(), m=st.integers(1, 3), n=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_quad_product_unit_squares_at_kronecker_unit_tensors(q, m, n, seed):
+    # property (b) at every v_i (x) v_j, located in the product's standard basis
+    # by a solve against tensor's B, which pins the order of family 1
+    F, W, V = q.field, q.obj, VerObject(q.field, m, n)
+    assume(W.m and V.dim * W.dim <= 12)
+    rng = np.random.default_rng(seed)
+    vv = np.triu(rng.integers(0, F.order, size=(m, m)))
+    vv ^= np.triu(vv, 1).T
+    vw, ww, wx = (rng.integers(0, F.order, size=s) for s in ((m, n), (n, n), (n, n)))
+    gamma = BilinearForm(V, V.gram_from_blocks(vv, vw, ww, wx))  # n <= 1: ww, wx symmetric
+    prod = quad_product(gamma, q)
+    _, B, _ = tensor(V, W)
+    for i, j in itertools.product(V.vs, W.vs):
+        s = la.solve(F, B, la.eye(V.dim * W.dim)[i * W.dim + j])
+        e = la.eye(W.dim)[j]
+        want = F.mul(int(gamma.gram[i, i]), q.evaluate(la.kron(F, e[:, None], e[:, None]).reshape(-1)))
+        assert prod.evaluate(la.kron(F, s[:, None], s[:, None]).reshape(-1)) == want
 
 
 def test_hyperbolic_quadratic_classifies():
@@ -444,6 +465,13 @@ def test_classify_quadratic_degenerate_rejected():
     obj = VerObject(F4, 0, 1)
     with pytest.raises(ValueError):
         classify_quadratic(QuadraticForm(obj, [1, 0]))  # beta_q singular
+
+
+def test_classify_quadratic_refuses_gf2():
+    # n = 0 reaches no nP classification, so the library must refuse GF(2) itself
+    for q in (hyperbolic_quadratic(F2, 1), QuadraticForm(VerObject(F2, 0, 1), [1, 1])):
+        with pytest.raises(ValueError, match="k >= 2"):
+            classify_quadratic(q)
 
 
 def test_odd_unit_multiplicity_never_nondegenerate():

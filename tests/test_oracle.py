@@ -46,6 +46,11 @@ def test_enumerate_unit_form_gf2():
     assert forms[0].gram.tolist() == [[1]]
 
 
+def test_orbit_census_refuses_gf2():
+    with pytest.raises(ValueError, match="k >= 2"):
+        orbit_classes(1, 0, F2)
+
+
 def test_enumerate_respects_budget():
     with pytest.raises(ValueError):
         list(enumerate_forms(4, 4, F4))

@@ -12,10 +12,10 @@ from ver4forms.verobj import (
     VerObject,
     braiding,
     check_r_matrix_axioms,
-    decompose,
     dual,
     hexagons_hold,
     random_equivariant_automorphism,
+    standard_basis,
     tensor,
     tensor_raw,
     unit_object,
@@ -52,29 +52,31 @@ def test_raw_module_rejects_non_nilpotent():
 
 
 def test_decompose_zero_action():
-    obj, phi = decompose(RawTModule(F, la.zeros(3, 3)))
+    obj, B = standard_basis(RawTModule(F, la.zeros(3, 3)))
     assert (obj.m, obj.n) == (3, 0)
-    assert phi.is_invertible()
+    assert la.is_invertible(F, B)
 
 
 def test_decompose_jordan_block():
     T = np.array([[0, 1], [0, 0]], dtype=np.int64)
-    obj, phi = decompose(RawTModule(F, T))
+    obj, B = standard_basis(RawTModule(F, T))
     assert (obj.m, obj.n) == (0, 1)
 
 
 def test_decompose_rank_one_dim_four():
     T = la.zeros(4, 4)
     T[0, 2] = 1
-    obj, phi = decompose(RawTModule(F, T))
+    raw = RawTModule(F, T)
+    obj, B = standard_basis(raw)
     assert (obj.m, obj.n) == (2, 1)
-    # morphism really is equivariant and invertible
-    assert phi.is_invertible()
+    # the basis really is equivariant (Morphism checks on construction) and invertible
+    assert Morphism(obj, raw, B).is_invertible()
 
 
 def test_equivariant_automorphisms_commute_with_t():
-    # conjugating T by an equivariant automorphism gives T back; decompose of
-    # a genuinely conjugated action is test_decompose_of_conjugated_standard_action
+    # conjugating T by an equivariant automorphism gives T back; the standard
+    # basis of a genuinely conjugated action is
+    # test_decompose_of_conjugated_standard_action
     rng = np.random.default_rng(3)
     for m, n in [(1, 1), (2, 2), (0, 3)]:
         obj = VerObject(F, m, n)
@@ -88,7 +90,7 @@ def test_equivariant_automorphisms_commute_with_t():
 def test_tensor_sizes_and_rank():
     for m, n, p, q in itertools.product(range(3), repeat=4):
         U, R = VerObject(F, m, n), VerObject(F, p, q)
-        obj, phi = tensor(U, R)
+        obj, _, _ = tensor(U, R)
         assert obj.m == m * p
         assert obj.n == 2 * n * q + m * q + n * p
         assert la.rank(F, tensor_raw(U, R).t_action()) == obj.n
@@ -96,10 +98,9 @@ def test_tensor_sizes_and_rank():
 
 def test_tensor_p_p_summand_bases():
     P = VerObject(F, 0, 1)
-    obj, phi = tensor(P, P)
+    obj, B, _ = tensor(P, P)
     assert (obj.m, obj.n) == (0, 2)
     # standard basis in Kronecker coordinates (w(x)w, w(x)x, x(x)w, x(x)x)
-    B = la.inverse(F, phi.matrix)
     w1, x1 = B[:, obj.w_slot(0)], B[:, obj.x_slot(0)]
     w2, x2 = B[:, obj.w_slot(1)], B[:, obj.x_slot(1)]
     assert w1.tolist() == [0, 1, 0, 0]  # w (x) x
@@ -111,9 +112,30 @@ def test_tensor_p_p_summand_bases():
 def test_tensor_with_unit_is_identity_shaped():
     one = unit_object(F)
     U = VerObject(F, 1, 1)
-    obj, phi = tensor(one, U)
+    obj, B, _ = tensor(one, U)
     assert (obj.m, obj.n) == (U.m, U.n)
-    assert phi.is_invertible()
+    assert la.is_invertible(F, B)
+
+
+@settings(max_examples=30, deadline=None)
+@given(k=st.integers(2, 16), shape=st.tuples(*[st.integers(0, 5)] * 4).filter(
+    lambda s: (s[0] + 2 * s[1]) * (s[2] + 2 * s[3]) <= 160
+))
+def test_tensor_basis_is_equivariant_invertible_and_fixes_unit_tensors(k, shape):
+    # the facts witt and divided rely on: B maps obj -> U (x) R, is invertible and
+    # frozen, and the v's of obj are the v_i (x) v_j of the Kronecker basis, i outer
+    Fk = make_field(k)
+    m, n, p, q = shape
+    U, R = VerObject(Fk, m, n), VerObject(Fk, p, q)
+    obj, B, support = tensor(U, R)
+    assert Morphism(obj, tensor_raw(U, R), B).is_invertible()
+    with pytest.raises(ValueError, match="read-only"):
+        B[...] = 0
+    units = la.zeros(U.dim * R.dim, obj.m)
+    units[np.add.outer(U.vs * R.dim, R.vs).reshape(-1), np.arange(obj.m)] = 1
+    assert np.array_equal(B[:, obj.vs], units)
+    for got, want in zip(support, la.column_support(B)):
+        assert np.array_equal(got, want)
 
 
 def test_braiding_formula_on_p():
@@ -231,10 +253,10 @@ def test_decompose_of_conjugated_standard_action(k, m, n, seed):
         if la.is_invertible(Fk, M):
             break
     raw = RawTModule(Fk, la.mat_mul(Fk, la.mat_mul(Fk, M, obj.t_action()), la.inverse(Fk, M)))
-    got, phi = decompose(raw)
+    got, B = standard_basis(raw)
     assert (got.m, got.n) == (m, n)
     # Morphism checks equivariance on construction
-    assert phi.source is raw and phi.target == got and phi.is_invertible()
+    assert Morphism(got, raw, B).is_invertible()
 
 
 def _sym(rng, q, s, batch=2):

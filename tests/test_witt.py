@@ -116,13 +116,13 @@ def test_tensor_product_evaluation_law():
     prod = tensor_product(b1, b2)
     from ver4forms.verobj import tensor
 
-    tobj, phi = tensor(b1.obj, b2.obj)
+    tobj, B, _ = tensor(b1.obj, b2.obj)
     T = tobj.t_action()
     for _ in range(60):
         u = rng.integers(0, 4, size=b1.obj.dim).astype(np.int64)
         r = rng.integers(0, 4, size=b2.obj.dim).astype(np.int64)
         z_kron = F4.mul_arr(u[:, None], r[None, :]).reshape(-1)
-        z = la.mat_vec(F4, phi.matrix, z_kron)
+        z = la.solve(F4, B, z_kron)
         tz = la.mat_vec(F4, T, z)
         tu = la.mat_vec(F4, b1.obj.t_action(), u)
         tr = la.mat_vec(F4, b2.obj.t_action(), r)
