@@ -221,8 +221,19 @@ class CanonicalClass:
         return self.label()
 
 
-def _alpha1(m: int) -> np.ndarray:
-    return eye(m)
+def class_inventory(m: int, n: int, F: Field, params=None) -> list[CanonicalClass]:
+    """Every canonical class living on m1 + nP over F, in family order:
+    the candidates that `CanonicalClass` accepts, with the E and F
+    parameters taken from `params` (default: every field element)."""
+    choices = F.elements() if params is None else params
+    out = []
+    for fam in FAMILIES:
+        for p in choices if fam in ("E", "F") else [None]:
+            try:
+                out.append(CanonicalClass(fam, m, n, p))
+            except ValueError:
+                continue
+    return out
 
 
 def _alpha2(m: int) -> np.ndarray:
@@ -258,7 +269,7 @@ def canonical_rep(cls: CanonicalClass, F: Field) -> BilinearForm:
     if fam in ("E", "F") and F.k < 2:
         raise ValueError("parameterised classes need a field with k >= 2")
     blocks: list[np.ndarray] = []
-    blocks.append(_alpha1(m) if fam in ("A", "B") else _alpha2(m))
+    blocks.append(eye(m) if fam in ("A", "B") else _alpha2(m))
     if fam == "A" or fam == "C":
         blocks += [_beta_2p(0)] * (n // 2)
     elif fam == "B":
@@ -564,8 +575,10 @@ def _canonicalize_grams(obj: VerObject, G: np.ndarray):
 
     Each result is certified three ways: its class equals the invariant
     path's (`_classify_grams`, which also raises the ValueErrors), its
-    transform is equivariant and invertible, and T^T G T is exactly the
-    canonical Gram; else InternalCheckError.
+    transform is equivariant, and T^T G T is exactly the canonical Gram;
+    else InternalCheckError.  The last also certifies that T is
+    invertible: det(T^T G T) = det(T)^2 det(G), G is non-degenerate (the
+    invariant path checked it) and so is every canonical Gram.
     """
     F, d = obj.field, obj.dim
     # the invariant path runs first: it raises ValueError for k < 2 and for
@@ -578,8 +591,6 @@ def _canonicalize_grams(obj: VerObject, G: np.ndarray):
     Ts = np.array([T for T, _ in reduced], dtype=np.int64).reshape(len(G), d, d)
     if not np.array_equal(obj.t_times(Ts), obj.times_t(Ts)):
         raise InternalCheckError("canonicalizing transform does not commute with the t-actions")
-    if not linalg.batch_invert(F, Ts)[0].all():
-        raise InternalCheckError("canonicalizing transform is singular")
     canon = [canonical_rep(cls, F) for cls in invariant]
     want = np.array([c.gram for c in canon], dtype=np.int64).reshape(len(G), d, d)
     if not np.array_equal(linalg.batch_congruence(F, Ts, G), want):

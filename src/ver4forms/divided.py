@@ -51,8 +51,9 @@ from functools import lru_cache
 import numpy as np
 
 from .bform import BilinearForm, Subobject, subobject_standard_basis
+from .classify import CanonicalClass, _classify_grams, require_classifiable_field
 from .field import Field, make_field
-from .linalg import batch_invert, block_diag, congruence, eye, mat_mul, rank, readonly, solve, zeros
+from .linalg import block_diag, congruence, eye, mat_mul, rank, readonly, solve, zeros
 from .verobj import Morphism, VerObject, braiding, json_ints, tensor
 
 
@@ -401,28 +402,26 @@ def quad_from_parts(F: Field, h: int, gamma_np: BilinearForm | None) -> Quadrati
 
 
 def classify_quadratic(q: QuadraticForm):
-    """Hyperbolic multiplicity and the canonical class of the nP part.
+    """Hyperbolic multiplicity and the canonical class of the nP part: the
+    bilinear class of beta_q (`_classify_grams`), moved from m1 + nP to nP.
 
-    Decided on the blocks of beta_q (`_beta_q_blocks`), which must be
-    non-degenerate: by the block lemma, G_vv and G_wx invertible.  G_vv is
-    alternating, so for odd m it is singular and the degenerate error
-    covers odd unit multiplicity; an even m gives m/2 hyperbolic planes.
-    The nP part, the complement of the v's, is spanned by
-    w'_k = w_k + V G_vv^-1 G_vw[:, k] and x_k; its blocks are the Schur
-    complement G_ww + G_vw^T G_vv^-1 G_vw and G_wx (unchanged, as
-    G_vx = 0), and `classify` names its class.  GF(2) is refused first.
+    beta_q must be non-degenerate.  Its G_vv is alternating, so its class
+    is C, D, E or F, and for odd m G_vv is singular: the degenerate error
+    covers odd unit multiplicity, and an even m gives m/2 hyperbolic
+    planes.  The nP part, the complement of the v's, has the blocks
+    S = G_ww + G_vw^T G_vv^-1 G_vw and G_wx (as G_vx = 0).  G_vv^-1 is
+    alternating too, so the Schur term has a zero diagonal and S shares
+    G_ww's diagonal.  The good pairs (whose v rows are zero here), the
+    form invariant sum diag(G_ww) diag(G_wx^-1) and the block-lemma test
+    read nothing else, so they agree on beta_q and on its nP part.  GF(2)
+    is refused first.
     """
-    from .classify import CanonicalClass, classify, require_classifiable_field
-
-    obj, F = q.obj, q.field
-    require_classifiable_field(F)
-    vv, vw, ww, wx = _beta_q_blocks(obj, q.values)
-    ok_v, vv_inv = batch_invert(F, vv[None])
-    if not (ok_v[0] and batch_invert(F, wx[None])[0][0]):
-        raise ValueError("quadratic form is degenerate (beta_q is singular)")
-    h = obj.m // 2
-    if obj.n == 0:
-        return h, CanonicalClass("C", 0, 0)
-    schur = ww ^ mat_mul(F, mat_mul(F, vw.T, vv_inv[0]), vw)
-    np_obj = VerObject(F, 0, obj.n)
-    return h, classify(BilinearForm(np_obj, np_obj.gram_from_blocks(zeros(0, 0), zeros(0, obj.n), schur, wx)))
+    obj = q.obj
+    require_classifiable_field(q.field)
+    G = obj.gram_from_blocks(*_beta_q_blocks(obj, q.values))
+    try:
+        (cls,) = _classify_grams(obj, G[None])
+    except ValueError:
+        # the field passed and G is symmetric: only degeneracy is left
+        raise ValueError("quadratic form is degenerate (beta_q is singular)") from None
+    return obj.m // 2, CanonicalClass(cls.family, 0, obj.n, cls.param)

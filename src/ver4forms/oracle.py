@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .bform import BilinearForm
-from .classify import CanonicalClass, canonical_rep, classify_batch, require_classifiable_field
+from .classify import CanonicalClass, canonical_rep, class_inventory, classify_batch, require_classifiable_field
 from .field import Field
 from .linalg import batch_congruence, batch_invert
 from .verobj import VerObject
@@ -161,28 +161,6 @@ def _group(m: int, n: int, F: Field, levi: bool = True, unipotent: bool = True) 
     )
     group = obj.equivariant_matrix(A, C, D, E, Fm)
     return group.reshape(math.prod(map(len, sets)), obj.dim, obj.dim)
-
-
-def class_inventory(m: int, n: int, F: Field) -> list[CanonicalClass]:
-    """Every canonical class living on m1 + nP over the given field."""
-    out = []
-    if m > 0 and n % 2 == 0:
-        out.append(CanonicalClass("A", m, n))
-    if m > 0 and n > 0:
-        out.append(CanonicalClass("B", m, n))
-    if m % 2 == 0 and n % 2 == 0:
-        out.append(CanonicalClass("C", m, n))
-    if m % 2 == 0 and n % 2 == 0 and n >= 2:
-        out.append(CanonicalClass("D", m, n))
-    if m % 2 == 0 and n > 0:
-        out += [CanonicalClass("E", m, n, a) for a in F.elements()]
-    if m % 2 == 0 and n >= 2:
-        out += [
-            CanonicalClass("F", m, n, phi)
-            for phi in F.elements()
-            if not (n == 2 and phi == 0)
-        ]
-    return out
 
 
 @dataclass

@@ -92,15 +92,6 @@ class VerObject:
     def xs(self) -> np.ndarray:
         return readonly(np.arange(self.dim)[self.slots[2]])
 
-    def v_slot(self, i: int) -> int:
-        return i
-
-    def w_slot(self, k: int) -> int:
-        return self.m + 2 * k
-
-    def x_slot(self, k: int) -> int:
-        return self.m + 2 * k + 1
-
     def t_action(self) -> np.ndarray:
         return self.t_times(eye(self.dim))
 

@@ -34,13 +34,14 @@ braiding path applies the same cached B by a plain congruence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations_with_replacement
 
 import numpy as np
 
 from .bform import BilinearForm
 # `classify` is unused here; perfbench's tracer smoke test checks that this
 # module binding is patched and restored, so it stays imported
-from .classify import CanonicalClass, canonical_rep, classify, classify_batch  # noqa: F401
+from .classify import CanonicalClass, canonical_rep, class_inventory, classify, classify_batch  # noqa: F401
 from .field import Field
 from .linalg import congruence, eye, kron, mat_mul, support_congruence
 from .verobj import VerObject, braiding, tensor
@@ -266,34 +267,11 @@ SYMBOLIC_PRODUCT = {
 }
 
 
-def class_instances(
-    F: Field, family: str, max_m: int = 4, max_n: int = 4, params=None
-):
-    """All valid classes of one family with sizes up to the bounds."""
-    if params is None:
-        params = list(F.elements())
-    out = []
-    for m in range(max_m + 1):
-        for n in range(max_n + 1):
-            if family in ("E", "F"):
-                for p in params:
-                    try:
-                        out.append(CanonicalClass(family, m, n, p))
-                    except ValueError:
-                        continue
-            else:
-                try:
-                    out.append(CanonicalClass(family, m, n))
-                except ValueError:
-                    continue
-    return out
-
-
 def all_class_instances(F: Field, max_m: int = 4, max_n: int = 4, params=None):
-    out = []
-    for fam in "ABCDEF":
-        out += class_instances(F, fam, max_m, max_n, params)
-    return out
+    """`class_inventory` over every shape with m <= max_m and n <= max_n,
+    ordered by family, then m, n and parameter."""
+    grid = [c for m in range(max_m + 1) for n in range(max_n + 1) for c in class_inventory(m, n, F, params)]
+    return sorted(grid, key=lambda c: c.family)
 
 
 @dataclass
@@ -354,12 +332,8 @@ class TableReport:
 # (at least one cell), which bounds the transient arrays of a group.
 CELL_STACK_ENTRIES = 1 << 15
 
-
-def _grid_pairs(F: Field, max_size: int, params):
-    insts = all_class_instances(F, max_size, max_size, params)
-    for i, c1 in enumerate(insts):
-        for c2 in insts[i:]:
-            yield c1, c2
+# emit_tables refuses a grid with over 2^TABLE_BUDGET_BITS class pairs, up front
+TABLE_BUDGET_BITS = 22
 
 
 def emit_tables(
@@ -372,13 +346,26 @@ def emit_tables(
 
     Parameters default to the whole field.  Product cells whose result
     dimension exceeds `product_dim_cap` are skipped (the rules are
-    dimension-uniform; the cap only bounds runtime).
+    dimension-uniform; the cap only bounds runtime).  Before any class is
+    built, refuses a negative `max_size` and a grid over 2^TABLE_BUDGET_BITS
+    class pairs by the bound N(N + 1)/2, N = (max_size + 1)^2 (4 + 2P)
+    classes for P parameters (A-D once and E, F once per parameter on each
+    shape).
     """
     if F.k < 2:
         raise ValueError("tables require a field with k >= 2")
+    if max_size < 0:
+        raise ValueError(f"max_size must be non-negative, got {max_size}")
+    N = (max_size + 1) ** 2 * (4 + 2 * (F.order if params is None else len(params)))
+    if N * (N + 1) // 2 > 1 << TABLE_BUDGET_BITS:
+        raise ValueError(
+            f"tables with max_size {max_size}: up to {N * (N + 1) // 2} class pairs, "
+            f"over the 2^{TABLE_BUDGET_BITS} budget"
+        )
     # cells of one operation on one pair of objects are classified as one stack
     cells, groups = [], {}
-    for c1, c2 in _grid_pairs(F, max_size, params):
+    insts = all_class_instances(F, max_size, max_size, params)
+    for c1, c2 in combinations_with_replacement(insts, 2):
         dim = (c1.m + 2 * c1.n) * (c2.m + 2 * c2.n)
         for op in ("sum",) if dim > product_dim_cap else ("sum", "product"):
             groups.setdefault((op, c1.m, c1.n, c2.m, c2.n), []).append(len(cells))

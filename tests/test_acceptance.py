@@ -234,9 +234,9 @@ def test_criterion_8_divided_power_suite():
             phi = random_equivariant_automorphism(obj, rng)
             units = [i for i in range(m) if rng.integers(2)]
             pairs = [k for k in range(n) if rng.integers(2)]
-            cols = [phi.matrix[:, obj.v_slot(i)] for i in units]
+            cols = [phi.matrix[:, obj.vs[i]] for i in units]
             for k in pairs:
-                cols += [phi.matrix[:, obj.w_slot(k)], phi.matrix[:, obj.x_slot(k)]]
+                cols += [phi.matrix[:, obj.ws[k]], phi.matrix[:, obj.xs[k]]]
             if not cols:
                 continue
             sub = Subobject(obj, np.column_stack(cols))

@@ -37,18 +37,18 @@ def _all_symmetric_forms(m, n, field):
         G = la.zeros(obj.dim, obj.dim)
         at = 0
         for i, j in sym_m:
-            G[obj.v_slot(i), obj.v_slot(j)] = G[obj.v_slot(j), obj.v_slot(i)] = entries[at]
+            G[obj.vs[i], obj.vs[j]] = G[obj.vs[j], obj.vs[i]] = entries[at]
             at += 1
         for i, k in vw:
-            G[obj.v_slot(i), obj.w_slot(k)] = G[obj.w_slot(k), obj.v_slot(i)] = entries[at]
+            G[obj.vs[i], obj.ws[k]] = G[obj.ws[k], obj.vs[i]] = entries[at]
             at += 1
         for j, k in sym_n:
-            G[obj.w_slot(j), obj.w_slot(k)] = G[obj.w_slot(k), obj.w_slot(j)] = entries[at]
+            G[obj.ws[j], obj.ws[k]] = G[obj.ws[k], obj.ws[j]] = entries[at]
             at += 1
         for j, k in sym_n:
             v = entries[at]
-            G[obj.w_slot(j), obj.x_slot(k)] = G[obj.x_slot(k), obj.w_slot(j)] = v
-            G[obj.w_slot(k), obj.x_slot(j)] = G[obj.x_slot(j), obj.w_slot(k)] = v
+            G[obj.ws[j], obj.xs[k]] = G[obj.xs[k], obj.ws[j]] = v
+            G[obj.ws[k], obj.xs[j]] = G[obj.xs[j], obj.ws[k]] = v
             at += 1
         yield BilinearForm(obj, G)
 
@@ -87,14 +87,14 @@ def test_compatibility_forces_lemma_entries():
             continue
         for i in range(obj.m):
             for j in range(obj.n):
-                assert beta.gram[obj.v_slot(i), obj.x_slot(j)] == 0
+                assert beta.gram[obj.vs[i], obj.xs[j]] == 0
         for j in range(obj.n):
             for k in range(obj.n):
                 assert (
-                    beta.gram[obj.w_slot(j), obj.x_slot(k)]
-                    == beta.gram[obj.x_slot(j), obj.w_slot(k)]
+                    beta.gram[obj.ws[j], obj.xs[k]]
+                    == beta.gram[obj.xs[j], obj.ws[k]]
                 )
-                assert beta.gram[obj.x_slot(j), obj.x_slot(k)] == 0
+                assert beta.gram[obj.xs[j], obj.xs[k]] == 0
 
 
 def test_is_symmetric():
@@ -157,7 +157,7 @@ def test_split_requires_nondegenerate_restriction():
     beta = direct_sum(bp(0), bp(1))
     # span{x_1} is t-stable but beta restricted to it is zero
     span = la.zeros(4, 1)
-    span[beta.obj.x_slot(0), 0] = 1
+    span[beta.obj.xs[0], 0] = 1
     S = Subobject(beta.obj, span)
     with pytest.raises(ValueError):
         beta.split(S)

@@ -191,6 +191,15 @@ def test_tables_command(tmp_path, capsys):
     assert (tmp_path / "tables" / "product_table.csv").exists()
 
 
+@pytest.mark.parametrize("size", ["1000", "-1"])
+def test_tables_refuses_an_unbounded_or_negative_grid(tmp_path, size, capsys):
+    start = time.perf_counter()
+    assert main(["tables", "--k", "3", "--max-size", size, "--out", str(tmp_path / "t")]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "t").exists()
+
+
 def test_oracle_command(capsys):
     assert main(["--json", "oracle", "--m", "0", "--n", "1", "--k", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -247,9 +247,9 @@ def test_quad_restrict_commutes_with_beta_q():
         # a random t-stable subspace: image of standard slots under phi
         pairs = [k for k in range(obj.n) if rng.integers(2)]
         units = [i for i in range(obj.m) if rng.integers(2)]
-        cols = [phi.matrix[:, obj.v_slot(i)] for i in units]
+        cols = [phi.matrix[:, obj.vs[i]] for i in units]
         for k in pairs:
-            cols += [phi.matrix[:, obj.w_slot(k)], phi.matrix[:, obj.x_slot(k)]]
+            cols += [phi.matrix[:, obj.ws[k]], phi.matrix[:, obj.xs[k]]]
         if not cols:
             continue
         sub = Subobject(obj, np.column_stack(cols))
@@ -405,9 +405,9 @@ def test_quad_product_defining_property_on_kernel_tensors():
     tobj, B, _ = tensor(V, W)
     for _ in range(40):
         cv = rng.integers(0, 4, size=V.dim).astype(np.int64)
-        cv[[V.w_slot(k) for k in range(V.n)]] = 0  # v in ker t_V
+        cv[V.ws] = 0  # v in ker t_V
         cw = rng.integers(0, 4, size=W.dim).astype(np.int64)
-        cw[[W.w_slot(k) for k in range(W.n)]] = 0
+        cw[W.ws] = 0
         z_kron = F4.mul_arr(cv[:, None], cw[None, :]).reshape(-1)
         s = la.solve(F4, B, z_kron)
         lhs = prod.evaluate(la.kron(F4, s[:, None], s[:, None]).reshape(-1))

@@ -153,15 +153,15 @@ def _reference_forms(m, n, F):
     for entries in itertools.product(range(F.order), repeat=free_entry_count(m, n)):
         G, it = la.zeros(obj.dim, obj.dim), iter(entries)
         for i, j in upper(m):
-            G[obj.v_slot(i), obj.v_slot(j)] = G[obj.v_slot(j), obj.v_slot(i)] = next(it)
+            G[obj.vs[i], obj.vs[j]] = G[obj.vs[j], obj.vs[i]] = next(it)
         for i, j in itertools.product(range(m), range(n)):
-            G[obj.v_slot(i), obj.w_slot(j)] = G[obj.w_slot(j), obj.v_slot(i)] = next(it)
+            G[obj.vs[i], obj.ws[j]] = G[obj.ws[j], obj.vs[i]] = next(it)
         for i, j in upper(n):
-            G[obj.w_slot(i), obj.w_slot(j)] = G[obj.w_slot(j), obj.w_slot(i)] = next(it)
+            G[obj.ws[i], obj.ws[j]] = G[obj.ws[j], obj.ws[i]] = next(it)
         for i, j in upper(n):
             e = next(it)
             for a, b in ((i, j), (j, i)):
-                G[obj.w_slot(a), obj.x_slot(b)] = G[obj.x_slot(b), obj.w_slot(a)] = e
+                G[obj.ws[a], obj.xs[b]] = G[obj.xs[b], obj.ws[a]] = e
         if la.is_invertible(F, G):
             yield G
 

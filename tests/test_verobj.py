@@ -41,9 +41,9 @@ def test_standard_t_action():
     # t.w_k = x_k and everything else dies
     for k in range(2):
         e = np.zeros(6, dtype=np.int64)
-        e[obj.w_slot(k)] = 1
+        e[obj.ws[k]] = 1
         img = la.mat_vec(F, T, e)
-        assert img[obj.x_slot(k)] == 1 and np.count_nonzero(img) == 1
+        assert img[obj.xs[k]] == 1 and np.count_nonzero(img) == 1
 
 
 def test_raw_module_rejects_non_nilpotent():
@@ -101,8 +101,8 @@ def test_tensor_p_p_summand_bases():
     obj, B, _ = tensor(P, P)
     assert (obj.m, obj.n) == (0, 2)
     # standard basis in Kronecker coordinates (w(x)w, w(x)x, x(x)w, x(x)x)
-    w1, x1 = B[:, obj.w_slot(0)], B[:, obj.x_slot(0)]
-    w2, x2 = B[:, obj.w_slot(1)], B[:, obj.x_slot(1)]
+    w1, x1 = B[:, obj.ws[0]], B[:, obj.xs[0]]
+    w2, x2 = B[:, obj.ws[1]], B[:, obj.xs[1]]
     assert w1.tolist() == [0, 1, 0, 0]  # w (x) x
     assert x1.tolist() == [0, 0, 0, 1]  # x (x) x
     assert w2.tolist() == [1, 0, 0, 0]  # w (x) w
@@ -181,8 +181,8 @@ def test_dual_shape_and_pairing():
     # identity on the unit slot, antidiagonal blocks on the pairs
     assert P[0, 0] == 1
     for k in range(2):
-        assert P[dobj.w_slot(k), U.x_slot(k)] == 1
-        assert P[dobj.x_slot(k), U.w_slot(k)] == 1
+        assert P[dobj.ws[k], U.xs[k]] == 1
+        assert P[dobj.xs[k], U.ws[k]] == 1
     assert np.count_nonzero(P) == 5
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ver4forms import linalg as la
+from ver4forms import linalg as la, witt
 from ver4forms.bform import BilinearForm
 from ver4forms.classify import CanonicalClass, canonical_rep, classify, form_invariant, good_pairs
 from ver4forms.field import make_field
@@ -323,6 +323,23 @@ def test_emit_tables_clean_and_serializable():
     csv_text = prod_rep.to_csv()
     assert csv_text.splitlines()[0].startswith("family1")
     assert len(csv_text.splitlines()) == prod_rep.cells + 1
+
+
+@pytest.mark.parametrize(
+    "max_size, params", [(-1, None), (1000, None), (4, range(1 << 16))], ids=["negative", "size", "params"]
+)
+def test_emit_tables_refuses_a_grid_before_building_classes(monkeypatch, max_size, params):
+    monkeypatch.setattr(witt, "all_class_instances", lambda *args: pytest.fail("classes were built"))
+    with pytest.raises(ValueError, match="max_size"):
+        emit_tables(F8, max_size, params)
+
+
+@pytest.mark.parametrize("F", [F4, F8], ids=["gf4", "gf8"])
+def test_table_class_bound_covers_the_grid(F):
+    for max_size in range(4):
+        for params in (None, [0, 1]):
+            P = F.order if params is None else len(params)
+            assert len(all_class_instances(F, max_size, max_size, params)) <= (max_size + 1) ** 2 * (4 + 2 * P)
 
 
 def test_sum_and_product_preserve_nondegeneracy():
