@@ -80,10 +80,6 @@ class BilinearForm:
     def evaluate(self, u: np.ndarray, v: np.ndarray) -> int:
         return linalg.dot(self.field, u, linalg.mat_vec(self.field, self.gram, v))
 
-    def apply_to_tensor(self, vec: np.ndarray) -> int:
-        """Evaluate the functional on a vector of U (x) U (Kronecker index)."""
-        return linalg.dot(self.field, self.gram.reshape(-1), vec)
-
     # -- predicates ---------------------------------------------------------
 
     def is_symmetric(self) -> bool:

@@ -29,9 +29,12 @@ The construction reduces the unit part on G_vv alone.  The Schur
 complement S = G_ww + G_vw^T G_vv^-1 G_vw decouples the v's, which leaves
 an n x n problem: the x-pairing M = G_wx and the x-function f = diag(S)
 under E in GL_n (the transform's w -> w block), acting by M -> E^T M E and
-f -> (E o E)^T f.  Symmetric elimination on M with E tracked, and the
-bP/b2P normalisations of f, reduce that pair; the w -> x block of the
-transform, which clears the off-diagonal of S, is then read in closed form.
+f -> (E o E)^T f.  Symmetric elimination brings M to Mc, I or hyperbolic.
+In characteristic 2, g = sqrt(f) then moves linearly, to R^T g under
+E -> E R keeping Mc, and at most two transvections take it to 0 (C), e_0
+(D), itself if constant (E) or (0, ..., 0, 1, 1 + sum g) (F).  The w -> x
+block of the transform, which clears the off-diagonal of S, is then read
+in closed form.
 """
 
 from __future__ import annotations
@@ -348,13 +351,8 @@ def _classify_grams(obj: VerObject, G: np.ndarray) -> list[CanonicalClass]:
 # by its blocks (A, C, D, E, F) (`VerObject.equivariant_matrix`): v -> A v +
 # C x, w -> D v + E w + F x, x -> E x.  The reduction chooses A with
 # A^T G_vv A = U and E with E^T G_wx E = Mc canonical (`_congruence_basis`),
-# normalises the x-function f with E (and, when U = I, with the absorption
-# Z below), and reads C, D and F in closed form (`_reduce`).
-
-
-def _mix(F: Field, X: np.ndarray, cols: list[int], R) -> None:
-    """Replace the columns `cols` of X by X[:, cols] @ R, in place."""
-    X[:, cols] = mat_mul(F, X[:, cols], np.array(R, dtype=np.int64))
+# normalises the x-function with E (`_move_x_function`) or, when U = I,
+# absorbs it by Z, and reads C, D and F in closed form (`_reduce`).
 
 
 def _congruence_basis(F: Field, M: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -396,98 +394,52 @@ def _congruence_basis(F: Field, M: np.ndarray) -> tuple[np.ndarray, bool]:
             units += piv
         elif units:
             g = units.pop()
-            _mix(F, E, [g] + piv, [[1, 1, 1], [1, 0, 1], [0, 1, 1]])
-            units += [g] + piv
+            mixed = [g] + piv
+            E[:, mixed] = mat_mul(F, E[:, mixed], [[1, 1, 1], [1, 0, 1], [0, 1, 1]])
+            units += mixed
         else:
             pairs += piv
     return E[:, units or pairs], not units
 
 
-def _hyperbolic_tags(F: Field, E: np.ndarray, f: np.ndarray) -> str:
-    """C or D, with E's hyperbolic pairs changed in place so that the
-    x-function reads 0, or (1, 0, 0, ...) for D.
+def _transvection(F: Field, E: np.ndarray, x_rows: np.ndarray, g: np.ndarray, h: np.ndarray) -> None:
+    """E <- E R, in place, for the transvection R = I + c Mc u u^T with
+    u = g + h isotropic and c = 1/b(u, g), b(y, z) = y^T Mc z:
+    R^T Mc R = Mc + c^2 b(u, u) u u^T = Mc, and R^T g = g + c b(u, g) u = h."""
+    u = g ^ h
+    c = F.inv(linalg.dot(F, u[x_rows], g))
+    E ^= F.mul_arr(linalg.mat_vec(F, E, u[x_rows])[:, None], F.mul_arr(c, u))
 
-    On a pair (p, q) with f = (b, a) != 0 the symplectic mix p' = p/sqrt(b)
-    (q/sqrt(a) if b = 0), q' = sqrt(a) p + sqrt(b) q gives f = (1, 0).  Each
-    further such pair (p2, q2) is cleared against the first (p1, q1) by
-    p2' = p2 + p1, q1' = q1 + q2, and the first pair moves to the front.
+
+def _move_x_function(F: Field, E: np.ndarray, x_rows: np.ndarray, g: np.ndarray, h: np.ndarray) -> None:
+    """Change E in place to E R, R^T Mc R = Mc, with R^T g = h, by at most
+    two transvections (J. Dieudonne, 1955; D. E. Taylor, The Geometry of
+    the Classical Groups, 1992).  Mc z is z[x_rows]; h is D's e_0 or F's
+    (0, ..., 0, 1, 1 + s), s = sum g (`_reduce`).
+
+    If b(g + h, g) = 0 and g != h, a first transvection goes to
+    w = g + e_i + e_j, (i, j) the first pair with b(e_i + e_j, g) != 0 !=
+    b(w + h, w), that is (Mc g)_i != (Mc g)_j and (Mc h)_i != (Mc h)_j
+    (e_i + e_j is isotropic).  One exists, else InternalCheckError:
+      Mc = I, n = 2: b(g + h, g) = (g_0 + 1)(g_0 + g_1) = 0 means h = g.
+      Mc = I, n >= 3: (k, n - 2) if some k < n - 2 has g_k != g_{n-2};
+        else g_{n-1} alone differs, and (0, n - 1) works if s != 1,
+        (n - 2, n - 1) if s != 0.
+      Mc hyperbolic: b(g + h, g) = g_1; if it is 0, (0, 1) works if
+        g_0 != 0, else (1, p ^ 1), p the first index with g_p != 0.
     """
-    tagged = []
-    for i in range(0, len(f), 2):
-        b, a = int(f[i]), int(f[i + 1])
-        if b or a:
-            rb, ra = F.sqrt(b), F.sqrt(a)
-            p = [F.inv(rb), 0] if b else [0, F.inv(ra)]
-            _mix(F, E, [i, i + 1], [[p[0], ra], [p[1], rb]])
-            tagged.append(i)
-    if not tagged:
-        return "C"
-    keep, rest = tagged[0], tagged[1:]
-    if rest:
-        E[:, rest] ^= E[:, [keep]]
-        E[:, keep + 1] ^= np.bitwise_xor.reduce(E[:, [i + 1 for i in rest]], axis=1)
-    E[:] = E[:, [keep, keep + 1] + [c for c in range(len(f)) if c not in (keep, keep + 1)]]
-    return "D"
-
-
-def _replace_pair(F: Field, E: np.ndarray, f: list[int], i: int, j: int, a: int) -> None:
-    """Send bP(y) + bP(z), y != z, on the columns i, j of E (x-function
-    values f[i], f[j]) to bP(a) + bP(y+z+a), in place: the orthogonal mix
-    [[k, k+1], [k+1, k]] with k^2 = (z+a)/(z+y)."""
-    y, z = f[i], f[j]
-    if y == z:
-        raise ValueError("pair replacement needs distinct scalars")
-    k = F.sqrt(F.div(z ^ a, z ^ y))
-    _mix(F, E, [i, j], [[k, k ^ 1], [k ^ 1, k]])
-    f[i], f[j] = a, y ^ z ^ a
-
-
-def _pforms_chain(F: Field, E: np.ndarray, f: list[int]) -> list[int]:
-    """Rewrite the sum of bP(f_i), scalars not all equal, as
-    (n-2) bP(0) + bP(1) + bP(k) by `_replace_pair` steps; returns the
-    column order: the zeros, then the 1, then the free scalar."""
-    n = len(f)
-    if n == 2:
-        _replace_pair(F, E, f, 0, 1, 1)
-    else:
-        while True:
-            zero_idx = [i for i, y in enumerate(f) if y == 0]
-            if len(zero_idx) >= n - 2:
-                break
-            nz_idx = [i for i, y in enumerate(f) if y != 0]
-            if not zero_idx:
-                i, j = next((i, j) for i in range(n) for j in range(i + 1, n) if f[i] != f[j])
-                _replace_pair(F, E, f, i, j, 0)
-                continue
-            z = zero_idx[0]
-            ia, ib, ic = nz_idx[0], nz_idx[1], nz_idx[2]
-            excl = {0, f[ib], f[ia] ^ f[ic]}
-            d = next(e for e in range(1, F.order) if e not in excl)
-            _replace_pair(F, E, f, z, ia, d)
-            _replace_pair(F, E, f, z, ib, 0)
-            _replace_pair(F, E, f, ia, ic, 0)
-        nz_idx = [i for i, y in enumerate(f) if y != 0]
-        if len(nz_idx) == 1:
-            if f[nz_idx[0]] != 1:
-                _replace_pair(F, E, f, nz_idx[0], f.index(0), 1)
-        elif len(nz_idx) == 2:
-            i, j = nz_idx
-            if f[i] != f[j]:
-                _replace_pair(F, E, f, i, j, 1)
-            else:
-                z = f.index(0)
-                _replace_pair(F, E, f, z, i, 1)
-                # scalars at (z, i) are now (1, lam+1); clear against j
-                _replace_pair(F, E, f, i, j, 1)
-        else:  # pragma: no cover
-            raise AssertionError("endgame reached with wrong zero count")
-    zeros_at = [i for i, y in enumerate(f) if y == 0]
-    one = f.index(1)
-    if len(zeros_at) == n - 1:
-        free = zeros_at.pop()
-    else:
-        free = next(i for i in range(n) if i != one and f[i] != 0)
-    return [i for i in zeros_at if i != free] + [one, free]
+    if np.array_equal(g, h):
+        return
+    if not linalg.dot(F, (g ^ h)[x_rows], g):
+        a, c = g[x_rows], h[x_rows]
+        pairs = np.argwhere(np.triu((a[:, None] != a) & (c[:, None] != c), 1))
+        if not len(pairs):
+            raise InternalCheckError(f"no transvection pair moves {g.tolist()} to {h.tolist()}")
+        w = g.copy()
+        w[pairs[0]] ^= 1
+        _transvection(F, E, x_rows, g, w)
+        g = w
+    _transvection(F, E, x_rows, g, h)
 
 
 def _reduce(obj: VerObject, G: np.ndarray) -> tuple[np.ndarray, CanonicalClass]:
@@ -501,9 +453,14 @@ def _reduce(obj: VerObject, G: np.ndarray) -> tuple[np.ndarray, CanonicalClass]:
     E^T S E + Z^T U Z + N + N^T, with S = G_ww + G_vw^T K the Schur
     complement and N = E^T G_wx F.  N + N^T has a zero diagonal, and
     F = E Mc N, N the strict upper triangle of E^T S E + Z^T U Z, clears
-    everything off it.  What is left is the diagonal
-    (E o E)^T diag(S) + diag(Z^T U Z): the x-function f = (E o E)^T diag(S)
-    is normalised by changing E (keeping Mc), or, when U = I, absorbed by Z.
+    everything off it.  What is left is diag(Z^T U Z) plus the x-function
+    f = (E o E)^T diag(S), whose root g = E^T sqrt(diag(S)) any E -> E R
+    with R^T Mc R = Mc moves linearly, to R^T g.  For U = I, Z[0] = g
+    absorbs f (A, B).  Else at most two transvections (`_move_x_function`)
+    take g to 0 (C) or e_0 (D) if Mc is hyperbolic; for Mc = I a constant g
+    is its own target (E, parameter g_0^2; R keeps the all-ones vector, as
+    x^T x = (sum x)^2) and any other goes to (0, ..., 0, 1, 1 + s), s = sum g
+    (F, parameter s^2, the form invariant).
     """
     F, m, n = obj.field, obj.m, obj.n
     vv, vw, ww, wx = obj.gram_blocks(G)
@@ -514,23 +471,24 @@ def _reduce(obj: VerObject, G: np.ndarray) -> tuple[np.ndarray, CanonicalClass]:
     u_rows, x_rows = np.arange(m) ^ v_alt, np.arange(n) ^ x_alt
     P = mat_mul(F, A.T, vw)
     S = ww ^ mat_mul(F, P.T, P[u_rows])
-    f = np.bitwise_xor.reduce(F.mul_arr(F.mul_arr(E, E), np.diagonal(S)[:, None]), axis=0)
+    # g = sqrt(f), f = (E o E)^T diag(S) the x-function, and h its target
+    g = h = linalg.mat_vec(F, E.T, F.sqrt_arr(np.diagonal(S)))
     Z = zeros(m, n)
     param = None
     if not v_alt:
-        # U = I: w_k + sqrt(f_k) u_0 has x-function 0
         family = "A" if x_alt else "B"
-        Z[0] = [F.sqrt(y) for y in f.tolist()]
+        Z[0] = g
     elif x_alt:
-        family = _hyperbolic_tags(F, E, f)
+        family = "D" if g.any() else "C"
+        if g.any():
+            h = eye(n)[0]
+    elif (g == g[0]).all():
+        family, param = "E", F.mul(int(g[0]), int(g[0]))
     else:
-        f = f.tolist()
-        if len(set(f)) == 1:
-            family, param = "E", f[0]
-        else:
-            order = _pforms_chain(F, E, f)
-            E[:] = E[:, order]
-            family, param = "F", 1 ^ f[order[-1]]
+        s = int(np.bitwise_xor.reduce(g))
+        h = np.array([0] * (n - 2) + [1, 1 ^ s], dtype=np.int64)
+        family, param = "F", F.mul(s, s)
+    _move_x_function(F, E, x_rows, g, h)
     UZ = Z[u_rows]
     N = np.triu(mat_mul(F, mat_mul(F, E.T, S), E) ^ mat_mul(F, Z.T, UZ), 1)
     T = obj.equivariant_matrix(
@@ -549,12 +507,13 @@ def canonicalize(beta: BilinearForm) -> tuple[Morphism, BilinearForm, CanonicalC
 
     The constructive reduction runs on the free Gram blocks (`_reduce`):
     the unit part is the congruence of G_vv alone; the Schur complement
-    decouples the v's from the P-part, which becomes the pair of the
-    x-pairing G_wx and the x-function f on K^n under the w -> w block E of
-    T in GL_n (G_wx -> E^T G_wx E, f -> (E o E)^T f); symmetric elimination
-    with the bP/b2P normalisations reduces that pair; and the w -> x block
-    of T is read in closed form.  Returns (T, canonical form, class), the class
-    being the one this path and the invariant-based `classify` agree on.
+    decouples the v's from the P-part, the x-pairing G_wx and the x-function
+    f under the w -> w block E of T; symmetric elimination brings G_wx to
+    Mc; g = sqrt(f) moves linearly under the E keeping Mc, and at most two
+    transvections take it to 0, e_0, itself or (0, ..., 0, 1, 1 + sum g)
+    (C, D, E, F); the w -> x block of T is read in closed form.  Returns
+    (T, canonical form, class), the class being the one this path and the
+    invariant-based `classify` agree on.
     """
     return _canonicalize_grams(beta.obj, beta.gram[None])[0]
 

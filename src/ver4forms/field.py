@@ -154,6 +154,9 @@ class Field:
         # log(0)'s sentinel turns into a negative index into the zero tail
         return self._expz[self._gorder - self._logz[np.asarray(a, dtype=np.int64)]]
 
+    def sqrt_arr(self, a) -> np.ndarray:
+        return self._sqrt[np.asarray(a, dtype=np.int64)]
+
     # -- misc ----------------------------------------------------------------
 
     def __eq__(self, other):

@@ -232,7 +232,7 @@ def unit_object(field: Field) -> VerObject:
 class Morphism:
     """A linear map between modules that commutes with the t-actions.
 
-    The matrix acts on column vectors; composition is matrix product.
+    The matrix acts on column vectors.
     """
 
     def __init__(self, source, target, matrix: np.ndarray):
@@ -252,12 +252,6 @@ class Morphism:
     @property
     def field(self) -> Field:
         return self.source.field
-
-    def compose(self, other: "Morphism") -> "Morphism":
-        """self after other."""
-        if other.target.dim != self.source.dim:
-            raise ValueError("composition dimension mismatch")
-        return Morphism(other.source, self.target, mat_mul(self.field, self.matrix, other.matrix))
 
     def is_invertible(self) -> bool:
         return linalg.is_invertible(self.field, self.matrix)
@@ -301,10 +295,17 @@ def standard_basis(raw) -> tuple[VerObject, np.ndarray]:
     return obj, B
 
 
+# Largest tensor product dimension; `tensor_raw`, under every tensor product,
+# braiding and evaluation, refuses more before it allocates the t-action.
+TENSOR_MAX_DIM = 576
+
+
 def tensor_raw(a, b) -> RawTModule:
     """Tensor product module on the Kronecker basis (left factor outer)."""
     if a.field != b.field:
         raise ValueError("tensor factors live over different fields")
+    if a.dim * b.dim > TENSOR_MAX_DIM:
+        raise ValueError(f"tensor product dim {a.dim} x {b.dim} is over the cap {TENSOR_MAX_DIM}")
     Ta, Tb = a.t_action(), b.t_action()
     T = np.kron(Ta, eye(b.dim)) ^ np.kron(eye(a.dim), Tb)
     return RawTModule(a.field, T)
@@ -330,15 +331,14 @@ def braiding(a, b) -> Morphism:
 
     c(u (x) r) = r (x) u + (t.r) (x) (t.u); it squares to the identity.
     """
-    if a.field != b.field:
-        raise ValueError("braiding factors live over different fields")
+    source, target = tensor_raw(a, b), tensor_raw(b, a)
     da, db = a.dim, b.dim
     base = eye(da * db) ^ np.kron(a.t_action(), b.t_action())
     idx = np.arange(da * db)
     swapped = (idx % db) * da + idx // db
     C = np.zeros((da * db, da * db), dtype=np.int64)
     C[swapped] = base
-    return Morphism(tensor_raw(a, b), tensor_raw(b, a), C)
+    return Morphism(source, target, C)
 
 
 def dual(obj: VerObject) -> tuple[VerObject, Morphism]:

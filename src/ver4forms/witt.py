@@ -44,7 +44,7 @@ from .bform import BilinearForm
 from .classify import CanonicalClass, canonical_rep, class_inventory, classify, classify_batch  # noqa: F401
 from .field import Field
 from .linalg import congruence, eye, kron, mat_mul, support_congruence
-from .verobj import VerObject, braiding, tensor
+from .verobj import TENSOR_MAX_DIM, VerObject, braiding, tensor
 
 
 def direct_sum(b1: BilinearForm, b2: BilinearForm) -> BilinearForm:
@@ -347,10 +347,11 @@ def emit_tables(
     Parameters default to the whole field.  Product cells whose result
     dimension exceeds `product_dim_cap` are skipped (the rules are
     dimension-uniform; the cap only bounds runtime).  Before any class is
-    built, refuses a negative `max_size` and a grid over 2^TABLE_BUDGET_BITS
+    built, refuses a negative `max_size`, a grid over 2^TABLE_BUDGET_BITS
     class pairs by the bound N(N + 1)/2, N = (max_size + 1)^2 (4 + 2P)
     classes for P parameters (A-D once and E, F once per parameter on each
-    shape).
+    shape), and a grid whose largest computed product, of dim at most
+    min(product_dim_cap, (3 max_size)^2), is over `TENSOR_MAX_DIM`.
     """
     if F.k < 2:
         raise ValueError("tables require a field with k >= 2")
@@ -361,6 +362,12 @@ def emit_tables(
         raise ValueError(
             f"tables with max_size {max_size}: up to {N * (N + 1) // 2} class pairs, "
             f"over the 2^{TABLE_BUDGET_BITS} budget"
+        )
+    largest = min(product_dim_cap, (3 * max_size) ** 2)
+    if largest > TENSOR_MAX_DIM:
+        raise ValueError(
+            f"tables with max_size {max_size}: products up to dim {largest}, "
+            f"over the tensor cap of dim {TENSOR_MAX_DIM}"
         )
     # cells of one operation on one pair of objects are classified as one stack
     cells, groups = [], {}

@@ -224,7 +224,7 @@ def test_alternating_matches_divided_power_kernel_definition():
                 break
             seen += 1
             definitional = all(
-                beta.apply_to_tensor(cols[:, j]) == 0 for j in range(cols.shape[1])
+                la.dot(F, beta.gram.reshape(-1), cols[:, j]) == 0 for j in range(cols.shape[1])
             )
             assert beta.is_alternating() == definitional
 

@@ -20,7 +20,7 @@ from ver4forms.classify import (
     good_pairs,
     x_function,
     x_matrix,
-    _replace_pair,
+    _move_x_function,
 )
 from ver4forms.field import make_field
 from ver4forms.verobj import VerObject, random_equivariant_automorphism, random_equivariant_matrix
@@ -175,24 +175,40 @@ def test_classify_of_every_canonical_rep_roundtrips():
                     assert classify(canonical_rep(cls, F8)) == cls
 
 
-def test_replace_pair_matches_target_scalars():
-    # bP(y) + bP(z), y != z, is congruent to bP(a) + bP(y+z+a) for any a:
-    # the pair is mixed on the w-coordinates E, and the w -> x block F
-    # clears the off-diagonal of E^T S E (G_wx = I on both sides)
-    obj = VerObject(F4, 0, 2)
-    for y, z, a in itertools.product(F4.elements(), repeat=3):
-        if y == z:
-            continue
-        beta = direct_sum(bp(y), bp(z))
-        E, f = la.eye(2), [y, z]
-        _replace_pair(F4, E, f, 0, 1, a)
-        assert f == [a, y ^ z ^ a]
-        S = np.diag([y, z])
-        fm = la.mat_mul(F4, E, np.triu(la.congruence(F4, E, S), 1))
-        T = obj.equivariant_matrix(la.zeros(0, 0), la.zeros(2, 0), la.zeros(0, 2), E, fm)
-        got = la.congruence(F4, T, beta.gram)
-        want = direct_sum(bp(a), bp(y ^ z ^ a)).gram
-        assert np.array_equal(got, want)
+@pytest.mark.parametrize("F, max_n", [(F4, 4), (F8, 3)], ids=["gf4", "gf8"])
+def test_move_x_function_reaches_every_target_in_two_transvections(F, max_n, monkeypatch):
+    # every g = sqrt(f) in K^n that `_reduce` moves, under Mc = I and the
+    # hyperbolic Mc, starting from E = I: Mc is kept and g reaches its target
+    module = sys.modules["ver4forms.classify"]
+    steps = []
+    step = module._transvection
+    monkeypatch.setattr(module, "_transvection", lambda *args: steps.append(args) or step(*args))
+    two_steps = 0
+    for n in range(1, max_n + 1):
+        for alt in (False, True) if n % 2 == 0 else (False,):
+            x_rows = np.arange(n) ^ alt
+            Mc = la.eye(n)[x_rows]
+            for g in itertools.product(F.elements(), repeat=n):
+                g = np.array(g, dtype=np.int64)
+                if alt and g.any():
+                    h = la.eye(n)[0]  # D
+                elif not alt and (g != g[0]).any():
+                    h = np.zeros(n, dtype=np.int64)  # F
+                    h[-2:] = 1, 1 ^ int(np.bitwise_xor.reduce(g))
+                else:
+                    continue  # C and E: g is its own target
+                E = la.eye(n)
+                steps.clear()
+                _move_x_function(F, E, x_rows, g, h)
+                assert len(steps) <= 2
+                two_steps += len(steps) == 2
+                assert np.array_equal(la.congruence(F, E, Mc), Mc)
+                f = la.mat_vec(F, F.mul_arr(E, E).T, F.mul_arr(g, g))
+                assert np.array_equal(f, F.mul_arr(h, h))
+    assert two_steps
+    # a constant g is its own orbit under Mc = I: no pair moves it
+    with pytest.raises(InternalCheckError, match="no transvection pair"):
+        _move_x_function(F, la.eye(3), np.arange(3), np.ones(3, dtype=np.int64), la.eye(3)[2])
 
 
 def test_canonicalize_two_p_blocks():

@@ -136,6 +136,16 @@ def test_sum_and_product_commands(tmp_path, capsys):
     assert doc["class"]["label"] == "E[0,2](0)"
 
 
+def test_product_refuses_over_the_tensor_cap(tmp_path, capsys):
+    # dims 40 x 40 = 1600: the 1600^2 t-action would take tens of seconds
+    rep = canonical_rep(CanonicalClass("C", 0, 20), make_field(2))
+    path = _write(tmp_path, "c20.json", rep.to_json())
+    start = time.perf_counter()
+    assert main(["product", path, path]) == 1
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("error: tensor product dim 40 x 40 is over the cap 576")
+
+
 def test_quad_classify_command(tmp_path, capsys):
     doc = {"field": {"k": 2}, "object": {"m": 2, "n": 0}, "values": [0, 0, 1]}
     path = _write(tmp_path, "q.json", doc)

@@ -326,12 +326,20 @@ def test_emit_tables_clean_and_serializable():
 
 
 @pytest.mark.parametrize(
-    "max_size, params", [(-1, None), (1000, None), (4, range(1 << 16))], ids=["negative", "size", "params"]
+    "max_size, params, cap, message",
+    [
+        (-1, None, 24, "max_size must be non-negative"),
+        (1000, None, 24, "class pairs"),
+        (4, range(1 << 16), 24, "class pairs"),
+        # sizes <= 9 reach dim 27 objects, whose products go up to 729
+        (9, None, 600, "products up to dim 600, over the tensor cap of dim 576"),
+    ],
+    ids=["negative", "size", "params", "tensor-cap"],
 )
-def test_emit_tables_refuses_a_grid_before_building_classes(monkeypatch, max_size, params):
+def test_emit_tables_refuses_a_grid_before_building_classes(monkeypatch, max_size, params, cap, message):
     monkeypatch.setattr(witt, "all_class_instances", lambda *args: pytest.fail("classes were built"))
-    with pytest.raises(ValueError, match="max_size"):
-        emit_tables(F8, max_size, params)
+    with pytest.raises(ValueError, match=message):
+        emit_tables(F8, max_size, params, product_dim_cap=cap)
 
 
 @pytest.mark.parametrize("F", [F4, F8], ids=["gf4", "gf8"])
