@@ -48,13 +48,9 @@ from . import linalg
 from .bform import BilinearForm
 from .field import Field
 from .linalg import block_diag, eye, mat_mul, readonly, zeros
-from .verobj import Morphism, VerObject
+from .verobj import InternalCheckError, Morphism, VerObject
 
 FAMILIES = ("A", "B", "C", "D", "E", "F")
-
-
-class InternalCheckError(RuntimeError):
-    """A cross-check between independent computation paths failed."""
 
 
 # -- good pairs ---------------------------------------------------------------

@@ -182,6 +182,10 @@ class VerObject:
         return f"VerObject(GF(2^{self.field.k}), {self.m}*1 + {self.n}*P)"
 
 
+class InternalCheckError(RuntimeError):
+    """A cross-check between independent computation paths failed."""
+
+
 class RawTModule:
     """A module given by an arbitrary square t-action matrix with T^2 = 0."""
 
@@ -295,17 +299,21 @@ def standard_basis(raw) -> tuple[VerObject, np.ndarray]:
     return obj, B
 
 
-# Largest tensor product dimension; `tensor_raw`, under every tensor product,
-# braiding and evaluation, refuses more before it allocates the t-action.
+# Largest tensor product dimension; `tensor` and `tensor_raw`, under every
+# tensor product, braiding and evaluation, refuse more before they allocate.
 TENSOR_MAX_DIM = 576
 
 
-def tensor_raw(a, b) -> RawTModule:
-    """Tensor product module on the Kronecker basis (left factor outer)."""
+def _check_factors(a, b) -> None:
     if a.field != b.field:
         raise ValueError("tensor factors live over different fields")
     if a.dim * b.dim > TENSOR_MAX_DIM:
         raise ValueError(f"tensor product dim {a.dim} x {b.dim} is over the cap {TENSOR_MAX_DIM}")
+
+
+def tensor_raw(a, b) -> RawTModule:
+    """Tensor product module on the Kronecker basis (left factor outer)."""
+    _check_factors(a, b)
     Ta, Tb = a.t_action(), b.t_action()
     T = np.kron(Ta, eye(b.dim)) ^ np.kron(eye(a.dim), Tb)
     return RawTModule(a.field, T)
@@ -315,15 +323,35 @@ def tensor_raw(a, b) -> RawTModule:
 def tensor(a: VerObject, b: VerObject) -> tuple[VerObject, np.ndarray, tuple]:
     """Standard form of a (x) b for standard objects: (obj, B, support).
 
-    B holds obj's standard basis as columns on the Kronecker basis (left
-    factor outer), read-only and certified equivariant; it is invertible
-    by `standard_basis`'s construction.  `support` is its
-    `linalg.column_support`.  Sizes follow m' = m*p and n' = 2nq + mq + np.
+    B, read-only, holds obj's standard basis as columns on the Kronecker
+    basis (u_i (x) r_j at i * dim b + j).  It is `standard_basis(tensor_raw(a,
+    b))` by index arithmetic: v's are the v (x) v'; w's are those with a
+    one-term t-image (w (x) v', w (x) x', v (x) w'), then the w (x) w' (image
+    x (x) w' + w (x) x'), each by index; each x is t of its w.  B is
+    invertible: its unit columns cover all but the x (x) w', which the
+    two-term columns add.  Equivariance is certified by slot moves, and
+    `support` is B's `linalg.column_support`.  m' = m*p, n' = 2nq + mq + np.
     """
-    raw = tensor_raw(a, b)
-    obj, B = standard_basis(raw)
-    Morphism(obj, raw, B)  # raises unless B is equivariant
+    _check_factors(a, b)
+    pairs = lambda us, rs: np.add.outer(us * b.dim, rs).reshape(-1)
+    one_term = np.sort(np.concatenate([pairs(a.ws, b.vs), pairs(a.ws, b.xs), pairs(a.vs, b.ws)]))
+    w_idx = np.concatenate([one_term, pairs(a.ws, b.ws)])
+    obj = VerObject(a.field, a.m * b.m, len(w_idx))
+    B = zeros(obj.dim, obj.dim)
+    B[pairs(a.vs, b.vs), obj.vs] = B[w_idx, obj.ws] = 1
+    # t moves w_k (x) r by dim b places to x_k (x) r, and u (x) w'_l by one to u (x) x'_l
+    for moved, step in ((np.isin(w_idx // b.dim, a.ws), b.dim), (np.isin(w_idx % b.dim, b.ws), 1)):
+        B[w_idx[moved] + step, obj.xs[moved]] = 1
+    _check_tensor_basis(a, b, obj, B)
     return obj, readonly(B), linalg.column_support(B)
+
+
+def _check_tensor_basis(a: VerObject, b: VerObject, obj: VerObject, B: np.ndarray) -> None:
+    """Raise InternalCheckError unless B: obj -> a (x) b is equivariant, by slot moves."""
+    B3 = B.reshape(a.dim, b.dim, obj.dim)
+    TB = a.t_times(B3.reshape(a.dim, b.dim * obj.dim)).reshape(B3.shape) ^ b.t_times(B3)
+    if not np.array_equal(TB.reshape(B.shape), obj.times_t(B)):
+        raise InternalCheckError("tensor basis does not commute with the t-actions")
 
 
 def braiding(a, b) -> Morphism:

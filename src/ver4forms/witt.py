@@ -24,11 +24,12 @@ The product Gram follows the evaluation law
 frozen from the braiding composition (retained in
 `tensor_product_via_braiding` as a cross-check path), then rewritten on the
 standard basis B of the product object.  That congruence B^T K B is a
-gather: `verobj.tensor` caches B with its column support (every column of a
-standard tensor basis checked, up to m, n <= 5 and dim <= 160, has at most
-two non-zeros, each 1), so it costs a few index gathers of K and XORs
-(`linalg.support_congruence`) rather than two matrix products.  The
-braiding path applies the same cached B by a plain congruence.
+gather: `verobj.tensor` caches B with its column support (by its closed-form
+construction every column of B is a unit vector or the t-image
+x (x) w' + w (x) x' of a w (x) w', so it has at most two non-zeros, each 1),
+so it costs a few index gathers of K and XORs (`linalg.support_congruence`)
+rather than two matrix products.  The braiding path applies the same
+cached B by a plain congruence.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .bform import BilinearForm
 # module binding is patched and restored, so it stays imported
 from .classify import CanonicalClass, canonical_rep, class_inventory, classify, classify_batch  # noqa: F401
 from .field import Field
-from .linalg import congruence, eye, kron, mat_mul, support_congruence
+from .linalg import congruence, kron, mat_mul, support_congruence
 from .verobj import TENSOR_MAX_DIM, VerObject, braiding, tensor
 
 
@@ -94,12 +95,10 @@ def tensor_product_via_braiding(b1: BilinearForm, b2: BilinearForm) -> BilinearF
     F = b1.field
     U, R = b1.obj, b2.obj
     t = U.dim * R.dim
-    if t == 0:
-        return tensor_product(b1, b2)
-    c_RU = braiding(R, U).matrix
-    L = kron(F, eye(U.dim), kron(F, c_RU, eye(R.dim)))
-    row = kron(F, b1.gram.reshape(1, -1), b2.gram.reshape(1, -1))
-    K = mat_mul(F, row, L).reshape(t, t)
+    # the evaluation row times 1 (x) c_RU (x) 1, with the outer factors as rows
+    row = kron(F, b1.gram.reshape(1, -1), b2.gram.reshape(1, -1)).reshape(U.dim, t, R.dim)
+    K = mat_mul(F, row.transpose(0, 2, 1).reshape(t, t), braiding(R, U).matrix)
+    K = K.reshape(U.dim, R.dim, R.dim, U.dim).transpose(0, 2, 3, 1).reshape(t, t)
     tobj, B, _ = tensor(U, R)
     return BilinearForm(tobj, congruence(F, B, K))
 

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ver4forms
 from ver4forms import linalg as la
+from ver4forms.classify import InternalCheckError as ClassifyInternalCheckError
 from ver4forms.field import make_field
 from ver4forms.verobj import (
+    TENSOR_MAX_DIM,
+    InternalCheckError,
     Morphism,
     RawTModule,
     VerObject,
@@ -19,6 +23,7 @@ from ver4forms.verobj import (
     tensor,
     tensor_raw,
     unit_object,
+    _check_tensor_basis,
 )
 
 F = make_field(2)
@@ -131,7 +136,7 @@ def test_tensor_with_unit_is_identity_shaped():
 
 @settings(max_examples=30, deadline=None)
 @given(k=st.integers(2, 16), shape=st.tuples(*[st.integers(0, 5)] * 4).filter(
-    lambda s: (s[0] + 2 * s[1]) * (s[2] + 2 * s[3]) <= 160
+    lambda s: (s[0] + 2 * s[1]) * (s[2] + 2 * s[3]) <= TENSOR_MAX_DIM
 ))
 def test_tensor_basis_is_equivariant_invertible_and_fixes_unit_tensors(k, shape):
     # the facts witt and divided rely on: B maps obj -> U (x) R, is invertible and
@@ -148,6 +153,41 @@ def test_tensor_basis_is_equivariant_invertible_and_fixes_unit_tensors(k, shape)
     assert np.array_equal(B[:, obj.vs], units)
     for got, want in zip(support, la.column_support(B)):
         assert np.array_equal(got, want)
+
+
+def _assert_tensor_is_the_standard_basis(U, R):
+    # the closed form reproduces standard_basis's greedy choice byte for byte
+    obj, B, _ = tensor(U, R)
+    ref_obj, ref_B = standard_basis(tensor_raw(U, R))
+    assert obj == ref_obj
+    assert (B.shape, B.dtype, B.tobytes()) == (ref_B.shape, ref_B.dtype, ref_B.tobytes())
+
+
+def test_tensor_is_the_standard_basis_of_every_small_product():
+    for m, n, p, q in itertools.product(range(4), repeat=4):
+        _assert_tensor_is_the_standard_basis(VerObject(F, m, n), VerObject(F, p, q))
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(2, 16), shape=st.tuples(*[st.integers(0, 12)] * 4).filter(
+    lambda s: (s[0] + 2 * s[1]) * (s[2] + 2 * s[3]) <= TENSOR_MAX_DIM
+))
+def test_tensor_is_the_standard_basis_over_any_field_up_to_the_cap(k, shape):
+    Fk = make_field(k)
+    m, n, p, q = shape
+    _assert_tensor_is_the_standard_basis(VerObject(Fk, m, n), VerObject(Fk, p, q))
+
+
+def test_tensor_certificate_rejects_a_corrupted_basis():
+    assert InternalCheckError is ClassifyInternalCheckError is ver4forms.InternalCheckError
+    U, R = VerObject(F, 1, 1), VerObject(F, 1, 2)
+    obj, B, _ = tensor(U, R)
+    _check_tensor_basis(U, R, obj, B)
+    for v, w in [(obj.vs[0], obj.ws[0]), (obj.ws[0], obj.xs[0]), (obj.ws[-1], obj.ws[0])]:
+        bad = B.copy()
+        bad[:, [v, w]] = bad[:, [w, v]]
+        with pytest.raises(InternalCheckError, match="tensor basis does not commute"):
+            _check_tensor_basis(U, R, obj, bad)
 
 
 def test_braiding_formula_on_p():

@@ -2,9 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from ver4forms import linalg as la, witt
+from ver4forms import linalg as la, verobj, witt
 from ver4forms.bform import BilinearForm
 from ver4forms.classify import CanonicalClass, canonical_rep, classify, form_invariant, good_pairs
 from ver4forms.field import make_field
@@ -145,10 +145,30 @@ def test_tensor_product_matches_braiding_composition():
         canonical_rep(CanonicalClass("E", 0, 1, 3), F4),
         canonical_rep(CanonicalClass("D", 0, 2), F4),
     ]
-    for b1, b2 in itertools.product(reps, repeat=2):
+    big = canonical_rep(CanonicalClass("C", 0, 6), F4)  # C[0,6] (x) C[0,6] has dim 144
+    for b1, b2 in [*itertools.product(reps, repeat=2), (big, big)]:
         direct = tensor_product(b1, b2)
         viabraid = tensor_product_via_braiding(b1, b2)
         assert np.array_equal(direct.gram, viabraid.gram)
+
+
+def test_tensor_and_product_grams_run_no_elimination(monkeypatch):
+    # the standard basis of a tensor product is closed-form and gathered, so
+    # neither builds it by elimination nor applies it by a matrix product
+    calls = []
+    for mod, name in [(verobj, "row_reduce"), (verobj, "null_space"), (verobj, "mat_mul"), (witt, "mat_mul"),
+                      (la, "row_reduce"), (la, "null_space"), (la, "mat_mul")]:
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _fn=fn, _name=name, **kw: calls.append(_name) or _fn(*a, **kw))
+    verobj.tensor.cache_clear()
+    rng = np.random.default_rng(5)
+    for k, sizes in [(2, (1, 1, 0, 1)), (3, (2, 3, 1, 2)), (16, (0, 4, 3, 3)), (8, (5, 5, 5, 2))]:
+        F = make_field(k)
+        U, R = VerObject(F, *sizes[:2]), VerObject(F, *sizes[2:])
+        verobj.tensor(U, R)
+        G1, G2 = _compatible_grams(U, rng, 3, True), _compatible_grams(R, rng, 3, True)
+        _product_grams(U, R, G1, G2)
+    assert calls == []
 
 
 def _compatible_grams(obj, rng, b, symmetric):
@@ -182,7 +202,6 @@ def test_product_gather_matches_braiding_composition_on_random_grams(k, sizes, b
     # members computed one at a time
     F = make_field(k)
     U, R = VerObject(F, *sizes[:2]), VerObject(F, *sizes[2:])
-    assume(U.dim * R.dim <= 36)  # the braiding path builds a (UR)^2 x (UR)^2 matrix
     rng = np.random.default_rng(seed)
     G1, G2 = _compatible_grams(U, rng, b, symmetric), _compatible_grams(R, rng, b, symmetric)
     tobj, stacked = _product_grams(U, R, G1, G2)
