@@ -105,17 +105,17 @@ def _good_pair_spaces(F: Field, blocks) -> list[GoodPairSpace]:
     cross = F.mul_arr(ref[:, None, 0], rows[..., 1]) ^ F.mul_arr(ref[:, None, 1], rows[..., 0])
     rank2 = cross.any(axis=1)
     slope = F.mul_arr(ref[:, 1], F.inv_arr(ref[:, 0]))
-    out = []
-    for (r0, r1), two, w in zip(ref.tolist(), rank2.tolist(), slope.tolist()):
-        if two:
-            out.append(GoodPairSpace("zero"))
-        elif r0:
-            out.append(GoodPairSpace("slope", w))
-        elif r1:
-            out.append(GoodPairSpace("k_axis"))
-        else:
-            out.append(GoodPairSpace("full"))
-    return out
+    keys = [
+        ("zero", None) if two else ("slope", w) if r0 else ("k_axis" if r1 else "full", None)
+        for (r0, r1), two, w in zip(ref.tolist(), rank2.tolist(), slope.tolist())
+    ]
+    return _shared(GoodPairSpace, keys)
+
+
+def _shared(make, keys: list) -> list:
+    """[make(*key) for key in keys], with one shared object per distinct key."""
+    made = {key: make(*key) for key in dict.fromkeys(keys)}
+    return [made[key] for key in keys]
 
 
 # -- X-data and the form invariant --------------------------------------------
@@ -160,11 +160,14 @@ def _block_invariants(F: Field, blocks) -> tuple[np.ndarray, np.ndarray]:
     iff G_vv and G_wx are invertible (eliminating the x-rows [0, G_xw, 0]
     against the w-columns leaves G_vv).  The invariant sum_i f_i
     (G_wx^-1)_ii, f the G_ww diagonal, means something where G is
-    non-degenerate and alternating."""
+    non-degenerate and alternating.  It is g^T G_wx^-1 g with g = sqrt(f),
+    one solve: N = G_wx^-1 is symmetric, so g^T N g = sum_i g_i^2 N_ii +
+    sum_{i<j} 2 g_i g_j N_ij, and 2 = 0."""
     vv, _, ww, wx = blocks
-    ok_v, _ = linalg.batch_invert(F, vv)
-    ok_x, wx_inv = linalg.batch_invert(F, wx)
-    invariant = np.bitwise_xor.reduce(F.mul_arr(_diag(ww), _diag(wx_inv)), axis=1)
+    g = F.sqrt_arr(_diag(ww))
+    ok_v, _ = linalg.batch_solve(F, vv)
+    ok_x, x = linalg.batch_solve(F, wx, g[..., None])
+    invariant = np.bitwise_xor.reduce(F.mul_arr(g, x[..., 0]), axis=1)
     return ok_v & ok_x, invariant
 
 
@@ -321,24 +324,24 @@ def _classify_grams(obj: VerObject, G: np.ndarray) -> list[CanonicalClass]:
         raise ValueError("classification requires a non-degenerate form")
     alternating = ~_diag(blocks[0]).any(axis=1)
     spaces = _good_pair_spaces(F, blocks)
-    out = []
+    keys = []
     for alt, gp, inv in zip(alternating.tolist(), spaces, invariant.tolist()):
         if not alt:
             if gp.shape == "k_axis":
-                out.append(CanonicalClass("A", m, n))
+                keys.append(("A", None))
             elif gp.shape == "zero":
-                out.append(CanonicalClass("B", m, n))
+                keys.append(("B", None))
             else:
                 raise InternalCheckError(f"non-alternating form with good pairs {gp}")
         elif gp.shape == "full":
-            out.append(CanonicalClass("C", m, n))
+            keys.append(("C", None))
         elif gp.shape == "k_axis":
-            out.append(CanonicalClass("D", m, n))
+            keys.append(("D", None))
         elif gp.shape == "slope":
-            out.append(CanonicalClass("E", m, n, gp.witness))
+            keys.append(("E", gp.witness))
         else:
-            out.append(CanonicalClass("F", m, n, inv))
-    return out
+            keys.append(("F", inv))
+    return _shared(lambda family, param: CanonicalClass(family, m, n, param), keys)
 
 
 # -- constructive canonicalization --------------------------------------------

@@ -53,7 +53,7 @@ import numpy as np
 from .bform import BilinearForm, Subobject, subobject_standard_basis
 from .classify import CanonicalClass, _classify_grams, require_classifiable_field
 from .field import Field, make_field
-from .linalg import block_diag, congruence, eye, mat_mul, rank, readonly, solve, zeros
+from .linalg import block_diag, congruence, eye, mat_mul, rank, readonly, solve, triu_indices, zeros
 from .verobj import Morphism, VerObject, braiding, json_ints, tensor
 
 
@@ -179,7 +179,7 @@ def _family_sizes(m: int, n: int) -> tuple[int, ...]:
 
 def _symmetric(s: int, diag, upper) -> np.ndarray:
     """Symmetric s x s block from its diagonal and upper triangle (row order)."""
-    i, j = np.triu_indices(s, 1)
+    i, j = triu_indices(s, 1)
     out = zeros(s, s)
     out[i, j] = out[j, i] = upper
     out[range(s), range(s)] = diag
@@ -199,8 +199,8 @@ def _line_values(obj: VerObject, blocks) -> np.ndarray:
     """`_beta_q_blocks` undone on families 2..7: the line values whose
     beta_q has these blocks (vv, ww, wx symmetric), 0 on family 1."""
     vv, vw, ww, wx = blocks
-    iv, jv = np.triu_indices(obj.m, 1)
-    kn, ln = np.triu_indices(obj.n, 1)
+    iv, jv = triu_indices(obj.m, 1)
+    kn, ln = triu_indices(obj.n, 1)
     return np.concatenate([
         np.zeros(obj.m, dtype=np.int64), vv[iv, jv], np.reshape(vw, -1),
         np.diagonal(ww), np.diagonal(wx), wx[kn, ln], ww[kn, ln],

@@ -5,10 +5,13 @@ supplies the arithmetic.  Row reduction uses standard Gaussian elimination
 with vectorised row operations (row addition is XOR, scaling goes through
 the field's exp/log tables), so everything stays exact.  There are two
 elimination kernels: `row_reduce` (RREF and pivots of one matrix) and
-`batch_invert` (invertibility and inverses of a stack of square blocks).
+`batch_solve` (invertibility of a stack of square blocks, and A^-1 B for
+right-hand sides B when given).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +31,12 @@ def readonly(a: np.ndarray) -> np.ndarray:
     arrays that cached results share."""
     a.flags.writeable = False
     return a
+
+
+@lru_cache(maxsize=64)
+def triu_indices(s: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(s, k)`, read-only and built once per (s, k)."""
+    return tuple(readonly(a) for a in np.triu_indices(s, k))
 
 
 def block_diag(*blocks: np.ndarray) -> np.ndarray:
@@ -161,27 +170,28 @@ def null_space(F: Field, M: np.ndarray) -> np.ndarray:
     return basis
 
 
-def batch_invert(F: Field, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Invertibility and inverses of a (b, s, s) stack of square matrices.
+def batch_solve(F: Field, A: np.ndarray, B: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Invertibility of a (b, s, s) stack A, and A^-1 B for a (b, s, r)
+    stack B of right-hand sides (r = 0 without B).
 
-    Returns (ok, inv): ok[i] tells whether A[i] is invertible, and inv[i] is
-    its inverse when it is (unspecified otherwise).  One Gauss-Jordan pass
-    runs over the whole batch axis; for column c each member takes its first
-    row at or below c with a nonzero entry as pivot.  A batch of one goes
-    through `row_reduce` instead: on dense GF(8) matrices with s = 1..14,
-    the stacked pass on one matrix took 1.0-2.6x the time of
-    `is_invertible`, the most at s <= 2.
+    Returns (ok, X): ok[i] tells whether A[i] is invertible, and X[i] is
+    A[i]^-1 B[i] when it is (unspecified otherwise).  One Gauss-Jordan pass
+    runs over [A | B] on the whole batch axis; for column c each member
+    takes its first row at or below c with a nonzero entry as pivot.  A
+    batch of one goes through `row_reduce` instead: on dense GF(8) matrices
+    with s = 1..14, the stacked pass on one matrix took 1.0-2.6x the time
+    of `is_invertible`, the most at s <= 2.
     """
     A = np.asarray(A, dtype=np.int64)
     b, s, s2 = A.shape
     if s != s2:
-        raise ValueError(f"batch_invert needs square blocks, got {A.shape}")
+        raise ValueError(f"batch_solve needs square blocks, got {A.shape}")
+    R = A if B is None else np.concatenate([A, np.asarray(B, dtype=np.int64)], axis=2)
     if b == 1:
-        R, piv = row_reduce(F, np.concatenate([A[0], eye(s)], axis=1), n_pivot_cols=s)
+        R, piv = row_reduce(F, R[0], n_pivot_cols=s)
         return np.array([len(piv) == s]), R[None, :, s:]
-    R = np.zeros((b, s, 2 * s), dtype=np.int64)
-    R[:, :, :s] = A
-    R[:, :, s:] = eye(s)
+    if B is None:
+        R = R.copy()
     at = np.arange(b)
     # each step skips work that is zero for the whole batch, as row_reduce does
     for c in range(s):
@@ -203,7 +213,7 @@ def batch_invert(F: Field, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def inverse(F: Field, M: np.ndarray) -> np.ndarray:
     if M.shape[0] != M.shape[1]:
         raise ValueError("inverse of a non-square matrix")
-    ok, inv = batch_invert(F, M[None])
+    ok, inv = batch_solve(F, M[None], eye(len(M))[None])
     if not ok[0]:
         raise ValueError("matrix is singular")
     return inv[0]

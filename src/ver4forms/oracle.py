@@ -31,7 +31,7 @@ import numpy as np
 from .bform import BilinearForm
 from .classify import CanonicalClass, canonical_rep, class_inventory, classify_batch, require_classifiable_field
 from .field import Field
-from .linalg import batch_congruence, batch_invert
+from .linalg import batch_congruence, batch_solve, triu_indices
 from .verobj import VerObject
 
 BUDGET_BITS = 24
@@ -77,7 +77,7 @@ def _digits(keys: np.ndarray, q: int, count: int) -> np.ndarray:
 
 def _symmetric(upper: np.ndarray, s: int) -> np.ndarray:
     """Symmetric (..., s, s) blocks from their upper triangles in row order."""
-    i, j = np.triu_indices(s)
+    i, j = triu_indices(s)
     out = np.zeros(upper.shape[:-1] + (s, s), dtype=np.int64)
     out[..., i, j] = upper
     out[..., j, i] = upper
@@ -99,7 +99,7 @@ def _keys_of_grams(obj: VerObject, grams: np.ndarray) -> np.ndarray:
     """Inverse of `_grams_of_keys` on symmetric compatible Grams; reads only
     the free entries."""
     vv, vw, ww, wx = obj.gram_blocks(grams)
-    upper = lambda a: a[(slice(None),) + np.triu_indices(a.shape[-1])]
+    upper = lambda a: a[(slice(None),) + triu_indices(a.shape[-1])]
     entries = np.concatenate([upper(vv), vw.reshape(len(vw), -1), upper(ww), upper(wx)], axis=1)
     return entries @ _place(obj.field.order, entries.shape[1])
 
@@ -111,7 +111,7 @@ def _candidates(obj: VerObject):
     for start in range(0, total, _CHUNK):
         keys = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         grams = _grams_of_keys(obj, keys)
-        yield keys, grams, batch_invert(obj.field, grams)[0]
+        yield keys, grams, batch_solve(obj.field, grams)[0]
 
 
 def enumerate_forms(m: int, n: int, F: Field):
@@ -132,7 +132,7 @@ def _all_matrices(q: int, rows: int, cols: int) -> np.ndarray:
 def _gl(F: Field, s: int) -> np.ndarray:
     """Every invertible s x s matrix over F, in itertools.product order."""
     M = _all_matrices(F.order, s, s)
-    return M[batch_invert(F, M)[0]]
+    return M[batch_solve(F, M)[0]]
 
 
 def equivariant_group(m: int, n: int, F: Field):
@@ -240,7 +240,8 @@ def orbit_classes(m: int, n: int, F: Field) -> OrbitReport:
         orbit, members = _orbit(obj, cls, unipotent, levi, enumerated)
         if covered[orbit].any():
             raise AssertionError(f"orbit of {cls} meets a previous orbit")
-        for got in classify_batch(obj, members):
+        # classify_batch shares one object per distinct class
+        for got in {id(c): c for c in classify_batch(obj, members)}.values():
             if got != cls:
                 raise AssertionError(f"orbit member of {cls} classified as {got}")
         covered[orbit] = True

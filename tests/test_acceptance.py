@@ -126,7 +126,9 @@ def test_criterion_4_invariant_basis_independence():
                 [random_equivariant_matrix(rep.obj, rng) for _ in range(1000)]
             )
             grams = la.batch_congruence(F8, mats, rep.gram)
-            assert classify_batch(rep.obj, grams) == [cls] * 1000
+            out = classify_batch(rep.obj, grams)
+            assert out == [cls] * 1000
+            assert len({id(c) for c in out}) == len(set(out))  # one object per class
             _, invariants = _block_invariants(F8, rep.obj.gram_blocks(grams))
             assert invariants.tolist() == [expected] * 1000
             for G in grams[::40]:

@@ -20,7 +20,10 @@ from ver4forms.classify import (
     good_pairs,
     x_function,
     x_matrix,
+    _block_invariants,
+    _good_pair_spaces,
     _move_x_function,
+    class_inventory,
 )
 from ver4forms.field import make_field
 from ver4forms.verobj import VerObject, random_equivariant_automorphism, random_equivariant_matrix
@@ -345,9 +348,9 @@ def test_labels():
     assert str(CanonicalClass("F", 2, 3, 0)) == "F[2,3](0)"
 
 
-def _sparse_sym(rng, q, s, batch):
+def _sparse_sym(rng, q, s, batch, density=0.4):
     """Symmetric (batch, s, s) blocks with many zeros, so singular ones are common."""
-    upper = np.triu(rng.integers(0, q, size=(batch, s, s)) * (rng.random((batch, s, s)) < 0.4))
+    upper = np.triu(rng.integers(0, q, size=(batch, s, s)) * (rng.random((batch, s, s)) < density))
     return upper ^ np.triu(upper, 1).swapaxes(-1, -2)
 
 
@@ -362,9 +365,45 @@ def test_block_lemma(k, m, n, seed):
         _sparse_sym(rng, q, n, 16), _sparse_sym(rng, q, n, 16),
     )
     vv, _, _, wx = obj.gram_blocks(grams)
-    blocks_ok = la.batch_invert(Fk, vv)[0] & la.batch_invert(Fk, wx)[0]
+    blocks_ok = la.batch_solve(Fk, vv)[0] & la.batch_solve(Fk, wx)[0]
     for G, ok in zip(grams, blocks_ok):
         assert BilinearForm(obj, G).is_nondegenerate() == ok
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(2, 16), m=st.integers(0, 2), n=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_form_invariant_is_one_solve_with_the_square_root(k, m, n, seed):
+    # reference: sum_i f_i (G_wx^-1)_ii with f = diag(G_ww), from a full inverse
+    Fk, rng = make_field(k), np.random.default_rng(seed)
+    obj, q = VerObject(Fk, m, n), Fk.order
+    sym = lambda density: np.concatenate(
+        [_sparse_sym(rng, q, n, 8, density), _sparse_sym(rng, q, n, 8)]
+    )
+    grams = obj.gram_from_blocks(
+        _sparse_sym(rng, q, m, 16, 1.0), rng.integers(0, q, size=(16, m, n)), sym(1.0), sym(0.9)
+    )
+    blocks = obj.gram_blocks(grams)
+    _, invariant = _block_invariants(Fk, blocks)
+    for ww, wx, got in zip(blocks[2], blocks[3], invariant.tolist()):
+        if la.is_invertible(Fk, wx):
+            f, N = np.diagonal(ww), la.inverse(Fk, wx)
+            assert got == int(np.bitwise_xor.reduce(Fk.mul_arr(f, np.diagonal(N))))
+
+
+def test_classify_batch_builds_one_object_per_distinct_class():
+    rng = np.random.default_rng(5)
+    obj = VerObject(F4, 2, 2)
+    classes = class_inventory(2, 2, F4)
+    reps = np.stack([canonical_rep(c, F4).gram for c in classes])
+    pick = rng.integers(0, len(classes), size=60)
+    mats = np.stack([random_equivariant_matrix(obj, rng) for _ in pick])
+    grams = la.batch_congruence(F4, mats, reps[pick])
+    out = classify_batch(obj, grams)
+    assert out == [classes[i] for i in pick]
+    assert len({id(c) for c in out}) == len(set(out)) == len(set(pick.tolist()))
+    spaces = _good_pair_spaces(F4, obj.gram_blocks(grams))
+    assert spaces == [good_pairs(canonical_rep(classes[i], F4)) for i in pick]
+    assert len({id(s) for s in spaces}) == len(set(spaces))
 
 
 @st.composite

@@ -96,9 +96,15 @@ def test_batch_congruence_matches_loop():
         assert np.array_equal(out[i], la.congruence(F, Ts[i], G))
 
 
-@settings(max_examples=25, deadline=None)
-@given(k=st.integers(2, 16), s=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
-def test_batch_invert_matches_serial(k, s, seed):
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(2, 16),
+    s=st.integers(0, 6),
+    r=st.sampled_from([None, 0, 1, "s"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batch_solve_matches_serial(k, s, r, seed):
+    # r is the number of right-hand sides; None passes no B at all
     Fk, rng = make_field(k), np.random.default_rng(seed)
     A = rng.integers(0, Fk.order, size=(12, s, s))
     A[6:] = rng.integers(0, 2, size=(6, s, s))  # 0/1 entries: often singular
@@ -106,16 +112,33 @@ def test_batch_invert_matches_serial(k, s, seed):
         A[0, :, rng.integers(s)] = 0
     if s >= 2:
         A[1, -1] = Fk.mul_arr(A[1, 0], rng.integers(1, Fk.order)) ^ A[1, 1]
-    ok, inv = la.batch_invert(Fk, A)
-    assert ok.shape == (12,) and inv.shape == A.shape
-    for i, (M, good, Minv) in enumerate(zip(A, ok, inv)):
+    width = 0 if r is None else s if r == "s" else r
+    B = None if r is None else rng.integers(0, Fk.order, size=(12, s, width))
+    ok, X = la.batch_solve(Fk, A, B)
+    assert ok.shape == (12,) and X.shape == (12, s, width)
+    ok_inv, inv = la.batch_solve(Fk, A, np.broadcast_to(la.eye(s), A.shape))
+    assert np.array_equal(ok_inv, ok)
+    for i, (M, good, Xi) in enumerate(zip(A, ok, X)):
         assert good == la.is_invertible(Fk, M)
         # a batch of one takes the row_reduce path; `inverse` goes through it too
-        assert la.batch_invert(Fk, A[i : i + 1])[0][0] == good
+        ok1, X1 = la.batch_solve(Fk, A[i : i + 1], None if B is None else B[i : i + 1])
+        assert ok1.tolist() == [good] and X1.shape == (1, s, width)
         if good:
-            assert np.array_equal(Minv, la.inverse(Fk, M))
+            Bi = la.zeros(s, 0) if B is None else B[i]
+            assert np.array_equal(la.mat_mul(Fk, M, Xi), Bi)
+            assert np.array_equal(X1[0], Xi)
+            assert np.array_equal(inv[i], la.inverse(Fk, M))
+            assert np.array_equal(Xi, la.mat_mul(Fk, inv[i], Bi))
     if s:
         assert not ok[0]
+
+
+def test_triu_indices_are_cached_and_read_only():
+    for s, k in [(0, 0), (1, 1), (4, 0), (5, 1)]:
+        got = la.triu_indices(s, k)
+        assert la.triu_indices(s, k) is got
+        assert all(np.array_equal(a, b) for a, b in zip(got, np.triu_indices(s, k)))
+        assert not any(a.flags.writeable for a in got)
 
 
 def test_kron_broadcasts_batch_axes():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ver4forms import linalg as la
+from ver4forms import oracle
 from ver4forms.classify import canonical_rep
 from ver4forms.field import make_field
 from ver4forms.oracle import (
@@ -135,6 +136,19 @@ def test_orbit_census_p_object():
     labels = {label for label, _, _ in report.orbits}
     assert labels == {f"E[0,1]({a})" for a in range(4)}
     assert sum(size for _, size, _ in report.orbits) == 12
+
+
+def test_orbit_census_catches_a_misclassified_member(monkeypatch):
+    classify_batch = oracle.classify_batch
+
+    def last_one_wrong(obj, grams):
+        out = classify_batch(obj, grams)
+        out[-1] = next(c for c in class_inventory(obj.m, obj.n, obj.field) if c != out[-1])
+        return out
+
+    monkeypatch.setattr(oracle, "classify_batch", last_one_wrong)
+    with pytest.raises(AssertionError, match=r"orbit member of E\[0,1\]\(0\) classified as E\[0,1\]\(1\)"):
+        orbit_classes(0, 1, F4)
 
 
 def test_orbit_report_json():
