@@ -10,8 +10,10 @@ is the payload.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -22,19 +24,20 @@ from .classify import (
     InternalCheckError,
     canonical_rep,
     canonicalize,
+    canonicalize_batch,
     classify,
     form_invariant,
     good_pairs,
 )
 from .divided import GAMMA2_BASIS_MAX_DIM, QuadraticForm, classify_quadratic, gamma2, gamma2_dim_formula
 from .field import make_field
-from .linalg import congruence, eye, mat_mul
+from .linalg import batch_congruence, eye, mat_mul
 from .verobj import (
     VerObject,
     braiding,
     check_r_matrix_axioms,
     hexagons_hold,
-    random_equivariant_automorphism,
+    random_equivariant_matrix,
 )
 from .witt import direct_sum, emit_tables, tensor_product
 from . import oracle as oracle_mod
@@ -166,13 +169,19 @@ def _cmd_tables(args) -> int:
     params = None
     if F.order > 8:
         params = sorted(set(range(min(F.order, 4))) | {F.order - 1})
-    sum_rep, prod_rep = emit_tables(F, max_size=args.max_size, params=params)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "sum_table.md").write_text(sum_rep.to_markdown(), encoding="utf-8")
-    (outdir / "sum_table.csv").write_text(sum_rep.to_csv(), encoding="utf-8")
-    (outdir / "product_table.md").write_text(prod_rep.to_markdown(), encoding="utf-8")
-    (outdir / "product_table.csv").write_text(prod_rep.to_csv(), encoding="utf-8")
+    # refuse an unusable --out before computing, making no directory for a refused grid
+    nearest = next(p for p in (outdir, *outdir.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ValueError(f"cannot write {outdir}: {nearest} is not a directory")
+    sum_rep, prod_rep = emit_tables(F, max_size=args.max_size, params=params)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+        for name, rep in (("sum_table", sum_rep), ("product_table", prod_rep)):
+            (outdir / f"{name}.md").write_text(rep.to_markdown(), encoding="utf-8")
+            (outdir / f"{name}.csv").write_text(rep.to_csv(), encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {outdir}: {exc}") from exc
     payload = {
         "sum": {"cells": sum_rep.cells, "mismatches": sum_rep.mismatches,
                 "coincidences": len(sum_rep.coincidences)},
@@ -197,77 +206,69 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _cmd_selfcheck(args) -> int:
+def _field_axioms(F, rng, trials: int) -> bool:
+    """Distributivity, square roots and inverses on random triples."""
+    triples = rng.integers(0, F.order, (trials, 3)).tolist()
+    return all(
+        F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+        and F.mul(F.sqrt(a), F.sqrt(a)) == a
+        and (a == 0 or F.mul(a, F.inv(a)) == 1)
+        for a, b, c in triples
+    )
+
+
+def _canonicalizes(cls: CanonicalClass, F, rng, count: int) -> bool:
+    """Whether `count` random equivariant congruences of `cls`'s
+    representative canonicalize back to `cls`.  `canonicalize_batch` itself
+    certifies each class, transform and canonical Gram, or raises."""
+    rep = canonical_rep(cls, F)
+    Ts = np.array([random_equivariant_matrix(rep.obj, rng) for _ in range(count)])
+    return all(got == cls for _, _, got in canonicalize_batch(rep.obj, batch_congruence(F, Ts, rep.gram)))
+
+
+def _selfchecks(args) -> list:
+    """The selfcheck table: (name, check) in the order they run, each check
+    a call into the library that returns whether it passed."""
     rng = np.random.default_rng(args.seed)
-    failures: list[str] = []
-
-    def check(name: str, ok: bool):
-        print(f"{'ok  ' if ok else 'FAIL'} {name}")
-        if not ok:
-            failures.append(name)
-
-    F2, F4, F8 = make_field(1), make_field(2), make_field(3)
-    for F in (F2, F4):
-        report = check_r_matrix_axioms(F)
-        check(f"triangular structure axioms over {F!r}", all(report.values()))
-    # field axioms on random triples
-    ok = True
-    for F in (F4, F8, make_field(8)):
-        for _ in range(args.trials):
-            a, b, c = (int(x) for x in rng.integers(0, F.order, 3))
-            ok = ok and F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
-            ok = ok and F.mul(F.sqrt(a), F.sqrt(a)) == a
-            if a:
-                ok = ok and F.mul(a, F.inv(a)) == 1
-    check("field axioms on random triples", ok)
-    # braiding involution and hexagons on small objects
+    F4 = make_field(2)
     objs = [VerObject(F4, m, n) for m, n in ((1, 0), (0, 1), (1, 1), (2, 1))]
-    ok = True
-    for a in objs:
-        for b in objs:
-            cab, cba = braiding(a, b).matrix, braiding(b, a).matrix
-            ok = ok and np.array_equal(mat_mul(F4, cba, cab), eye(a.dim * b.dim))
-    check("braiding squares to the identity", ok)
-    ok = all(all(hexagons_hold(x, y, z)) for x in objs[:2] for y in objs[:2] for z in objs[:2])
-    check("hexagon identities", ok)
-    # gamma2 dimensions
-    ok = True
-    for m in range(4):
-        for n in range(3):
-            obj = VerObject(F4, m, n)
-            ok = ok and gamma2(obj).dim == gamma2_dim_formula(m, n)
-    check("second divided power dimensions", ok)
-    # classification stability on random congruences
-    classes = [
-        CanonicalClass("A", 2, 2),
-        CanonicalClass("B", 1, 1),
-        CanonicalClass("C", 2, 2),
-        CanonicalClass("D", 0, 2),
-        CanonicalClass("E", 0, 2, 2),
-        CanonicalClass("F", 0, 3, 1),
+    shapes = (("A", 2, 2), ("B", 1, 1), ("C", 2, 2), ("D", 0, 2), ("E", 0, 2, 2), ("F", 0, 3, 1))
+    involutive = lambda a, b: np.array_equal(
+        mat_mul(F4, braiding(b, a).matrix, braiding(a, b).matrix), eye(a.dim * b.dim))
+    witt = cache(lambda: emit_tables(F4, max_size=2))
+    return [
+        *((f"triangular structure axioms over {F!r}", lambda F=F: all(check_r_matrix_axioms(F).values()))
+          for F in (make_field(1), F4)),
+        ("field axioms on random triples",
+         lambda: all(_field_axioms(make_field(k), rng, args.trials) for k in (2, 3, 8))),
+        ("braiding squares to the identity", lambda: all(involutive(a, b) for a in objs for b in objs)),
+        ("hexagon identities",
+         lambda: all(all(hexagons_hold(*xyz)) for xyz in itertools.product(objs[:2], repeat=3))),
+        ("second divided power dimensions", lambda: all(
+            gamma2(VerObject(F4, m, n)).dim == gamma2_dim_formula(m, n) for m in range(4) for n in range(3))),
+        ("classification stable under random equivariant congruence",
+         lambda: all(_canonicalizes(CanonicalClass(*c), F4, rng, args.trials // 4 + 1) for c in shapes)),
+        ("witt sum table sample", lambda: witt()[0].ok),
+        ("witt product table sample", lambda: witt()[1].ok),
+        ("oracle (0,1) orbit census", lambda: oracle_mod.orbit_classes(0, 1, F4).orbit_count == 4),
     ]
-    ok = True
-    for cls in classes:
-        rep = canonical_rep(cls, F4)
-        for _ in range(args.trials // 4 + 1):
-            phi = random_equivariant_automorphism(rep.obj, rng)
-            scr = BilinearForm(rep.obj, congruence(F4, phi.matrix, rep.gram))
-            # canonicalize raises unless its class matches classify's
-            _, canon, got = canonicalize(scr)
-            ok = ok and got == cls and np.array_equal(canon.gram, rep.gram)
-    check("classification stable under random equivariant congruence", ok)
-    # witt table sample
-    sum_rep, prod_rep = emit_tables(F4, max_size=2)
-    check("witt sum table sample", sum_rep.ok)
-    check("witt product table sample", prod_rep.ok)
-    # oracle smallest case
-    rep = oracle_mod.orbit_classes(0, 1, F4)
-    check("oracle (0,1) orbit census", rep.orbit_count == 4)
-    if failures:
-        print(f"{len(failures)} check(s) failed")
-        return 2
-    print("all checks passed")
-    return 0
+
+
+def _cmd_selfcheck(args) -> int:
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    passed = {}
+    for name, check in _selfchecks(args):
+        try:
+            passed[name] = bool(check())
+        except (AssertionError, InternalCheckError) as exc:
+            print(f"{name}: {exc!r}", file=sys.stderr)
+            passed[name] = False
+    failed = list(passed.values()).count(False)
+    lines = [f"{'ok  ' if ok else 'FAIL'} {name}" for name, ok in passed.items()]
+    lines.append(f"{failed} check(s) failed" if failed else "all checks passed")
+    _emit(passed, args, "\n".join(lines))
+    return 2 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,8 +333,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, the code for a mismatch here
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except InternalCheckError as exc:

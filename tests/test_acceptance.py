@@ -180,7 +180,7 @@ def test_criterion_6_classification_stability_and_canonicalize():
                     la.mat_mul(F8, transform.matrix, T_std),
                     la.mat_mul(F8, T_std, transform.matrix),
                 )
-                assert transform.is_invertible()
+                assert la.is_invertible(F8, transform.matrix)
 
 
 def _objects_with_dim(F, d):

@@ -210,6 +210,50 @@ def test_tables_refuses_an_unbounded_or_negative_grid(tmp_path, size, capsys):
     assert not (tmp_path / "t").exists()
 
 
+@pytest.mark.parametrize("place", ["file", "under-file"])
+def test_tables_refuses_an_unusable_out_before_computing(tmp_path, place, capsys):
+    (tmp_path / "taken").write_text("not a directory")
+    out = tmp_path / "taken" if place == "file" else tmp_path / "taken" / "sub"
+    start = time.perf_counter()
+    assert main(["tables", "--k", "3", "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify"],
+        ["canonicalize"],
+        ["invariants"],
+        ["sum", "a.json"],
+        ["product", "a.json"],
+        ["quad-classify"],
+        ["gamma2-basis", "--m", "1"],
+        ["gamma2-basis", "--m", "1", "--n", "1", "--k", "x"],
+        ["tables"],
+        ["tables", "--k", "3", "--max-size", "abc"],
+        ["oracle", "--m", "0", "--n", "1"],
+        ["oracle", "--m", "0", "--n", "1", "--k", "x"],
+        ["selfcheck", "--seed", "1.5"],
+        ["selfcheck", "--trials", "x"],
+        ["no-such-command"],
+        [],
+    ],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ver4forms") and "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["tables", "--help"]) == 0
+    assert capsys.readouterr().out.count("usage: ver4forms") == 2
+
+
 def test_oracle_command(capsys):
     assert main(["--json", "oracle", "--m", "0", "--n", "1", "--k", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -238,10 +282,45 @@ def test_oracle_refuses_before_work(argv, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+SELFCHECKS = [
+    "triangular structure axioms over GF(2^1)",
+    "triangular structure axioms over GF(2^2)",
+    "field axioms on random triples",
+    "braiding squares to the identity",
+    "hexagon identities",
+    "second divided power dimensions",
+    "classification stable under random equivariant congruence",
+    "witt sum table sample",
+    "witt product table sample",
+    "oracle (0,1) orbit census",
+]
+
+
 def test_selfcheck(capsys):
     assert main(["selfcheck", "--trials", "8"]) == 0
     out = capsys.readouterr().out
-    assert "all checks passed" in out
+    assert out.splitlines() == [f"ok   {name}" for name in SELFCHECKS] + ["all checks passed"]
+    assert main(["--json", "selfcheck", "--trials", "8"]) == 0
+    assert json.loads(capsys.readouterr().out) == {name: True for name in SELFCHECKS}
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_selfcheck_refuses_no_trials(trials, capsys):
+    assert main(["selfcheck", "--trials", trials]) == 1
+    assert capsys.readouterr().err.startswith("error: --trials must be at least 1")
+
+
+def test_selfcheck_reports_a_raising_check_as_failed(monkeypatch, capsys):
+    def broken(*objs):
+        raise AssertionError("hexagon mismatch")
+
+    monkeypatch.setattr(sys.modules["ver4forms.cli"], "hexagons_hold", broken)
+    assert main(["selfcheck", "--trials", "2"]) == 2
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert "FAIL hexagon identities" in lines
+    assert lines[-1] == "1 check(s) failed"
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_output_deterministic(tmp_path, capsys):

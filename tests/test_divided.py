@@ -308,7 +308,7 @@ def test_quadratic_operations_build_no_gamma2_basis():
     assert classify_quadratic(moved) == base
     # back along phi^-1, one hyperbolic plane and the nP part of q
     keep = standard_subobject(q.obj, [0, 1], range(12)).basis()
-    sub = Subobject(q.obj, la.mat_mul(F, phi.inverse().matrix, keep))
+    sub = Subobject(q.obj, la.mat_mul(F, la.inverse(F, phi.matrix), keep))
     restricted = quad_restrict(moved, sub)
     assert restricted.obj.dim == 26
     assert classify_quadratic(restricted) == (1, CanonicalClass("F", 0, 12, 5))

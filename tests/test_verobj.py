@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ver4forms
-from ver4forms import linalg as la
+from ver4forms import linalg as la, verobj
 from ver4forms.classify import InternalCheckError as ClassifyInternalCheckError
 from ver4forms.field import make_field
 from ver4forms.verobj import (
@@ -75,7 +75,7 @@ def test_decompose_rank_one_dim_four():
     obj, B = standard_basis(raw)
     assert (obj.m, obj.n) == (2, 1)
     # the basis really is equivariant (Morphism checks on construction) and invertible
-    assert Morphism(obj, raw, B).is_invertible()
+    assert la.is_invertible(F, Morphism(obj, raw, B).matrix)
 
 
 def test_equivariant_automorphisms_commute_with_t():
@@ -145,7 +145,7 @@ def test_tensor_basis_is_equivariant_invertible_and_fixes_unit_tensors(k, shape)
     m, n, p, q = shape
     U, R = VerObject(Fk, m, n), VerObject(Fk, p, q)
     obj, B, support = tensor(U, R)
-    assert Morphism(obj, tensor_raw(U, R), B).is_invertible()
+    assert la.is_invertible(Fk, Morphism(obj, tensor_raw(U, R), B).matrix)
     with pytest.raises(ValueError, match="read-only"):
         B[...] = 0
     units = la.zeros(U.dim * R.dim, obj.m)
@@ -252,10 +252,33 @@ def test_dual_of_unit():
     assert ev.matrix.tolist() == [[1]]
 
 
+R_MATRIX_KEYS = [
+    "r_squared_identity", "r21_is_inverse", "coproduct_first_leg", "coproduct_second_leg",
+    "r_conjugates_coproduct", "hexagon_first_ppp", "hexagon_second_ppp",
+]
+
+
 def test_r_matrix_axioms_all_pass():
-    for k in (1, 2, 3):
+    for k in range(1, 17):
         report = check_r_matrix_axioms(make_field(k))
-        assert all(report.values()), report
+        assert list(report) == R_MATRIX_KEYS
+        assert all(ok is True for ok in report.values()), (k, report)
+
+
+_ONE, _T = la.eye(2), np.array([[0, 0], [1, 0]])
+
+
+@pytest.mark.parametrize("terms, failing", [
+    # 1 (x) 1 + t (x) 1 and 1 (x) 1 + 1 (x) t: squares to 1, but is no R-matrix
+    (((_ONE, _ONE), (_T, _ONE)), {"r21_is_inverse", "coproduct_first_leg", "coproduct_second_leg"}),
+    (((_ONE, _ONE), (_ONE, _T)), {"r21_is_inverse", "coproduct_first_leg", "coproduct_second_leg"}),
+    # t (x) t alone: R21 = R, but R21 R = 0
+    (((_T, _T),), {"r_squared_identity", "r21_is_inverse", "coproduct_first_leg", "coproduct_second_leg"}),
+], ids=["t-left", "t-right", "t-t-only"])
+def test_r_matrix_check_catches_a_wrong_r(monkeypatch, terms, failing):
+    monkeypatch.setattr(verobj, "_R_TERMS", terms)
+    report = check_r_matrix_axioms(make_field(3))
+    assert {key for key, ok in report.items() if not ok} == failing
 
 
 def test_morphism_validation():
@@ -268,11 +291,6 @@ def test_morphism_validation():
 def test_json_object_roundtrips():
     obj = VerObject(F, 2, 1)
     assert VerObject.from_json(F, obj.to_json()) == obj
-    raw = RawTModule(F, np.array([[0, 1], [0, 0]]))
-    back = RawTModule.from_json(F, raw.to_json())
-    assert np.array_equal(back.t, raw.t)
-    with pytest.raises(ValueError):
-        RawTModule.from_json(F, {"dim": 3, "t": [[0, 1], [0, 0]]})
     with pytest.raises(ValueError):
         VerObject.from_json(F, {"m": 1})
 
@@ -281,8 +299,7 @@ def test_morphism_inverse():
     rng = np.random.default_rng(4)
     U = VerObject(F, 2, 1)
     a = random_equivariant_automorphism(U, rng)
-    ainv = a.inverse()
-    assert (ainv.source, ainv.target) == (U, U)
+    ainv = Morphism(U, U, la.inverse(F, a.matrix))  # the inverse is again equivariant
     assert np.array_equal(la.mat_mul(F, a.matrix, ainv.matrix), la.eye(U.dim))
 
 
@@ -306,7 +323,7 @@ def test_decompose_of_conjugated_standard_action(k, m, n, seed):
     got, B = standard_basis(raw)
     assert (got.m, got.n) == (m, n)
     # Morphism checks equivariance on construction
-    assert Morphism(got, raw, B).is_invertible()
+    assert la.is_invertible(Fk, Morphism(got, raw, B).matrix)
 
 
 def _sym(rng, q, s, batch=2):
