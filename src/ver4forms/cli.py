@@ -37,7 +37,7 @@ from .verobj import (
     braiding,
     check_r_matrix_axioms,
     hexagons_hold,
-    random_equivariant_matrix,
+    random_equivariant_matrices,
 )
 from .witt import direct_sum, emit_tables, tensor_product
 from . import oracle as oracle_mod
@@ -222,7 +222,7 @@ def _canonicalizes(cls: CanonicalClass, F, rng, count: int) -> bool:
     representative canonicalize back to `cls`.  `canonicalize_batch` itself
     certifies each class, transform and canonical Gram, or raises."""
     rep = canonical_rep(cls, F)
-    Ts = np.array([random_equivariant_matrix(rep.obj, rng) for _ in range(count)])
+    Ts = random_equivariant_matrices(rep.obj, rng, count)
     return all(got == cls for _, _, got in canonicalize_batch(rep.obj, batch_congruence(F, Ts, rep.gram)))
 
 
@@ -234,7 +234,7 @@ def _selfchecks(args) -> list:
     objs = [VerObject(F4, m, n) for m, n in ((1, 0), (0, 1), (1, 1), (2, 1))]
     shapes = (("A", 2, 2), ("B", 1, 1), ("C", 2, 2), ("D", 0, 2), ("E", 0, 2, 2), ("F", 0, 3, 1))
     involutive = lambda a, b: np.array_equal(
-        mat_mul(F4, braiding(b, a).matrix, braiding(a, b).matrix), eye(a.dim * b.dim))
+        mat_mul(F4, braiding(b, a), braiding(a, b)), eye(a.dim * b.dim))
     witt = cache(lambda: emit_tables(F4, max_size=2))
     return [
         *((f"triangular structure axioms over {F!r}", lambda F=F: all(check_r_matrix_axioms(F).values()))

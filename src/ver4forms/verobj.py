@@ -13,9 +13,9 @@ nilpotent action; `standard_basis` produces the standard form together with
 its standard basis, an invertible equivariant change of basis.
 
 The braided (symmetric) structure is induced by the triangular R-matrix
-R = 1 (x) 1 + t (x) t on A, which twists the plain swap into
-
-    c(u (x) r) = r (x) u + (t.r) (x) (t.u).
+R = 1 (x) 1 + t (x) t on A, declared once in `_R_TERMS`; `braiding` is the
+matrix of c = swap o R.  `dual` still returns its evaluation as a `Morphism`,
+checked densely.
 
 Tensor products carry the t-action t.(u (x) r) = t.u (x) r + u (x) t.r.
 """
@@ -279,8 +279,8 @@ def standard_basis(raw) -> tuple[VerObject, np.ndarray]:
     return obj, B
 
 
-# Largest tensor product dimension; `tensor` and `tensor_raw`, under every
-# tensor product, braiding and evaluation, refuse more before they allocate.
+# Largest tensor product dimension; `tensor`, `tensor_raw` and `braiding`, under
+# every tensor product, braiding and evaluation, refuse more before they allocate.
 TENSOR_MAX_DIM = 576
 
 
@@ -326,27 +326,44 @@ def tensor(a: VerObject, b: VerObject) -> tuple[VerObject, np.ndarray, tuple]:
     return obj, readonly(B), linalg.column_support(B)
 
 
+def _kron_t(a, b, M: np.ndarray, right: bool = False) -> np.ndarray:
+    """T M, or with `right` M T, for T the t-action t.(u (x) r) = t.u (x) r + u (x) t.r of
+    a (x) b on the Kronecker basis: each factor's `t_times` (`times_t`) acts on its own axis."""
+    (r, c), da, db = M.shape, a.dim, b.dim
+    if right:
+        X = M.reshape(r, da, db)
+        at = a.times_t(X.swapaxes(1, 2).reshape(r * db, da)).reshape(r, db, da).swapaxes(1, 2)
+        return (at ^ b.times_t(M.reshape(r * da, db)).reshape(X.shape)).reshape(M.shape)
+    X = M.reshape(da, db, c)
+    tb = b.t_times(X.swapaxes(0, 1).reshape(db, da * c)).reshape(db, da, c).swapaxes(0, 1)
+    return (a.t_times(M.reshape(da, db * c)).reshape(X.shape) ^ tb).reshape(M.shape)
+
+
 def _check_tensor_basis(a: VerObject, b: VerObject, obj: VerObject, B: np.ndarray) -> None:
     """Raise InternalCheckError unless B: obj -> a (x) b is equivariant, by slot moves."""
-    B3 = B.reshape(a.dim, b.dim, obj.dim)
-    TB = a.t_times(B3.reshape(a.dim, b.dim * obj.dim)).reshape(B3.shape) ^ b.t_times(B3)
-    if not np.array_equal(TB.reshape(B.shape), obj.times_t(B)):
+    if not np.array_equal(_kron_t(a, b, B), obj.times_t(B)):
         raise InternalCheckError("tensor basis does not commute with the t-actions")
 
 
-def braiding(a, b) -> Morphism:
-    """The braiding c: a (x) b -> b (x) a on Kronecker bases.
-
-    c(u (x) r) = r (x) u + (t.r) (x) (t.u); it squares to the identity.
-    """
-    source, target = tensor_raw(a, b), tensor_raw(b, a)
-    da, db = a.dim, b.dim
-    base = eye(da * db) ^ np.kron(a.t_action(), b.t_action())
+def braiding(a, b) -> np.ndarray:
+    """The matrix of the braiding c = swap o (rho_a (x) rho_b)(R): a (x) b -> b (x) a on
+    Kronecker bases, R summed over the terms of `_R_TERMS` and rho(alpha 1 + beta t) =
+    alpha I + beta T; `_check_braiding` certifies it equivariant by slot moves."""
+    _check_factors(a, b)
+    F, da, db = a.field, a.dim, b.dim
+    # an element of A is held as its left regular matrix, whose first column is (alpha, beta)
+    rho = lambda f, x: F.mul_arr(x[0, 0], eye(f.dim)) ^ F.mul_arr(x[1, 0], f.t_action())
+    R = reduce(np.bitwise_xor, [kron(F, rho(a, x), rho(b, y)) for x, y in _R_TERMS])
     idx = np.arange(da * db)
-    swapped = (idx % db) * da + idx // db
-    C = np.zeros((da * db, da * db), dtype=np.int64)
-    C[swapped] = base
-    return Morphism(source, target, C)
+    C = R[(idx % da) * db + idx // da]  # row r (x) u of C is row u (x) r of R
+    _check_braiding(a, b, C)
+    return C
+
+
+def _check_braiding(a, b, C: np.ndarray) -> None:
+    """Raise InternalCheckError unless C: a (x) b -> b (x) a is equivariant, by `_kron_t`."""
+    if not np.array_equal(_kron_t(b, a, C), _kron_t(a, b, C, right=True)):
+        raise InternalCheckError("braiding does not commute with the t-actions")
 
 
 def dual(obj: VerObject) -> tuple[VerObject, Morphism]:
@@ -373,8 +390,7 @@ def dual(obj: VerObject) -> tuple[VerObject, Morphism]:
 
 def hexagons_hold(x, y, z) -> tuple[bool, bool]:
     """Check both hexagon identities on the triple (x, y, z) exactly."""
-    F = x.field
-    c = lambda a, b: braiding(a, b).matrix
+    F, c = x.field, braiding
     lhs1 = c(x, tensor_raw(y, z))
     rhs1 = mat_mul(F, kron(F, eye(y.dim), c(x, z)), kron(F, c(x, y), eye(z.dim)))
     lhs2 = c(tensor_raw(x, y), z)
@@ -382,21 +398,22 @@ def hexagons_hold(x, y, z) -> tuple[bool, bool]:
     return bool(np.array_equal(lhs1, rhs1)), bool(np.array_equal(lhs2, rhs2))
 
 
-def random_equivariant_matrix(obj: VerObject, rng: np.random.Generator) -> np.ndarray:
-    """Matrix of a random invertible morphism obj -> obj.
+def random_equivariant_matrices(obj: VerObject, rng: np.random.Generator, b: int) -> np.ndarray:
+    """A (b, d, d) stack of matrices of random invertible morphisms obj -> obj.
 
     Block shape: v's map into V + X, w's map anywhere compatible; the v->v
-    and w->w blocks are drawn from GL, the rest uniformly, which makes the
-    result invertible (and equivariant) by construction.
+    and w->w blocks are drawn from GL, the rest uniformly, which makes each
+    member invertible (and equivariant) by construction.
     """
     F, m, n = obj.field, obj.m, obj.n
-    q = F.order
-    A = _random_gl(F, m, rng)
-    E = _random_gl(F, n, rng)
-    C = rng.integers(0, q, size=(n, m), dtype=np.int64)
-    D = rng.integers(0, q, size=(m, n), dtype=np.int64)
-    Fm = rng.integers(0, q, size=(n, n), dtype=np.int64)
-    return obj.equivariant_matrix(A, C, D, E, Fm)
+    draw = lambda *shape: rng.integers(0, F.order, size=(b, *shape), dtype=np.int64)
+    A, E = _random_gl(F, m, rng, b), _random_gl(F, n, rng, b)
+    return obj.equivariant_matrix(A, draw(n, m), draw(m, n), E, draw(n, n))
+
+
+def random_equivariant_matrix(obj: VerObject, rng: np.random.Generator) -> np.ndarray:
+    """Matrix of a random invertible morphism obj -> obj: the stack of one."""
+    return random_equivariant_matrices(obj, rng, 1)[0]
 
 
 def random_equivariant_automorphism(obj: VerObject, rng: np.random.Generator) -> Morphism:
@@ -404,13 +421,14 @@ def random_equivariant_automorphism(obj: VerObject, rng: np.random.Generator) ->
     return Morphism(obj, obj, random_equivariant_matrix(obj, rng))
 
 
-def _random_gl(F: Field, s: int, rng: np.random.Generator) -> np.ndarray:
-    if s == 0:
-        return zeros(0, 0)
-    while True:
-        M = rng.integers(0, F.order, size=(s, s), dtype=np.int64)
-        if linalg.is_invertible(F, M):
-            return M
+def _random_gl(F: Field, s: int, rng: np.random.Generator, b: int) -> np.ndarray:
+    """b uniform members of GL_s as a stack: drawn at once, the singular ones redrawn."""
+    M = rng.integers(0, F.order, size=(b, s, s), dtype=np.int64)
+    redraw = ~linalg.batch_solve(F, M)[0]
+    while redraw.any():
+        M[redraw] = rng.integers(0, F.order, size=(int(redraw.sum()), s, s), dtype=np.int64)
+        redraw[redraw] = ~linalg.batch_solve(F, M[redraw])[0]
+    return M
 
 
 # -- triangular structure on the Hopf algebra A = K[t]/(t^2) ----------------
@@ -425,7 +443,9 @@ _R_TERMS = ((eye(2), eye(2)), (_N, _N))  # R = 1 (x) 1 + t (x) t
 
 def check_r_matrix_axioms(F: Field) -> dict[str, bool]:
     """Verify the triangular-structure identities of R exactly in A^(x)2 and
-    A^(x)3, and the induced braiding's hexagon identities on (P, P, P)."""
+    A^(x)3, and the hexagons of `braiding`, which reads R, on (P, P, P).
+    `r_conjugates_coproduct` holds for any R, A being commutative and
+    cocommutative; that is also why swap o R is equivariant for any R."""
     I2, I4, swap = eye(2), eye(4), eye(4)[[0, 2, 1, 3]]
     mul = lambda *xs: reduce(partial(mat_mul, F), xs)
     rho = lambda terms: reduce(np.bitwise_xor, [reduce(partial(kron, F), t) for t in terms])

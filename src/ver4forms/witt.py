@@ -28,8 +28,8 @@ gather: `verobj.tensor` caches B with its column support (by its closed-form
 construction every column of B is a unit vector or the t-image
 x (x) w' + w (x) x' of a w (x) w', so it has at most two non-zeros, each 1),
 so it costs a few index gathers of K and XORs (`linalg.support_congruence`)
-rather than two matrix products.  The braiding path applies the same
-cached B by a plain congruence.
+rather than two matrix products.  The braiding path multiplies by the matrix
+`braiding(R, U)` and applies the same cached B by a plain congruence.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def tensor_product_via_braiding(b1: BilinearForm, b2: BilinearForm) -> BilinearF
     t = U.dim * R.dim
     # the evaluation row times 1 (x) c_RU (x) 1, with the outer factors as rows
     row = kron(F, b1.gram.reshape(1, -1), b2.gram.reshape(1, -1)).reshape(U.dim, t, R.dim)
-    K = mat_mul(F, row.transpose(0, 2, 1).reshape(t, t), braiding(R, U).matrix)
+    K = mat_mul(F, row.transpose(0, 2, 1).reshape(t, t), braiding(R, U))
     K = K.reshape(U.dim, R.dim, R.dim, U.dim).transpose(0, 2, 3, 1).reshape(t, t)
     tobj, B, _ = tensor(U, R)
     return BilinearForm(tobj, congruence(F, B, K))

@@ -40,7 +40,7 @@ from ver4forms.verobj import (
     check_r_matrix_axioms,
     hexagons_hold,
     random_equivariant_automorphism,
-    random_equivariant_matrix,
+    random_equivariant_matrices,
 )
 from ver4forms.witt import all_class_instances, emit_tables
 
@@ -122,9 +122,7 @@ def test_criterion_4_invariant_basis_independence():
         for cls in _alternating_classes(F8):
             rep = canonical_rep(cls, F8)
             expected = form_invariant(rep)
-            mats = np.stack(
-                [random_equivariant_matrix(rep.obj, rng) for _ in range(1000)]
-            )
+            mats = random_equivariant_matrices(rep.obj, rng, 1000)
             grams = la.batch_congruence(F8, mats, rep.gram)
             out = classify_batch(rep.obj, grams)
             assert out == [cls] * 1000
@@ -160,9 +158,7 @@ def test_criterion_6_classification_stability_and_canonicalize():
         rng = np.random.default_rng(42)
         for cls in all_class_instances(F8, 4, 4):
             rep = canonical_rep(cls, F8)
-            mats = np.stack(
-                [random_equivariant_matrix(rep.obj, rng) for _ in range(1000)]
-            )
+            mats = random_equivariant_matrices(rep.obj, rng, 1000)
             grams = la.batch_congruence(F8, mats, rep.gram)
             assert classify_batch(rep.obj, grams) == [cls] * 1000
             picked = grams[::40]
@@ -197,7 +193,7 @@ def test_criterion_7_category_axioms():
             for b in objs:
                 if a.dim + b.dim > 6:
                     continue
-                cab, cba = braiding(a, b).matrix, braiding(b, a).matrix
+                cab, cba = braiding(a, b), braiding(b, a)
                 assert np.array_equal(la.mat_mul(F4, cba, cab), la.eye(a.dim * b.dim))
         for x in objs:
             for y in objs:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import time
@@ -183,6 +184,25 @@ def test_gamma2_basis_command(capsys):
     assert main(["gamma2-basis", "--m", "1", "--n", "1"]) == 0
     out = capsys.readouterr().out
     assert "x1*x1" in out
+
+
+# sha256 prefixes of `gamma2-basis` stdout, pinned from the output of the
+# braiding written out as a formula; the generator list does not depend on k
+_GAMMA2_BASIS_STDOUT = {
+    (0, 0): "0d7fa1070c8244c4", (1, 2): "bda90121071c459b", (3, 3): "0696bf26a3a012c8",
+    (0, 12): "34fa1aca0b17daab", (4, 10): "18d7f8666b306983", (24, 0): "68b67d4a94746ba2",
+}
+
+
+@pytest.mark.parametrize("m, n", list(_GAMMA2_BASIS_STDOUT))
+def test_gamma2_basis_output_is_unchanged_up_to_the_cap(capsys, m, n):
+    digest = lambda: hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+    for k in (2, 16):
+        assert main(["gamma2-basis", "--m", str(m), "--n", str(n), "--k", str(k)]) == 0
+        assert digest() == _GAMMA2_BASIS_STDOUT[m, n], k
+    if (m, n) == (4, 10):
+        assert main(["--json", "gamma2-basis", "--m", "4", "--n", "10", "--k", "16"]) == 0
+        assert digest() == "8e84704a4a730e30"
 
 
 def test_gamma2_basis_refuses_over_the_cap(capsys):

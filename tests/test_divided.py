@@ -127,6 +127,15 @@ def test_gamma2_dim_matches_kernel_nullity():
             assert gamma2(obj).dim == gamma2_dim_formula(m, n) == nullity
 
 
+@pytest.mark.parametrize("m, n", [(0, 12), (4, 10), (24, 0)])
+def test_gamma2_verifies_at_the_cap(m, n):
+    # dim 24 over GF(2^16): gamma2 checks its basis against ker(1 - c) itself
+    F = make_field(16)
+    obj = VerObject(F, m, n)
+    nullity = obj.dim**2 - la.rank(F, one_minus_braiding(obj))
+    assert gamma2(obj).dim == gamma2_dim_formula(m, n) == nullity
+
+
 def test_frobenius_twist_ranks():
     for n in range(0, 4):
         assert frobenius_twist_rank(VerObject(F4, 0, n)) == 0

@@ -1,8 +1,9 @@
+import hashlib
 import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import ver4forms
 from ver4forms import linalg as la, verobj
@@ -19,10 +20,13 @@ from ver4forms.verobj import (
     dual,
     hexagons_hold,
     random_equivariant_automorphism,
+    random_equivariant_matrices,
+    random_equivariant_matrix,
     standard_basis,
     tensor,
     tensor_raw,
     unit_object,
+    _check_braiding,
     _check_tensor_basis,
 )
 
@@ -90,6 +94,30 @@ def test_equivariant_automorphisms_commute_with_t():
             phi = random_equivariant_automorphism(obj, rng)
             Minv = la.inverse(F, phi.matrix)
             assert np.array_equal(la.mat_mul(F, la.mat_mul(F, phi.matrix, T), Minv), T)
+
+
+def test_stacked_scrambles_are_invertible_and_equivariant():
+    # over GF(2) and GF(4) many GL blocks are singular, so redraws happen
+    for k, (m, n) in [(1, (3, 3)), (2, (2, 4)), (2, (0, 0)), (16, (1, 2))]:
+        Fk = make_field(k)
+        obj = VerObject(Fk, m, n)
+        mats = random_equivariant_matrices(obj, np.random.default_rng(k), 200)
+        assert mats.shape == (200, obj.dim, obj.dim)
+        assert all(la.is_invertible(Fk, M) for M in mats)
+        assert np.array_equal(obj.t_times(mats), obj.times_t(mats))
+
+
+def test_serial_scramble_stream_is_unchanged():
+    # the stack of one draws the stream that one GL draw at a time drew, so
+    # seeded pools of serial scrambles keep their members
+    h = hashlib.sha256()
+    for k in (2, 3, 16):
+        Fk, rng = make_field(k), np.random.default_rng(k)
+        for _ in range(500):
+            m, n = int(rng.integers(0, 5)), int(rng.integers(0, 5))
+            M = random_equivariant_matrix(VerObject(Fk, m, n), rng)
+            h.update(M.tobytes() + str(M.shape).encode())
+    assert h.hexdigest() == "4f69a07dbee5dd5848a447191001116dee2ec53a26cb0f12ead6a912415d3dc8"
 
 
 def test_tensor_sizes_and_rank():
@@ -190,9 +218,71 @@ def test_tensor_certificate_rejects_a_corrupted_basis():
             _check_tensor_basis(U, R, obj, bad)
 
 
+def _reference_braiding(a, b):
+    # c(u (x) r) = r (x) u + (t.r) (x) (t.u) written out for R = 1 (x) 1 + t (x) t:
+    # the rows of I + T_a (x) T_b moved by the index swap u (x) r -> r (x) u
+    da, db = a.dim, b.dim
+    base = la.eye(da * db) ^ np.kron(a.t_action(), b.t_action())
+    idx = np.arange(da * db)
+    C = np.zeros((da * db, da * db), dtype=np.int64)
+    C[(idx % db) * da + idx // db] = base
+    return C
+
+
+# a factor is a standard object (dim up to 24), or with two entries the raw
+# tensor product of two small ones (dim up to 49)
+_braid_factor = st.one_of(
+    st.tuples(st.integers(0, 12), st.integers(0, 6)).map(lambda s: [s]),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), min_size=2, max_size=2),
+)
+
+
+def _factor(Fk, parts):
+    objs = [VerObject(Fk, m, n) for m, n in parts]
+    return objs[0] if len(objs) == 1 else tensor_raw(*objs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(2, 16), left=_braid_factor, right=_braid_factor)
+@example(k=2, left=[(0, 0)], right=[(3, 1)])
+@example(k=3, left=[(2, 1)], right=[(0, 0), (1, 1)])
+@example(k=16, left=[(4, 10)], right=[(4, 10)])
+@example(k=16, left=[(0, 12)], right=[(24, 0)])
+@example(k=5, left=[(1, 1), (0, 1)], right=[(0, 1), (2, 0)])
+def test_braiding_is_the_reference_formula_byte_for_byte(k, left, right):
+    assume(np.prod([m + 2 * n for m, n in left + right]) <= TENSOR_MAX_DIM)
+    Fk = make_field(k)
+    a, b = _factor(Fk, left), _factor(Fk, right)
+    got, want = braiding(a, b), _reference_braiding(a, b)
+    assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+
+def test_braiding_certificate_rejects_a_corrupted_matrix():
+    P = VerObject(F, 0, 1)
+    for a, b in [(P, P), (VerObject(F, 1, 1), tensor_raw(P, P)), (tensor_raw(P, P), VerObject(F, 2, 1))]:
+        C = braiding(a, b)
+        _check_braiding(a, b, C)
+        bad = C.copy()
+        bad[:, [0, 1]] = bad[:, [1, 0]]
+        with pytest.raises(InternalCheckError, match="braiding does not commute"):
+            _check_braiding(a, b, bad)
+
+
+def test_braiding_at_the_cap_builds_no_module_and_runs_no_product(monkeypatch):
+    # braiding reads R factor by factor and certifies by slot moves: no Kronecker
+    # t-action module, no Morphism wrapper and no dense product
+    calls = []
+    for mod, name in [(verobj, "mat_mul"), (la, "mat_mul"), (verobj, "RawTModule"), (verobj, "Morphism")]:
+        fn = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _fn=fn, _name=name, **kw: calls.append(_name) or _fn(*a, **kw))
+    U = VerObject(make_field(2), 4, 10)
+    assert braiding(U, U).shape == (576, 576)
+    assert calls == []
+
+
 def test_braiding_formula_on_p():
     P = VerObject(F, 0, 1)
-    c = braiding(P, P).matrix
+    c = braiding(P, P)
     # c(w (x) w) = w (x) w + x (x) x
     assert c[:, 0].tolist() == [1, 0, 0, 1]
     # c(x (x) x) = x (x) x
@@ -203,7 +293,7 @@ def test_braiding_formula_on_p():
 
 def test_braiding_on_unit_is_identity():
     one = unit_object(F)
-    assert np.array_equal(braiding(one, one).matrix, la.eye(1))
+    assert np.array_equal(braiding(one, one), la.eye(1))
 
 
 def test_braiding_squares_to_identity():
@@ -211,9 +301,15 @@ def test_braiding_squares_to_identity():
     objs = _objects_with_dim_up_to(F, 8)
     idx = rng.choice(len(objs), size=(12, 2))
     pairs = [(objs[i], objs[j]) for i, j in idx] + [(o, o) for o in _objects_with_dim_up_to(F, 4)]
+    # a conjugated t-action has entries beyond 0 and 1, so rho needs field products
+    U = VerObject(F, 1, 2)
+    P = la.eye(5) ^ np.triu(rng.integers(0, 4, size=(5, 5)), 1)  # unipotent, so invertible
+    T = la.mat_mul(F, la.mat_mul(F, P, U.t_action()), la.inverse(F, P))
+    assert T.max() > 1
+    pairs += [(RawTModule(F, T), U), (RawTModule(F, T), RawTModule(F, T))]
     for a, b in pairs:
-        cab = braiding(a, b).matrix
-        cba = braiding(b, a).matrix
+        cab = braiding(a, b)
+        cba = braiding(b, a)
         assert np.array_equal(la.mat_mul(F, cba, cab), la.eye(a.dim * b.dim))
 
 
@@ -268,13 +364,19 @@ def test_r_matrix_axioms_all_pass():
 _ONE, _T = la.eye(2), np.array([[0, 0], [1, 0]])
 
 
+_NOT_R = {"r21_is_inverse", "coproduct_first_leg", "coproduct_second_leg", "hexagon_first_ppp", "hexagon_second_ppp"}
+
+
 @pytest.mark.parametrize("terms, failing", [
-    # 1 (x) 1 + t (x) 1 and 1 (x) 1 + 1 (x) t: squares to 1, but is no R-matrix
-    (((_ONE, _ONE), (_T, _ONE)), {"r21_is_inverse", "coproduct_first_leg", "coproduct_second_leg"}),
-    (((_ONE, _ONE), (_ONE, _T)), {"r21_is_inverse", "coproduct_first_leg", "coproduct_second_leg"}),
+    # 1 (x) 1 + t (x) 1 and 1 (x) 1 + 1 (x) t: squares to 1, but is no R-matrix;
+    # the braiding reads R, so its hexagons fail with it
+    (((_ONE, _ONE), (_T, _ONE)), _NOT_R),
+    (((_ONE, _ONE), (_ONE, _T)), _NOT_R),
     # t (x) t alone: R21 = R, but R21 R = 0
-    (((_T, _T),), {"r_squared_identity", "r21_is_inverse", "coproduct_first_leg", "coproduct_second_leg"}),
-], ids=["t-left", "t-right", "t-t-only"])
+    (((_T, _T),), _NOT_R | {"r_squared_identity"}),
+    # 1 (x) 1 alone, the untwisted swap: a genuine triangular structure
+    (((_ONE, _ONE),), set()),
+], ids=["t-left", "t-right", "t-t-only", "plain-swap"])
 def test_r_matrix_check_catches_a_wrong_r(monkeypatch, terms, failing):
     monkeypatch.setattr(verobj, "_R_TERMS", terms)
     report = check_r_matrix_axioms(make_field(3))
