@@ -48,7 +48,7 @@ from . import linalg
 from .bform import BilinearForm
 from .field import Field
 from .linalg import block_diag, eye, mat_mul, readonly, zeros
-from .verobj import InternalCheckError, Morphism, VerObject
+from .verobj import InternalCheckError, Morphism, VerObject, commutes
 
 FAMILIES = ("A", "B", "C", "D", "E", "F")
 
@@ -547,7 +547,7 @@ def _canonicalize_grams(obj: VerObject, G: np.ndarray):
         if cls != want:
             raise InternalCheckError(f"constructive path found {cls} but invariants say {want}")
     Ts = np.array([T for T, _ in reduced], dtype=np.int64).reshape(len(G), d, d)
-    if not np.array_equal(obj.t_times(Ts), obj.times_t(Ts)):
+    if not commutes(obj, obj, Ts):
         raise InternalCheckError("canonicalizing transform does not commute with the t-actions")
     canon = [canonical_rep(cls, F) for cls in invariant]
     want = np.array([c.gram for c in canon], dtype=np.int64).reshape(len(G), d, d)

@@ -252,25 +252,26 @@ def column_support(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return readonly(rows), readonly(np.take_along_axis(B, rows, axis=0))
 
 
-def support_congruence(F: Field, support, K: np.ndarray) -> np.ndarray:
-    """B^T K B for a (..., r, r) stack K, with B given by its
-    `column_support`: K B is s column gathers of K and B^T (K B) is s row
-    gathers of that, each weighted by its coefficients, so a member costs
-    O(s r c) entries rather than a product's O(r^2 c)."""
+def support_gather(F: Field, support, M: np.ndarray, axis: int) -> np.ndarray:
+    """M B (axis -1) or B^T M (axis -2) for a (..., r, r) stack M, with B
+    given by its `column_support`: one gather of M's columns (rows) per
+    support level, weighted by its coefficients, so a member costs O(s r c)
+    entries rather than a product's O(r^2 c)."""
     rows, coefs = support
+    shape = list(M.shape)
+    shape[axis] = rows.shape[1]
+    out = np.zeros(shape, dtype=np.int64)
+    for r, c in zip(rows, coefs):
+        part = np.take(M, r, axis=axis)
+        if (c != 1).any():
+            part = F.mul_arr(part, c if axis == -1 else c[:, None])
+        out ^= part
+    return out
 
-    def gather(M, axis):
-        shape = list(M.shape)
-        shape[axis] = rows.shape[1]
-        out = np.zeros(shape, dtype=np.int64)
-        for r, c in zip(rows, coefs):
-            part = np.take(M, r, axis=axis)
-            if (c != 1).any():
-                part = F.mul_arr(part, c if axis == -1 else c[:, None])
-            out ^= part
-        return out
 
-    return gather(gather(K, -1), -2)
+def support_congruence(F: Field, support, K: np.ndarray) -> np.ndarray:
+    """B^T K B for a (..., r, r) stack K, with B given by its `column_support`."""
+    return support_gather(F, support, support_gather(F, support, K, -1), -2)
 
 
 def batch_congruence(F: Field, Ts: np.ndarray, G: np.ndarray) -> np.ndarray:

@@ -12,12 +12,14 @@ with t.v_j = 0, t.w_k = x_k, t.x_k = 0.  `RawTModule` carries an arbitrary
 nilpotent action; `standard_basis` produces the standard form together with
 its standard basis, an invertible equivariant change of basis.
 
+`tensor_raw(a, b)` acts on a (x) b factor by factor, t.(u (x) r) = t.u (x) r +
+u (x) t.r, each factor on its own axis; `tensor` gives its standard form.
+`commutes` is the one equivariance rule: `Morphism`, `tensor`, `braiding` and
+the canonicalizing transforms are all certified by it.
+
 The braided (symmetric) structure is induced by the triangular R-matrix
 R = 1 (x) 1 + t (x) t on A, declared once in `_R_TERMS`; `braiding` is the
-matrix of c = swap o R.  `dual` still returns its evaluation as a `Morphism`,
-checked densely.
-
-Tensor products carry the t-action t.(u (x) r) = t.u (x) r + u (x) t.r.
+matrix of c = swap o R.
 """
 
 from __future__ import annotations
@@ -233,7 +235,7 @@ class Morphism:
             raise ValueError(
                 f"matrix shape {matrix.shape} does not map dim {source.dim} to dim {target.dim}"
             )
-        if not np.array_equal(target.t_times(matrix), source.times_t(matrix)):
+        if not commutes(source, target, matrix):
             raise ValueError("matrix does not commute with the t-actions")
         self.source = source
         self.target = target
@@ -279,24 +281,50 @@ def standard_basis(raw) -> tuple[VerObject, np.ndarray]:
     return obj, B
 
 
-# Largest tensor product dimension; `tensor`, `tensor_raw` and `braiding`, under
-# every tensor product, braiding and evaluation, refuse more before they allocate.
+# Largest tensor product dimension; `tensor_raw`, under every tensor product, braiding
+# and evaluation, refuses more before anything is allocated.
 TENSOR_MAX_DIM = 576
 
 
-def _check_factors(a, b) -> None:
-    if a.field != b.field:
-        raise ValueError("tensor factors live over different fields")
-    if a.dim * b.dim > TENSOR_MAX_DIM:
-        raise ValueError(f"tensor product dim {a.dim} x {b.dim} is over the cap {TENSOR_MAX_DIM}")
+class TensorModule:
+    """a (x) b on the Kronecker basis (u_i (x) r_j at i * dim b + j), with the
+    t-action t.(u (x) r) = t.u (x) r + u (x) t.r: each factor's `t_times`
+    (`times_t`) acts on its own axis, so T^2 = 0 holds by construction."""
+
+    def __init__(self, a, b):
+        if a.field != b.field:
+            raise ValueError("tensor factors live over different fields")
+        if a.dim * b.dim > TENSOR_MAX_DIM:
+            raise ValueError(f"tensor product dim {a.dim} x {b.dim} is over the cap {TENSOR_MAX_DIM}")
+        self.field, self.a, self.b = a.field, a, b
+
+    @property
+    def dim(self) -> int:
+        return self.a.dim * self.b.dim
+
+    def t_action(self) -> np.ndarray:
+        return self.t_times(eye(self.dim))
+
+    def t_times(self, M: np.ndarray) -> np.ndarray:
+        a, b, c = self.a, self.b, M.shape[1]
+        X = M.reshape(a.dim, b.dim, c)
+        tb = b.t_times(X.swapaxes(0, 1).reshape(b.dim, a.dim * c)).reshape(b.dim, a.dim, c).swapaxes(0, 1)
+        return (a.t_times(M.reshape(a.dim, b.dim * c)).reshape(X.shape) ^ tb).reshape(M.shape)
+
+    def times_t(self, M: np.ndarray) -> np.ndarray:
+        a, b, r = self.a, self.b, M.shape[0]
+        X = M.reshape(r, a.dim, b.dim)
+        ta = a.times_t(X.swapaxes(1, 2).reshape(r * b.dim, a.dim)).reshape(r, b.dim, a.dim).swapaxes(1, 2)
+        return (ta ^ b.times_t(M.reshape(r * a.dim, b.dim)).reshape(X.shape)).reshape(M.shape)
 
 
-def tensor_raw(a, b) -> RawTModule:
-    """Tensor product module on the Kronecker basis (left factor outer)."""
-    _check_factors(a, b)
-    Ta, Tb = a.t_action(), b.t_action()
-    T = np.kron(Ta, eye(b.dim)) ^ np.kron(eye(a.dim), Tb)
-    return RawTModule(a.field, T)
+tensor_raw = TensorModule
+
+
+def commutes(source, target, M: np.ndarray) -> bool:
+    """Whether M: source -> target, or every member of a stack of them, is
+    equivariant: T_target M = M T_source, by the modules' own actions."""
+    return bool(np.array_equal(target.t_times(M), source.times_t(M)))
 
 
 @lru_cache(maxsize=None)
@@ -309,10 +337,10 @@ def tensor(a: VerObject, b: VerObject) -> tuple[VerObject, np.ndarray, tuple]:
     one-term t-image (w (x) v', w (x) x', v (x) w'), then the w (x) w' (image
     x (x) w' + w (x) x'), each by index; each x is t of its w.  B is
     invertible: its unit columns cover all but the x (x) w', which the
-    two-term columns add.  Equivariance is certified by slot moves, and
+    two-term columns add.  Equivariance is certified by `commutes`, and
     `support` is B's `linalg.column_support`.  m' = m*p, n' = 2nq + mq + np.
     """
-    _check_factors(a, b)
+    ab = tensor_raw(a, b)
     pairs = lambda us, rs: np.add.outer(us * b.dim, rs).reshape(-1)
     one_term = np.sort(np.concatenate([pairs(a.ws, b.vs), pairs(a.ws, b.xs), pairs(a.vs, b.ws)]))
     w_idx = np.concatenate([one_term, pairs(a.ws, b.ws)])
@@ -322,48 +350,25 @@ def tensor(a: VerObject, b: VerObject) -> tuple[VerObject, np.ndarray, tuple]:
     # t moves w_k (x) r by dim b places to x_k (x) r, and u (x) w'_l by one to u (x) x'_l
     for moved, step in ((np.isin(w_idx // b.dim, a.ws), b.dim), (np.isin(w_idx % b.dim, b.ws), 1)):
         B[w_idx[moved] + step, obj.xs[moved]] = 1
-    _check_tensor_basis(a, b, obj, B)
-    return obj, readonly(B), linalg.column_support(B)
-
-
-def _kron_t(a, b, M: np.ndarray, right: bool = False) -> np.ndarray:
-    """T M, or with `right` M T, for T the t-action t.(u (x) r) = t.u (x) r + u (x) t.r of
-    a (x) b on the Kronecker basis: each factor's `t_times` (`times_t`) acts on its own axis."""
-    (r, c), da, db = M.shape, a.dim, b.dim
-    if right:
-        X = M.reshape(r, da, db)
-        at = a.times_t(X.swapaxes(1, 2).reshape(r * db, da)).reshape(r, db, da).swapaxes(1, 2)
-        return (at ^ b.times_t(M.reshape(r * da, db)).reshape(X.shape)).reshape(M.shape)
-    X = M.reshape(da, db, c)
-    tb = b.t_times(X.swapaxes(0, 1).reshape(db, da * c)).reshape(db, da, c).swapaxes(0, 1)
-    return (a.t_times(M.reshape(da, db * c)).reshape(X.shape) ^ tb).reshape(M.shape)
-
-
-def _check_tensor_basis(a: VerObject, b: VerObject, obj: VerObject, B: np.ndarray) -> None:
-    """Raise InternalCheckError unless B: obj -> a (x) b is equivariant, by slot moves."""
-    if not np.array_equal(_kron_t(a, b, B), obj.times_t(B)):
+    if not commutes(obj, ab, B):
         raise InternalCheckError("tensor basis does not commute with the t-actions")
+    return obj, readonly(B), linalg.column_support(B)
 
 
 def braiding(a, b) -> np.ndarray:
     """The matrix of the braiding c = swap o (rho_a (x) rho_b)(R): a (x) b -> b (x) a on
     Kronecker bases, R summed over the terms of `_R_TERMS` and rho(alpha 1 + beta t) =
-    alpha I + beta T; `_check_braiding` certifies it equivariant by slot moves."""
-    _check_factors(a, b)
+    alpha I + beta T; certified equivariant by `commutes`."""
+    ab, ba = tensor_raw(a, b), tensor_raw(b, a)
     F, da, db = a.field, a.dim, b.dim
     # an element of A is held as its left regular matrix, whose first column is (alpha, beta)
     rho = lambda f, x: F.mul_arr(x[0, 0], eye(f.dim)) ^ F.mul_arr(x[1, 0], f.t_action())
     R = reduce(np.bitwise_xor, [kron(F, rho(a, x), rho(b, y)) for x, y in _R_TERMS])
     idx = np.arange(da * db)
     C = R[(idx % da) * db + idx // da]  # row r (x) u of C is row u (x) r of R
-    _check_braiding(a, b, C)
-    return C
-
-
-def _check_braiding(a, b, C: np.ndarray) -> None:
-    """Raise InternalCheckError unless C: a (x) b -> b (x) a is equivariant, by `_kron_t`."""
-    if not np.array_equal(_kron_t(b, a, C), _kron_t(a, b, C, right=True)):
+    if not commutes(ab, ba, C):
         raise InternalCheckError("braiding does not commute with the t-actions")
+    return C
 
 
 def dual(obj: VerObject) -> tuple[VerObject, Morphism]:

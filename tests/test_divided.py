@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from ver4forms import linalg as la
+from ver4forms import divided, linalg as la
 from ver4forms.bform import BilinearForm, Subobject, standard_subobject, subobject_standard_basis
 from ver4forms.classify import CanonicalClass, canonical_rep, classify
 from ver4forms.divided import (
+    Gamma2Basis,
+    Line,
     QuadraticForm,
     _beta_q_blocks,
     _family_sizes,
     _kernel_squares,
     _line_values,
+    _verify_gamma2,
     a2_iso_check,
     beta_q,
     classify_quadratic,
@@ -157,6 +160,33 @@ def test_a2_iso_check():
     assert a2_iso_check(VerObject(F4, 0, 0))
     for m, n in [(1, 1), (2, 1), (0, 2)]:
         assert a2_iso_check(VerObject(F4, m, n))
+
+
+@pytest.mark.parametrize("m, n, family", [(3, 1, 2), (1, 2, 5)])
+def test_a2_iso_check_fails_without_a_line_of_the_image(monkeypatch, m, n, family):
+    # a family-2 or family-5 top is (1 - c)(e_a (x) e_b): with that line dropped,
+    # im(1 - c) leaves the claimed Gamma^2 and the one rank test says so
+    obj = VerObject(F4, m, n)
+    lines = gamma2(obj).lines
+    drop = next(i for i, line in enumerate(lines) if line.family == family)
+    a, b = divmod(int(np.flatnonzero(lines[drop].top)[0]), obj.dim)
+    e_ab = np.zeros(obj.dim**2, dtype=np.int64)
+    e_ab[a * obj.dim + b] = 1
+    assert np.array_equal(la.mat_vec(F4, one_minus_braiding(obj), e_ab), lines[drop].top)
+    monkeypatch.setattr(divided, "gamma2", lambda o: Gamma2Basis(o, lines[:drop] + lines[drop + 1:]))
+    assert not a2_iso_check(obj)
+
+
+def test_gamma2_check_rejects_a_corrupted_top():
+    obj = VerObject(F4, 1, 2)
+    lines = list(gamma2(obj).lines)
+    for i in (0, len(lines) - 1):  # a family-1 top and a family-7 top
+        top = lines[i].top.copy()
+        top[1] ^= 1
+        bad = lines[:i] + [Line(lines[i].family, lines[i].indices, top, lines[i].image)] + lines[i + 1:]
+        with pytest.raises(AssertionError, match=r"generator outside ker\(1 - c\)"):
+            _verify_gamma2(obj, Gamma2Basis(obj, bad))
+    _verify_gamma2(obj, Gamma2Basis(obj, lines))
 
 
 def test_beta_q_classical_coordinates():

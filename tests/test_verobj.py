@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import ver4forms
-from ver4forms import linalg as la, verobj
+from ver4forms import divided, linalg as la, verobj
 from ver4forms.classify import InternalCheckError as ClassifyInternalCheckError
 from ver4forms.field import make_field
 from ver4forms.verobj import (
@@ -17,6 +17,7 @@ from ver4forms.verobj import (
     VerObject,
     braiding,
     check_r_matrix_axioms,
+    commutes,
     dual,
     hexagons_hold,
     random_equivariant_automorphism,
@@ -26,8 +27,6 @@ from ver4forms.verobj import (
     tensor,
     tensor_raw,
     unit_object,
-    _check_braiding,
-    _check_tensor_basis,
 )
 
 F = make_field(2)
@@ -206,16 +205,19 @@ def test_tensor_is_the_standard_basis_over_any_field_up_to_the_cap(k, shape):
     _assert_tensor_is_the_standard_basis(VerObject(Fk, m, n), VerObject(Fk, p, q))
 
 
-def test_tensor_certificate_rejects_a_corrupted_basis():
+def test_tensor_certificate_rejects_a_corrupted_basis(monkeypatch):
     assert InternalCheckError is ClassifyInternalCheckError is ver4forms.InternalCheckError
     U, R = VerObject(F, 1, 1), VerObject(F, 1, 2)
     obj, B, _ = tensor(U, R)
-    _check_tensor_basis(U, R, obj, B)
+    assert commutes(obj, tensor_raw(U, R), B)
     for v, w in [(obj.vs[0], obj.ws[0]), (obj.ws[0], obj.xs[0]), (obj.ws[-1], obj.ws[0])]:
         bad = B.copy()
         bad[:, [v, w]] = bad[:, [w, v]]
-        with pytest.raises(InternalCheckError, match="tensor basis does not commute"):
-            _check_tensor_basis(U, R, obj, bad)
+        assert not commutes(obj, tensor_raw(U, R), bad)
+    # the certificate is `commutes` itself: a failing rule fails a fresh build
+    monkeypatch.setattr(verobj, "commutes", lambda *args: False)
+    with pytest.raises(InternalCheckError, match="tensor basis does not commute"):
+        tensor.__wrapped__(U, R)
 
 
 def _reference_braiding(a, b):
@@ -257,15 +259,77 @@ def test_braiding_is_the_reference_formula_byte_for_byte(k, left, right):
     assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
 
 
-def test_braiding_certificate_rejects_a_corrupted_matrix():
+def test_braiding_certificate_rejects_a_corrupted_matrix(monkeypatch):
     P = VerObject(F, 0, 1)
-    for a, b in [(P, P), (VerObject(F, 1, 1), tensor_raw(P, P)), (tensor_raw(P, P), VerObject(F, 2, 1))]:
+    raw = RawTModule(F, P.t_action())
+    pairs = [
+        (P, P), (VerObject(F, 1, 1), tensor_raw(P, P)), (tensor_raw(P, P), VerObject(F, 2, 1)),
+        (raw, VerObject(F, 1, 1)), (VerObject(F, 0, 0), P),
+    ]
+    for a, b in pairs:
         C = braiding(a, b)
-        _check_braiding(a, b, C)
+        assert commutes(tensor_raw(a, b), tensor_raw(b, a), C)
+        if C.shape[1] < 2:
+            continue  # dim 0: nothing to corrupt
         bad = C.copy()
         bad[:, [0, 1]] = bad[:, [1, 0]]
-        with pytest.raises(InternalCheckError, match="braiding does not commute"):
-            _check_braiding(a, b, bad)
+        assert not commutes(tensor_raw(a, b), tensor_raw(b, a), bad)
+    monkeypatch.setattr(verobj, "commutes", lambda *args: False)
+    with pytest.raises(InternalCheckError, match="braiding does not commute"):
+        braiding(P, P)
+
+
+def _reference_tensor_t(f):
+    # t.(u (x) r) = t.u (x) r + u (x) t.r written out as the Kronecker matrix,
+    # nested tensor factors by the same formula
+    if not isinstance(f, verobj.TensorModule):
+        return f.t_action()
+    Ta, Tb = _reference_tensor_t(f.a), _reference_tensor_t(f.b)
+    return np.kron(Ta, la.eye(f.b.dim)) ^ np.kron(la.eye(f.a.dim), Tb)
+
+
+def _tensor_factor(Fk, kind, m, n, seed):
+    U = VerObject(Fk, m, n)
+    if kind == "raw":  # a conjugated action, with entries beyond 0 and 1
+        P = la.eye(U.dim) ^ np.triu(np.random.default_rng(seed).integers(0, Fk.order, (U.dim, U.dim)), 1)
+        return RawTModule(Fk, la.mat_mul(Fk, la.mat_mul(Fk, P, U.t_action()), la.inverse(Fk, P)))
+    return tensor_raw(U, VerObject(Fk, n % 2, 1)) if kind == "tensor" else U
+
+
+_tensor_factor_spec = st.tuples(
+    st.sampled_from(["standard", "raw", "tensor"]), st.integers(0, 12), st.integers(0, 6), st.integers(0, 99)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(2, 16), left=_tensor_factor_spec, right=_tensor_factor_spec)
+@example(k=16, left=("standard", 4, 10, 0), right=("standard", 4, 10, 0))
+@example(k=2, left=("standard", 0, 12, 0), right=("raw", 0, 12, 1))
+@example(k=3, left=("tensor", 2, 1, 0), right=("raw", 0, 0, 0))
+@example(k=5, left=("raw", 1, 2, 2), right=("tensor", 0, 1, 0))
+def test_tensor_raw_acts_factor_by_factor(k, left, right):
+    Fk = make_field(k)
+    a, b = (_tensor_factor(Fk, *spec) for spec in (left, right))
+    assume(a.dim * b.dim <= TENSOR_MAX_DIM)
+    ab = tensor_raw(a, b)
+    got, want = ab.t_action(), _reference_tensor_t(ab)
+    assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+    assert not ab.t_times(got).any()
+
+
+def test_tensor_action_dual_and_gamma2_run_no_product(monkeypatch):
+    # the t-action on a (x) b is slot moves on each factor's axis, `dual` certifies
+    # its evaluation by it, and gamma2 applies 1 - c to its basis by gathers
+    calls = []
+    for mod in (verobj, la, divided):
+        monkeypatch.setattr(mod, "mat_mul", lambda *a, _fn=mod.mat_mul, **kw: calls.append(1) or _fn(*a, **kw))
+    for F16 in (make_field(2), make_field(16)):
+        for m, n in [(0, 12), (4, 10)]:
+            U = VerObject(F16, m, n)
+            assert tensor_raw(U, U).t_action().shape == (576, 576)
+            assert dual(U)[1].matrix.shape == (1, 576)
+            assert divided.gamma2.__wrapped__(U).dim == divided.gamma2_dim_formula(m, n)
+    assert calls == []
 
 
 def test_braiding_at_the_cap_builds_no_module_and_runs_no_product(monkeypatch):
