@@ -553,4 +553,4 @@ def _canonicalize_grams(obj: VerObject, G: np.ndarray):
     want = np.array([c.gram for c in canon], dtype=np.int64).reshape(len(G), d, d)
     if not np.array_equal(linalg.batch_congruence(F, Ts, G), want):
         raise InternalCheckError("transform does not reach the canonical Gram")
-    return list(zip((Morphism(obj, obj, T) for T in Ts), canon, invariant))
+    return list(zip((Morphism._certified(obj, obj, T) for T in Ts), canon, invariant))

@@ -2,39 +2,25 @@
 
 Gamma^2(U) = ker(1 - c) inside U (x) U decomposes into indecomposable
 "lines", each spanned by a top generator and, for the 2-dimensional ones,
-its t-image.  With standard basis v/w/x the seven families are
-
-  1  v_i (x) v_i                                     (1-dim, one per i)
-  2  v_i (x) v_j + v_j (x) v_i                       (1-dim, i < j)
-  3  v_i (x) w_k + w_k (x) v_i  ->  v_i (x) x_k + x_k (x) v_i
-  4  x_k (x) x_k                                     (1-dim)
-  5  w_k (x) x_k + x_k (x) w_k                       (1-dim)
-  6  w_k (x) x_l + x_l (x) w_k  ->  x_k (x) x_l + x_l (x) x_k     (k < l)
-  7  w_k (x) w_l + w_l (x) w_k + x_k (x) x_l
-       ->  x_k (x) w_l + w_k (x) x_l + x_l (x) w_k + w_l (x) x_k  (k < l)
-
-for a total dimension m + m(m-1)/2 + 2mn + 2n + 2n(n-1).
+its t-image.  `_line_cells` lists the seven families on the standard basis
+v/w/x, for a total dimension m + m(m-1)/2 + 2mn + 2n + 2n(n-1).
 
 A quadratic form is a module map Gamma^2(U) -> 1.  Such a map kills every
 t-image, so it is determined by one field value per line, stored in the
-family order above with lexicographic indices; q_f(idx) below is the value
-of the family-f line.  The associated bilinear form is beta_q = q o (1 - c)
-(the identification of the kernel and cokernel of Gamma^2 -> S^2 is
-induced by (1 - c) itself).  Each (1 - c)(e_a (x) e_b) is a line top or a
-t-image, and q kills t-images, so the free Gram blocks of beta_q are the
-line values themselves:
+line order of `_line_cells`.  The associated bilinear form is
+beta_q = q o (1 - c) (the identification of the kernel and cokernel of
+Gamma^2 -> S^2 is induced by (1 - c) itself).  Each (1 - c)(e_a (x) e_b) is
+a line top or a t-image, and q kills t-images, so the free entries of
+beta_q's Gram are the line values themselves, each at its line's cell,
+while family 1 (the Frobenius twist, which 1 - c kills) does not enter.
+G_q is that Gram with the family-1 values on its zero v-diagonal:
+`_quad_gram` scatters the values into G_q and `_line_values` gathers them
+back, so every quadratic operation below is a Gram operation.
 
-  G_vv[i,j] = q_2(i,j)  (zero diagonal)      G_vw[i,k] = q_3(i,k)
-  G_ww[k,k] = q_4(k),   G_ww[k,l] = q_7(k,l)
-  G_wx[k,k] = q_5(k),   G_wx[k,l] = q_6(k,l)
+On u in ker t = span(v, x) the v (x) x and the off-diagonal x (x) x terms
+of u (x) u are t-images, so `_kernel_squares` reads q(u (x) u) off G_q:
 
-while family 1 (the Frobenius twist) does not enter.  `_beta_q_blocks` and
-`_line_values`, which undoes it, own this map.
-
-On u in ker t = span(v, x) the v (x) x and x (x) x terms of u (x) u are
-t-images, so `_kernel_squares` reads q(u (x) u) off the same data:
-
-  sum_a u_{v_a}^2 q_1(a) + sum_k u_{x_k}^2 G_ww[k,k] + u_v^T triu(G_vv, 1) u_v.
+  q(u (x) u) = u^T Q u,  Q = triu(G_q) with G_ww's diagonal at the x's.
 
 `_pullback` (`quad_transform`, `quad_restrict`) takes family 1 from it and
 `quad_product` reads family 1 off the v_i (x) v_j in closed form, so no
@@ -53,9 +39,10 @@ import numpy as np
 from .bform import BilinearForm, Subobject, subobject_standard_basis
 from .classify import CanonicalClass, _classify_grams, require_classifiable_field
 from .field import Field, make_field
-from .linalg import block_diag, column_support, congruence, eye, mat_mul, rank, readonly, solve
-from .linalg import support_gather, triu_indices, zeros
-from .verobj import Morphism, VerObject, braiding, json_ints, tensor
+from .linalg import column_support, congruence, eye, mat_mul, rank, readonly, solve, support_gather
+from .linalg import triu_indices, zeros
+from .verobj import Morphism, VerObject, braiding, json_ints, tensor, tensor_raw
+from .witt import _sum_grams, tensor_product
 
 
 @dataclass(eq=False)
@@ -106,46 +93,27 @@ GAMMA2_BASIS_MAX_DIM = 24
 
 @lru_cache(maxsize=None)
 def gamma2(obj: VerObject) -> Gamma2Basis:
-    """Generator list for Gamma^2(U) in the fixed family order."""
+    """Generator list for Gamma^2(U) in the line order of `_line_cells`:
+    the top at cell (a, b) is e_a (x) e_b + e_b (x) e_a + t.e_a (x) t.e_b =
+    (1 - c)(e_b (x) e_a), or e_a (x) e_a where that vanishes (family 1), and
+    a line's image is its top's t-image where that is not zero."""
     if obj.dim > GAMMA2_BASIS_MAX_DIM:
         raise ValueError(f"gamma2-basis is capped at dim m + 2n <= {GAMMA2_BASIS_MAX_DIM}, got {obj.dim}")
-    m, n, vs, ws, xs = obj.m, obj.n, obj.vs, obj.ws, obj.xs
-
-    def pv(a: int, b: int) -> np.ndarray:
-        v = np.zeros(obj.dim**2, dtype=np.int64)
-        v[a * obj.dim + b] = 1
-        return v
-
-    lines: list[Line] = []
-    for i in range(m):
-        lines.append(Line(1, (i,), pv(vs[i], vs[i]), None))
-    for i in range(m):
-        for j in range(i + 1, m):
-            lines.append(Line(2, (i, j), pv(vs[i], vs[j]) ^ pv(vs[j], vs[i]), None))
-    for i in range(m):
-        for k in range(n):
-            top = pv(vs[i], ws[k]) ^ pv(ws[k], vs[i])
-            img = pv(vs[i], xs[k]) ^ pv(xs[k], vs[i])
-            lines.append(Line(3, (i, k), top, img))
-    for k in range(n):
-        lines.append(Line(4, (k,), pv(xs[k], xs[k]), None))
-    for k in range(n):
-        lines.append(Line(5, (k,), pv(ws[k], xs[k]) ^ pv(xs[k], ws[k]), None))
-    for k in range(n):
-        for l in range(k + 1, n):
-            top = pv(ws[k], xs[l]) ^ pv(xs[l], ws[k])
-            img = pv(xs[k], xs[l]) ^ pv(xs[l], xs[k])
-            lines.append(Line(6, (k, l), top, img))
-    for k in range(n):
-        for l in range(k + 1, n):
-            top = pv(ws[k], ws[l]) ^ pv(ws[l], ws[k]) ^ pv(xs[k], xs[l])
-            img = (
-                pv(xs[k], ws[l])
-                ^ pv(ws[k], xs[l])
-                ^ pv(xs[l], ws[k])
-                ^ pv(ws[l], xs[k])
-            )
-            lines.append(Line(7, (k, l), top, img))
+    family, a, b = _line_cells(obj)
+    d, m, n, E, T = obj.dim, obj.m, obj.n, eye(obj.dim), obj.t_action()
+    # row r of outer(X, Y) is X_r (x) Y_r; E and T hold 0 and 1 only, so * is the field product
+    outer = lambda X, Y: (X[:, :, None] * Y[:, None, :]).reshape(len(X), d * d)
+    tops = outer(E[a], E[b]) ^ outer(E[b], E[a]) ^ outer(T[:, a].T, T[:, b].T)
+    twist = ~tops.any(axis=1)
+    tops[twist] = outer(E[a[twist]], E[a[twist]])
+    images = tensor_raw(obj, obj).t_times(tops.T).T
+    # each slot's summand (v_i: i, w_k and x_k: m + k): a line is indexed by those its cell meets
+    summand = np.empty(d, dtype=np.int64)
+    summand[obj.vs], summand[obj.ws], summand[obj.xs] = range(m), range(m, m + n), range(m, m + n)
+    lines = []
+    for f, cell, top, image in zip(family, zip(summand[a], summand[b]), tops, images):
+        indices = tuple(int(s) if s < m else int(s) - m for s in dict.fromkeys(cell))
+        lines.append(Line(int(f), indices, top, image if image.any() else None))
     basis = Gamma2Basis(obj, lines)
     _verify_gamma2(obj, basis)
     return basis
@@ -173,39 +141,49 @@ def gamma2_dim_formula(m: int, n: int) -> int:
     return m + m * (m - 1) // 2 + 2 * m * n + 2 * n + 2 * n * (n - 1)
 
 
-def _family_sizes(m: int, n: int) -> tuple[int, ...]:
-    """Line counts of families 1..7 on m1 + nP (their sum is num_lines)."""
-    return m, m * (m - 1) // 2, m * n, n, n, n * (n - 1) // 2, n * (n - 1) // 2
+@lru_cache(maxsize=64)
+def _line_cells(obj: VerObject) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Gamma^2 line table: arrays (family, a, b) over the lines in value
+    order (families 1..7, indices lexicographic).  Line r's value sits at
+    cell (a[r], b[r]) of G_q, and the cells are G_q's free entries:
 
-
-def _symmetric(s: int, diag, upper) -> np.ndarray:
-    """Symmetric s x s block from its diagonal and upper triangle (row order)."""
-    i, j = triu_indices(s, 1)
-    out = zeros(s, s)
-    out[i, j] = out[j, i] = upper
-    out[range(s), range(s)] = diag
-    return out
-
-
-def _beta_q_blocks(obj: VerObject, values):
-    """The free blocks (G_vv, G_vw, G_ww, G_wx) of beta_q, read off the line
-    values as the module docstring says; family 1 does not enter."""
-    m, n = obj.m, obj.n
-    cuts = np.cumsum(_family_sizes(m, n))[:-1]
-    _, q2, q3, q4, q5, q6, q7 = np.split(np.asarray(values, dtype=np.int64), cuts)
-    return _symmetric(m, 0, q2), q3.reshape(m, n), _symmetric(n, q4, q7), _symmetric(n, q5, q6)
-
-
-def _line_values(obj: VerObject, blocks) -> np.ndarray:
-    """`_beta_q_blocks` undone on families 2..7: the line values whose
-    beta_q has these blocks (vv, ww, wx symmetric), 0 on family 1."""
-    vv, vw, ww, wx = blocks
+      family  top  ->  t-image (2-dimensional lines)               cell
+      1  v_i (x) v_i                                               (v_i, v_i)
+      2  v_i (x) v_j + v_j (x) v_i                          i < j  (v_i, v_j)
+      3  v_i (x) w_k + w_k (x) v_i  ->  v_i (x) x_k + x_k (x) v_i  (v_i, w_k)
+      4  x_k (x) x_k                                               (w_k, w_k)
+      5  w_k (x) x_k + x_k (x) w_k                                 (w_k, x_k)
+      6  w_k (x) x_l + x_l (x) w_k  ->  x_k (x) x_l + x_l (x) x_k   k < l  (w_k, x_l)
+      7  w_k (x) w_l + w_l (x) w_k + x_k (x) x_l
+           ->  x_k (x) w_l + w_k (x) x_l + x_l (x) w_k + w_l (x) x_k  k < l  (w_k, w_l)
+    """
+    vs, ws, xs = obj.vs, obj.ws, obj.xs
     iv, jv = triu_indices(obj.m, 1)
     kn, ln = triu_indices(obj.n, 1)
-    return np.concatenate([
-        np.zeros(obj.m, dtype=np.int64), vv[iv, jv], np.reshape(vw, -1),
-        np.diagonal(ww), np.diagonal(wx), wx[kn, ln], ww[kn, ln],
-    ])
+    cells = [
+        (vs, vs), (vs[iv], vs[jv]), (np.repeat(vs, obj.n), np.tile(ws, obj.m)),
+        (ws, ws), (ws, xs), (ws[kn], xs[ln]), (ws[kn], ws[ln]),
+    ]
+    family = np.repeat(np.arange(1, 8), [len(a) for a, _ in cells])
+    a, b = np.concatenate([a for a, _ in cells]), np.concatenate([b for _, b in cells])
+    return readonly(family), readonly(a), readonly(b)
+
+
+def _quad_gram(obj: VerObject, values) -> np.ndarray:
+    """G_q: the line values at their cells, mirrored into a symmetric
+    compatible Gram."""
+    _, a, b = _line_cells(obj)
+    G = zeros(obj.dim, obj.dim)
+    G[a, b] = values
+    vv, vw, ww, wx = obj.gram_blocks(G)  # the cells fill upper triangles and diagonals
+    return obj.gram_from_blocks(vv | vv.T, vw, ww | ww.T, wx | wx.T)
+
+
+def _line_values(obj: VerObject, G: np.ndarray) -> np.ndarray:
+    """`_quad_gram` undone: the entries of a symmetric compatible G at the
+    line cells (0 on family 1 for a beta_q Gram)."""
+    _, a, b = _line_cells(obj)
+    return G[a, b]
 
 
 def frobenius_twist_rank(obj: VerObject) -> int:
@@ -232,7 +210,7 @@ class QuadraticForm:
 
     def __init__(self, obj: VerObject, values):
         values = np.array(values, dtype=np.int64)
-        lines = sum(_family_sizes(obj.m, obj.n))
+        lines = len(_line_cells(obj)[0])
         if values.shape != (lines,):
             raise ValueError(
                 f"expected {lines} values for Gamma^2({obj.m},{obj.n}), got {values.shape}"
@@ -277,12 +255,11 @@ class QuadraticForm:
 
 
 def beta_q(q: QuadraticForm) -> BilinearForm:
-    """Associated bilinear form beta_q(u, u') = q((1 - c)(u (x) u')).
-
-    Assembled from the line values in closed form (`_beta_q_blocks`), with
-    no braiding matrix and no Gamma^2 basis built.
-    """
-    return BilinearForm(q.obj, q.obj.gram_from_blocks(*_beta_q_blocks(q.obj, q.values)))
+    """Associated bilinear form beta_q(u, u') = q((1 - c)(u (x) u')): G_q with
+    its v-diagonal cleared, with no braiding matrix and no Gamma^2 basis built."""
+    G = _quad_gram(q.obj, q.values)
+    G[q.obj.vs, q.obj.vs] = 0
+    return BilinearForm(q.obj, G)
 
 
 def quad_restrict(q: QuadraticForm, sub: Subobject) -> QuadraticForm:
@@ -291,34 +268,31 @@ def quad_restrict(q: QuadraticForm, sub: Subobject) -> QuadraticForm:
 
 
 def _kernel_squares(q: QuadraticForm, U: np.ndarray) -> np.ndarray:
-    """q(u (x) u) for each column u of U, which must lie in ker t, by the
-    module docstring's formula."""
+    """q(u (x) u) = u^T Q u for each column u of U, which must lie in ker t:
+    Q = triu(G_q) with G_ww's diagonal at the x's (module docstring)."""
     F, obj = q.field, q.obj
-    vv, _, ww, _ = _beta_q_blocks(obj, q.values)
-    uv, ker = U[obj.vs], U[np.concatenate([obj.vs, obj.xs])]
-    weights = np.concatenate([q.values[: obj.m], np.diagonal(ww)])
-    cross = np.bitwise_xor.reduce(F.mul_arr(uv, mat_mul(F, np.triu(vv, 1), uv)), axis=0)
-    return mat_mul(F, weights[None, :], F.mul_arr(ker, ker))[0] ^ cross
+    G = _quad_gram(obj, q.values)
+    Q = np.triu(G)
+    Q[obj.xs, obj.xs] = G[obj.ws, obj.ws]
+    return np.bitwise_xor.reduce(F.mul_arr(U, mat_mul(F, Q, U)), axis=0)
 
 
 def _pullback(q: QuadraticForm, obj: VerObject, M: np.ndarray) -> QuadraticForm:
-    """q o Gamma^2(M) on obj for an equivariant M: obj -> q.obj; families
-    2..7 from its beta M^T beta_q M, family 1 from q on the M v_i."""
-    values = _line_values(obj, obj.gram_blocks(congruence(q.field, M, beta_q(q).gram)))
-    values[: obj.m] = _kernel_squares(q, M[:, obj.vs])
-    return QuadraticForm(obj, values)
+    """q o Gamma^2(M) on obj for an equivariant M: obj -> q.obj, gathered from
+    M^T beta_q M with the squares q(M v_i (x) M v_i) on its v-diagonal."""
+    G = congruence(q.field, M, beta_q(q).gram)
+    G[obj.vs, obj.vs] = _kernel_squares(q, M[:, obj.vs])
+    return QuadraticForm(obj, _line_values(obj, G))
 
 
 def quad_sum(q: QuadraticForm, r: QuadraticForm) -> QuadraticForm:
     """Orthogonal sum on U + R: values live on same-side lines, 0 on mixed,
-    so the sum's beta_q blocks are block sums and family 1 is concatenated."""
+    so the sum's G_q is the orthogonal sum of the two (`witt._sum_grams`)."""
     if q.field != r.field:
         raise ValueError("summands live over different fields")
-    target = VerObject(q.field, q.obj.m + r.obj.m, q.obj.n + r.obj.n)
-    blocks = zip(_beta_q_blocks(q.obj, q.values), _beta_q_blocks(r.obj, r.values))
-    values = _line_values(target, [block_diag(a, b) for a, b in blocks])
-    values[: target.m] = np.concatenate([q.values[: q.obj.m], r.values[: r.obj.m]])
-    return QuadraticForm(target, values)
+    grams = _quad_gram(q.obj, q.values)[None], _quad_gram(r.obj, r.values)[None]
+    target, (G,) = _sum_grams(q.obj, r.obj, *grams)
+    return QuadraticForm(target, _line_values(target, G))
 
 
 def quad_product(gamma: BilinearForm, q: QuadraticForm) -> QuadraticForm:
@@ -345,17 +319,15 @@ def quad_product(gamma: BilinearForm, q: QuadraticForm) -> QuadraticForm:
     if not gamma.is_symmetric():
         raise ValueError("quadratic products need a symmetric bilinear factor")
     V, W = gamma.obj, q.obj
-    from .witt import tensor_product
-
     prod = tensor_product(gamma, beta_q(q))
     tobj, B, _ = tensor(V, W)
     kron_vs = np.add.outer(V.vs * W.dim, W.vs).reshape(-1)
     if (B[kron_vs, tobj.vs] != 1).any() or np.count_nonzero(B[:, tobj.vs]) != tobj.m:
         raise AssertionError("tensor basis v's are not the v_i (x) v_j")  # pragma: no cover
-    values = _line_values(tobj, tobj.gram_blocks(prod.gram))
-    gamma_vv = np.diagonal(gamma.gram)[V.vs]
-    values[: tobj.m] = F.mul_arr(gamma_vv[:, None], q.values[: W.m][None, :]).reshape(-1)
-    return QuadraticForm(tobj, values)
+    G = prod.gram.copy()
+    gamma_vv, q_vv = gamma.gram[V.vs, V.vs], _quad_gram(W, q.values)[W.vs, W.vs]
+    G[tobj.vs, tobj.vs] = F.mul_arr(gamma_vv[:, None], q_vv[None, :]).reshape(-1)
+    return QuadraticForm(tobj, _line_values(tobj, G))
 
 
 def quad_transform(q: QuadraticForm, phi: Morphism) -> QuadraticForm:
@@ -376,14 +348,14 @@ def quadratic_from_bilinear(beta: BilinearForm) -> QuadraticForm:
         raise ValueError("the bijection with quadratic forms needs an object nP")
     if not beta.is_symmetric():
         raise ValueError("requires a symmetric form")
-    return QuadraticForm(obj, _line_values(obj, obj.gram_blocks(beta.gram)))
+    return QuadraticForm(obj, _line_values(obj, beta.gram))
 
 
 def hyperbolic_quadratic(F: Field, h: int) -> QuadraticForm:
     """h hyperbolic planes: q(a v + b w) = ab on each 2-dimensional piece."""
     obj = VerObject(F, 2 * h, 0)
-    vv = np.kron(eye(h), [[0, 1], [1, 0]])  # beta_q(v_2i, v_2i+1) = 1
-    return QuadraticForm(obj, _line_values(obj, (vv, zeros(2 * h, 0), zeros(0, 0), zeros(0, 0))))
+    G = np.kron(eye(h), [[0, 1], [1, 0]])  # beta_q(v_2i, v_2i+1) = 1
+    return QuadraticForm(obj, _line_values(obj, G))
 
 
 def quad_from_parts(F: Field, h: int, gamma_np: BilinearForm | None) -> QuadraticForm:
@@ -411,7 +383,8 @@ def classify_quadratic(q: QuadraticForm):
     """
     obj = q.obj
     require_classifiable_field(q.field)
-    G = obj.gram_from_blocks(*_beta_q_blocks(obj, q.values))
+    G = _quad_gram(obj, q.values)
+    G[obj.vs, obj.vs] = 0
     try:
         (cls,) = _classify_grams(obj, G[None])
     except ValueError:

@@ -241,6 +241,13 @@ class Morphism:
         self.target = target
         self.matrix = matrix
 
+    @classmethod
+    def _certified(cls, source, target, matrix: np.ndarray) -> "Morphism":
+        """A Morphism on a matrix its caller has already certified: no copy and no re-check."""
+        phi = cls.__new__(cls)
+        phi.source, phi.target, phi.matrix = source, target, matrix
+        return phi
+
     @property
     def field(self) -> Field:
         return self.source.field

@@ -26,7 +26,13 @@ from ver4forms.classify import (
     class_inventory,
 )
 from ver4forms.field import make_field
-from ver4forms.verobj import VerObject, random_equivariant_automorphism, random_equivariant_matrix
+from ver4forms.verobj import (
+    VerObject,
+    commutes,
+    random_equivariant_automorphism,
+    random_equivariant_matrices,
+    random_equivariant_matrix,
+)
 from ver4forms.witt import direct_sum
 
 F4 = make_field(2)
@@ -532,6 +538,24 @@ def test_canonicalize_batch_rejects_like_classify_batch():
             canonicalize_batch(obj, stack)
         with pytest.raises(ValueError, match=message):
             classify_batch(obj, stack)
+
+
+def test_canonicalize_batch_checks_equivariance_once(monkeypatch):
+    # the stacked certificate is the one equivariance check: the results are
+    # built on the certified transforms, not re-validated one by one
+    rng = np.random.default_rng(13)
+    rep = canonical_rep(CanonicalClass("F", 2, 3, 5), F8)
+    grams = la.batch_congruence(F8, random_equivariant_matrices(rep.obj, rng, 4), rep.gram)
+    calls = []
+    counted = lambda *args: calls.append(args) or commutes(*args)
+    for module in ("ver4forms.classify", "ver4forms.verobj"):
+        monkeypatch.setattr(sys.modules[module], "commutes", counted)
+    results = canonicalize_batch(rep.obj, grams)
+    assert len(calls) == 1
+    for G, (transform, canon, cls) in zip(grams, results):
+        assert cls == CanonicalClass("F", 2, 3, 5)
+        assert (transform.source, transform.target) == (rep.obj, rep.obj)
+        assert np.array_equal(la.congruence(F8, transform.matrix, G), canon.gram)
 
 
 def _tamper_reduce(monkeypatch, tamper):

@@ -11,10 +11,10 @@ from ver4forms.divided import (
     Gamma2Basis,
     Line,
     QuadraticForm,
-    _beta_q_blocks,
-    _family_sizes,
     _kernel_squares,
+    _line_cells,
     _line_values,
+    _quad_gram,
     _verify_gamma2,
     a2_iso_check,
     beta_q,
@@ -33,24 +33,81 @@ from ver4forms.divided import (
 )
 from ver4forms.field import make_field
 from ver4forms.verobj import Morphism, VerObject, random_equivariant_automorphism, tensor
+from ver4forms.witt import direct_sum
 
 F2 = make_field(1)
 F4 = make_field(2)
 
 
 @st.composite
-def quadratic_forms(draw):
-    """Random q with k in [2, 16], m <= 4, n <= 3.  Odd m (always
-    degenerate) is drawn less often, and a third of the forms are sparse,
-    which makes degenerate beta_q with even m common too."""
-    F = make_field(draw(st.integers(2, 16)))
+def quadratic_forms(draw, F=None):
+    """Random q with k in [2, 16] (or over F), m <= 4, n <= 3.  Odd m
+    (always degenerate) is drawn less often, and a third of the forms are
+    sparse, which makes degenerate beta_q with even m common too."""
+    F = make_field(draw(st.integers(2, 16))) if F is None else F
     m = draw(st.sampled_from([0, 2, 4, 0, 2, 4, 1, 3]))
     obj = VerObject(F, m, draw(st.integers(0, 3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    values = rng.integers(0, F.order, size=sum(_family_sizes(obj.m, obj.n)))
+    values = rng.integers(0, F.order, size=len(_line_cells(obj)[0]))
     if draw(st.integers(0, 2)) == 0:
         values *= rng.random(values.size) < 0.3
     return QuadraticForm(obj, values)
+
+
+# shapes (m, n) of dim m + 2n <= 24, the gamma2 cap
+shapes_up_to_the_cap = st.integers(0, 12).flatmap(
+    lambda n: st.tuples(st.integers(0, 24 - 2 * n), st.just(n))
+)
+
+
+def _reference_gamma2_lines(obj: VerObject) -> list[tuple]:
+    """The Gamma^2 lines (family, indices, top, image), written out family by
+    family on the standard basis, independently of `divided._line_cells`."""
+    m, n, vs, ws, xs = obj.m, obj.n, obj.vs, obj.ws, obj.xs
+
+    def pv(a: int, b: int) -> np.ndarray:
+        v = np.zeros(obj.dim**2, dtype=np.int64)
+        v[a * obj.dim + b] = 1
+        return v
+
+    lines = []
+    for i in range(m):
+        lines.append((1, (i,), pv(vs[i], vs[i]), None))
+    for i in range(m):
+        for j in range(i + 1, m):
+            lines.append((2, (i, j), pv(vs[i], vs[j]) ^ pv(vs[j], vs[i]), None))
+    for i in range(m):
+        for k in range(n):
+            top = pv(vs[i], ws[k]) ^ pv(ws[k], vs[i])
+            img = pv(vs[i], xs[k]) ^ pv(xs[k], vs[i])
+            lines.append((3, (i, k), top, img))
+    for k in range(n):
+        lines.append((4, (k,), pv(xs[k], xs[k]), None))
+    for k in range(n):
+        lines.append((5, (k,), pv(ws[k], xs[k]) ^ pv(xs[k], ws[k]), None))
+    for k in range(n):
+        for l in range(k + 1, n):
+            top = pv(ws[k], xs[l]) ^ pv(xs[l], ws[k])
+            img = pv(xs[k], xs[l]) ^ pv(xs[l], xs[k])
+            lines.append((6, (k, l), top, img))
+    for k in range(n):
+        for l in range(k + 1, n):
+            top = pv(ws[k], ws[l]) ^ pv(ws[l], ws[k]) ^ pv(xs[k], xs[l])
+            img = pv(xs[k], ws[l]) ^ pv(ws[k], xs[l]) ^ pv(xs[l], ws[k]) ^ pv(ws[l], xs[k])
+            lines.append((7, (k, l), top, img))
+    return lines
+
+
+def _assert_gamma2_is_the_reference(obj: VerObject):
+    got, want = gamma2(obj).lines, _reference_gamma2_lines(obj)
+    assert len(got) == len(want) == len(_line_cells(obj)[0])
+    for line, (family, indices, top, image) in zip(got, want):
+        assert (line.family, line.indices) == (family, indices)
+        # Python ints, as the CLI's JSON output needs
+        assert all(type(i) is int for i in (line.family, *line.indices))
+        assert np.array_equal(line.top, top)
+        assert (line.image is None) == (image is None)
+        assert image is None or np.array_equal(line.image, image)
 
 
 def _literal_beta_q(q: QuadraticForm) -> BilinearForm:
@@ -128,6 +185,18 @@ def test_gamma2_dim_matches_kernel_nullity():
             omc = one_minus_braiding(obj)
             nullity = obj.dim**2 - la.rank(F4, omc)
             assert gamma2(obj).dim == gamma2_dim_formula(m, n) == nullity
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.integers(2, 16), shape=shapes_up_to_the_cap)
+def test_gamma2_lines_match_the_reference(k, shape):
+    # line by line: family, indices, top and image
+    _assert_gamma2_is_the_reference(VerObject(make_field(k), *shape))
+
+
+@pytest.mark.parametrize("m, n", [(0, 0), (0, 12), (4, 10), (24, 0)])
+def test_gamma2_lines_match_the_reference_at_dim_0_and_at_the_cap(m, n):
+    _assert_gamma2_is_the_reference(VerObject(make_field(16), m, n))
 
 
 @pytest.mark.parametrize("m, n", [(0, 12), (4, 10), (24, 0)])
@@ -230,15 +299,16 @@ def test_classify_quadratic_matches_complement_reference(q):
 
 
 @settings(max_examples=40, deadline=None)
-@given(q=quadratic_forms())
-def test_line_values_and_beta_q_blocks_are_inverse(q):
-    obj = q.obj
-    blocks = _beta_q_blocks(obj, q.values)
-    values = _line_values(obj, blocks)
-    assert np.array_equal(values[obj.m :], q.values[obj.m :])  # families 2..7
-    assert not values[: obj.m].any()  # family 1 does not enter beta_q
-    for got, want in zip(_beta_q_blocks(obj, values), blocks):
-        assert np.array_equal(got, want)
+@given(k=st.integers(2, 16), shape=shapes_up_to_the_cap, seed=st.integers(0, 2**32 - 1))
+def test_line_values_and_quad_gram_are_inverse(k, shape, seed):
+    F = make_field(k)
+    obj = VerObject(F, *shape)
+    family, _, _ = _line_cells(obj)
+    values = np.random.default_rng(seed).integers(0, F.order, size=family.size)
+    G = _quad_gram(obj, values)
+    assert np.array_equal(G, G.T) and obj.is_compatible(G)
+    assert np.array_equal(np.diagonal(G)[obj.vs], values[family == 1])  # the Frobenius twist
+    assert np.array_equal(_line_values(obj, G), values)
 
 
 def test_line_count_formula():
@@ -246,7 +316,7 @@ def test_line_count_formula():
         for n in range(6):
             obj = VerObject(F2, m, n)
             lines = gamma2(obj).num_lines
-            assert sum(_family_sizes(m, n)) == lines
+            assert len(_line_cells(obj)[0]) == lines
             assert lines == m + m * (m - 1) // 2 + m * n + 2 * n + n * (n - 1)
     obj = VerObject(F4, 2, 1)
     with pytest.raises(ValueError, match=r"^expected 7 values for Gamma\^2\(2,1\), got \(8,\)$"):
@@ -369,8 +439,6 @@ def test_quad_sum_with_empty_is_identity():
 
 
 def test_quad_sum_beta_q_is_block_sum():
-    from ver4forms.witt import direct_sum
-
     rng = np.random.default_rng(41)
     a = VerObject(F4, 1, 1)
     b = VerObject(F4, 2, 1)
@@ -380,6 +448,24 @@ def test_quad_sum_beta_q_is_block_sum():
     assert np.array_equal(beta_q(s).gram, direct_sum(beta_q(qa), beta_q(qb)).gram)
     # family 1 (the v_i (x) v_i lines) is the two summands' family 1 in turn
     assert s.values[:3].tolist() == qa.values[:1].tolist() + qb.values[:2].tolist()
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_quad_sum_is_the_orthogonal_sum(data):
+    # beta_q of the sum is the sum of the beta_q's, and restricting to either
+    # summand's standard slots (through Subobject and _pullback, not
+    # witt._sum_grams) gives back that summand's values
+    q = data.draw(quadratic_forms())
+    r = data.draw(quadratic_forms(q.field))
+    s = quad_sum(q, r)
+    assert np.array_equal(beta_q(s).gram, direct_sum(beta_q(q), beta_q(r)).gram)
+    (m1, n1), (m2, n2) = (q.obj.m, q.obj.n), (r.obj.m, r.obj.n)
+    halves = [(q, range(m1), range(n1)), (r, range(m1, m1 + m2), range(n1, n1 + n2))]
+    for part, units, pairs in halves:
+        restricted = quad_restrict(s, standard_subobject(s.obj, units, pairs))
+        assert restricted.obj == part.obj
+        assert restricted.values.tolist() == part.values.tolist()
 
 
 def test_quadratic_from_bilinear_roundtrip():
@@ -536,11 +622,11 @@ def test_odd_unit_multiplicity_is_reported_degenerate(k, m, n, seed, sparse):
     F = make_field(k)
     obj = VerObject(F, m, n)
     rng = np.random.default_rng(seed)
-    values = rng.integers(0, F.order, size=sum(_family_sizes(m, n)))
+    values = rng.integers(0, F.order, size=gamma2(obj).num_lines)
     if sparse:
         values *= rng.random(values.size) < 0.3
     q = QuadraticForm(obj, values)
-    vv = _beta_q_blocks(obj, q.values)[0]
+    vv = obj.gram_blocks(beta_q(q).gram)[0]
     assert not vv.diagonal().any() and not la.is_invertible(F, vv)
     with pytest.raises(ValueError, match="degenerate"):
         classify_quadratic(q)
