@@ -2,20 +2,32 @@
 
 Gamma^2(U) = ker(1 - c) inside U (x) U decomposes into indecomposable
 "lines", each spanned by a top generator and, for the 2-dimensional ones,
-its t-image.  `_line_cells` lists the seven families on the standard basis
-v/w/x, for a total dimension m + m(m-1)/2 + 2mn + 2n + 2n(n-1).
+its t-image, for a total dimension m + m(m-1)/2 + 2mn + 2n + 2n(n-1).
+There is one line per free entry of a symmetric compatible Gram: the line
+of family f at cell (a, b) of `VerObject.free_cells` (part f) is
+
+  family  top  ->  t-image (2-dimensional lines)               cell
+  1  v_i (x) v_i                                               (v_i, v_i)
+  2  v_i (x) v_j + v_j (x) v_i                          i < j  (v_i, v_j)
+  3  v_i (x) w_k + w_k (x) v_i  ->  v_i (x) x_k + x_k (x) v_i  (v_i, w_k)
+  4  x_k (x) x_k                                               (w_k, w_k)
+  5  w_k (x) x_k + x_k (x) w_k                                 (w_k, x_k)
+  6  w_k (x) x_l + x_l (x) w_k  ->  x_k (x) x_l + x_l (x) x_k   k < l  (w_k, x_l)
+  7  w_k (x) w_l + w_l (x) w_k + x_k (x) x_l
+       ->  x_k (x) w_l + w_k (x) x_l + x_l (x) w_k + w_l (x) x_k  k < l  (w_k, w_l)
 
 A quadratic form is a module map Gamma^2(U) -> 1.  Such a map kills every
 t-image, so it is determined by one field value per line, stored in the
-line order of `_line_cells`.  The associated bilinear form is
+order of `free_cells`.  The associated bilinear form is
 beta_q = q o (1 - c) (the identification of the kernel and cokernel of
 Gamma^2 -> S^2 is induced by (1 - c) itself).  Each (1 - c)(e_a (x) e_b) is
 a line top or a t-image, and q kills t-images, so the free entries of
 beta_q's Gram are the line values themselves, each at its line's cell,
 while family 1 (the Frobenius twist, which 1 - c kills) does not enter.
 G_q is that Gram with the family-1 values on its zero v-diagonal:
-`_quad_gram` scatters the values into G_q and `_line_values` gathers them
-back, so every quadratic operation below is a Gram operation.
+`VerObject.gram_from_free_entries` scatters the values into G_q and
+`VerObject.free_entries` gathers them back, so every quadratic operation
+below is a Gram operation.
 
 On u in ker t = span(v, x) the v (x) x and the off-diagonal x (x) x terms
 of u (x) u are t-images, so `_kernel_squares` reads q(u (x) u) off G_q:
@@ -39,10 +51,9 @@ import numpy as np
 from .bform import BilinearForm, Subobject, subobject_standard_basis
 from .classify import CanonicalClass, _classify_grams, require_classifiable_field
 from .field import Field, make_field
-from .linalg import column_support, congruence, eye, mat_mul, rank, readonly, solve, support_gather
-from .linalg import triu_indices, zeros
+from .linalg import column_support, congruence, eye, mat_mul, rank, readonly, solve, support_gather, zeros
 from .verobj import Morphism, VerObject, braiding, json_ints, tensor, tensor_raw
-from .witt import _sum_grams, tensor_product
+from .witt import _product_grams, _sum_grams
 
 
 @dataclass(eq=False)
@@ -93,13 +104,13 @@ GAMMA2_BASIS_MAX_DIM = 24
 
 @lru_cache(maxsize=None)
 def gamma2(obj: VerObject) -> Gamma2Basis:
-    """Generator list for Gamma^2(U) in the line order of `_line_cells`:
+    """Generator list for Gamma^2(U) in the line order of `free_cells`:
     the top at cell (a, b) is e_a (x) e_b + e_b (x) e_a + t.e_a (x) t.e_b =
     (1 - c)(e_b (x) e_a), or e_a (x) e_a where that vanishes (family 1), and
     a line's image is its top's t-image where that is not zero."""
     if obj.dim > GAMMA2_BASIS_MAX_DIM:
         raise ValueError(f"gamma2-basis is capped at dim m + 2n <= {GAMMA2_BASIS_MAX_DIM}, got {obj.dim}")
-    family, a, b = _line_cells(obj)
+    family, a, b = obj.free_cells()
     d, m, n, E, T = obj.dim, obj.m, obj.n, eye(obj.dim), obj.t_action()
     # row r of outer(X, Y) is X_r (x) Y_r; E and T hold 0 and 1 only, so * is the field product
     outer = lambda X, Y: (X[:, :, None] * Y[:, None, :]).reshape(len(X), d * d)
@@ -141,51 +152,6 @@ def gamma2_dim_formula(m: int, n: int) -> int:
     return m + m * (m - 1) // 2 + 2 * m * n + 2 * n + 2 * n * (n - 1)
 
 
-@lru_cache(maxsize=64)
-def _line_cells(obj: VerObject) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Gamma^2 line table: arrays (family, a, b) over the lines in value
-    order (families 1..7, indices lexicographic).  Line r's value sits at
-    cell (a[r], b[r]) of G_q, and the cells are G_q's free entries:
-
-      family  top  ->  t-image (2-dimensional lines)               cell
-      1  v_i (x) v_i                                               (v_i, v_i)
-      2  v_i (x) v_j + v_j (x) v_i                          i < j  (v_i, v_j)
-      3  v_i (x) w_k + w_k (x) v_i  ->  v_i (x) x_k + x_k (x) v_i  (v_i, w_k)
-      4  x_k (x) x_k                                               (w_k, w_k)
-      5  w_k (x) x_k + x_k (x) w_k                                 (w_k, x_k)
-      6  w_k (x) x_l + x_l (x) w_k  ->  x_k (x) x_l + x_l (x) x_k   k < l  (w_k, x_l)
-      7  w_k (x) w_l + w_l (x) w_k + x_k (x) x_l
-           ->  x_k (x) w_l + w_k (x) x_l + x_l (x) w_k + w_l (x) x_k  k < l  (w_k, w_l)
-    """
-    vs, ws, xs = obj.vs, obj.ws, obj.xs
-    iv, jv = triu_indices(obj.m, 1)
-    kn, ln = triu_indices(obj.n, 1)
-    cells = [
-        (vs, vs), (vs[iv], vs[jv]), (np.repeat(vs, obj.n), np.tile(ws, obj.m)),
-        (ws, ws), (ws, xs), (ws[kn], xs[ln]), (ws[kn], ws[ln]),
-    ]
-    family = np.repeat(np.arange(1, 8), [len(a) for a, _ in cells])
-    a, b = np.concatenate([a for a, _ in cells]), np.concatenate([b for _, b in cells])
-    return readonly(family), readonly(a), readonly(b)
-
-
-def _quad_gram(obj: VerObject, values) -> np.ndarray:
-    """G_q: the line values at their cells, mirrored into a symmetric
-    compatible Gram."""
-    _, a, b = _line_cells(obj)
-    G = zeros(obj.dim, obj.dim)
-    G[a, b] = values
-    vv, vw, ww, wx = obj.gram_blocks(G)  # the cells fill upper triangles and diagonals
-    return obj.gram_from_blocks(vv | vv.T, vw, ww | ww.T, wx | wx.T)
-
-
-def _line_values(obj: VerObject, G: np.ndarray) -> np.ndarray:
-    """`_quad_gram` undone: the entries of a symmetric compatible G at the
-    line cells (0 on family 1 for a beta_q Gram)."""
-    _, a, b = _line_cells(obj)
-    return G[a, b]
-
-
 def frobenius_twist_rank(obj: VerObject) -> int:
     """Rank of the composite Gamma^2(U) -> U (x) U -> S^2(U)."""
     W = one_minus_braiding(obj)  # column space = the subspace S^2 quotients by
@@ -210,7 +176,7 @@ class QuadraticForm:
 
     def __init__(self, obj: VerObject, values):
         values = np.array(values, dtype=np.int64)
-        lines = len(_line_cells(obj)[0])
+        lines = len(obj.free_cells()[0])
         if values.shape != (lines,):
             raise ValueError(
                 f"expected {lines} values for Gamma^2({obj.m},{obj.n}), got {values.shape}"
@@ -257,7 +223,7 @@ class QuadraticForm:
 def beta_q(q: QuadraticForm) -> BilinearForm:
     """Associated bilinear form beta_q(u, u') = q((1 - c)(u (x) u')): G_q with
     its v-diagonal cleared, with no braiding matrix and no Gamma^2 basis built."""
-    G = _quad_gram(q.obj, q.values)
+    G = q.obj.gram_from_free_entries(q.values)
     G[q.obj.vs, q.obj.vs] = 0
     return BilinearForm(q.obj, G)
 
@@ -267,11 +233,9 @@ def quad_restrict(q: QuadraticForm, sub: Subobject) -> QuadraticForm:
     return _pullback(q, *subobject_standard_basis(sub))
 
 
-def _kernel_squares(q: QuadraticForm, U: np.ndarray) -> np.ndarray:
+def _kernel_squares(F: Field, obj: VerObject, G: np.ndarray, U: np.ndarray) -> np.ndarray:
     """q(u (x) u) = u^T Q u for each column u of U, which must lie in ker t:
-    Q = triu(G_q) with G_ww's diagonal at the x's (module docstring)."""
-    F, obj = q.field, q.obj
-    G = _quad_gram(obj, q.values)
+    Q = triu(G) with G_ww's diagonal at the x's, for G = G_q (module docstring)."""
     Q = np.triu(G)
     Q[obj.xs, obj.xs] = G[obj.ws, obj.ws]
     return np.bitwise_xor.reduce(F.mul_arr(U, mat_mul(F, Q, U)), axis=0)
@@ -279,10 +243,15 @@ def _kernel_squares(q: QuadraticForm, U: np.ndarray) -> np.ndarray:
 
 def _pullback(q: QuadraticForm, obj: VerObject, M: np.ndarray) -> QuadraticForm:
     """q o Gamma^2(M) on obj for an equivariant M: obj -> q.obj, gathered from
-    M^T beta_q M with the squares q(M v_i (x) M v_i) on its v-diagonal."""
-    G = congruence(q.field, M, beta_q(q).gram)
-    G[obj.vs, obj.vs] = _kernel_squares(q, M[:, obj.vs])
-    return QuadraticForm(obj, _line_values(obj, G))
+    M^T beta_q M with the squares q(M v_i (x) M v_i) on its v-diagonal; G_q is
+    scattered once, and beta_q's Gram is G_q with its v-diagonal cleared."""
+    F, U = q.field, q.obj
+    G = U.gram_from_free_entries(q.values)
+    squares = _kernel_squares(F, U, G, M[:, obj.vs])
+    G[U.vs, U.vs] = 0
+    P = congruence(F, M, G)
+    P[obj.vs, obj.vs] = squares
+    return QuadraticForm(obj, obj.free_entries(P))
 
 
 def quad_sum(q: QuadraticForm, r: QuadraticForm) -> QuadraticForm:
@@ -290,9 +259,9 @@ def quad_sum(q: QuadraticForm, r: QuadraticForm) -> QuadraticForm:
     so the sum's G_q is the orthogonal sum of the two (`witt._sum_grams`)."""
     if q.field != r.field:
         raise ValueError("summands live over different fields")
-    grams = _quad_gram(q.obj, q.values)[None], _quad_gram(r.obj, r.values)[None]
+    grams = (f.obj.gram_from_free_entries(f.values)[None] for f in (q, r))
     target, (G,) = _sum_grams(q.obj, r.obj, *grams)
-    return QuadraticForm(target, _line_values(target, G))
+    return QuadraticForm(target, target.free_entries(G))
 
 
 def quad_product(gamma: BilinearForm, q: QuadraticForm) -> QuadraticForm:
@@ -319,15 +288,16 @@ def quad_product(gamma: BilinearForm, q: QuadraticForm) -> QuadraticForm:
     if not gamma.is_symmetric():
         raise ValueError("quadratic products need a symmetric bilinear factor")
     V, W = gamma.obj, q.obj
-    prod = tensor_product(gamma, beta_q(q))
-    tobj, B, _ = tensor(V, W)
+    G = W.gram_from_free_entries(q.values)
+    gamma_vv, q_vv = gamma.gram[V.vs, V.vs], G[W.vs, W.vs]
+    G[W.vs, W.vs] = 0
+    tobj, (P,) = _product_grams(V, W, gamma.gram[None], G[None])
+    _, B, _ = tensor(V, W)
     kron_vs = np.add.outer(V.vs * W.dim, W.vs).reshape(-1)
     if (B[kron_vs, tobj.vs] != 1).any() or np.count_nonzero(B[:, tobj.vs]) != tobj.m:
         raise AssertionError("tensor basis v's are not the v_i (x) v_j")  # pragma: no cover
-    G = prod.gram.copy()
-    gamma_vv, q_vv = gamma.gram[V.vs, V.vs], _quad_gram(W, q.values)[W.vs, W.vs]
-    G[tobj.vs, tobj.vs] = F.mul_arr(gamma_vv[:, None], q_vv[None, :]).reshape(-1)
-    return QuadraticForm(tobj, _line_values(tobj, G))
+    P[tobj.vs, tobj.vs] = F.mul_arr(gamma_vv[:, None], q_vv[None, :]).reshape(-1)
+    return QuadraticForm(tobj, tobj.free_entries(P))
 
 
 def quad_transform(q: QuadraticForm, phi: Morphism) -> QuadraticForm:
@@ -348,14 +318,14 @@ def quadratic_from_bilinear(beta: BilinearForm) -> QuadraticForm:
         raise ValueError("the bijection with quadratic forms needs an object nP")
     if not beta.is_symmetric():
         raise ValueError("requires a symmetric form")
-    return QuadraticForm(obj, _line_values(obj, beta.gram))
+    return QuadraticForm(obj, obj.free_entries(beta.gram))
 
 
 def hyperbolic_quadratic(F: Field, h: int) -> QuadraticForm:
     """h hyperbolic planes: q(a v + b w) = ab on each 2-dimensional piece."""
     obj = VerObject(F, 2 * h, 0)
     G = np.kron(eye(h), [[0, 1], [1, 0]])  # beta_q(v_2i, v_2i+1) = 1
-    return QuadraticForm(obj, _line_values(obj, G))
+    return QuadraticForm(obj, obj.free_entries(G))
 
 
 def quad_from_parts(F: Field, h: int, gamma_np: BilinearForm | None) -> QuadraticForm:
@@ -383,7 +353,7 @@ def classify_quadratic(q: QuadraticForm):
     """
     obj = q.obj
     require_classifiable_field(q.field)
-    G = _quad_gram(obj, q.values)
+    G = obj.gram_from_free_entries(q.values)
     G[obj.vs, obj.vs] = 0
     try:
         (cls,) = _classify_grams(obj, G[None])

@@ -11,8 +11,6 @@ right-hand sides B when given).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from .field import Field
@@ -31,12 +29,6 @@ def readonly(a: np.ndarray) -> np.ndarray:
     arrays that cached results share."""
     a.flags.writeable = False
     return a
-
-
-@lru_cache(maxsize=64)
-def triu_indices(s: int, k: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """`np.triu_indices(s, k)`, read-only and built once per (s, k)."""
-    return tuple(readonly(a) for a in np.triu_indices(s, k))
 
 
 def block_diag(*blocks: np.ndarray) -> np.ndarray:

@@ -2,12 +2,13 @@
 
 `enumerate_forms` walks every non-degenerate symmetric compatible Gram on
 m1 + nP exactly once by iterating over the free entries left by the
-compatibility law: the symmetric m x m unit block, the m x n block pairing
-v's with w's, the symmetric n x n w-w block and the symmetric n x n w-x
-block (everything else is zero or determined).  A Gram's key is the base-q
-number whose digits are those entries (upper triangles in row order), i.e.
-its row in itertools.product(range(q), repeat=free_entry_count); candidates
-are walked in key order, and non-degeneracy is the full d x d rank.
+compatibility law (`VerObject.free_cells`; everything else is zero or
+determined).  A Gram's key is the base-q number whose digits are those
+entries in that order, which is the Gamma^2 line order of `divided`
+(families 1-7): the key of a quadratic form is its line values read in
+base q.  Candidates are walked in key order, i.e. itertools.product(range(q),
+repeat=free_entry_count) over the line values, and non-degeneracy is the
+full d x d rank.
 
 `orbit_classes` computes the congruence orbits of the group G of invertible
 equivariant maps, then checks that they are disjoint, cover the enumerated
@@ -31,7 +32,7 @@ import numpy as np
 from .bform import BilinearForm
 from .classify import CanonicalClass, canonical_rep, class_inventory, classify_batch, require_classifiable_field
 from .field import Field
-from .linalg import batch_congruence, batch_solve, triu_indices
+from .linalg import batch_congruence, batch_solve
 from .verobj import VerObject
 
 BUDGET_BITS = 24
@@ -75,33 +76,16 @@ def _digits(keys: np.ndarray, q: int, count: int) -> np.ndarray:
     return keys[:, None] // _place(q, count) % q
 
 
-def _symmetric(upper: np.ndarray, s: int) -> np.ndarray:
-    """Symmetric (..., s, s) blocks from their upper triangles in row order."""
-    i, j = triu_indices(s)
-    out = np.zeros(upper.shape[:-1] + (s, s), dtype=np.int64)
-    out[..., i, j] = upper
-    out[..., j, i] = upper
-    return out
-
-
 def _grams_of_keys(obj: VerObject, keys: np.ndarray) -> np.ndarray:
     """The symmetric compatible Grams with the given keys, as (b, d, d)."""
-    m, n = obj.m, obj.n
-    entries = _digits(keys, obj.field.order, free_entry_count(m, n))
-    cuts = np.cumsum([m * (m + 1) // 2, m * n, n * (n + 1) // 2])
-    vv, vw, ww, wx = np.split(entries, cuts, axis=1)
-    return obj.gram_from_blocks(
-        _symmetric(vv, m), vw.reshape(len(vw), m, n), _symmetric(ww, n), _symmetric(wx, n)
-    )
+    return obj.gram_from_free_entries(_digits(keys, obj.field.order, free_entry_count(obj.m, obj.n)))
 
 
 def _keys_of_grams(obj: VerObject, grams: np.ndarray) -> np.ndarray:
     """Inverse of `_grams_of_keys` on symmetric compatible Grams; reads only
     the free entries."""
-    vv, vw, ww, wx = obj.gram_blocks(grams)
-    upper = lambda a: a[(slice(None),) + triu_indices(a.shape[-1])]
-    entries = np.concatenate([upper(vv), vw.reshape(len(vw), -1), upper(ww), upper(wx)], axis=1)
-    return entries @ _place(obj.field.order, entries.shape[1])
+    entries = obj.free_entries(grams)
+    return entries @ _place(obj.field.order, entries.shape[-1])
 
 
 def _candidates(obj: VerObject):
@@ -135,18 +119,9 @@ def _gl(F: Field, s: int) -> np.ndarray:
     return M[batch_solve(F, M)[0]]
 
 
-def equivariant_group(m: int, n: int, F: Field):
-    """All invertible matrices commuting with the standard t-action.
-
-    Shape: v's map through a GL(m) block plus arbitrary x-components, w's
-    through a GL(n) block plus arbitrary v- and x-components (x-columns
-    follow the w-columns).  Yields the elements of `_group` in its order.
-    """
-    yield from _group(m, n, F)
-
-
 def _group(m: int, n: int, F: Field, levi: bool = True, unipotent: bool = True) -> np.ndarray:
-    """The equivariant group as one (|G|, d, d) array, ordered by
+    """The equivariant group, all invertible matrices commuting with the
+    standard t-action, as one (|G|, d, d) array, ordered by
     (A, E, C, D, F) in `VerObject.equivariant_matrix` terms with the last
     block varying fastest, or its part U (no `levi`: A = E = I) or L (no
     `unipotent`: C = D = F = 0).  Refuses an array over the budget first."""

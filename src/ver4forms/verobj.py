@@ -8,9 +8,12 @@ fixes the standard basis ordering
 
     v_1, ..., v_m, w_1, x_1, ..., w_n, x_n
 
-with t.v_j = 0, t.w_k = x_k, t.x_k = 0.  `RawTModule` carries an arbitrary
-nilpotent action; `standard_basis` produces the standard form together with
-its standard basis, an invertible equivariant change of basis.
+with t.v_j = 0, t.w_k = x_k, t.x_k = 0.  A symmetric compatible Gram is
+fixed by its free entries (`VerObject.free_cells`), which are a quadratic
+form's Gamma^2 line values (`divided`) and an oracle key's digits (`oracle`).
+`RawTModule` carries an arbitrary nilpotent action; `standard_basis`
+produces the standard form together with its standard basis, an invertible
+equivariant change of basis.
 
 `tensor_raw(a, b)` acts on a (x) b factor by factor, t.(u (x) r) = t.u (x) r +
 u (x) t.r, each factor on its own axis; `tensor` gives its standard form.
@@ -59,9 +62,9 @@ class VerObject:
 
     Owns the slot layout: `slots` (as slices) and `vs`, `ws`, `xs` (as index
     arrays) are the basis positions of the v's, w's and x's, and the block
-    helpers below are the one place that turns Gram blocks and
-    equivariant-matrix blocks into full matrices (and back).  The block
-    helpers accept leading batch axes.
+    helpers below are the one place that turns Gram blocks, free Gram
+    entries and equivariant-matrix blocks into full matrices (and back).
+    The block and entry helpers accept leading batch axes.
     """
 
     field: Field
@@ -145,6 +148,28 @@ class VerObject:
             (w, w, ww), (w, x, wx), (x, w, np.swapaxes(wx, -1, -2)),
         )
 
+    def free_cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(part, a, b): the free entries of a symmetric compatible Gram are
+        its cells (a[r], b[r]), in the seven parts of `_free_table`."""
+        return _free_table(self)[:3]
+
+    def free_entries(self, G: np.ndarray) -> np.ndarray:
+        """The free entries of a symmetric compatible Gram, in `free_cells`
+        order; every other entry is zero or equal to one of these."""
+        _, a, b, *_ = _free_table(self)
+        return G[..., a, b]
+
+    def gram_from_free_entries(self, values) -> np.ndarray:
+        """Inverse of `free_entries`: the symmetric compatible Gram with the
+        given free entries, by one write of `_free_table`'s positions."""
+        part, *_, rows, cols, src = _free_table(self)
+        values = np.asarray(values, dtype=np.int64)
+        if values.shape[-1:] != part.shape:
+            raise ValueError(f"expected {part.size} free entries, got shape {values.shape}")
+        G = np.zeros(values.shape[:-1] + (self.dim, self.dim), dtype=np.int64)
+        G[..., rows, cols] = values[..., src]
+        return G
+
     def equivariant_matrix(self, a, c, d, e, f) -> np.ndarray:
         """The matrix commuting with T built from its five free blocks:
         v -> v by `a` (m x m), v -> x by `c` (n x m), w -> v by `d` (m x n),
@@ -182,6 +207,32 @@ class VerObject:
 
     def __repr__(self):
         return f"VerObject(GF(2^{self.field.k}), {self.m}*1 + {self.n}*P)"
+
+
+@lru_cache(maxsize=64)
+def _free_table(obj: VerObject) -> tuple[np.ndarray, ...]:
+    """The free entries of a symmetric compatible Gram on obj, read-only as
+    (part, a, b, rows, cols, src).  Entry r sits at cell (a[r], b[r]), in
+    seven parts numbered as `divided`'s Gamma^2 line families: (v_i, v_i),
+    (v_i, v_j) i < j, (v_i, w_k), (w_k, w_k), (w_k, x_k), (w_k, x_l) k < l
+    and (w_k, w_l) k < l, each in lexicographic order.  Entry src[p] is
+    written at (rows[p], cols[p]): at its cell, at the mirror, and for
+    (w_k, x_l) also at (w_l, x_k) and its mirror, as T^T G = G T asks."""
+    vs, ws, xs = obj.vs, obj.ws, obj.xs
+    iv, jv = np.triu_indices(obj.m, 1)
+    kn, ln = np.triu_indices(obj.n, 1)
+    cells = [
+        (vs, vs), (vs[iv], vs[jv]), (np.repeat(vs, obj.n), np.tile(ws, obj.m)),
+        (ws, ws), (ws, xs), (ws[kn], xs[ln]), (ws[kn], ws[ln]),
+    ]
+    part = np.repeat(np.arange(1, 8), [len(a) for a, _ in cells])
+    a, b = (np.concatenate(side) for side in zip(*cells))
+    r, wx = np.arange(len(a)), (part == 5) | (part == 6)
+    # w_l = x_l - 1 and x_k = w_k + 1 in the standard layout
+    rows = np.concatenate([a, b, b[wx] - 1, a[wx] + 1])
+    cols = np.concatenate([b, a, a[wx] + 1, b[wx] - 1])
+    src = np.concatenate([r, r, r[wx], r[wx]])
+    return tuple(readonly(t) for t in (part, a, b, rows, cols, src))
 
 
 class InternalCheckError(RuntimeError):

@@ -147,9 +147,12 @@ def test_product_refuses_over_the_tensor_cap(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: tensor product dim 40 x 40 is over the cap 576")
 
 
+_QUAD_DOC = {"field": {"k": 2}, "object": {"m": 2, "n": 0}, "values": [0, 0, 1]}
+_LARGE_QUAD_CLASS = CanonicalClass("F", 0, 50, 2)
+
+
 def test_quad_classify_command(tmp_path, capsys):
-    doc = {"field": {"k": 2}, "object": {"m": 2, "n": 0}, "values": [0, 0, 1]}
-    path = _write(tmp_path, "q.json", doc)
+    path = _write(tmp_path, "q.json", _QUAD_DOC)
     assert main(["--json", "quad-classify", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["hyperbolic_multiplicity"] == 1
@@ -158,21 +161,55 @@ def test_quad_classify_command(tmp_path, capsys):
     assert main(["quad-classify", _write(tmp_path, "q2.json", bad)]) == 1
 
 
-def test_quad_classify_large_object(tmp_path, capsys):
-    # 2550 line values on 50P: classified on Gram blocks, with no 10^4 x 10^4
-    # braiding on U (x) U
+def _large_quad_doc() -> dict:
+    """A scrambled form of class F[0,50](2) over GF(4), as its 2550 line values."""
     F = make_field(2)
-    cls = CanonicalClass("F", 0, 50, 2)
-    rep = canonical_rep(cls, F)
+    rep = canonical_rep(_LARGE_QUAD_CLASS, F)
     M = random_equivariant_matrix(rep.obj, np.random.default_rng(50))
     q = quadratic_from_bilinear(BilinearForm(rep.obj, congruence(F, M, rep.gram)))
     assert len(q.values) == 2550
-    path = _write(tmp_path, "q50.json", q.to_json())
+    return q.to_json()
+
+
+def test_quad_classify_large_object(tmp_path, capsys):
+    # 2550 line values on 50P: classified on Gram blocks, with no 10^4 x 10^4
+    # braiding on U (x) U
+    path = _write(tmp_path, "q50.json", _large_quad_doc())
     start = time.perf_counter()
     assert main(["--json", "quad-classify", path]) == 0
     assert time.perf_counter() - start < 10.0
     out = json.loads(capsys.readouterr().out)
-    assert out == {"hyperbolic_multiplicity": 0, "np_class": cls.to_json()}
+    assert out == {"hyperbolic_multiplicity": 0, "np_class": _LARGE_QUAD_CLASS.to_json()}
+
+
+def _stdout_sha256(capsys) -> str:
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]
+
+
+# sha256 prefixes of stdout, prose and --json, pinned from the output before
+# quadratic forms and oracle keys shared one free-entry table
+_QUAD_CLASSIFY_STDOUT = {
+    "q": ("8843ff104b402f52", "0d2c879bab715995"), "q50": ("85ca3113a1fc7f5c", "d2bc122c3ef118b3"),
+}
+_ORACLE_JSON_STDOUT = {
+    (0, 1, 2): "3f39e4381ae35e70", (1, 1, 2): "cb5d4a8f4cf568f4", (0, 2, 2): "03c220ebe0c2c289",
+    (2, 0, 2): "cb389746a20098fd", (2, 0, 3): "2e7baeb55644f453",
+}
+
+
+def test_quad_classify_output_is_unchanged(tmp_path, capsys):
+    for name, doc in (("q", _QUAD_DOC), ("q50", _large_quad_doc())):
+        path = _write(tmp_path, f"{name}.json", doc)
+        for json_flag, want in zip(([], ["--json"]), _QUAD_CLASSIFY_STDOUT[name]):
+            assert main([*json_flag, "quad-classify", path]) == 0
+            assert _stdout_sha256(capsys) == want, json_flag
+
+
+@pytest.mark.parametrize("m, n, k", list(_ORACLE_JSON_STDOUT))
+def test_oracle_json_output_is_unchanged(capsys, m, n, k):
+    # the census reads the enumerated set, not its order
+    assert main(["--json", "oracle", "--m", str(m), "--n", str(n), "--k", str(k)]) == 0
+    assert _stdout_sha256(capsys) == _ORACLE_JSON_STDOUT[m, n, k]
 
 
 def test_gamma2_basis_command(capsys):

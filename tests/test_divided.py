@@ -12,9 +12,6 @@ from ver4forms.divided import (
     Line,
     QuadraticForm,
     _kernel_squares,
-    _line_cells,
-    _line_values,
-    _quad_gram,
     _verify_gamma2,
     a2_iso_check,
     beta_q,
@@ -48,7 +45,7 @@ def quadratic_forms(draw, F=None):
     m = draw(st.sampled_from([0, 2, 4, 0, 2, 4, 1, 3]))
     obj = VerObject(F, m, draw(st.integers(0, 3)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    values = rng.integers(0, F.order, size=len(_line_cells(obj)[0]))
+    values = rng.integers(0, F.order, size=len(obj.free_cells()[0]))
     if draw(st.integers(0, 2)) == 0:
         values *= rng.random(values.size) < 0.3
     return QuadraticForm(obj, values)
@@ -62,7 +59,7 @@ shapes_up_to_the_cap = st.integers(0, 12).flatmap(
 
 def _reference_gamma2_lines(obj: VerObject) -> list[tuple]:
     """The Gamma^2 lines (family, indices, top, image), written out family by
-    family on the standard basis, independently of `divided._line_cells`."""
+    family on the standard basis, independently of `VerObject.free_cells`."""
     m, n, vs, ws, xs = obj.m, obj.n, obj.vs, obj.ws, obj.xs
 
     def pv(a: int, b: int) -> np.ndarray:
@@ -100,7 +97,7 @@ def _reference_gamma2_lines(obj: VerObject) -> list[tuple]:
 
 def _assert_gamma2_is_the_reference(obj: VerObject):
     got, want = gamma2(obj).lines, _reference_gamma2_lines(obj)
-    assert len(got) == len(want) == len(_line_cells(obj)[0])
+    assert len(got) == len(want) == len(obj.free_cells()[0])
     for line, (family, indices, top, image) in zip(got, want):
         assert (line.family, line.indices) == (family, indices)
         # Python ints, as the CLI's JSON output needs
@@ -301,14 +298,17 @@ def test_classify_quadratic_matches_complement_reference(q):
 @settings(max_examples=40, deadline=None)
 @given(k=st.integers(2, 16), shape=shapes_up_to_the_cap, seed=st.integers(0, 2**32 - 1))
 def test_line_values_and_quad_gram_are_inverse(k, shape, seed):
+    # G_q is the free-entry scatter of the line values (tests/test_verobj.py
+    # checks the table itself); family 1, the Frobenius twist, is its v-diagonal
     F = make_field(k)
     obj = VerObject(F, *shape)
-    family, _, _ = _line_cells(obj)
+    family, _, _ = obj.free_cells()
     values = np.random.default_rng(seed).integers(0, F.order, size=family.size)
-    G = _quad_gram(obj, values)
+    G = obj.gram_from_free_entries(values)
     assert np.array_equal(G, G.T) and obj.is_compatible(G)
-    assert np.array_equal(np.diagonal(G)[obj.vs], values[family == 1])  # the Frobenius twist
-    assert np.array_equal(_line_values(obj, G), values)
+    assert np.array_equal(np.diagonal(G)[obj.vs], values[family == 1])
+    assert np.array_equal(obj.free_entries(G), values)
+    assert np.array_equal(beta_q(QuadraticForm(obj, values)).gram[obj.vs, obj.vs], np.zeros(obj.m))
 
 
 def test_line_count_formula():
@@ -316,7 +316,7 @@ def test_line_count_formula():
         for n in range(6):
             obj = VerObject(F2, m, n)
             lines = gamma2(obj).num_lines
-            assert len(_line_cells(obj)[0]) == lines
+            assert len(obj.free_cells()[0]) == lines
             assert lines == m + m * (m - 1) // 2 + m * n + 2 * n + n * (n - 1)
     obj = VerObject(F4, 2, 1)
     with pytest.raises(ValueError, match=r"^expected 7 values for Gamma\^2\(2,1\), got \(8,\)$"):
@@ -398,7 +398,8 @@ def test_kernel_squares_match_evaluate_on_general_kernel_vectors(q, seed, count)
     ker = np.concatenate([obj.vs, obj.xs])
     U[ker] = rng.integers(0, F.order, size=(ker.size, count))
     squares = F.mul_arr(U[:, None, :], U[None, :, :]).reshape(obj.dim**2, count)
-    assert _kernel_squares(q, U).tolist() == q.evaluate(squares).tolist()
+    G_q = obj.gram_from_free_entries(q.values)
+    assert _kernel_squares(F, obj, G_q, U).tolist() == q.evaluate(squares).tolist()
 
 
 def test_quadratic_operations_build_no_gamma2_basis():
@@ -425,6 +426,30 @@ def test_quadratic_operations_build_no_gamma2_basis():
     assert classify_quadratic(quad_product(one, moved)) == base
     assert classify_quadratic(quad_sum(restricted, hyperbolic_quadratic(F, 1))) == base
     assert gamma2.cache_info().currsize == 0
+
+
+def test_quad_transform_and_quad_product_scatter_g_q_once_and_build_no_bilinear_form(monkeypatch):
+    # beta_q's Gram and the kernel squares both come from one G_q, and the
+    # operations validate no Gram they built themselves
+    F = make_field(3)
+    rng = np.random.default_rng(31)
+    q = quad_from_parts(F, 1, canonical_rep(CanonicalClass("E", 0, 2, 3), F))
+    phi = random_equivariant_automorphism(q.obj, rng)
+    gamma = canonical_rep(CanonicalClass("B", 2, 1), F)
+    calls = {}
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(VerObject, "gram_from_free_entries", counted("scatter", VerObject.gram_from_free_entries))
+    monkeypatch.setattr(BilinearForm, "__init__", counted("bilinear form", BilinearForm.__init__))
+    for op in (lambda: quad_transform(q, phi), lambda: quad_product(gamma, q)):
+        calls.update({"scatter": 0, "bilinear form": 0})
+        op()
+        assert calls == {"scatter": 1, "bilinear form": 0}
 
 
 def test_quad_sum_with_empty_is_identity():

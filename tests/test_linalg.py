@@ -133,14 +133,6 @@ def test_batch_solve_matches_serial(k, s, r, seed):
         assert not ok[0]
 
 
-def test_triu_indices_are_cached_and_read_only():
-    for s, k in [(0, 0), (1, 1), (4, 0), (5, 1)]:
-        got = la.triu_indices(s, k)
-        assert la.triu_indices(s, k) is got
-        assert all(np.array_equal(a, b) for a, b in zip(got, np.triu_indices(s, k)))
-        assert not any(a.flags.writeable for a in got)
-
-
 def test_kron_broadcasts_batch_axes():
     A, B = RNG.integers(0, 8, size=(3, 2, 4)), RNG.integers(0, 8, size=(3, 3, 2))
     stacked = la.kron(F, A, B)

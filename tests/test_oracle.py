@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import time
@@ -8,6 +9,7 @@ import pytest
 from ver4forms import linalg as la
 from ver4forms import oracle
 from ver4forms.classify import canonical_rep
+from ver4forms.divided import QuadraticForm
 from ver4forms.field import make_field
 from ver4forms.oracle import (
     _group,
@@ -15,7 +17,6 @@ from ver4forms.oracle import (
     _orbit,
     class_inventory,
     enumerate_forms,
-    equivariant_group,
     free_entry_count,
     orbit_classes,
 )
@@ -58,14 +59,14 @@ def test_enumerate_respects_budget():
 
 
 def test_equivariant_group_order():
-    group = list(equivariant_group(0, 1, F4))
+    group = _group(0, 1, F4)
     assert len(group) == 12  # |GL1| * q for the x-component
-    group = list(equivariant_group(1, 0, F4))
+    group = _group(1, 0, F4)
     assert len(group) == 3
     q = F4.order
     gl = lambda s: math.prod(q**s - q**i for i in range(s))
     for m, n in ((1, 1), (0, 2), (2, 0)):
-        group = list(equivariant_group(m, n, F4))
+        group = _group(m, n, F4)
         assert len(group) == gl(m) * gl(n) * q ** (2 * m * n + n * n)
         assert len({M.tobytes() for M in group}) == len(group)
         assert all(M.shape == (m + 2 * n,) * 2 and M.dtype == np.int64 for M in group)
@@ -84,13 +85,13 @@ def test_group_sweep_refused_by_entry_count(m, n, k):
     with pytest.raises(ValueError, match="entries in the largest array"):
         orbit_classes(m, n, F)
     with pytest.raises(ValueError, match="entries in the largest array"):
-        next(equivariant_group(m, n, F))
+        _group(m, n, F)
     assert time.perf_counter() - start < 1.0
 
 
 def test_group_sweep_budget_keeps_largest_census_shape():
     # (2,1) over GF(4): 552,960 elements as 4 x 4 matrices, ~8.8M entries
-    assert sum(1 for _ in equivariant_group(2, 1, F4)) == 552_960
+    assert len(_group(2, 1, F4)) == 552_960
 
 
 @pytest.mark.parametrize(
@@ -101,7 +102,7 @@ def test_group_is_unipotent_times_levi(k, m, n):
     F = make_field(k)
     unipotent, levi = _group(m, n, F, levi=False), _group(m, n, F, unipotent=False)
     products = sorted(la.mat_mul(F, u, l).tobytes() for u in unipotent for l in levi)
-    group = sorted(g.tobytes() for g in equivariant_group(m, n, F))
+    group = sorted(g.tobytes() for g in _group(m, n, F))
     assert products == group
     assert len(set(group)) == len(group)  # so each element is one product
 
@@ -110,7 +111,7 @@ def test_group_is_unipotent_times_levi(k, m, n):
 def test_orbits_match_whole_group_sweep(m, n):
     # reference: every element of the group applied to each representative
     obj = VerObject(F4, m, n)
-    group = np.stack(list(equivariant_group(m, n, F4)))
+    group = _group(m, n, F4)
     unipotent, levi = _group(m, n, F4, levi=False), _group(m, n, F4, unipotent=False)
     everything = np.ones(F4.order ** free_entry_count(m, n), dtype=bool)
     for cls in class_inventory(m, n, F4):
@@ -160,24 +161,44 @@ def test_orbit_report_json():
 
 
 def _reference_forms(m, n, F):
-    """itertools.product over the free entries (upper triangles in row
-    order), each Gram filled in slot by slot, kept when invertible."""
+    """itertools.product over the free entries in Gamma^2 line order
+    (families 1-7 of `divided`), each Gram filled in slot by slot, kept when
+    invertible."""
     obj = VerObject(F, m, n)
-    upper = lambda s: list(itertools.combinations_with_replacement(range(s), 2))
-    for entries in itertools.product(range(F.order), repeat=free_entry_count(m, n)):
-        G, it = la.zeros(obj.dim, obj.dim), iter(entries)
-        for i, j in upper(m):
-            G[obj.vs[i], obj.vs[j]] = G[obj.vs[j], obj.vs[i]] = next(it)
-        for i, j in itertools.product(range(m), range(n)):
-            G[obj.vs[i], obj.ws[j]] = G[obj.ws[j], obj.vs[i]] = next(it)
-        for i, j in upper(n):
-            G[obj.ws[i], obj.ws[j]] = G[obj.ws[j], obj.ws[i]] = next(it)
-        for i, j in upper(n):
-            e = next(it)
-            for a, b in ((i, j), (j, i)):
-                G[obj.ws[a], obj.xs[b]] = G[obj.xs[b], obj.ws[a]] = e
+    v, w, x = (list(map(int, s)) for s in (obj.vs, obj.ws, obj.xs))
+    pairs = lambda s: list(itertools.combinations(range(s), 2))
+    cells = (
+        [(v[i], v[i]) for i in range(m)] + [(v[i], v[j]) for i, j in pairs(m)]
+        + [(v[i], w[k]) for i in range(m) for k in range(n)]
+        + [(w[k], w[k]) for k in range(n)] + [(w[k], x[k]) for k in range(n)]
+        + [(w[k], x[l]) for k, l in pairs(n)] + [(w[k], w[l]) for k, l in pairs(n)]
+    )
+    assert len(cells) == free_entry_count(m, n)
+    # the compatibility law puts a w_k-x_l entry at w_l-x_k as well
+    swap = {(w[k], x[l]): (w[l], x[k]) for k in range(n) for l in range(n)}
+    for entries in itertools.product(range(F.order), repeat=len(cells)):
+        G = la.zeros(obj.dim, obj.dim)
+        for (a, b), e in zip(cells, entries):
+            for i, j in ((a, b), swap.get((a, b), (a, b))):
+                G[i, j] = G[j, i] = e
         if la.is_invertible(F, G):
             yield G
+
+
+def test_a_quadratic_forms_key_is_its_line_values_in_base_q():
+    obj = VerObject(F4, 1, 1)
+    q = QuadraticForm(obj, [1, 2, 3, 0])  # families 1, 3, 4, 5
+    G_q = obj.gram_from_free_entries(q.values)[None]
+    assert _keys_of_grams(obj, G_q).tolist() == [int("1230", 4)]
+    assert np.array_equal(oracle._grams_of_keys(obj, np.array([int("1230", 4)])), G_q)
+
+
+# sha256 prefixes of the sorted Gram lists, pinned from the enumeration in its
+# former key order (block upper triangles in row order): only the order changed
+_FORM_SET_SHA256 = {
+    (2, 0, 1): "db26aa5cec1a1e18", (2, 1, 1): "debeaabb0c658ed7", (2, 0, 2): "0d5f6be933edab50",
+    (2, 2, 0): "df9b921da98f9116", (1, 1, 0): "ae973b0501aa8047",
+}
 
 
 @pytest.mark.parametrize("k,m,n", [(2, 0, 1), (2, 1, 1), (2, 0, 2), (2, 2, 0), (1, 1, 0)])
@@ -185,3 +206,4 @@ def test_enumerate_matches_product_reference(k, m, n):
     F = make_field(k)
     got = [beta.gram.tolist() for beta in enumerate_forms(m, n, F)]
     assert got == [G.tolist() for G in _reference_forms(m, n, F)]
+    assert hashlib.sha256(repr(sorted(got)).encode()).hexdigest()[:16] == _FORM_SET_SHA256[k, m, n]

@@ -9,6 +9,7 @@ import ver4forms
 from ver4forms import divided, linalg as la, verobj
 from ver4forms.classify import InternalCheckError as ClassifyInternalCheckError
 from ver4forms.field import make_field
+from ver4forms.oracle import free_entry_count
 from ver4forms.verobj import (
     TENSOR_MAX_DIM,
     InternalCheckError,
@@ -512,6 +513,36 @@ def test_gram_from_blocks_is_compatible_and_reads_back(k, m, n, seed):
         assert obj.is_compatible(G)
         for got, want in zip(obj.gram_blocks(G), blocks):
             assert np.array_equal(got, want[b])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(2, 16), m=st.integers(0, 6), n=st.integers(0, 6), b=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=2, m=0, n=0, b=0, seed=0)
+@example(k=16, m=6, n=6, b=5, seed=1)
+def test_free_entry_table_scatters_and_gathers_symmetric_compatible_grams(k, m, n, b, seed):
+    Fk, rng = make_field(k), np.random.default_rng(seed)
+    obj, q = VerObject(Fk, m, n), Fk.order
+    _, rows, cols = obj.free_cells()
+    assert len(rows) == free_entry_count(m, n) == divided.gamma2(obj).num_lines  # dim <= 18
+    values = rng.integers(0, q, size=(b, len(rows)))
+    grams = obj.gram_from_free_entries(values)
+    assert grams.shape == (b, obj.dim, obj.dim)
+    assert np.array_equal(grams, grams.swapaxes(1, 2)) and obj.is_compatible(grams)
+    # the independent path: the values at their cells, the blocks mirrored
+    placed = np.zeros_like(grams)
+    placed[:, rows, cols] = values
+    vv, vw, ww, wx = obj.gram_blocks(placed)
+    mirror = lambda block: block | block.swapaxes(-1, -2)  # the cells fill upper triangles
+    assert np.array_equal(grams, obj.gram_from_blocks(mirror(vv), vw, mirror(ww), mirror(wx)))
+    assert np.array_equal(obj.free_entries(grams), values)
+    with pytest.raises(ValueError, match=f"^expected {len(rows)} free entries, got shape"):
+        obj.gram_from_free_entries(np.zeros((b, len(rows) + 1), dtype=np.int64))
+    blocks = (_sym(rng, q, m, b), rng.integers(0, q, size=(b, m, n)), _sym(rng, q, n, b), _sym(rng, q, n, b))
+    G = obj.gram_from_blocks(*blocks)
+    assert np.array_equal(obj.gram_from_free_entries(obj.free_entries(G)), G)
 
 
 @settings(max_examples=25, deadline=None)
