@@ -47,7 +47,7 @@ import numpy as np
 from . import linalg
 from .bform import BilinearForm
 from .field import Field
-from .linalg import block_diag, eye, mat_mul, readonly, zeros
+from .linalg import congruence, eye, mat_mul, readonly, zeros
 from .verobj import InternalCheckError, Morphism, VerObject, commutes
 
 FAMILIES = ("A", "B", "C", "D", "E", "F")
@@ -238,30 +238,19 @@ def class_inventory(m: int, n: int, F: Field, params=None) -> list[CanonicalClas
     return out
 
 
-def _alpha2(m: int) -> np.ndarray:
-    G = zeros(m, m)
-    for i in range(0, m, 2):
-        G[i, i + 1] = 1
-        G[i + 1, i] = 1
-    return G
-
-
-def _beta_p(y: int) -> np.ndarray:
-    return np.array([[y, 1], [1, 0]], dtype=np.int64)
-
-
-def _beta_2p(tag: int) -> np.ndarray:
-    G = np.array(
-        [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=np.int64
-    )
-    if tag:
-        G[0, 0] = 1
-    return G
+def _unit_block(s: int, hyperbolic: bool) -> np.ndarray:
+    """I_s, or with `hyperbolic` its rows swapped in pairs: [[0, 1], [1, 0]] blocks."""
+    I = eye(s)
+    return I.reshape(s // 2, 2, s)[:, ::-1].reshape(s, s) if hyperbolic else I
 
 
 @lru_cache(maxsize=None)
 def canonical_rep(cls: CanonicalClass, F: Field) -> BilinearForm:
-    """The block-diagonal representative Gram of a canonical class.
+    """The representative of a canonical class, from the free Gram blocks
+    that `_reduce` reaches: G_vv = U, the identity (A, B) or hyperbolic
+    [[0, 1], [1, 0]] pairs on consecutive v's; G_vw = 0; G_ww = diag(f) for
+    the x-function f = 0, e_0 (D), (p, ..., p) (E) or (0, ..., 0, 1, 1 + p) (F);
+    G_wx = Mc, hyperbolic (A, C, D) or the identity.
 
     Cached, with the Gram made read-only.
     """
@@ -270,19 +259,16 @@ def canonical_rep(cls: CanonicalClass, F: Field) -> BilinearForm:
         raise ValueError(f"parameter {p} is not an element of {F!r}")
     if fam in ("E", "F") and F.k < 2:
         raise ValueError("parameterised classes need a field with k >= 2")
-    blocks: list[np.ndarray] = []
-    blocks.append(eye(m) if fam in ("A", "B") else _alpha2(m))
-    if fam == "A" or fam == "C":
-        blocks += [_beta_2p(0)] * (n // 2)
-    elif fam == "B":
-        blocks += [_beta_p(0)] * n
-    elif fam == "D":
-        blocks += [_beta_2p(1)] + [_beta_2p(0)] * ((n - 2) // 2)
+    f = np.zeros(n, dtype=np.int64)
+    if fam == "D":
+        f[0] = 1
     elif fam == "E":
-        blocks += [_beta_p(p)] * n
-    else:  # F
-        blocks += [_beta_p(0)] * (n - 2) + [_beta_p(1), _beta_p(1 ^ p)]
-    rep = BilinearForm(VerObject(F, m, n), block_diag(*blocks))
+        f[:] = p
+    elif fam == "F":
+        f[-2:] = 1, 1 ^ p
+    U, Mc = _unit_block(m, fam not in ("A", "B")), _unit_block(n, fam in ("A", "C", "D"))
+    obj = VerObject(F, m, n)
+    rep = BilinearForm(obj, obj.gram_from_blocks(U, zeros(m, n), np.diag(f), Mc))
     readonly(rep.gram)
     return rep
 
@@ -489,7 +475,7 @@ def _reduce(obj: VerObject, G: np.ndarray) -> tuple[np.ndarray, CanonicalClass]:
         family, param = "F", F.mul(s, s)
     _move_x_function(F, E, x_rows, g, h)
     UZ = Z[u_rows]
-    N = np.triu(mat_mul(F, mat_mul(F, E.T, S), E) ^ mat_mul(F, Z.T, UZ), 1)
+    N = np.triu(congruence(F, E, S) ^ mat_mul(F, Z.T, UZ), 1)
     T = obj.equivariant_matrix(
         A,
         mat_mul(F, E, UZ.T[x_rows]),
@@ -551,6 +537,6 @@ def _canonicalize_grams(obj: VerObject, G: np.ndarray):
         raise InternalCheckError("canonicalizing transform does not commute with the t-actions")
     canon = [canonical_rep(cls, F) for cls in invariant]
     want = np.array([c.gram for c in canon], dtype=np.int64).reshape(len(G), d, d)
-    if not np.array_equal(linalg.batch_congruence(F, Ts, G), want):
+    if not np.array_equal(congruence(F, Ts, G), want):
         raise InternalCheckError("transform does not reach the canonical Gram")
     return list(zip((Morphism._certified(obj, obj, T) for T in Ts), canon, invariant))

@@ -31,7 +31,7 @@ from .classify import (
 )
 from .divided import GAMMA2_BASIS_MAX_DIM, QuadraticForm, classify_quadratic, gamma2, gamma2_dim_formula
 from .field import make_field
-from .linalg import batch_congruence, eye, mat_mul
+from .linalg import congruence, eye, mat_mul
 from .verobj import (
     VerObject,
     braiding,
@@ -41,6 +41,10 @@ from .verobj import (
 )
 from .witt import direct_sum, emit_tables, tensor_product
 from . import oracle as oracle_mod
+
+# selfcheck's time and memory grow with --trials ((trials, 3) field triples,
+# trials // 4 + 1 scrambles per class): ~0.5 ms a trial (2-CPU x86 VM), ~50 s
+SELFCHECK_MAX_TRIALS = 100_000
 
 
 def _load_json(path: str) -> dict:
@@ -223,7 +227,7 @@ def _canonicalizes(cls: CanonicalClass, F, rng, count: int) -> bool:
     certifies each class, transform and canonical Gram, or raises."""
     rep = canonical_rep(cls, F)
     Ts = random_equivariant_matrices(rep.obj, rng, count)
-    return all(got == cls for _, _, got in canonicalize_batch(rep.obj, batch_congruence(F, Ts, rep.gram)))
+    return all(got == cls for _, _, got in canonicalize_batch(rep.obj, congruence(F, Ts, rep.gram)))
 
 
 def _selfchecks(args) -> list:
@@ -255,8 +259,8 @@ def _selfchecks(args) -> list:
 
 
 def _cmd_selfcheck(args) -> int:
-    if args.trials < 1:
-        raise ValueError(f"--trials must be at least 1, got {args.trials}")
+    if not 1 <= args.trials <= SELFCHECK_MAX_TRIALS:
+        raise ValueError(f"--trials must be at least 1 and at most {SELFCHECK_MAX_TRIALS}, got {args.trials}")
     passed = {}
     for name, check in _selfchecks(args):
         try:

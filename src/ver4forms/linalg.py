@@ -3,13 +3,17 @@
 Matrices are 2-D numpy int64 arrays of element encodings; a `Field` context
 supplies the arithmetic.  Row reduction uses standard Gaussian elimination
 with vectorised row operations (row addition is XOR, scaling goes through
-the field's exp/log tables), so everything stays exact.  There are two
-elimination kernels: `row_reduce` (RREF and pivots of one matrix) and
+the field's exp/log tables), so everything stays exact.  There is one
+product kernel, `_product` (A B over broadcast leading batch axes), behind
+`mat_mul` (two matrices) and `congruence` (T^T G T, stacks included), and
+two elimination kernels: `row_reduce` (RREF and pivots of one matrix) and
 `batch_solve` (invertibility of a stack of square blocks, and A^-1 B for
 right-hand sides B when given).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -31,16 +35,6 @@ def readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def block_diag(*blocks: np.ndarray) -> np.ndarray:
-    """The block-diagonal matrix of the given (possibly rectangular) blocks."""
-    out = zeros(sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks))
-    r = c = 0
-    for b in blocks:
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r, c = r + b.shape[0], c + b.shape[1]
-    return out
-
-
 def as_matrix(F: Field, data, stacked: bool = False) -> np.ndarray:
     """Validate and copy `data` into an int64 matrix of field encodings, or
     with `stacked` into a (b, rows, cols) stack of them."""
@@ -53,33 +47,45 @@ def as_matrix(F: Field, data, stacked: bool = False) -> np.ndarray:
     return M
 
 
-# Products with at most this many scalar terms are one broadcast `mul_arr`
-# and one XOR-reduce; larger ones loop over the inner index, skipping zero
-# columns of A and rows of B.  On dense square GF(8) matrices (2-CPU x86
-# VM) the broadcast took 0.1-0.3x the loop's time from 2x2 to 28x28, broke
-# even near 40x40 and took 1.5x at 81x81.
+# Products with at most this many scalar terms (a whole stack's) are one
+# broadcast `mul_arr` and one XOR-reduce; larger ones loop over the inner
+# index, skipping zero columns of A and rows of B.  On dense square GF(8)
+# matrices (2-CPU x86 VM) the broadcast took 0.1-0.3x the loop's time from
+# 2x2 to 28x28, broke even near 40x40 and took 1.5x at 81x81.
 ONE_SHOT_ENTRIES = 1 << 15
 
 
-def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    A = np.asarray(A, dtype=np.int64)
-    B = np.asarray(B, dtype=np.int64)
-    ra, inner = A.shape
-    innerb, cb = B.shape
-    if inner != innerb:
+def _product(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A B for (..., r, l) A and (..., l, c) B, leading batch axes broadcast;
+    the one place that chooses between the broadcast and the loop, by the
+    product's batch * r * l * c scalar terms."""
+    (r, inner), (inner_b, c) = A.shape[-2:], B.shape[-2:]
+    if inner != inner_b:
         raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
-    if ra * inner * cb <= ONE_SHOT_ENTRIES:
-        return np.bitwise_xor.reduce(F.mul_arr(A[:, :, None], B[None, :, :]), axis=1)
-    C = zeros(ra, cb)
+    a, b = A.shape[:-2], B.shape[:-2]
+    batch = a if a == b else np.broadcast_shapes(a, b)
+    if math.prod(batch, start=r * inner * c) <= ONE_SHOT_ENTRIES:
+        return np.bitwise_xor.reduce(F.mul_arr(A[..., None], B[..., None, :, :]), axis=-2)
+    C = np.zeros(batch + (r, c), dtype=np.int64)
     for l in range(inner):
-        col = A[:, l]
+        col = A[..., :, l, None]
         if not col.any():
             continue
-        row = B[l]
+        row = B[..., None, l, :]
         if not row.any():
             continue
-        C ^= F.mul_arr(col[:, None], row[None, :])
+        C ^= F.mul_arr(col, row)
     return C
+
+
+def mat_mul(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A B for two matrices.  Stacks go through `_product`: perfbench's
+    tracer counts a `mat_mul` call's work from two 2-D shapes."""
+    A = np.asarray(A, dtype=np.int64)
+    B = np.asarray(B, dtype=np.int64)
+    if A.ndim != 2 or B.ndim != 2:
+        raise ValueError(f"mat_mul takes matrices, got shapes {A.shape} @ {B.shape}")
+    return _product(F, A, B)
 
 
 def mat_vec(F: Field, A: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -229,8 +235,14 @@ def solve(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def congruence(F: Field, T: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Gram transform T^T G T."""
-    return mat_mul(F, mat_mul(F, T.T, G), T)
+    """Gram transform T^T G T; leading batch axes of T and G broadcast, so
+    a (b, n, n) stack of T's moves one Gram or a stack of b Grams."""
+    T = np.asarray(T, dtype=np.int64)
+    return _product(F, np.swapaxes(T, -1, -2), _product(F, np.asarray(G, dtype=np.int64), T))
+
+
+# perfbench's scramble pools and the tests call the stacked form by this name
+batch_congruence = congruence
 
 
 def column_support(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -264,23 +276,3 @@ def support_gather(F: Field, support, M: np.ndarray, axis: int) -> np.ndarray:
 def support_congruence(F: Field, support, K: np.ndarray) -> np.ndarray:
     """B^T K B for a (..., r, r) stack K, with B given by its `column_support`."""
     return support_gather(F, support, support_gather(F, support, K, -1), -2)
-
-
-def batch_congruence(F: Field, Ts: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """T^T G T for a stack Ts of shape (b, n, n) and one Gram G, or a stack
-    of b Grams; returns (b, n, n)."""
-    b, n, _ = Ts.shape
-    if b * n**3 <= ONE_SHOT_ENTRIES:
-        left = np.bitwise_xor.reduce(F.mul_arr(Ts[..., None], G[..., :, None, :]), axis=1)
-        return np.bitwise_xor.reduce(F.mul_arr(left[..., None], Ts[:, None]), axis=2)
-    left = np.zeros((b, n, n), dtype=np.int64)  # Ts^T @ G
-    for l in range(n):
-        row = G[..., l, None, :]
-        if not row.any():
-            continue
-        left ^= F.mul_arr(Ts[:, l, :, None], row)
-    out = np.zeros((b, n, n), dtype=np.int64)
-    for l in range(n):
-        out ^= F.mul_arr(left[:, :, l, None], Ts[:, None, l, :])
-    return out
-

@@ -32,7 +32,7 @@ import numpy as np
 from .bform import BilinearForm
 from .classify import CanonicalClass, canonical_rep, class_inventory, classify_batch, require_classifiable_field
 from .field import Field
-from .linalg import batch_congruence, batch_solve
+from .linalg import batch_solve, congruence
 from .verobj import VerObject
 
 BUDGET_BITS = 24
@@ -183,8 +183,8 @@ def _orbit(obj: VerObject, cls: CanonicalClass, unipotent, levi, enumerated):
     Images are checked symmetric and compatible, so keyed exactly, and `enumerated`."""
     grams = canonical_rep(cls, obj.field).gram[None]
     for Ts in (unipotent, levi):
-        pairs = np.tile(Ts, (len(grams), 1, 1)), np.repeat(grams, len(Ts), axis=0)
-        images = batch_congruence(obj.field, *pairs)
+        # gram-major: image g * len(Ts) + t is T_t^T G_g T_t
+        images = congruence(obj.field, Ts, grams[:, None]).reshape(-1, obj.dim, obj.dim)
         symmetric = np.array_equal(images, np.swapaxes(images, 1, 2))
         keys, first = np.unique(_keys_of_grams(obj, images), return_index=True)
         if not (symmetric and obj.is_compatible(images) and enumerated[keys].all()):

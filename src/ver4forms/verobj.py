@@ -182,7 +182,8 @@ class VerObject:
         """Zero matrices (batch axes broadcast from the blocks) with each
         (row slots, column slots, block) written in."""
         blocks = [np.asarray(b, dtype=np.int64) for _, _, b in placed]
-        batch = np.broadcast_shapes(*(b.shape[:-2] for b in blocks))
+        shapes = {b.shape[:-2] for b in blocks}
+        batch = shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)
         M = np.zeros(batch + (self.dim, self.dim), dtype=np.int64)
         for (rows, cols, _), b in zip(placed, blocks):
             M[..., rows, cols] = b

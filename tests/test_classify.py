@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import sys
 
@@ -169,6 +170,26 @@ def test_canonical_rep_examples():
     assert f.gram.tolist() == [[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, 0]]
     with pytest.raises(ValueError):
         canonical_rep(CanonicalClass("E", 0, 1, 9), F4)  # parameter out of range
+
+
+# sha256 prefix of every canonical representative on m, n <= 6 over GF(2^k),
+# k in (2, 3, 4, 8, 16), E and F parameters every element for k <= 4 and
+# 0-11 and the last element otherwise (2796 classes), pinned from the output
+# of the block-diagonal construction that preceded `gram_from_blocks`
+_CANONICAL_REPS_SHA256 = "edfe5084bd398d7e"
+
+
+def test_canonical_reps_are_pinned():
+    h, count = hashlib.sha256(), 0
+    for k in (2, 3, 4, 8, 16):
+        Fk = make_field(k)
+        params = Fk.elements() if k <= 4 else list(range(12)) + [Fk.order - 1]
+        for m, n in itertools.product(range(7), repeat=2):
+            for cls in class_inventory(m, n, Fk, params):
+                G = canonical_rep(cls, Fk).gram
+                h.update(repr((k, cls)).encode() + G.tobytes() + str(G.shape).encode())
+                count += 1
+    assert (count, h.hexdigest()[:16]) == (2796, _CANONICAL_REPS_SHA256)
 
 
 def test_classify_of_every_canonical_rep_roundtrips():

@@ -367,6 +367,13 @@ def test_selfcheck_refuses_no_trials(trials, capsys):
     assert capsys.readouterr().err.startswith("error: --trials must be at least 1")
 
 
+def test_selfcheck_refuses_trials_over_the_bound(monkeypatch, capsys):
+    cli = sys.modules["ver4forms.cli"]
+    monkeypatch.setattr(cli, "_selfchecks", lambda args: pytest.fail("selfcheck started work"))
+    assert main(["selfcheck", "--trials", str(cli.SELFCHECK_MAX_TRIALS + 1)]) == 1
+    assert f"at most {cli.SELFCHECK_MAX_TRIALS}," in capsys.readouterr().err
+
+
 def test_selfcheck_reports_a_raising_check_as_failed(monkeypatch, capsys):
     def broken(*objs):
         raise AssertionError("hexagon mismatch")

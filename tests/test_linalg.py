@@ -1,9 +1,15 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ver4forms import linalg as la
+from ver4forms.classify import CanonicalClass, canonical_rep, canonicalize_batch
 from ver4forms.field import make_field
+from ver4forms.oracle import orbit_classes
+from ver4forms.verobj import random_equivariant_matrices
+from ver4forms.witt import emit_tables, tensor_product, tensor_product_via_braiding
 
 F = make_field(3)
 RNG = np.random.default_rng(11)
@@ -94,6 +100,114 @@ def test_batch_congruence_matches_loop():
     out = la.batch_congruence(F, Ts, G)
     for i in range(7):
         assert np.array_equal(out[i], la.congruence(F, Ts[i], G))
+
+
+def _scalar_product(Fk, A, B):
+    """A B entry by entry, sum_l F.mul(a_il, b_lj), over broadcast batch axes."""
+    batch = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+    A, B = np.broadcast_to(A, batch + A.shape[-2:]), np.broadcast_to(B, batch + B.shape[-2:])
+    out = np.zeros(batch + (A.shape[-2], B.shape[-1]), dtype=np.int64)
+    for *at, i, j in np.ndindex(*out.shape):
+        for l in range(A.shape[-1]):
+            out[(*at, i, j)] ^= Fk.mul(int(A[(*at, i, l)]), int(B[(*at, l, j)]))
+    return out
+
+
+def _broadcast_product(Fk, A, B):
+    """A B as one broadcast multiply and XOR-reduce, whatever the size."""
+    return np.bitwise_xor.reduce(Fk.mul_arr(A[..., :, :, None], B[..., None, :, :]), axis=-2)
+
+
+def _transpose(T):
+    return np.swapaxes(T, -1, -2)
+
+
+# (batch axes of T, batch axes of G) from the sizes b, g, t
+CONGRUENCE_LAYOUTS = {
+    "one T, one G": lambda b, g, t: ((), ()),
+    "T stack, one G": lambda b, g, t: ((b,), ()),
+    "T stack, G stack": lambda b, g, t: ((b,), (b,)),
+    "one T, G stack": lambda b, g, t: ((), (b,)),
+    "every T on every G": lambda b, g, t: ((t,), (g, 1)),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(1, 16),
+    layout=st.sampled_from(sorted(CONGRUENCE_LAYOUTS)),
+    sizes=st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)),
+    r=st.integers(0, 4),
+    c=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_congruence_and_stacked_products_match_scalar_sums(k, layout, sizes, r, c, seed):
+    # small shapes, zero-size dims and empty stacks, against sum_l a_il b_lj
+    Fk, rng = make_field(k), np.random.default_rng(seed)
+    t_batch, g_batch = CONGRUENCE_LAYOUTS[layout](*sizes)
+    T = rng.integers(0, Fk.order, size=t_batch + (r, c))
+    G = rng.integers(0, Fk.order, size=g_batch + (r, r))
+    want = _scalar_product(Fk, _scalar_product(Fk, _transpose(T), G), T)
+    got = la.congruence(Fk, T, G)
+    assert got.shape == np.broadcast_shapes(t_batch, g_batch) + (c, c)
+    assert np.array_equal(got, want)
+    assert np.array_equal(la._product(Fk, G, T), _scalar_product(Fk, G, T))
+    if not t_batch and not g_batch:
+        assert np.array_equal(la.mat_mul(Fk, G, T), _scalar_product(Fk, G, T))
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    k=st.integers(1, 16),
+    d=st.integers(16, 20),
+    g=st.integers(3, 4),
+    t=st.integers(3, 4),
+    density=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_products_above_the_one_shot_bound_match_the_broadcast(k, d, g, t, density, seed):
+    # above ONE_SHOT_ENTRIES the kernel loops over the inner index and skips
+    # indices that are zero across the stack; the reference never loops
+    Fk, rng = make_field(k), np.random.default_rng(seed)
+    T = rng.integers(0, Fk.order, size=(t, d, d)) * (rng.random((t, d, d)) < density)
+    G = rng.integers(0, Fk.order, size=(g, 1, d, d)) * (rng.random((g, 1, d, d)) < density)
+    assert g * t * d**3 > la.ONE_SHOT_ENTRIES
+    want = _broadcast_product(Fk, _broadcast_product(Fk, _transpose(T), G), T)
+    assert np.array_equal(la.congruence(Fk, T, G), want)
+    assert np.array_equal(la._product(Fk, G, T), _broadcast_product(Fk, G, T))
+    A, B = T.reshape(-1, d)[: 3 * d], G.reshape(d, -1)[:, : 3 * d]
+    assert (3 * d) ** 2 * d > la.ONE_SHOT_ENTRIES
+    assert np.array_equal(la.mat_mul(Fk, A, B), _broadcast_product(Fk, A, B))
+
+
+def test_mat_mul_refuses_stacks():
+    with pytest.raises(ValueError, match="matrices"):
+        la.mat_mul(F, RNG.integers(0, 8, size=(2, 3, 3)), _rand(3, 3))
+
+
+def test_mat_mul_sees_only_matrices_at_every_binding(monkeypatch):
+    # a tracer that wraps every module binding of `mat_mul` and reads two
+    # 2-D shapes per call (as perfbench's does) must never meet a stack
+    seen, fn = [], la.mat_mul
+
+    def traced(*args, **kw):
+        seen.append((np.shape(args[1]), np.shape(args[2])))
+        return fn(*args, **kw)
+
+    for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "ver4forms"]:
+        for key, val in list(vars(mod).items()):
+            if val is fn:
+                monkeypatch.setattr(mod, key, traced)
+    F4, F8 = make_field(2), make_field(3)
+    cls = CanonicalClass("F", 2, 3, 1)
+    rep = canonical_rep(cls, F8)
+    grams = la.congruence(F8, random_equivariant_matrices(rep.obj, np.random.default_rng(3), 4), rep.gram)
+    assert [got for _, _, got in canonicalize_batch(rep.obj, grams)] == [cls] * 4
+    assert orbit_classes(0, 2, F4).orbit_count == 9
+    assert all(report.ok for report in emit_tables(F4, max_size=2))
+    b1, b2 = canonical_rep(CanonicalClass("D", 0, 2), F4), canonical_rep(CanonicalClass("E", 0, 1, 3), F4)
+    assert np.array_equal(tensor_product_via_braiding(b1, b2).gram, tensor_product(b1, b2).gram)
+    assert seen and all(len(a) == len(b) == 2 for a, b in seen)
 
 
 @settings(max_examples=40, deadline=None)
