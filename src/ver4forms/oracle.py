@@ -10,16 +10,12 @@ base q.  Candidates are walked in key order, i.e. itertools.product(range(q),
 repeat=free_entry_count) over the line values, and non-degeneracy is the
 full d x d rank.
 
-`orbit_classes` computes the congruence orbits of the group G of invertible
-equivariant maps, then checks that they are disjoint, cover the enumerated
-set, and are constant under `classify`.  G = U L uniquely, with U the
-unipotent part (A = E = I) and L the Levi part (C = D = F = 0) in
-`VerObject.equivariant_matrix` blocks: l = diag(A, E, E) from g's diagonal
-blocks leaves u = g l^-1 equivariant with diagonal blocks I, and U meets L
-only in I.  As (u l)^T R (u l) = l^T (u^T R u) l, an orbit is swept as U on
-R, then L on each distinct U-image, each deduplicated by key.  Sets of Grams
-are boolean masks or sorted arrays of keys.  The candidate count and the
-largest sweep array's entry count are bounded by 2^BUDGET_BITS up front.
+`orbit_classes` takes the congruence orbits of the group G of invertible
+equivariant maps as the connected components of the key set under a small
+generating set S of G (`_generators`): one pass over the candidates records
+the enumerated keys, each generator's image of each and their classes, and
+no canonical representative seeds an orbit.  The image count |S| q^L, for L
+free entries, is bounded by 2^BUDGET_BITS before any work.
 """
 
 from __future__ import annotations
@@ -30,10 +26,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .bform import BilinearForm
-from .classify import CanonicalClass, canonical_rep, class_inventory, classify_batch, require_classifiable_field
+from .classify import canonical_rep, class_inventory, classify_batch, require_classifiable_field
 from .field import Field
-from .linalg import batch_solve, congruence
-from .verobj import VerObject
+from .linalg import batch_solve, eye, zeros
+from .verobj import VerObject, commutes
 
 BUDGET_BITS = 24
 
@@ -49,18 +45,6 @@ def _check_budget(what: str, bits: float):
 
 def _check_enumeration_budget(m: int, n: int, F: Field):
     _check_budget("candidate Grams to enumerate", F.k * free_entry_count(m, n))
-
-
-def _check_group_budget(m: int, n: int, F: Field):
-    """Refuse, from the formulas, a group sweep whose largest array has over
-    2^BUDGET_BITS entries: the GL_m and GL_n candidates (q^(s^2) of s x s)
-    or the group, |GL_m| |GL_n| q^(2mn + n^2) d x d matrices, as many as the
-    census's stage-2 stacks at most (U, L, C, D, F sets are all smaller)."""
-    q, d = F.order, m + 2 * n
-    gl = lambda s: math.prod(q**s - q**i for i in range(s))
-    group = gl(m) * gl(n) * q ** (2 * m * n + n * n)
-    entries = max(q ** (m * m) * m * m, q ** (n * n) * n * n, group * d * d, 1)
-    _check_budget("entries in the largest array of the group sweep", math.log2(entries))
 
 
 _CHUNK = 4096  # candidates assembled per batch in _candidates
@@ -107,35 +91,65 @@ def enumerate_forms(m: int, n: int, F: Field):
             yield BilinearForm(obj, G)
 
 
-def _all_matrices(q: int, rows: int, cols: int) -> np.ndarray:
-    """Every rows x cols matrix over GF(q), in itertools.product order."""
-    count = q ** (rows * cols)
-    return _digits(np.arange(count, dtype=np.int64), q, rows * cols).reshape(count, rows, cols)
+def _generators(obj: VerObject) -> np.ndarray:
+    """A generating set S of the equivariant group G, as a (|S|, d, d) stack
+    of `VerObject.equivariant_matrix` blocks, with a over the F_2-basis
+    1, 2, 4, ... of the field: for A and E, the transvections I + a E_ij
+    (i != j) and diag(2, 1, ..., 1); for C, D and F, every single-entry a E_ij.
+
+    It generates G.  Transvections over a basis give every transvection, and
+    so SL; 2 is primitive for the Conway moduli (`field`), so diag(2, ...)
+    adds every determinant and A, E range over GL.  With A = E = I, blocks
+    compose as C_1 + C_2, D_1 + D_2 and F_1 + F_2 + C_1 D_2, so the C, D and F
+    elements give the unipotent part U, and G = U L for L the (A, E) part."""
+    F, m, n = obj.field, obj.m, obj.n
+    a = 1 << np.arange(F.k)
+
+    def single(r, c):  # every a E_ij of an r x c block, basis-major
+        cells = np.eye(r * c, dtype=np.int64).reshape(r * c, r, c)
+        return (a[:, None, None, None] * cells).reshape(F.k * r * c, r, c)
+
+    def gl(s):  # the transvections, then diag(2, 1, ..., 1) unless s = 0
+        off = single(s, s)[np.tile(~np.eye(s, dtype=bool).ravel(), F.k)]
+        return np.concatenate([eye(s) ^ off, np.diag([2] + [1] * (s - 1))[None, :s, :s][: min(s, 1)]])
+
+    identity = (eye(m), zeros(n, m), zeros(m, n), eye(n), zeros(n, n))
+    stacks = []
+    for i, part in enumerate((gl(m), single(n, m), single(m, n), gl(n), single(n, n))):
+        # positions as in equivariant_matrix(a, c, d, e, f)
+        stacks.append(obj.equivariant_matrix(*identity[:i], part, *identity[i + 1 :]))
+    return np.concatenate(stacks)
 
 
-def _gl(F: Field, s: int) -> np.ndarray:
-    """Every invertible s x s matrix over F, in itertools.product order."""
-    M = _all_matrices(F.order, s, s)
-    return M[batch_solve(F, M)[0]]
+def _act(F: Field, T: np.ndarray, grams: np.ndarray) -> np.ndarray:
+    """T^T G T for a (b, d, d) stack, T = I + N, as G T = G + G N and then
+    T^T H = H + N^T H: per non-zero entry of N (a generator has one or two),
+    one column and one row update through the entry's row of the field's
+    multiplication table.  Every row update reads H before any is written."""
+    N = T ^ eye(len(T))
+    entries = [(r, c, F.mul_arr(N[r, c], np.arange(F.order))) for r, c in zip(*np.nonzero(N))]
+    out = grams.copy()
+    for r, c, times in entries:
+        out[:, :, c] ^= times[grams[:, :, r]]
+    for c, update in [(c, times[out[:, r, :]]) for r, c, times in entries]:
+        out[:, c, :] ^= update
+    return out
 
 
-def _group(m: int, n: int, F: Field, levi: bool = True, unipotent: bool = True) -> np.ndarray:
-    """The equivariant group, all invertible matrices commuting with the
-    standard t-action, as one (|G|, d, d) array, ordered by
-    (A, E, C, D, F) in `VerObject.equivariant_matrix` terms with the last
-    block varying fastest, or its part U (no `levi`: A = E = I) or L (no
-    `unipotent`: C = D = F = 0).  Refuses an array over the budget first."""
-    _check_group_budget(m, n, F)
-    obj = VerObject(F, m, n)
-    sets = [_gl(F, s) if levi else np.eye(s, dtype=np.int64)[None] for s in (m, n)]
-    q = F.order if unipotent else 1  # over {0}, 0 is the only matrix
-    sets += [_all_matrices(q, r, c) for r, c in ((n, m), (m, n), (n, n))]
-    # set i goes on batch axis i of five, so broadcasting forms every tuple
-    A, E, C, D, Fm = (
-        s.reshape((1,) * i + (len(s),) + (1,) * (4 - i) + s.shape[1:]) for i, s in enumerate(sets)
-    )
-    group = obj.equivariant_matrix(A, C, D, E, Fm)
-    return group.reshape(math.prod(map(len, sets)), obj.dim, obj.dim)
+def _components(images: np.ndarray) -> np.ndarray:
+    """Each key's least connected key under the edges key -> images[s, key],
+    by min-label hooking with pointer jumping.  Each generator permutes the
+    finite key set, so forward edges alone reach a key's whole component."""
+    label = np.arange(images.shape[1])
+    while True:
+        low = label.copy()
+        for image in images:
+            np.minimum(low, label[image], out=low)
+        if np.array_equal(low, label):
+            return label
+        np.minimum.at(label, label.copy(), low)  # hook each root under its least neighbour
+        while not np.array_equal(label, jumped := label[label]):
+            label = jumped
 
 
 @dataclass
@@ -178,49 +192,43 @@ class OrbitReport:
         return "\n".join(lines)
 
 
-def _orbit(obj: VerObject, cls: CanonicalClass, unipotent, levi, enumerated):
-    """(sorted keys, one Gram per key) of the orbit of `cls`'s representative.
-    Images are checked symmetric and compatible, so keyed exactly, and `enumerated`."""
-    grams = canonical_rep(cls, obj.field).gram[None]
-    for Ts in (unipotent, levi):
-        # gram-major: image g * len(Ts) + t is T_t^T G_g T_t
-        images = congruence(obj.field, Ts, grams[:, None]).reshape(-1, obj.dim, obj.dim)
-        symmetric = np.array_equal(images, np.swapaxes(images, 1, 2))
-        keys, first = np.unique(_keys_of_grams(obj, images), return_index=True)
-        if not (symmetric and obj.is_compatible(images) and enumerated[keys].all()):
-            raise AssertionError(f"orbit of {cls} leaves the enumerated set")
-        grams = images[first]
-    return keys, grams
-
-
 def orbit_classes(m: int, n: int, F: Field) -> OrbitReport:
-    """Compute orbits by sweeping U, then L on the distinct U-images, over
-    canonical representatives (G = U L: see the module docstring).
-
-    Verifies that every image is a symmetric compatible enumerated Gram, that
-    orbits are disjoint and cover the enumerated form set, and that `classify`
-    is constant on each orbit with the predicted label.  Refuses, before any
-    work, an array over 2^BUDGET_BITS and then GF(2)."""
-    _check_enumeration_budget(m, n, F)
-    _check_group_budget(m, n, F)
+    """The orbits, as the components of the key set under `_generators`, in
+    `class_inventory` order.  Verifies that the generators commute with t,
+    that they keep the enumerated set, and that `classify` is constant on each
+    component and a bijection from the components onto `class_inventory`.
+    Refuses, before any work, over 2^BUDGET_BITS images and then GF(2)."""
+    L, k = free_entry_count(m, n), F.k
+    count = k * (m * (m - 1) + n * (n - 1) + 2 * m * n + n * n) + (m > 0) + (n > 0)  # |S|
+    _check_budget("generator images of candidate Grams", k * L + math.log2(max(count, 1)))
     require_classifiable_field(F)
-    obj = VerObject(F, m, n)
-    unipotent, levi = _group(m, n, F, levi=False), _group(m, n, F, unipotent=False)
-    enumerated = np.zeros(F.order ** free_entry_count(m, n), dtype=bool)
-    for keys, _, ok in _candidates(obj):
+    obj, q = VerObject(F, m, n), F.order
+    S = _generators(obj)
+    if not commutes(obj, obj, S):
+        raise AssertionError("a census generator does not commute with t")
+    inventory = class_inventory(m, n, F)
+    index = {cls: i for i, cls in enumerate(inventory)}  # then any class outside it
+    enumerated = np.zeros(q**L, dtype=bool)
+    # keys < 2^BUDGET_BITS; a degenerate key is its own image
+    images = np.tile(np.arange(q**L, dtype=np.int32), (len(S), 1))
+    classes = np.full(q**L, -1)
+    for keys, grams, ok in _candidates(obj):
         enumerated[keys] = ok
-    report = OrbitReport(m, n, F.k, int(enumerated.sum()), len(unipotent) * len(levi))
-    covered = np.zeros_like(enumerated)
-    for cls in class_inventory(m, n, F):
-        orbit, members = _orbit(obj, cls, unipotent, levi, enumerated)
-        if covered[orbit].any():
-            raise AssertionError(f"orbit of {cls} meets a previous orbit")
-        # classify_batch shares one object per distinct class
-        for got in {id(c): c for c in classify_batch(obj, members)}.values():
-            if got != cls:
-                raise AssertionError(f"orbit member of {cls} classified as {got}")
-        covered[orbit] = True
-        report.orbits.append((cls.label(), len(orbit), canonical_rep(cls, F).gram))
-    if not np.array_equal(covered, enumerated):
-        raise AssertionError("orbits do not cover the enumerated form set")
-    return report
+        keys, grams = keys[ok], grams[ok]
+        for T, image in zip(S, images):
+            image[keys] = _keys_of_grams(obj, _act(F, T, grams))
+        got = classify_batch(obj, grams)  # one shared object per distinct class
+        code = {id(c): index.setdefault(c, len(index)) for c in {id(c): c for c in got}.values()}
+        classes[keys] = [code[id(c)] for c in got]
+    if not all(enumerated[image[enumerated]].all() for image in images):
+        raise AssertionError("a generator's image leaves the enumerated set")
+    keys, label, named = np.flatnonzero(enumerated), _components(images), list(index)
+    for u in keys[classes[keys] != classes[label[keys]]][:1]:
+        raise AssertionError(f"orbit of {named[classes[label[u]]]} has a member classified as {named[classes[u]]}")
+    roots, sizes = np.unique(label[keys], return_counts=True)
+    if not np.array_equal(np.sort(classes[roots]), np.arange(len(inventory))):
+        raise AssertionError("orbits are not one per class of class_inventory")
+    group = math.prod(q**s - q**i for s in (m, n) for i in range(s)) * q ** (2 * m * n + n * n)
+    size = dict(zip(classes[roots].tolist(), sizes.tolist()))
+    orbits = [(cls.label(), size[i], canonical_rep(cls, F).gram) for i, cls in enumerate(inventory)]
+    return OrbitReport(m, n, k, len(keys), group, orbits)

@@ -5,6 +5,7 @@ with `pytest -s tests/test_acceptance.py`).
 """
 
 import itertools
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -133,8 +134,21 @@ def test_criterion_4_invariant_basis_independence():
                 assert form_invariant(BilinearForm(rep.obj, G)) == expected
 
 
+def _closed_form_total(m, n, q):
+    """Non-degenerate compatible forms on m1 + nP: N_sym(m) N_sym(n)
+    q^(mn + n(n+1)/2), with N_sym(s) = q^(t(t+1)) prod_{i <= ceil(s/2)}
+    (q^(2i-1) - 1), t = floor(s/2), the invertible symmetric s x s matrices in
+    even characteristic (MacWilliams, Amer. Math. Monthly 76, 1969)."""
+
+    def n_sym(s):
+        t = s // 2
+        return q ** (t * (t + 1)) * math.prod(q ** (2 * i - 1) - 1 for i in range(1, s - t + 1))
+
+    return n_sym(m) * n_sym(n) * q ** (m * n + n * (n + 1) // 2)
+
+
 def test_criterion_5_oracle_concordance():
-    with criterion(5, "orbit censuses over GF(4), GF(8), GF(16) match the predicted inventories"):
+    with criterion(5, "orbit censuses over GF(4), GF(8), GF(16), GF(64) match the predicted inventories"):
         expected = {(0, 1): 4, (1, 1): 1, (0, 2): 9, (2, 0): 2}
         for (m, n), count in expected.items():
             report = orbit_classes(m, n, F4)
@@ -142,7 +156,10 @@ def test_criterion_5_oracle_concordance():
             labels = [label for label, _, _ in report.orbits]
             assert len(set(labels)) == count
             assert report.total_forms == sum(size for _, size, _ in report.orbits)
-        more = [(F4, (2, 1), 5), (F4, (3, 0), 1)]
+            assert report.total_forms == _closed_form_total(m, n, F4.order), (m, n)
+        # (1,2), (0,2) over GF(8) and (2,0) over GF(64) were over the former
+        # whole-group sweep's budget
+        more = [(F4, (2, 1), 5), (F4, (3, 0), 1), (F4, (1, 2), 2), (F8, (0, 2), 17), (make_field(6), (2, 0), 2)]
         for F in (F8, F16):
             more += [(F, (0, 1), F.order), (F, (1, 1), 1), (F, (2, 0), 2)]
         for F, (m, n), count in more:
@@ -151,6 +168,7 @@ def test_criterion_5_oracle_concordance():
             assert labels == [c.label() for c in class_inventory(m, n, F)], (F.k, m, n)
             assert report.orbit_count == len(class_inventory(m, n, F)) == count, (F.k, m, n)
             assert report.total_forms == sum(size for _, size, _ in report.orbits)
+            assert report.total_forms == _closed_form_total(m, n, F.order), (F.k, m, n)
 
 
 def test_criterion_6_classification_stability_and_canonicalize():

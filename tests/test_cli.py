@@ -193,7 +193,8 @@ _QUAD_CLASSIFY_STDOUT = {
 }
 _ORACLE_JSON_STDOUT = {
     (0, 1, 2): "3f39e4381ae35e70", (1, 1, 2): "cb5d4a8f4cf568f4", (0, 2, 2): "03c220ebe0c2c289",
-    (2, 0, 2): "cb389746a20098fd", (2, 0, 3): "2e7baeb55644f453",
+    (2, 0, 2): "cb389746a20098fd", (2, 0, 3): "2e7baeb55644f453", (2, 1, 2): "ccb0382d1e845513",
+    (3, 0, 2): "1b12d0eef652fabb", (2, 0, 4): "d13c5eca6ed9c807",
 }
 
 
@@ -321,22 +322,34 @@ def test_oracle_budget(capsys):
     assert main(["oracle", "--m", "4", "--n", "4", "--k", "2"]) == 1
 
 
+def test_oracle_zero_object(capsys):
+    assert main(["--json", "oracle", "--m", "0", "--n", "0", "--k", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["total_forms"], doc["group_order"], doc["orbit_count"]) == (1, 1, 1)
+    assert doc["orbits"] == [{"label": "C[0,0]", "size": 1, "representative": []}]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        # few enough candidates, but |G| is ~2^35.5, ~2^25.1 and ~2^23.8
-        # (the last as 4 x 4 matrices: ~2^27.8 entries)
+        # few enough candidates, but |S| q^L is 31 * 2^24, 25 * 2^20 and 12 * 2^22
         ["--m", "0", "--n", "3", "--k", "2"],
-        ["--m", "1", "--n", "2", "--k", "2"],
-        ["--m", "0", "--n", "2", "--k", "3"],
+        ["--m", "4", "--n", "0", "--k", "2"],
+        ["--m", "0", "--n", "1", "--k", "11"],
     ],
-    ids=["group-0-3", "group-1-2", "group-0-2-gf8"],
+    ids=["group-0-3", "group-4-0", "group-0-1-gf2048"],
 )
 def test_oracle_refuses_before_work(argv, capsys):
     start = time.perf_counter()
     assert main(["oracle", *argv]) == 1
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("m, n, k, orbits", [(1, 2, 2, 2), (0, 2, 3, 17)], ids=["group-1-2", "group-0-2-gf8"])
+def test_oracle_runs_shapes_the_group_sweep_refused(m, n, k, orbits, capsys):
+    assert main(["oracle", "--m", str(m), "--n", str(n), "--k", str(k)]) == 0
+    assert f"{orbits} orbits" in capsys.readouterr().out
 
 
 SELFCHECKS = [

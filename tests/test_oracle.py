@@ -8,13 +8,11 @@ import pytest
 
 from ver4forms import linalg as la
 from ver4forms import oracle
-from ver4forms.classify import canonical_rep
 from ver4forms.divided import QuadraticForm
 from ver4forms.field import make_field
 from ver4forms.oracle import (
-    _group,
+    _grams_of_keys,
     _keys_of_grams,
-    _orbit,
     class_inventory,
     enumerate_forms,
     free_entry_count,
@@ -24,6 +22,45 @@ from ver4forms.verobj import VerObject
 
 F2 = make_field(1)
 F4 = make_field(2)
+
+
+def _all_matrices(q, rows, cols):
+    """Every rows x cols matrix over GF(q), in itertools.product order."""
+    count = q ** (rows * cols)
+    return oracle._digits(np.arange(count, dtype=np.int64), q, rows * cols).reshape(count, rows, cols)
+
+
+def _gl(F, s):
+    M = _all_matrices(F.order, s, s)
+    return M[la.batch_solve(F, M)[0]]
+
+
+def _group(m, n, F, levi=True, unipotent=True):
+    """The reference equivariant group, all invertible matrices commuting with
+    t, as one (|G|, d, d) array ordered by (A, E, C, D, F) blocks of
+    `VerObject.equivariant_matrix` with the last varying fastest; or its
+    part U (no `levi`: A = E = I) or L (no `unipotent`: C = D = F = 0)."""
+    obj = VerObject(F, m, n)
+    sets = [_gl(F, s) if levi else np.eye(s, dtype=np.int64)[None] for s in (m, n)]
+    q = F.order if unipotent else 1  # over {0}, 0 is the only matrix
+    sets += [_all_matrices(q, r, c) for r, c in ((n, m), (m, n), (n, n))]
+    # set i goes on batch axis i of five, so broadcasting forms every tuple
+    A, E, C, D, Fm = (
+        s.reshape((1,) * i + (len(s),) + (1,) * (4 - i) + s.shape[1:]) for i, s in enumerate(sets)
+    )
+    return obj.equivariant_matrix(A, C, D, E, Fm).reshape(math.prod(map(len, sets)), obj.dim, obj.dim)
+
+
+def _whole_group_orbit(obj, unipotent, levi, G):
+    """Sorted keys of G's orbit under the reference group, swept as U on G
+    and then L on each distinct U-image (G = U L by
+    `test_group_is_unipotent_times_levi`)."""
+    grams = G[None]
+    for Ts in (unipotent, levi):
+        images = la.congruence(obj.field, Ts, grams[:, None]).reshape(len(grams) * len(Ts), obj.dim, obj.dim)
+        keys, first = np.unique(_keys_of_grams(obj, images), return_index=True)
+        grams = images[first]
+    return keys
 
 
 def test_free_entry_counts():
@@ -73,25 +110,16 @@ def test_equivariant_group_order():
 
 
 @pytest.mark.parametrize(
-    "m, n, k",
-    [(0, 2, 3), (5, 0, 1)],
-    ids=["group-0-2-gf8", "gl5-candidates-gf2"],
+    "m, n, k, bits",
+    [(0, 3, 2, "28.95"), (4, 0, 2, "24.64"), (0, 1, 11, "25.58")],
+    ids=["0-3", "4-0", "0-1-gf2048"],
 )
-def test_group_sweep_refused_by_entry_count(m, n, k):
-    # |G| passes 2^24 elements in both, but (0,2)/GF(8) would stack 2^27.8
-    # group entries and (5,0)/GF(2) 2^25 candidate 5 x 5 matrices for GL_5
-    F = make_field(k)
+def test_census_refused_by_image_count(m, n, k, bits):
+    # |S| q^L images: 31 * 4^12, 25 * 4^10 and 12 * 2048^2
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="entries in the largest array"):
-        orbit_classes(m, n, F)
-    with pytest.raises(ValueError, match="entries in the largest array"):
-        _group(m, n, F)
+    with pytest.raises(ValueError, match=rf"generator images of candidate Grams: 2\^{bits} is over"):
+        orbit_classes(m, n, make_field(k))
     assert time.perf_counter() - start < 1.0
-
-
-def test_group_sweep_budget_keeps_largest_census_shape():
-    # (2,1) over GF(4): 552,960 elements as 4 x 4 matrices, ~8.8M entries
-    assert len(_group(2, 1, F4)) == 552_960
 
 
 @pytest.mark.parametrize(
@@ -107,18 +135,70 @@ def test_group_is_unipotent_times_levi(k, m, n):
     assert len(set(group)) == len(group)  # so each element is one product
 
 
-@pytest.mark.parametrize("m, n", [(0, 1), (1, 1), (0, 2), (2, 0)])
-def test_orbits_match_whole_group_sweep(m, n):
-    # reference: every element of the group applied to each representative
-    obj = VerObject(F4, m, n)
-    group = _group(m, n, F4)
-    unipotent, levi = _group(m, n, F4, levi=False), _group(m, n, F4, unipotent=False)
-    everything = np.ones(F4.order ** free_entry_count(m, n), dtype=bool)
-    for cls in class_inventory(m, n, F4):
-        images = la.batch_congruence(F4, group, canonical_rep(cls, F4).gram)
-        keys, members = _orbit(obj, cls, unipotent, levi, everything)
-        assert np.array_equal(keys, np.unique(_keys_of_grams(obj, images)))
-        assert np.array_equal(_keys_of_grams(obj, members), keys)
+# every non-zero shape up to GF(128) that the whole-group sweep's budget
+# admitted, but (2,0) over GF(32), whose reference sweep takes seconds; and
+# the zero object over GF(4)
+_SWEEP_SHAPES = [(2, m, n) for m, n in ((0, 1), (1, 1), (0, 2), (2, 0), (0, 0), (1, 0), (2, 1), (3, 0))]
+_SWEEP_SHAPES += [(k, m, n) for k in (3, 4) for m, n in ((0, 1), (1, 0), (1, 1), (2, 0))]
+_SWEEP_SHAPES += [(k, m, n) for k in (5, 6, 7) for m, n in ((0, 1), (1, 0))]
+
+
+@pytest.mark.parametrize(
+    "k, m, n", _SWEEP_SHAPES, ids=[f"{m}-{n}" + (f"-gf{2**k}" if k > 2 else "") for k, m, n in _SWEEP_SHAPES]
+)
+def test_orbits_match_whole_group_sweep(monkeypatch, k, m, n):
+    # the generating-set lemma on data: each component is a whole orbit
+    F = make_field(k)
+    obj, labels, components = VerObject(F, m, n), [], oracle._components
+    monkeypatch.setattr(oracle, "_components", lambda images: labels.append(components(images)) or labels[0])
+    report = orbit_classes(m, n, F)
+    enumerated = np.concatenate([ok for _, _, ok in oracle._candidates(obj)])
+    label = np.where(enumerated, labels[0], -1)
+    unipotent, levi, sizes = _group(m, n, F, levi=False), _group(m, n, F, unipotent=False), []
+    for root in np.unique(label[enumerated]):
+        orbit = _whole_group_orbit(obj, unipotent, levi, _grams_of_keys(obj, np.array([root]))[0])
+        assert np.array_equal(orbit, np.flatnonzero(label == root))
+        sizes.append(len(orbit))
+    assert sorted(sizes) == sorted(size for _, size, _ in report.orbits)
+
+
+def _drop_scalings(obj, S):
+    return S[(np.diagonal(S, 0, 1, 2) == 1).all(axis=1)]
+
+
+def _drop_f_blocks(obj, S):
+    return S[~S[:, obj.xs][:, :, obj.ws].any(axis=(1, 2))]
+
+
+@pytest.mark.parametrize(
+    "drop, m, n",
+    [
+        # GL_1 without diag(2): the 3 scalars [[a]] stay apart, all A[1,0]
+        (_drop_scalings, 1, 0),
+        # F acts trivially on (0,1) (w -> w + f x adds 2 f G_wx to G_ww), not on (0,2)
+        (_drop_f_blocks, 0, 2),
+    ],
+    ids=["no-scaling-1-0", "no-f-blocks-0-2"],
+)
+def test_census_catches_a_set_that_does_not_generate(monkeypatch, drop, m, n):
+    generators = oracle._generators
+    monkeypatch.setattr(oracle, "_generators", lambda obj: drop(obj, generators(obj)))
+    with pytest.raises(AssertionError, match="not one per class"):
+        orbit_classes(m, n, F4)
+
+
+def test_census_catches_an_image_outside_the_enumerated_set(monkeypatch):
+    # the zero Gram is degenerate, so its key 0 is not enumerated
+    monkeypatch.setattr(oracle, "_act", lambda F, T, grams: np.zeros_like(grams))
+    with pytest.raises(AssertionError, match="leaves the enumerated set"):
+        orbit_classes(0, 1, F4)
+
+
+def test_census_of_the_zero_object():
+    report = orbit_classes(0, 0, F4)
+    assert (report.total_forms, report.group_order, report.orbit_count) == (1, 1, 1)
+    assert [(label, size) for label, size, _ in report.orbits] == [("C[0,0]", 1)]
+    assert report.orbits[0][2].shape == (0, 0)
 
 
 def test_class_inventory_counts():
@@ -148,7 +228,7 @@ def test_orbit_census_catches_a_misclassified_member(monkeypatch):
         return out
 
     monkeypatch.setattr(oracle, "classify_batch", last_one_wrong)
-    with pytest.raises(AssertionError, match=r"orbit member of E\[0,1\]\(0\) classified as E\[0,1\]\(1\)"):
+    with pytest.raises(AssertionError, match=r"orbit of E\[0,1\]\(1\) has a member classified as E\[0,1\]\(0\)"):
         orbit_classes(0, 1, F4)
 
 
