@@ -1,7 +1,7 @@
 """Classification of non-degenerate symmetric bilinear forms.
 
-Every such form on m1 + nP over GF(2^k), k >= 2, belongs to exactly one of
-six canonical families, each with a fixed block-diagonal representative:
+Every such form on m1 + nP over GF(2^k), 1 <= k <= 16, belongs to exactly
+one of six canonical families, each with a fixed block-diagonal representative:
 
   A[m,n]       alpha1^m + (n/2) b2P(0)                    m > 0, n even
   B[m,n]       alpha1^m + n bP(0)                         m > 0, n > 0
@@ -194,16 +194,20 @@ class CanonicalClass:
             raise ValueError(f"family {fam} requires a parameter")
         if not needs_param and p is not None:
             raise ValueError(f"family {fam} takes no parameter")
-        ok = {
+        if not self.admits(fam, m, n, p):
+            raise ValueError(f"sizes (m={m}, n={n}, param={p}) violate family {fam} constraints")
+
+    @staticmethod
+    def admits(fam: str, m: int, n: int, p=None):
+        """Whether the family lives on m1 + nP with parameter p, elementwise for an array p."""
+        return {
             "A": m > 0 and n % 2 == 0,
             "B": m > 0 and n > 0,
             "C": m % 2 == 0 and n % 2 == 0,
             "D": m % 2 == 0 and n % 2 == 0 and n >= 2,
             "E": m % 2 == 0 and n > 0,
-            "F": m % 2 == 0 and n >= 2 and (p, n) != (0, 2),
+            "F": m % 2 == 0 and n >= 2 and (n != 2) | (p != 0),
         }[fam]
-        if not ok:
-            raise ValueError(f"sizes (m={m}, n={n}, param={p}) violate family {fam} constraints")
 
     def label(self) -> str:
         if self.param is None:
@@ -224,17 +228,15 @@ class CanonicalClass:
 
 
 def class_inventory(m: int, n: int, F: Field, params=None) -> list[CanonicalClass]:
-    """Every canonical class living on m1 + nP over F, in family order:
-    the candidates that `CanonicalClass` accepts, with the E and F
-    parameters taken from `params` (default: every field element)."""
-    choices = F.elements() if params is None else params
+    """Every canonical class living on m1 + nP over F, in family order, with
+    the E and F parameters taken from `params` (default: every field
+    element): each family's `CanonicalClass.admits` read once, on them all."""
+    choices = np.arange(F.order) if params is None else np.asarray(params, dtype=np.int64)
     out = []
     for fam in FAMILIES:
-        for p in choices if fam in ("E", "F") else [None]:
-            try:
-                out.append(CanonicalClass(fam, m, n, p))
-            except ValueError:
-                continue
+        ps = choices if fam in ("E", "F") else np.array([None])
+        kept = ps[np.broadcast_to(CanonicalClass.admits(fam, m, n, ps), ps.shape)]
+        out += [CanonicalClass(fam, m, n, p) for p in kept.tolist()]
     return out
 
 
@@ -257,8 +259,6 @@ def canonical_rep(cls: CanonicalClass, F: Field) -> BilinearForm:
     fam, m, n, p = cls.family, cls.m, cls.n, cls.param
     if p is not None and not 0 <= p < F.order:
         raise ValueError(f"parameter {p} is not an element of {F!r}")
-    if fam in ("E", "F") and F.k < 2:
-        raise ValueError("parameterised classes need a field with k >= 2")
     f = np.zeros(n, dtype=np.int64)
     if fam == "D":
         f[0] = 1
@@ -286,22 +286,15 @@ def classify_batch(obj: VerObject, grams: np.ndarray) -> list[CanonicalClass]:
     """Canonical class of each Gram in a (b, d, d) stack on `obj`.
 
     Raises ValueError if the stack is not Grams on `obj`
-    (`VerObject.as_grams`) and, as `classify` does, for a field with k < 2
-    or any asymmetric or degenerate Gram.
+    (`VerObject.as_grams`) and, as `classify` does, for any asymmetric or
+    degenerate Gram.
     """
     return _classify_grams(obj, obj.as_grams(grams, stacked=True))
-
-
-def require_classifiable_field(F: Field):
-    """Refuse GF(2), where the classification does not hold."""
-    if F.k < 2:
-        raise ValueError("classification requires GF(2^k) with k >= 2")
 
 
 def _classify_grams(obj: VerObject, G: np.ndarray) -> list[CanonicalClass]:
     """`classify_batch` of a stack already valid as Grams on `obj`."""
     F, m, n = obj.field, obj.m, obj.n
-    require_classifiable_field(F)
     if not np.array_equal(G, np.swapaxes(G, 1, 2)):
         raise ValueError("classification requires a symmetric form")
     blocks = obj.gram_blocks(G)
@@ -412,6 +405,9 @@ def _move_x_function(F: Field, E: np.ndarray, x_rows: np.ndarray, g: np.ndarray,
         (n - 2, n - 1) if s != 0.
       Mc hyperbolic: b(g + h, g) = g_1; if it is 0, (0, 1) works if
         g_0 != 0, else (1, p ^ 1), p the first index with g_p != 0.
+    Nothing here picks a scalar: w - g has entries 0 and 1, each case asks
+    only whether two entries are equal, and c is the inverse of a value
+    already non-zero.  So the argument holds as written for q = 2.
     """
     if np.array_equal(g, h):
         return
@@ -445,7 +441,9 @@ def _reduce(obj: VerObject, G: np.ndarray) -> tuple[np.ndarray, CanonicalClass]:
     take g to 0 (C) or e_0 (D) if Mc is hyperbolic; for Mc = I a constant g
     is its own target (E, parameter g_0^2; R keeps the all-ones vector, as
     x^T x = (sum x)^2) and any other goes to (0, ..., 0, 1, 1 + s), s = sum g
-    (F, parameter s^2, the form invariant).
+    (F, parameter s^2, the form invariant).  No step excludes a scalar, so
+    q = 2 takes this path too: it divides only by non-zero pivots, its mixing
+    and target vectors have entries 0 and 1, and g_0^2, s^2 range over GF(2).
     """
     F, m, n = obj.field, obj.m, obj.n
     vv, vw, ww, wx = obj.gram_blocks(G)
@@ -509,7 +507,7 @@ def canonicalize_batch(
     """`canonicalize` of each Gram in a (b, d, d) stack on `obj`.
 
     Raises ValueError, as `classify_batch` does, if any member is not a
-    symmetric non-degenerate Gram on `obj` over a field with k >= 2.
+    symmetric non-degenerate Gram on `obj`.
     """
     return _canonicalize_grams(obj, obj.as_grams(grams, stacked=True))
 
@@ -525,8 +523,8 @@ def _canonicalize_grams(obj: VerObject, G: np.ndarray):
     invariant path checked it) and so is every canonical Gram.
     """
     F, d = obj.field, obj.dim
-    # the invariant path runs first: it raises ValueError for k < 2 and for
-    # asymmetric or degenerate forms, which the reduction assumes away
+    # the invariant path runs first: it raises ValueError for asymmetric or
+    # degenerate forms, which the reduction assumes away
     invariant = _classify_grams(obj, G)
     reduced = [_reduce(obj, g) for g in G]
     for (_, cls), want in zip(reduced, invariant):

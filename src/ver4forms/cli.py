@@ -123,7 +123,7 @@ def _binary_op(args, op) -> int:
     b2 = _load_form(args.file2)
     result = op(b1, b2)
     payload = {"form": result.to_json()}
-    if result.field.k >= 2 and result.is_symmetric() and result.is_nondegenerate():
+    if result.is_symmetric() and result.is_nondegenerate():
         payload["class"] = classify(result).to_json()
     else:
         payload["class"] = None

@@ -49,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bform import BilinearForm, Subobject, subobject_standard_basis
-from .classify import CanonicalClass, _classify_grams, require_classifiable_field
+from .classify import CanonicalClass, _classify_grams
 from .field import Field, make_field
 from .linalg import column_support, congruence, eye, mat_mul, rank, readonly, solve, support_gather, zeros
 from .verobj import Morphism, VerObject, braiding, json_ints, tensor, tensor_raw
@@ -349,10 +349,11 @@ def classify_quadratic(q: QuadraticForm):
     G_ww's diagonal.  The good pairs (whose v rows are zero here), the
     form invariant sum diag(G_ww) diag(G_wx^-1) and the block-lemma test
     read nothing else, so they agree on beta_q and on its nP part.  GF(2)
-    is refused first.
+    is refused first: no census of quadratic orbits covers it yet.
     """
     obj = q.obj
-    require_classifiable_field(q.field)
+    if q.field.k < 2:
+        raise ValueError("classification requires GF(2^k) with k >= 2")
     G = obj.gram_from_free_entries(q.values)
     G[obj.vs, obj.vs] = 0
     try:

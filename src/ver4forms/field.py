@@ -4,8 +4,8 @@ Elements are plain ints in [0, 2^k) encoding polynomial coefficients
 little-endian: bit i is the coefficient of x^i.  Addition is XOR, so every
 element is its own additive inverse.  Multiplication reduces modulo a fixed
 Conway polynomial, which makes encodings bit-exact across runs and
-implementations.  The degree-1 entry uses the convention x, so GF(2) is the
-plain prime field with no reduction.
+implementations.  For GF(2) that is x + 1, so x = 1 generates its
+multiplicative group as x = 2 does every larger one.
 
 Because the field is perfect of characteristic 2, every element has a unique
 square root, namely a^(2^(k-1)).
@@ -21,9 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 # Conway polynomials over GF(2) as little-endian bitmasks, degrees 1..16.
-# Degree 1 is stored as x (prime-field convention) rather than x + 1.
 CONWAY_POLY_BITS: dict[int, int] = {
-    1: 0b10,
+    1: 0b11,
     2: 0b111,
     3: 0b1011,
     4: 0b10011,
@@ -82,24 +81,21 @@ class Field:
 
     def _build_tables(self):
         om = self._gorder
-        exp = np.zeros(2 * om if om > 1 else 2, dtype=np.int64)
+        exp = np.zeros(2 * om, dtype=np.int64)
         log = np.zeros(self.order, dtype=np.int64)
-        if om == 1:
-            exp[:] = 1
-        else:
-            # exp[i] = x^i, filled by doubling: exp[s:2s] = x^s * exp[:s]
-            exp[0] = 1
-            s = 1
-            while s < om:
-                t = min(s, om - s)
-                exp[s : s + t] = self._times(self._xtime(int(exp[s - 1])), exp[:t])
-                s += t
-            log[exp[:om]] = np.arange(om)
-            # x must generate the full multiplicative group (Conway moduli
-            # are primitive); anything else means a bad constant.
-            if self._xtime(int(exp[om - 1])) != 1 or np.count_nonzero(log) != om - 1:
-                raise AssertionError(f"modulus for k={self.k} is not primitive")
-            exp[om:] = exp[:om]
+        # exp[i] = x^i, filled by doubling: exp[s:2s] = x^s * exp[:s]
+        exp[0] = 1
+        s = 1
+        while s < om:
+            t = min(s, om - s)
+            exp[s : s + t] = self._times(self._xtime(int(exp[s - 1])), exp[:t])
+            s += t
+        log[exp[:om]] = np.arange(om)
+        # x must generate the full multiplicative group (Conway moduli
+        # are primitive); anything else means a bad constant.
+        if self._xtime(int(exp[om - 1])) != 1 or np.count_nonzero(log) != om - 1:
+            raise AssertionError(f"modulus for k={self.k} is not primitive")
+        exp[om:] = exp[:om]
         self._exp = exp
         self._log = log
         # zero-aware tables: log(0) maps to a sentinel just past `exp`, so

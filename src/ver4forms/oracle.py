@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .bform import BilinearForm
-from .classify import canonical_rep, class_inventory, classify_batch, require_classifiable_field
+from .classify import canonical_rep, class_inventory, classify_batch
 from .field import Field
 from .linalg import batch_solve, eye, zeros
 from .verobj import VerObject, commutes
@@ -95,23 +95,24 @@ def _generators(obj: VerObject) -> np.ndarray:
     """A generating set S of the equivariant group G, as a (|S|, d, d) stack
     of `VerObject.equivariant_matrix` blocks, with a over the F_2-basis
     1, 2, 4, ... of the field: for A and E, the transvections I + a E_ij
-    (i != j) and diag(2, 1, ..., 1); for C, D and F, every single-entry a E_ij.
+    (i != j) and diag(x, 1, ..., 1); for C, D and F, every single-entry a E_ij.
 
     It generates G.  Transvections over a basis give every transvection, and
-    so SL; 2 is primitive for the Conway moduli (`field`), so diag(2, ...)
-    adds every determinant and A, E range over GL.  With A = E = I, blocks
-    compose as C_1 + C_2, D_1 + D_2 and F_1 + F_2 + C_1 D_2, so the C, D and F
-    elements give the unipotent part U, and G = U L for L the (A, E) part."""
+    so SL; x (2, or 1 over GF(2), where GL = SL) is primitive for the Conway
+    moduli (`field`), so diag(x, ...) adds every determinant and A, E range
+    over GL.  With A = E = I, blocks compose as C_1 + C_2, D_1 + D_2 and
+    F_1 + F_2 + C_1 D_2, so the C, D and F elements give the unipotent part
+    U, and G = U L for L the (A, E) part."""
     F, m, n = obj.field, obj.m, obj.n
-    a = 1 << np.arange(F.k)
+    a, x = 1 << np.arange(F.k), F._xtime(1)
 
     def single(r, c):  # every a E_ij of an r x c block, basis-major
         cells = np.eye(r * c, dtype=np.int64).reshape(r * c, r, c)
         return (a[:, None, None, None] * cells).reshape(F.k * r * c, r, c)
 
-    def gl(s):  # the transvections, then diag(2, 1, ..., 1) unless s = 0
+    def gl(s):  # the transvections, then diag(x, 1, ..., 1) unless s = 0
         off = single(s, s)[np.tile(~np.eye(s, dtype=bool).ravel(), F.k)]
-        return np.concatenate([eye(s) ^ off, np.diag([2] + [1] * (s - 1))[None, :s, :s][: min(s, 1)]])
+        return np.concatenate([eye(s) ^ off, np.diag([x] + [1] * (s - 1))[None, :s, :s][: min(s, 1)]])
 
     identity = (eye(m), zeros(n, m), zeros(m, n), eye(n), zeros(n, n))
     stacks = []
@@ -197,11 +198,10 @@ def orbit_classes(m: int, n: int, F: Field) -> OrbitReport:
     `class_inventory` order.  Verifies that the generators commute with t,
     that they keep the enumerated set, and that `classify` is constant on each
     component and a bijection from the components onto `class_inventory`.
-    Refuses, before any work, over 2^BUDGET_BITS images and then GF(2)."""
+    Refuses, before any work, over 2^BUDGET_BITS images."""
     L, k = free_entry_count(m, n), F.k
     count = k * (m * (m - 1) + n * (n - 1) + 2 * m * n + n * n) + (m > 0) + (n > 0)  # |S|
     _check_budget("generator images of candidate Grams", k * L + math.log2(max(count, 1)))
-    require_classifiable_field(F)
     obj, q = VerObject(F, m, n), F.order
     S = _generators(obj)
     if not commutes(obj, obj, S):

@@ -352,8 +352,6 @@ def emit_tables(
     shape), and a grid whose largest computed product, of dim at most
     min(product_dim_cap, (3 max_size)^2), is over `TENSOR_MAX_DIM`.
     """
-    if F.k < 2:
-        raise ValueError("tables require a field with k >= 2")
     if max_size < 0:
         raise ValueError(f"max_size must be non-negative, got {max_size}")
     N = (max_size + 1) ** 2 * (4 + 2 * (F.order if params is None else len(params)))

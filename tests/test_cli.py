@@ -34,9 +34,23 @@ def test_classify_command(tmp_path, capsys):
     assert doc["label"] == "E[0,1](2)"
 
 
-def test_classify_rejects_prime_field(tmp_path, capsys):
-    path = _write(tmp_path, "f.json", {"field": {"k": 1}, "object": {"m": 1, "n": 0}, "gram": [[1]]})
-    assert main(["classify", path]) == 1
+def test_prime_field_commands(tmp_path, capsys):
+    # GF(2) runs through the same classifier; only quad-classify refuses it
+    path = _write(tmp_path, "f.json", bp_doc(1, k=1))
+    assert main(["classify", path]) == 0
+    assert capsys.readouterr().out.strip() == "E[0,1](1)"
+    assert main(["--json", "canonicalize", path]) == 0
+    assert json.loads(capsys.readouterr().out)["canonical_gram"] == [[1, 1], [1, 0]]
+    for op, label in (("sum", "E[0,2](1)"), ("product", "C[0,2]")):
+        assert main(["--json", op, path, path]) == 0
+        assert json.loads(capsys.readouterr().out)["class"]["label"] == label
+    assert main(["--json", "oracle", "--m", "0", "--n", "1", "--k", "1"]) == 0
+    assert [o["label"] for o in json.loads(capsys.readouterr().out)["orbits"]] == ["E[0,1](0)", "E[0,1](1)"]
+    assert main(["--json", "tables", "--k", "1", "--max-size", "2", "--out", str(tmp_path / "t")]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["sum"]["mismatches"] == doc["product"]["mismatches"] == []
+    quad = {"field": {"k": 1}, "object": {"m": 2, "n": 0}, "values": [0, 0, 1]}
+    assert main(["quad-classify", _write(tmp_path, "q.json", quad)]) == 1
     assert "k >= 2" in capsys.readouterr().err
 
 

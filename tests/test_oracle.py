@@ -85,9 +85,34 @@ def test_enumerate_unit_form_gf2():
     assert forms[0].gram.tolist() == [[1]]
 
 
-def test_orbit_census_refuses_gf2():
-    with pytest.raises(ValueError, match="k >= 2"):
-        orbit_classes(1, 0, F2)
+# GF(2) shapes up to dim 7, about a second of censuses together
+_GF2_CENSUS_SHAPES = [
+    (0, 1), (1, 1), (2, 0), (3, 0), (0, 2), (2, 1), (1, 2), (4, 0), (2, 2), (0, 3), (3, 1), (4, 1), (1, 3),
+]
+
+
+def test_orbit_census_gf2():
+    # GF(2) runs the census of every field, which checks that each component
+    # is classified constantly: one component per class, in inventory order
+    for m, n in _GF2_CENSUS_SHAPES:
+        report = orbit_classes(m, n, F2)
+        inventory = class_inventory(m, n, F2)
+        assert [label for label, _, _ in report.orbits] == [c.label() for c in inventory], (m, n)
+        assert report.orbit_count == len(inventory)
+        assert report.total_forms == sum(size for _, size, _ in report.orbits)
+
+
+@pytest.mark.parametrize("k", range(1, 17), ids=[f"k{k}" for k in range(1, 17)])
+def test_generators_are_field_matrices_that_generate(k):
+    # every entry is a field element, the scaling diag(x, 1, ...) included
+    # (x = 1 over GF(2)), and on (1, 0), where G = GL_1, the census
+    # certifies the set: one orbit of all q - 1 forms
+    F = make_field(k)
+    for m, n in ((1, 0), (2, 2)):
+        S = oracle._generators(VerObject(F, m, n))
+        assert ((0 <= S) & (S < F.order)).all(), (m, n)
+    report = orbit_classes(1, 0, F)
+    assert (report.orbit_count, report.total_forms) == (1, F.order - 1)
 
 
 def test_enumerate_respects_budget():
@@ -136,15 +161,16 @@ def test_group_is_unipotent_times_levi(k, m, n):
 
 
 # every non-zero shape up to GF(128) that the whole-group sweep's budget
-# admitted, but (2,0) over GF(32), whose reference sweep takes seconds; and
-# the zero object over GF(4)
+# admitted, but (2,0) over GF(32), whose reference sweep takes seconds; the
+# zero object over GF(4); and GF(2) shapes up to dim 4
 _SWEEP_SHAPES = [(2, m, n) for m, n in ((0, 1), (1, 1), (0, 2), (2, 0), (0, 0), (1, 0), (2, 1), (3, 0))]
 _SWEEP_SHAPES += [(k, m, n) for k in (3, 4) for m, n in ((0, 1), (1, 0), (1, 1), (2, 0))]
 _SWEEP_SHAPES += [(k, m, n) for k in (5, 6, 7) for m, n in ((0, 1), (1, 0))]
+_SWEEP_SHAPES += [(1, m, n) for m, n in ((0, 1), (1, 0), (1, 1), (0, 2), (2, 0), (2, 1), (3, 0))]
 
 
 @pytest.mark.parametrize(
-    "k, m, n", _SWEEP_SHAPES, ids=[f"{m}-{n}" + (f"-gf{2**k}" if k > 2 else "") for k, m, n in _SWEEP_SHAPES]
+    "k, m, n", _SWEEP_SHAPES, ids=[f"{m}-{n}" + (f"-gf{2**k}" if k != 2 else "") for k, m, n in _SWEEP_SHAPES]
 )
 def test_orbits_match_whole_group_sweep(monkeypatch, k, m, n):
     # the generating-set lemma on data: each component is a whole orbit

@@ -163,7 +163,7 @@ def test_tensor_with_unit_is_identity_shaped():
 
 
 @settings(max_examples=30, deadline=None)
-@given(k=st.integers(2, 16), shape=st.tuples(*[st.integers(0, 5)] * 4).filter(
+@given(k=st.integers(1, 16), shape=st.tuples(*[st.integers(0, 5)] * 4).filter(
     lambda s: (s[0] + 2 * s[1]) * (s[2] + 2 * s[3]) <= TENSOR_MAX_DIM
 ))
 def test_tensor_basis_is_equivariant_invertible_and_fixes_unit_tensors(k, shape):
@@ -197,7 +197,7 @@ def test_tensor_is_the_standard_basis_of_every_small_product():
 
 
 @settings(max_examples=25, deadline=None)
-@given(k=st.integers(2, 16), shape=st.tuples(*[st.integers(0, 12)] * 4).filter(
+@given(k=st.integers(1, 16), shape=st.tuples(*[st.integers(0, 12)] * 4).filter(
     lambda s: (s[0] + 2 * s[1]) * (s[2] + 2 * s[3]) <= TENSOR_MAX_DIM
 ))
 def test_tensor_is_the_standard_basis_over_any_field_up_to_the_cap(k, shape):
@@ -246,7 +246,7 @@ def _factor(Fk, parts):
 
 
 @settings(max_examples=40, deadline=None)
-@given(k=st.integers(2, 16), left=_braid_factor, right=_braid_factor)
+@given(k=st.integers(1, 16), left=_braid_factor, right=_braid_factor)
 @example(k=2, left=[(0, 0)], right=[(3, 1)])
 @example(k=3, left=[(2, 1)], right=[(0, 0), (1, 1)])
 @example(k=16, left=[(4, 10)], right=[(4, 10)])
@@ -303,7 +303,7 @@ _tensor_factor_spec = st.tuples(
 
 
 @settings(max_examples=40, deadline=None)
-@given(k=st.integers(2, 16), left=_tensor_factor_spec, right=_tensor_factor_spec)
+@given(k=st.integers(1, 16), left=_tensor_factor_spec, right=_tensor_factor_spec)
 @example(k=16, left=("standard", 4, 10, 0), right=("standard", 4, 10, 0))
 @example(k=2, left=("standard", 0, 12, 0), right=("raw", 0, 12, 1))
 @example(k=3, left=("tensor", 2, 1, 0), right=("raw", 0, 0, 0))
@@ -473,7 +473,7 @@ def test_morphism_inverse():
 # -- the slot layout and its block helpers ------------------------------------
 
 _layout = given(
-    k=st.integers(2, 16), m=st.integers(0, 4), n=st.integers(0, 4), seed=st.integers(0, 2**32 - 1)
+    k=st.integers(1, 16), m=st.integers(0, 4), n=st.integers(0, 4), seed=st.integers(0, 2**32 - 1)
 )
 
 
@@ -517,7 +517,7 @@ def test_gram_from_blocks_is_compatible_and_reads_back(k, m, n, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    k=st.integers(2, 16), m=st.integers(0, 6), n=st.integers(0, 6), b=st.integers(0, 5),
+    k=st.integers(1, 16), m=st.integers(0, 6), n=st.integers(0, 6), b=st.integers(0, 5),
     seed=st.integers(0, 2**32 - 1),
 )
 @example(k=2, m=0, n=0, b=0, seed=0)
@@ -588,7 +588,7 @@ def _equivariant_between(source, target, rng):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    k=st.integers(2, 16),
+    k=st.integers(1, 16),
     shapes=st.tuples(*[st.integers(0, 4)] * 4),
     raw=st.tuples(st.booleans(), st.booleans()),
     seed=st.integers(0, 2**32 - 1),

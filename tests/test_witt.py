@@ -21,6 +21,7 @@ from ver4forms.witt import (
     tensor_product_via_braiding,
 )
 
+F2 = make_field(1)
 F4 = make_field(2)
 F8 = make_field(3)
 
@@ -190,7 +191,7 @@ def _compatible_grams(obj, rng, b, symmetric):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    k=st.integers(2, 16),
+    k=st.integers(1, 16),
     sizes=st.tuples(*[st.integers(0, 3)] * 4),
     b=st.integers(1, 4),
     symmetric=st.booleans(),
@@ -233,6 +234,14 @@ def test_emit_tables_matches_cell_by_cell_reference():
         assert rep.cells == len(pairs)
         assert rep.records == want
         assert rep.mismatches == []
+
+
+def test_emit_tables_gf2():
+    # every sum and every product (dim <= 81) on sizes <= 3 over GF(2) agrees
+    # with the rules
+    sum_rep, prod_rep = emit_tables(F2, max_size=3, product_dim_cap=81)
+    assert sum_rep.cells == prod_rep.cells == 780
+    assert sum_rep.mismatches == prod_rep.mismatches == []
 
 
 def test_product_with_unit_class():
@@ -361,7 +370,7 @@ def test_emit_tables_refuses_a_grid_before_building_classes(monkeypatch, max_siz
         emit_tables(F8, max_size, params, product_dim_cap=cap)
 
 
-@pytest.mark.parametrize("F", [F4, F8], ids=["gf4", "gf8"])
+@pytest.mark.parametrize("F", [F2, F4, F8], ids=["gf2", "gf4", "gf8"])
 def test_table_class_bound_covers_the_grid(F):
     for max_size in range(4):
         for params in (None, [0, 1]):
