@@ -51,6 +51,7 @@ from .linalg import congruence, eye, mat_mul, readonly, zeros
 from .verobj import InternalCheckError, Morphism, VerObject, commutes
 
 FAMILIES = ("A", "B", "C", "D", "E", "F")
+_E = FAMILIES.index("E")  # E and F, the last two families, take a parameter
 
 
 # -- good pairs ---------------------------------------------------------------
@@ -66,6 +67,7 @@ class GoodPairSpace:
 
     shape: str
     witness: int | None = None
+    SHAPES = ("full", "k_axis", "slope", "zero")  # as `_good_pair_shapes` indexes them
 
     def to_json(self) -> dict:
         return {"shape": self.shape, "witness": self.witness}
@@ -80,19 +82,20 @@ def good_pairs(beta: BilinearForm) -> GoodPairSpace:
     """
     if not beta.is_symmetric():
         raise ValueError("good pairs are defined for symmetric forms")
-    return _good_pair_spaces(beta.field, beta.obj.gram_blocks(beta.gram[None]))[0]
+    shape, slope = _good_pair_shapes(beta.field, beta.obj.gram_blocks(beta.gram[None]))
+    return GoodPairSpace(GoodPairSpace.SHAPES[shape[0]], int(slope[0]) if shape[0] == 2 else None)
 
 
 def _diag(a: np.ndarray) -> np.ndarray:
-    return np.diagonal(a, axis1=-2, axis2=-1)
+    return a.diagonal(0, -2, -1)
 
 
-def _good_pair_spaces(F: Field, blocks) -> list[GoodPairSpace]:
-    """`good_pairs` of a stack of symmetric compatible Grams, given by its
-    `gram_blocks`: the null space of the rows (beta(b, t.b), beta(b, b)) is
-    K^2 if all rows are zero, 0 if two are not proportional, and else the
-    solutions of k*r0 + l*r1 = 0 for any nonzero row: the k-axis if r0 = 0,
-    else the slope r1/r0."""
+def _good_pair_shapes(F: Field, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(shape index into `GoodPairSpace.SHAPES`, slope) of a stack of
+    symmetric compatible Grams, given by its `gram_blocks`: the null space of
+    the rows (beta(b, t.b), beta(b, b)) is K^2 if all rows are zero, 0 if two
+    are not proportional, and else the solutions of k*r0 + l*r1 = 0 for any
+    nonzero row: the k-axis if r0 = 0, else the slope r1/r0."""
     vv, _, ww, wx = blocks
     b, m, n = len(vv), vv.shape[-1], wx.shape[-1]
     # rows for the v's and w's (x rows are zero), plus a zero row for dim 0
@@ -102,20 +105,9 @@ def _good_pair_spaces(F: Field, blocks) -> list[GoodPairSpace]:
     rows[:, m:-1, 1] = _diag(ww)
     # the first nonzero row; at rank 1 every row is proportional to it
     ref = rows[np.arange(b), rows.any(axis=2).argmax(axis=1)]
-    cross = F.mul_arr(ref[:, None, 0], rows[..., 1]) ^ F.mul_arr(ref[:, None, 1], rows[..., 0])
-    rank2 = cross.any(axis=1)
-    slope = F.mul_arr(ref[:, 1], F.inv_arr(ref[:, 0]))
-    keys = [
-        ("zero", None) if two else ("slope", w) if r0 else ("k_axis" if r1 else "full", None)
-        for (r0, r1), two, w in zip(ref.tolist(), rank2.tolist(), slope.tolist())
-    ]
-    return _shared(GoodPairSpace, keys)
-
-
-def _shared(make, keys: list) -> list:
-    """[make(*key) for key in keys], with one shared object per distinct key."""
-    made = {key: make(*key) for key in dict.fromkeys(keys)}
-    return [made[key] for key in keys]
+    cross = F.mul_arr(ref[:, None, :], rows[..., ::-1])  # ref's r0 and r1 times each row's r1 and r0
+    shape = np.where((cross[..., 0] ^ cross[..., 1]).any(axis=1), 3, np.where(ref[:, 0] != 0, 2, ref[:, 1] != 0))
+    return shape, F.mul_arr(ref[:, 1], F.inv_arr(ref[:, 0]))
 
 
 # -- X-data and the form invariant --------------------------------------------
@@ -209,6 +201,16 @@ class CanonicalClass:
             "F": m % 2 == 0 and n >= 2 and (n != 2) | (p != 0),
         }[fam]
 
+    def code(self, q: int) -> int:
+        """The class over GF(q) as one integer, family index * q + parameter
+        (0 for none), as `_class_codes` writes it; `from_code` reads it."""
+        return FAMILIES.index(self.family) * q + (self.param or 0)
+
+    @classmethod
+    def from_code(cls, code: int, m: int, n: int, q: int) -> "CanonicalClass":
+        family, param = divmod(code, q)
+        return cls(FAMILIES[family], m, n, param if family >= _E else None)
+
     def label(self) -> str:
         if self.param is None:
             return f"{self.family}[{self.m},{self.n}]"
@@ -292,35 +294,43 @@ def classify_batch(obj: VerObject, grams: np.ndarray) -> list[CanonicalClass]:
     return _classify_grams(obj, obj.as_grams(grams, stacked=True))
 
 
-def _classify_grams(obj: VerObject, G: np.ndarray) -> list[CanonicalClass]:
-    """`classify_batch` of a stack already valid as Grams on `obj`."""
-    F, m, n = obj.field, obj.m, obj.n
-    if not np.array_equal(G, np.swapaxes(G, 1, 2)):
+# family index by 4 * (not alternating) + good-pair shape; -1 where no family has the pair
+_FAMILY_OF = np.array([2, 3, 4, 5, -1, 0, -1, 1])
+
+
+def _class_codes(obj: VerObject, G: np.ndarray) -> np.ndarray:
+    """The array core of `_classify_grams`: each member's class, from alternation, good
+    pairs and the form invariant, as its `CanonicalClass.code`; codes rise along `class_inventory`."""
+    F = obj.field
+    if not (G == G.swapaxes(1, 2)).all():
         raise ValueError("classification requires a symmetric form")
     blocks = obj.gram_blocks(G)
     nondegenerate, invariant = _block_invariants(F, blocks)
     if not nondegenerate.all():
         raise ValueError("classification requires a non-degenerate form")
-    alternating = ~_diag(blocks[0]).any(axis=1)
-    spaces = _good_pair_spaces(F, blocks)
-    keys = []
-    for alt, gp, inv in zip(alternating.tolist(), spaces, invariant.tolist()):
-        if not alt:
-            if gp.shape == "k_axis":
-                keys.append(("A", None))
-            elif gp.shape == "zero":
-                keys.append(("B", None))
-            else:
-                raise InternalCheckError(f"non-alternating form with good pairs {gp}")
-        elif gp.shape == "full":
-            keys.append(("C", None))
-        elif gp.shape == "k_axis":
-            keys.append(("D", None))
-        elif gp.shape == "slope":
-            keys.append(("E", gp.witness))
-        else:
-            keys.append(("F", inv))
-    return _shared(lambda family, param: CanonicalClass(family, m, n, param), keys)
+    shape, slope = _good_pair_shapes(F, blocks)
+    family = _FAMILY_OF[4 * _diag(blocks[0]).any(axis=1) + shape]
+    if (family < 0).any():
+        raise InternalCheckError(f"non-alternating form with good pairs {GoodPairSpace.SHAPES[shape[family < 0][0]]}")
+    return family * F.order + np.where(family == _E, slope, invariant) * (family >= _E)
+
+
+def _classify_grams(obj: VerObject, G: np.ndarray) -> list[CanonicalClass]:
+    """`classify_batch` of a stack already valid as Grams on `obj`: its
+    `_class_codes`, one shared `CanonicalClass` per distinct code."""
+    codes, q = _class_codes(obj, G).tolist(), obj.field.order
+    made = {c: CanonicalClass.from_code(c, obj.m, obj.n, q) for c in set(codes)}
+    return [made[c] for c in codes]
+
+
+def inventory_indices(obj: VerObject, grams: np.ndarray, inventory: list[CanonicalClass]) -> np.ndarray:
+    """Each Gram's class in a (b, d, d) stack on `obj` as its index in
+    `inventory`, len(inventory) for a class outside it: `classify_batch`
+    without the objects, through one lookup table over the class codes."""
+    q = obj.field.order
+    lookup = np.full(len(FAMILIES) * q, len(inventory))
+    lookup[[cls.code(q) for cls in inventory]] = np.arange(len(inventory))
+    return lookup[_class_codes(obj, obj.as_grams(grams, stacked=True))]
 
 
 # -- constructive canonicalization --------------------------------------------

@@ -173,12 +173,15 @@ def batch_solve(F: Field, A: np.ndarray, B: np.ndarray | None = None) -> tuple[n
     stack B of right-hand sides (r = 0 without B).
 
     Returns (ok, X): ok[i] tells whether A[i] is invertible, and X[i] is
-    A[i]^-1 B[i] when it is (unspecified otherwise).  One Gauss-Jordan pass
+    A[i]^-1 B[i] when it is (unspecified otherwise).  One elimination pass
     runs over [A | B] on the whole batch axis; for column c each member
-    takes its first row at or below c with a nonzero entry as pivot.  A
-    batch of one goes through `row_reduce` instead: on dense GF(8) matrices
-    with s = 1..14, the stacked pass on one matrix took 1.0-2.6x the time
-    of `is_invertible`, the most at s <= 2.
+    takes its first row at or below c with a nonzero entry as pivot, and
+    the pivot row, zero left of c, is added into the other rows on the
+    trailing columns: with B every other row (Gauss-Jordan), without B only
+    the rows below, as the rank needs no back substitution.  A batch of one
+    goes through `row_reduce` instead: on dense GF(8) matrices with
+    s = 1..14, the stacked pass on one matrix took 1.0-2.6x the time of
+    `is_invertible`, the most at s <= 2.
     """
     A = np.asarray(A, dtype=np.int64)
     b, s, s2 = A.shape
@@ -196,14 +199,16 @@ def batch_solve(F: Field, A: np.ndarray, B: np.ndarray | None = None) -> tuple[n
         if not R[:, c, c].all():
             p = c + (R[:, c:, c] != 0).argmax(axis=1)
             R[at, c], R[at, p] = R[at, p], R[at, c]
-        # a singular member finds no pivot here; its row c becomes 0 and stays 0
+        # a singular member finds no pivot here: R[c, c] becomes 0, and later steps write right of c
         pivot = R[:, c, c]
         if (pivot != 1).any():
-            R[:, c] = F.mul_arr(R[:, c], F.inv_arr(pivot)[:, None])
-        factor = R[:, :, c].copy()
-        factor[:, c] = 0
+            R[:, c, c:] = F.mul_arr(R[:, c, c:], F.inv_arr(pivot)[:, None])
+        top = c + 1 if B is None else 0
+        factor = R[:, top:, c, None].copy()
+        if B is not None:
+            factor[:, c] = 0
         if factor.any():
-            R ^= F.mul_arr(factor[:, :, None], R[:, None, c, :])
+            R[:, top:, c:] ^= F.mul_arr(factor, R[:, None, c, c:])
     ok = (np.diagonal(R, axis1=1, axis2=2) == 1).all(axis=1)
     return ok, R[:, :, s:]
 

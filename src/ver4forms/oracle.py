@@ -12,10 +12,13 @@ full d x d rank.
 
 `orbit_classes` takes the congruence orbits of the group G of invertible
 equivariant maps as the connected components of the key set under a small
-generating set S of G (`_generators`): one pass over the candidates records
-the enumerated keys, each generator's image of each and their classes, and
-no canonical representative seeds an orbit.  The image count |S| q^L, for L
-free entries, is bounded by 2^BUDGET_BITS before any work.
+generating set S of G (`_generators`); no canonical representative seeds an
+orbit.  Key linearity: since q = 2^k, a key is its L free entries written as
+k-bit digits side by side, so key XOR is entrywise field addition, and
+T^T G T is GF(q)-linear in G; so each generator maps keys GF(2)-linearly,
+image(a ^ b) = image(a) ^ image(b), and its images of the kL single-bit keys
+give all q^L by one XOR each (`_images`).  The image count |S| q^L is
+bounded by 2^BUDGET_BITS before any work.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .bform import BilinearForm
-from .classify import canonical_rep, class_inventory, classify_batch
+from .classify import canonical_rep, class_inventory, inventory_indices
 from .field import Field
-from .linalg import batch_solve, eye, zeros
+from .linalg import batch_solve, congruence, eye, zeros
 from .verobj import VerObject, commutes
 
 BUDGET_BITS = 24
@@ -41,10 +44,6 @@ def free_entry_count(m: int, n: int) -> int:
 def _check_budget(what: str, bits: float):
     if bits > BUDGET_BITS:
         raise ValueError(f"{what}: 2^{bits:.4g} is over the 2^{BUDGET_BITS} budget")
-
-
-def _check_enumeration_budget(m: int, n: int, F: Field):
-    _check_budget("candidate Grams to enumerate", F.k * free_entry_count(m, n))
 
 
 _CHUNK = 4096  # candidates assembled per batch in _candidates
@@ -84,7 +83,7 @@ def _candidates(obj: VerObject):
 
 def enumerate_forms(m: int, n: int, F: Field):
     """Yield every non-degenerate symmetric compatible form exactly once."""
-    _check_enumeration_budget(m, n, F)
+    _check_budget("candidate Grams to enumerate", F.k * free_entry_count(m, n))
     obj = VerObject(F, m, n)
     for _, grams, ok in _candidates(obj):
         for G in grams[ok]:
@@ -95,7 +94,8 @@ def _generators(obj: VerObject) -> np.ndarray:
     """A generating set S of the equivariant group G, as a (|S|, d, d) stack
     of `VerObject.equivariant_matrix` blocks, with a over the F_2-basis
     1, 2, 4, ... of the field: for A and E, the transvections I + a E_ij
-    (i != j) and diag(x, 1, ..., 1); for C, D and F, every single-entry a E_ij.
+    (i != j) and diag(x, 1, ..., 1) unless x = 1; for C, D and F, every
+    single-entry a E_ij.  No generator is the identity.
 
     It generates G.  Transvections over a basis give every transvection, and
     so SL; x (2, or 1 over GF(2), where GL = SL) is primitive for the Conway
@@ -110,9 +110,9 @@ def _generators(obj: VerObject) -> np.ndarray:
         cells = np.eye(r * c, dtype=np.int64).reshape(r * c, r, c)
         return (a[:, None, None, None] * cells).reshape(F.k * r * c, r, c)
 
-    def gl(s):  # the transvections, then diag(x, 1, ..., 1) unless s = 0
+    def gl(s):  # the transvections, then diag(x, 1, ..., 1) unless it is I: s = 0 or x = 1
         off = single(s, s)[np.tile(~np.eye(s, dtype=bool).ravel(), F.k)]
-        return np.concatenate([eye(s) ^ off, np.diag([x] + [1] * (s - 1))[None, :s, :s][: min(s, 1)]])
+        return np.concatenate([eye(s) ^ off, np.diag([x] + [1] * (s - 1))[None, :s, :s][: int(s > 0 and x != 1)]])
 
     identity = (eye(m), zeros(n, m), zeros(m, n), eye(n), zeros(n, n))
     stacks = []
@@ -120,21 +120,6 @@ def _generators(obj: VerObject) -> np.ndarray:
         # positions as in equivariant_matrix(a, c, d, e, f)
         stacks.append(obj.equivariant_matrix(*identity[:i], part, *identity[i + 1 :]))
     return np.concatenate(stacks)
-
-
-def _act(F: Field, T: np.ndarray, grams: np.ndarray) -> np.ndarray:
-    """T^T G T for a (b, d, d) stack, T = I + N, as G T = G + G N and then
-    T^T H = H + N^T H: per non-zero entry of N (a generator has one or two),
-    one column and one row update through the entry's row of the field's
-    multiplication table.  Every row update reads H before any is written."""
-    N = T ^ eye(len(T))
-    entries = [(r, c, F.mul_arr(N[r, c], np.arange(F.order))) for r, c in zip(*np.nonzero(N))]
-    out = grams.copy()
-    for r, c, times in entries:
-        out[:, :, c] ^= times[grams[:, :, r]]
-    for c, update in [(c, times[out[:, r, :]]) for r, c, times in entries]:
-        out[:, c, :] ^= update
-    return out
 
 
 def _components(images: np.ndarray) -> np.ndarray:
@@ -151,6 +136,22 @@ def _components(images: np.ndarray) -> np.ndarray:
         np.minimum.at(label, label.copy(), low)  # hook each root under its least neighbour
         while not np.array_equal(label, jumped := label[label]):
             label = jumped
+
+
+def _images(obj: VerObject, S: np.ndarray) -> np.ndarray:
+    """Each generator's key images, (|S|, q^L) int32, by key linearity:
+    T^T G T on the Grams of the kL single-bit keys 2^j, certified to be the
+    Grams of their own free entries (so every image is exact), then
+    row[2^j : 2^(j+1)] = row[:2^j] ^ image(2^j)."""
+    F, L = obj.field, free_entry_count(obj.m, obj.n)
+    basis = _grams_of_keys(obj, 1 << np.arange(F.k * L))
+    acted = congruence(F, S[:, None], basis)
+    if not np.array_equal(obj.gram_from_free_entries(obj.free_entries(acted)), acted):
+        raise AssertionError("linearity certificate: a generator's image of a basis Gram is not its free entries' Gram")
+    images = np.zeros((len(S), F.order**L), dtype=np.int32)  # keys < 2^BUDGET_BITS
+    for j, image in enumerate(_keys_of_grams(obj, acted).T.astype(np.int32)):
+        np.bitwise_xor(images[:, : 1 << j], image[:, None], out=images[:, 1 << j : 2 << j])
+    return images
 
 
 @dataclass
@@ -196,33 +197,25 @@ class OrbitReport:
 def orbit_classes(m: int, n: int, F: Field) -> OrbitReport:
     """The orbits, as the components of the key set under `_generators`, in
     `class_inventory` order.  Verifies that the generators commute with t,
-    that they keep the enumerated set, and that `classify` is constant on each
-    component and a bijection from the components onto `class_inventory`.
-    Refuses, before any work, over 2^BUDGET_BITS images."""
-    L, k = free_entry_count(m, n), F.k
-    count = k * (m * (m - 1) + n * (n - 1) + 2 * m * n + n * n) + (m > 0) + (n > 0)  # |S|
-    _check_budget("generator images of candidate Grams", k * L + math.log2(max(count, 1)))
-    obj, q = VerObject(F, m, n), F.order
+    that their key images are linear (`_images`), that they keep the
+    enumerated set, and that `classify` is constant on each component and a
+    bijection from the components onto `class_inventory`.  Refuses, before
+    any work, over 2^BUDGET_BITS images."""
+    L, k, q = free_entry_count(m, n), F.k, F.order
+    obj = VerObject(F, m, n)
     S = _generators(obj)
+    _check_budget("generator images of candidate Grams", k * L + math.log2(max(len(S), 1)))
     if not commutes(obj, obj, S):
         raise AssertionError("a census generator does not commute with t")
+    images = _images(obj, S)
     inventory = class_inventory(m, n, F)
-    index = {cls: i for i, cls in enumerate(inventory)}  # then any class outside it
-    enumerated = np.zeros(q**L, dtype=bool)
-    # keys < 2^BUDGET_BITS; a degenerate key is its own image
-    images = np.tile(np.arange(q**L, dtype=np.int32), (len(S), 1))
-    classes = np.full(q**L, -1)
+    enumerated, classes = np.zeros(q**L, dtype=bool), np.full(q**L, -1)
     for keys, grams, ok in _candidates(obj):
         enumerated[keys] = ok
-        keys, grams = keys[ok], grams[ok]
-        for T, image in zip(S, images):
-            image[keys] = _keys_of_grams(obj, _act(F, T, grams))
-        got = classify_batch(obj, grams)  # one shared object per distinct class
-        code = {id(c): index.setdefault(c, len(index)) for c in {id(c): c for c in got}.values()}
-        classes[keys] = [code[id(c)] for c in got]
+        classes[keys[ok]] = inventory_indices(obj, grams[ok], inventory)
     if not all(enumerated[image[enumerated]].all() for image in images):
         raise AssertionError("a generator's image leaves the enumerated set")
-    keys, label, named = np.flatnonzero(enumerated), _components(images), list(index)
+    keys, label, named = np.flatnonzero(enumerated), _components(images), inventory + ["a class outside the inventory"]
     for u in keys[classes[keys] != classes[label[keys]]][:1]:
         raise AssertionError(f"orbit of {named[classes[label[u]]]} has a member classified as {named[classes[u]]}")
     roots, sizes = np.unique(label[keys], return_counts=True)

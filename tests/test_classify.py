@@ -11,6 +11,7 @@ from ver4forms.bform import BilinearForm
 from ver4forms.classify import (
     FAMILIES,
     CanonicalClass,
+    GoodPairSpace,
     InternalCheckError,
     canonical_rep,
     canonicalize,
@@ -22,7 +23,7 @@ from ver4forms.classify import (
     x_function,
     x_matrix,
     _block_invariants,
-    _good_pair_spaces,
+    _good_pair_shapes,
     _move_x_function,
     class_inventory,
 )
@@ -455,6 +456,16 @@ def test_form_invariant_is_one_solve_with_the_square_root(k, m, n, seed):
             assert got == int(np.bitwise_xor.reduce(Fk.mul_arr(f, np.diagonal(N))))
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_class_codes_round_trip_and_rise_along_the_inventory(k):
+    q = 2**k
+    for m, n in itertools.product(range(3), repeat=2):
+        inventory = class_inventory(m, n, make_field(k))
+        codes = [cls.code(q) for cls in inventory]
+        assert codes == sorted(set(codes)) and all(0 <= c < len(FAMILIES) * q for c in codes)
+        assert [CanonicalClass.from_code(c, m, n, q) for c in codes] == inventory
+
+
 def test_classify_batch_builds_one_object_per_distinct_class():
     rng = np.random.default_rng(5)
     obj = VerObject(F4, 2, 2)
@@ -466,9 +477,11 @@ def test_classify_batch_builds_one_object_per_distinct_class():
     out = classify_batch(obj, grams)
     assert out == [classes[i] for i in pick]
     assert len({id(c) for c in out}) == len(set(out)) == len(set(pick.tolist()))
-    spaces = _good_pair_spaces(F4, obj.gram_blocks(grams))
-    assert spaces == [good_pairs(canonical_rep(classes[i], F4)) for i in pick]
-    assert len({id(s) for s in spaces}) == len(set(spaces))
+    # the stacked good pairs, as the classifier reads them, against good_pairs
+    shape, slope = _good_pair_shapes(F4, obj.gram_blocks(grams))
+    spaces = [good_pairs(canonical_rep(classes[i], F4)) for i in pick]
+    assert [GoodPairSpace.SHAPES[s] for s in shape] == [space.shape for space in spaces]
+    assert [w for s, w in zip(shape, slope) if s == 2] == [space.witness for space in spaces if space.shape == "slope"]
 
 
 @st.composite

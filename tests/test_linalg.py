@@ -213,7 +213,7 @@ def test_mat_mul_sees_only_matrices_at_every_binding(monkeypatch):
 @settings(max_examples=40, deadline=None)
 @given(
     k=st.integers(1, 16),
-    s=st.integers(0, 6),
+    s=st.integers(0, 9),
     r=st.sampled_from([None, 0, 1, "s"]),
     seed=st.integers(0, 2**32 - 1),
 )

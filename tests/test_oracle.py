@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 import time
 
 import numpy as np
@@ -115,6 +116,55 @@ def test_generators_are_field_matrices_that_generate(k):
     assert (report.orbit_count, report.total_forms) == (1, F.order - 1)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_generator_count_is_the_census_budget(monkeypatch, k):
+    # |S| in the budget is len(_generators(obj)), and no generator is I:
+    # over GF(2), x = 1 makes diag(x, 1, ...) the identity, so it is left out
+    F = make_field(k)
+    monkeypatch.setattr(oracle, "BUDGET_BITS", -1)  # refuse every shape, naming its bits
+    for m, n in itertools.product(range(4), repeat=2):
+        obj = VerObject(F, m, n)
+        S = oracle._generators(obj)
+        assert len(S) == k * (m * (m - 1) + n * (n - 1) + 2 * m * n + n * n) + (k > 1) * ((m > 0) + (n > 0))
+        assert not (S == la.eye(obj.dim)).all(axis=(1, 2)).any(), (m, n)
+        bits = k * free_entry_count(m, n) + math.log2(max(len(S), 1))
+        with pytest.raises(ValueError, match=rf"2\^{re.escape(f'{bits:.4g}')} is over"):
+            orbit_classes(m, n, F)
+
+
+# (k, m, n, stride): every stride-th non-degenerate key is checked; on
+# (0,2) over GF(8), 8^6 keys through the congruence kernel take ~5 s
+_LINEAR_IMAGE_SHAPES = [(2, 0, 1, 1), (2, 1, 1, 1), (2, 0, 2, 1), (2, 2, 1, 1), (1, 2, 2, 1), (3, 0, 2, 7)]
+
+
+@pytest.mark.parametrize(
+    "k, m, n, stride", _LINEAR_IMAGE_SHAPES, ids=[f"{m}-{n}-gf{2**k}" for k, m, n, _ in _LINEAR_IMAGE_SHAPES]
+)
+def test_linear_images_are_the_acted_keys(k, m, n, stride):
+    # key linearity on data: on the non-degenerate keys the images from
+    # the kL basis Grams are the keys of T^T G T, and degenerate keys stay
+    # degenerate
+    F = make_field(k)
+    obj = VerObject(F, m, n)
+    S = oracle._generators(obj)
+    images = oracle._images(obj, S)
+    enumerated = np.zeros(images.shape[1], dtype=bool)
+    for keys, grams, ok in oracle._candidates(obj):
+        enumerated[keys] = ok
+        checked, sample = keys[ok][::stride], grams[ok][::stride]
+        for T, image in zip(S, images):
+            assert np.array_equal(image[checked], _keys_of_grams(obj, la.congruence(F, T, sample)))
+    assert not any(enumerated[image[~enumerated]].any() for image in images)
+
+
+@pytest.mark.parametrize("k, m, n", [(2, 1, 1), (2, 0, 2), (2, 2, 1), (1, 2, 2)])
+def test_candidate_mask_is_invertibility(k, m, n):
+    # the mask's rank-only elimination against the serial row_reduce rank
+    F = make_field(k)
+    for _, grams, ok in oracle._candidates(VerObject(F, m, n)):
+        assert ok.tolist() == [la.is_invertible(F, G) for G in grams]
+
+
 def test_enumerate_respects_budget():
     with pytest.raises(ValueError):
         list(enumerate_forms(4, 4, F4))
@@ -215,9 +265,24 @@ def test_census_catches_a_set_that_does_not_generate(monkeypatch, drop, m, n):
 
 def test_census_catches_an_image_outside_the_enumerated_set(monkeypatch):
     # the zero Gram is degenerate, so its key 0 is not enumerated
-    monkeypatch.setattr(oracle, "_act", lambda F, T, grams: np.zeros_like(grams))
+    monkeypatch.setattr(oracle, "congruence", lambda F, T, G: np.zeros(np.broadcast_shapes(T.shape, G.shape), int))
     with pytest.raises(AssertionError, match="leaves the enumerated set"):
         orbit_classes(0, 1, F4)
+
+
+def test_census_catches_a_basis_image_that_breaks_linearity(monkeypatch):
+    # one generator's image of the last basis Gram gets an x-x entry, zero on
+    # every compatible Gram: the images would no longer be exact keys
+    congruence = oracle.congruence
+
+    def corrupt_first(F, T, G):
+        out = congruence(F, T, G)
+        out[0, -1, -1, -1] ^= 1
+        return out
+
+    monkeypatch.setattr(oracle, "congruence", corrupt_first)
+    with pytest.raises(AssertionError, match="linearity certificate"):
+        orbit_classes(0, 2, F4)
 
 
 def test_census_of_the_zero_object():
@@ -246,14 +311,14 @@ def test_orbit_census_p_object():
 
 
 def test_orbit_census_catches_a_misclassified_member(monkeypatch):
-    classify_batch = oracle.classify_batch
+    inventory_indices = oracle.inventory_indices
 
-    def last_one_wrong(obj, grams):
-        out = classify_batch(obj, grams)
-        out[-1] = next(c for c in class_inventory(obj.m, obj.n, obj.field) if c != out[-1])
+    def last_one_wrong(obj, grams, inventory):
+        out = inventory_indices(obj, grams, inventory)
+        out[-1] = next(i for i in range(len(inventory)) if i != out[-1])
         return out
 
-    monkeypatch.setattr(oracle, "classify_batch", last_one_wrong)
+    monkeypatch.setattr(oracle, "inventory_indices", last_one_wrong)
     with pytest.raises(AssertionError, match=r"orbit of E\[0,1\]\(1\) has a member classified as E\[0,1\]\(0\)"):
         orbit_classes(0, 1, F4)
 
