@@ -299,36 +299,36 @@ _FAMILY_OF = np.array([2, 3, 4, 5, -1, 0, -1, 1])
 
 
 def _class_codes(obj: VerObject, G: np.ndarray) -> np.ndarray:
-    """The array core of `_classify_grams`: each member's class, from alternation, good
-    pairs and the form invariant, as its `CanonicalClass.code`; codes rise along `class_inventory`."""
+    """The array core of `_classify_grams`: each member's `CanonicalClass.code`, from alternation, good
+    pairs and the form invariant, rising along `class_inventory`; -1 where `_block_invariants` finds it degenerate."""
     F = obj.field
     if not (G == G.swapaxes(1, 2)).all():
         raise ValueError("classification requires a symmetric form")
     blocks = obj.gram_blocks(G)
     nondegenerate, invariant = _block_invariants(F, blocks)
-    if not nondegenerate.all():
-        raise ValueError("classification requires a non-degenerate form")
     shape, slope = _good_pair_shapes(F, blocks)
     family = _FAMILY_OF[4 * _diag(blocks[0]).any(axis=1) + shape]
-    if (family < 0).any():
-        raise InternalCheckError(f"non-alternating form with good pairs {GoodPairSpace.SHAPES[shape[family < 0][0]]}")
-    return family * F.order + np.where(family == _E, slope, invariant) * (family >= _E)
+    if (bad := (family < 0) & nondegenerate).any():
+        raise InternalCheckError(f"non-alternating form with good pairs {GoodPairSpace.SHAPES[shape[bad][0]]}")
+    return np.where(nondegenerate, family * F.order + np.where(family == _E, slope, invariant) * (family >= _E), -1)
 
 
 def _classify_grams(obj: VerObject, G: np.ndarray) -> list[CanonicalClass]:
     """`classify_batch` of a stack already valid as Grams on `obj`: its
     `_class_codes`, one shared `CanonicalClass` per distinct code."""
     codes, q = _class_codes(obj, G).tolist(), obj.field.order
-    made = {c: CanonicalClass.from_code(c, obj.m, obj.n, q) for c in set(codes)}
+    if -1 in (distinct := set(codes)):
+        raise ValueError("classification requires a non-degenerate form")
+    made = {c: CanonicalClass.from_code(c, obj.m, obj.n, q) for c in distinct}
     return [made[c] for c in codes]
 
 
 def inventory_indices(obj: VerObject, grams: np.ndarray, inventory: list[CanonicalClass]) -> np.ndarray:
-    """Each Gram's class in a (b, d, d) stack on `obj` as its index in
-    `inventory`, len(inventory) for a class outside it: `classify_batch`
+    """Each Gram's class in a (b, d, d) stack on `obj` as its index in `inventory`,
+    len(inventory) for a class outside it and -1 for a degenerate Gram: `classify_batch`
     without the objects, through one lookup table over the class codes."""
     q = obj.field.order
-    lookup = np.full(len(FAMILIES) * q, len(inventory))
+    lookup = np.append(np.full(len(FAMILIES) * q, len(inventory)), -1)  # code -1 reads the last slot
     lookup[[cls.code(q) for cls in inventory]] = np.arange(len(inventory))
     return lookup[_class_codes(obj, obj.as_grams(grams, stacked=True))]
 

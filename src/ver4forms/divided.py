@@ -49,10 +49,10 @@ from functools import lru_cache
 import numpy as np
 
 from .bform import BilinearForm, Subobject, subobject_standard_basis
-from .classify import CanonicalClass, _classify_grams
+from .classify import CanonicalClass, _class_codes
 from .field import Field, make_field
 from .linalg import column_support, congruence, eye, mat_mul, rank, readonly, solve, support_gather, zeros
-from .verobj import Morphism, VerObject, braiding, json_ints, tensor, tensor_raw
+from .verobj import Morphism, VerObject, braiding, free_entry_count, json_ints, tensor, tensor_raw
 from .witt import _product_grams, _sum_grams
 
 
@@ -176,7 +176,7 @@ class QuadraticForm:
 
     def __init__(self, obj: VerObject, values):
         values = np.array(values, dtype=np.int64)
-        lines = len(obj.free_cells()[0])
+        lines = free_entry_count(obj.m, obj.n)  # a formula: no free-entry table is built to refuse
         if values.shape != (lines,):
             raise ValueError(
                 f"expected {lines} values for Gamma^2({obj.m},{obj.n}), got {values.shape}"
@@ -338,7 +338,7 @@ def quad_from_parts(F: Field, h: int, gamma_np: BilinearForm | None) -> Quadrati
 
 def classify_quadratic(q: QuadraticForm):
     """Hyperbolic multiplicity and the canonical class of the nP part: the
-    bilinear class of beta_q (`_classify_grams`), moved from m1 + nP to nP.
+    bilinear class code of beta_q (`_class_codes`), read on nP.
 
     beta_q must be non-degenerate.  Its G_vv is alternating, so its class
     is C, D, E or F, and for odd m G_vv is singular: the degenerate error
@@ -356,9 +356,7 @@ def classify_quadratic(q: QuadraticForm):
         raise ValueError("classification requires GF(2^k) with k >= 2")
     G = obj.gram_from_free_entries(q.values)
     G[obj.vs, obj.vs] = 0
-    try:
-        (cls,) = _classify_grams(obj, G[None])
-    except ValueError:
-        # the field passed and G is symmetric: only degeneracy is left
-        raise ValueError("quadratic form is degenerate (beta_q is singular)") from None
-    return obj.m // 2, CanonicalClass(cls.family, 0, obj.n, cls.param)
+    (code,) = _class_codes(obj, G[None]).tolist()
+    if code < 0:
+        raise ValueError("quadratic form is degenerate (beta_q is singular)")
+    return obj.m // 2, CanonicalClass.from_code(code, 0, obj.n, q.field.order)

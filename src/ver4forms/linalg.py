@@ -246,7 +246,7 @@ def congruence(F: Field, T: np.ndarray, G: np.ndarray) -> np.ndarray:
     return _product(F, np.swapaxes(T, -1, -2), _product(F, np.asarray(G, dtype=np.int64), T))
 
 
-# perfbench's scramble pools and the tests call the stacked form by this name
+# only perfbench (its scramble pools and its tracer) calls the stacked form by this name
 batch_congruence = congruence
 
 

@@ -8,7 +8,7 @@ entries in that order, which is the Gamma^2 line order of `divided`
 (families 1-7): the key of a quadratic form is its line values read in
 base q.  Candidates are walked in key order, i.e. itertools.product(range(q),
 repeat=free_entry_count) over the line values, and non-degeneracy is the
-full d x d rank.
+classifier's block test, read as a class index >= 0 (`inventory_indices`).
 
 `orbit_classes` takes the congruence orbits of the group G of invertible
 equivariant maps as the connected components of the key set under a small
@@ -31,14 +31,10 @@ import numpy as np
 from .bform import BilinearForm
 from .classify import canonical_rep, class_inventory, inventory_indices
 from .field import Field
-from .linalg import batch_solve, congruence, eye, zeros
-from .verobj import VerObject, commutes
+from .linalg import congruence, eye, zeros
+from .verobj import VerObject, commutes, free_entry_count
 
 BUDGET_BITS = 24
-
-
-def free_entry_count(m: int, n: int) -> int:
-    return m * (m + 1) // 2 + m * n + n * (n + 1) // 2 + n * (n + 1) // 2
 
 
 def _check_budget(what: str, bits: float):
@@ -71,22 +67,22 @@ def _keys_of_grams(obj: VerObject, grams: np.ndarray) -> np.ndarray:
     return entries @ _place(obj.field.order, entries.shape[-1])
 
 
-def _candidates(obj: VerObject):
-    """(keys, grams, nondegenerate) for every candidate Gram, in key order
-    and in chunks; non-degenerate means full d x d rank."""
+def _candidates(obj: VerObject, inventory: list):
+    """(keys, grams, classes) for every candidate Gram, in key order and in
+    chunks: classes are its `inventory_indices`, -1 where it is degenerate."""
     total = obj.field.order ** free_entry_count(obj.m, obj.n)
     for start in range(0, total, _CHUNK):
         keys = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         grams = _grams_of_keys(obj, keys)
-        yield keys, grams, batch_solve(obj.field, grams)[0]
+        yield keys, grams, inventory_indices(obj, grams, inventory)
 
 
 def enumerate_forms(m: int, n: int, F: Field):
     """Yield every non-degenerate symmetric compatible form exactly once."""
     _check_budget("candidate Grams to enumerate", F.k * free_entry_count(m, n))
     obj = VerObject(F, m, n)
-    for _, grams, ok in _candidates(obj):
-        for G in grams[ok]:
+    for _, grams, classes in _candidates(obj, class_inventory(m, n, F)):
+        for G in grams[classes >= 0]:
             yield BilinearForm(obj, G)
 
 
@@ -202,17 +198,17 @@ def orbit_classes(m: int, n: int, F: Field) -> OrbitReport:
     bijection from the components onto `class_inventory`.  Refuses, before
     any work, over 2^BUDGET_BITS images."""
     L, k, q = free_entry_count(m, n), F.k, F.order
+    # |S| = len(_generators(obj)) in closed form: S of size ~m^4 is not built over the budget
+    s = k * (m * (m - 1) + n * (n - 1) + 2 * m * n + n * n) + (k > 1) * ((m > 0) + (n > 0))
+    _check_budget("generator images of candidate Grams", k * L + math.log2(max(s, 1)))
     obj = VerObject(F, m, n)
     S = _generators(obj)
-    _check_budget("generator images of candidate Grams", k * L + math.log2(max(len(S), 1)))
     if not commutes(obj, obj, S):
         raise AssertionError("a census generator does not commute with t")
     images = _images(obj, S)
     inventory = class_inventory(m, n, F)
-    enumerated, classes = np.zeros(q**L, dtype=bool), np.full(q**L, -1)
-    for keys, grams, ok in _candidates(obj):
-        enumerated[keys] = ok
-        classes[keys[ok]] = inventory_indices(obj, grams[ok], inventory)
+    classes = np.concatenate([chunk for _, _, chunk in _candidates(obj, inventory)])
+    enumerated = classes >= 0
     if not all(enumerated[image[enumerated]].all() for image in images):
         raise AssertionError("a generator's image leaves the enumerated set")
     keys, label, named = np.flatnonzero(enumerated), _components(images), inventory + ["a class outside the inventory"]

@@ -210,6 +210,11 @@ class VerObject:
         return f"VerObject(GF(2^{self.field.k}), {self.m}*1 + {self.n}*P)"
 
 
+def free_entry_count(m: int, n: int) -> int:
+    """The number of free entries of a symmetric compatible Gram on m1 + nP."""
+    return m * (m + 1) // 2 + m * n + n * (n + 1)
+
+
 @lru_cache(maxsize=64)
 def _free_table(obj: VerObject) -> tuple[np.ndarray, ...]:
     """The free entries of a symmetric compatible Gram on obj, read-only as

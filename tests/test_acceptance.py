@@ -124,7 +124,7 @@ def test_criterion_4_invariant_basis_independence():
             rep = canonical_rep(cls, F8)
             expected = form_invariant(rep)
             mats = random_equivariant_matrices(rep.obj, rng, 1000)
-            grams = la.batch_congruence(F8, mats, rep.gram)
+            grams = la.congruence(F8, mats, rep.gram)
             out = classify_batch(rep.obj, grams)
             assert out == [cls] * 1000
             assert len({id(c) for c in out}) == len(set(out))  # one object per class
@@ -177,7 +177,7 @@ def test_criterion_6_classification_stability_and_canonicalize():
         for cls in all_class_instances(F8, 4, 4):
             rep = canonical_rep(cls, F8)
             mats = random_equivariant_matrices(rep.obj, rng, 1000)
-            grams = la.batch_congruence(F8, mats, rep.gram)
+            grams = la.congruence(F8, mats, rep.gram)
             assert classify_batch(rep.obj, grams) == [cls] * 1000
             picked = grams[::40]
             for G in picked:

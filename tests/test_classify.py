@@ -26,6 +26,7 @@ from ver4forms.classify import (
     _good_pair_shapes,
     _move_x_function,
     class_inventory,
+    inventory_indices,
 )
 from ver4forms.field import make_field
 from ver4forms.verobj import (
@@ -423,7 +424,8 @@ def _sparse_sym(rng, q, s, batch, density=0.4):
 @settings(max_examples=25, deadline=None)
 @given(k=st.integers(1, 16), m=st.integers(0, 4), n=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
 def test_block_lemma(k, m, n, seed):
-    # a compatible symmetric Gram is non-degenerate iff G_vv and G_wx are invertible
+    # a compatible symmetric Gram is non-degenerate iff G_vv and G_wx are
+    # invertible; the census reads that decision as a class index >= 0
     Fk, rng = make_field(k), np.random.default_rng(seed)
     obj, q = VerObject(Fk, m, n), Fk.order
     grams = obj.gram_from_blocks(
@@ -432,8 +434,9 @@ def test_block_lemma(k, m, n, seed):
     )
     vv, _, _, wx = obj.gram_blocks(grams)
     blocks_ok = la.batch_solve(Fk, vv)[0] & la.batch_solve(Fk, wx)[0]
-    for G, ok in zip(grams, blocks_ok):
-        assert BilinearForm(obj, G).is_nondegenerate() == ok
+    full_rank = [BilinearForm(obj, G).is_nondegenerate() for G in grams]
+    assert blocks_ok.tolist() == full_rank
+    assert (inventory_indices(obj, grams, class_inventory(m, n, Fk)) >= 0).tolist() == full_rank
 
 
 @settings(max_examples=40, deadline=None)
@@ -473,7 +476,7 @@ def test_classify_batch_builds_one_object_per_distinct_class():
     reps = np.stack([canonical_rep(c, F4).gram for c in classes])
     pick = rng.integers(0, len(classes), size=60)
     mats = np.stack([random_equivariant_matrix(obj, rng) for _ in pick])
-    grams = la.batch_congruence(F4, mats, reps[pick])
+    grams = la.congruence(F4, mats, reps[pick])
     out = classify_batch(obj, grams)
     assert out == [classes[i] for i in pick]
     assert len({id(c) for c in out}) == len(set(out)) == len(set(pick.tolist()))
@@ -503,7 +506,7 @@ def test_classify_batch_of_scrambles(case, seed):
     rep = canonical_rep(cls, Fk)
     obj = rep.obj
     mats = np.stack([random_equivariant_matrix(obj, rng) for _ in range(6)])
-    grams = la.batch_congruence(Fk, mats, rep.gram)
+    grams = la.congruence(Fk, mats, rep.gram)
     assert classify_batch(obj, grams) == [cls] * 6
     assert classify_batch(obj, grams[:0]) == []
     # one bad member makes the whole batch raise: a singular G_vv or G_wx
@@ -615,7 +618,7 @@ def test_canonicalize_batch_checks_equivariance_once(monkeypatch):
     # built on the certified transforms, not re-validated one by one
     rng = np.random.default_rng(13)
     rep = canonical_rep(CanonicalClass("F", 2, 3, 5), F8)
-    grams = la.batch_congruence(F8, random_equivariant_matrices(rep.obj, rng, 4), rep.gram)
+    grams = la.congruence(F8, random_equivariant_matrices(rep.obj, rng, 4), rep.gram)
     calls = []
     counted = lambda *args: calls.append(args) or commutes(*args)
     for module in ("ver4forms.classify", "ver4forms.verobj"):

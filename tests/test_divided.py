@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -323,6 +324,21 @@ def test_line_count_formula():
         QuadraticForm(obj, [0] * 8)
 
 
+@pytest.mark.parametrize("m, n, lines", [(2000, 0, 2001000), (0, 1000, 1001000)], ids=["2000-0", "0-1000"])
+def test_value_count_is_checked_before_any_table(m, n, lines):
+    # the count is a formula: a short document on a large object is refused
+    # before a free-entry table of ~(m + 2n)^2 entries is built
+    obj = VerObject(F4, m, n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^expected {lines} values for Gamma\^2\({m},{n}\), got \(1,\)$"):
+            QuadraticForm(obj, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_cached_results_are_read_only():
     rep = canonical_rep(CanonicalClass("E", 0, 2, 1), F4)
     _, B, (rows, coefs) = tensor(VerObject(F4, 1, 1), VerObject(F4, 0, 1))
@@ -613,7 +629,7 @@ def test_classify_quadratic_composites():
 
 def test_classify_quadratic_degenerate_rejected():
     obj = VerObject(F4, 0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^quadratic form is degenerate \(beta_q is singular\)$"):
         classify_quadratic(QuadraticForm(obj, [1, 0]))  # beta_q singular
 
 

@@ -94,10 +94,10 @@ def test_congruence_composition():
     assert np.array_equal(lhs, rhs)
 
 
-def test_batch_congruence_matches_loop():
+def test_stacked_congruence_matches_loop():
     Ts = RNG.integers(0, F.order, size=(7, 4, 4)).astype(np.int64)
     G = _rand(4, 4)
-    out = la.batch_congruence(F, Ts, G)
+    out = la.congruence(F, Ts, G)
     for i in range(7):
         assert np.array_equal(out[i], la.congruence(F, Ts[i], G))
 

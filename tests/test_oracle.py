@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,8 +150,8 @@ def test_linear_images_are_the_acted_keys(k, m, n, stride):
     S = oracle._generators(obj)
     images = oracle._images(obj, S)
     enumerated = np.zeros(images.shape[1], dtype=bool)
-    for keys, grams, ok in oracle._candidates(obj):
-        enumerated[keys] = ok
+    for keys, grams, classes in oracle._candidates(obj, class_inventory(m, n, F)):
+        enumerated[keys] = ok = classes >= 0
         checked, sample = keys[ok][::stride], grams[ok][::stride]
         for T, image in zip(S, images):
             assert np.array_equal(image[checked], _keys_of_grams(obj, la.congruence(F, T, sample)))
@@ -159,10 +160,11 @@ def test_linear_images_are_the_acted_keys(k, m, n, stride):
 
 @pytest.mark.parametrize("k, m, n", [(2, 1, 1), (2, 0, 2), (2, 2, 1), (1, 2, 2)])
 def test_candidate_mask_is_invertibility(k, m, n):
-    # the mask's rank-only elimination against the serial row_reduce rank
+    # the classifier's block test, as the census reads it, against the
+    # serial row_reduce rank of the whole Gram
     F = make_field(k)
-    for _, grams, ok in oracle._candidates(VerObject(F, m, n)):
-        assert ok.tolist() == [la.is_invertible(F, G) for G in grams]
+    for _, grams, classes in oracle._candidates(VerObject(F, m, n), class_inventory(m, n, F)):
+        assert (classes >= 0).tolist() == [la.is_invertible(F, G) for G in grams]
 
 
 def test_enumerate_respects_budget():
@@ -197,6 +199,20 @@ def test_census_refused_by_image_count(m, n, k, bits):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("m, n, bits", [(40, 0, "1652"), (0, 30, "1872")], ids=["40-0", "0-30"])
+def test_census_refused_before_the_generators_are_built(m, n, bits):
+    # |S| is counted in closed form: S, whose single-entry blocks come from
+    # an (rc)^2 identity, would grow about as m^4
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=rf"^generator images of candidate Grams: 2\^{bits} is over the 2\^24 budget$"):
+            orbit_classes(m, n, F4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize(
     "k,m,n",
     [(2, 0, 0), (2, 1, 0), (2, 0, 1), (2, 1, 1), (2, 2, 0), (2, 0, 2), (3, 0, 1), (3, 1, 1)],
@@ -228,7 +244,7 @@ def test_orbits_match_whole_group_sweep(monkeypatch, k, m, n):
     obj, labels, components = VerObject(F, m, n), [], oracle._components
     monkeypatch.setattr(oracle, "_components", lambda images: labels.append(components(images)) or labels[0])
     report = orbit_classes(m, n, F)
-    enumerated = np.concatenate([ok for _, _, ok in oracle._candidates(obj)])
+    enumerated = np.concatenate([classes >= 0 for _, _, classes in oracle._candidates(obj, class_inventory(m, n, F))])
     label = np.where(enumerated, labels[0], -1)
     unipotent, levi, sizes = _group(m, n, F, levi=False), _group(m, n, F, unipotent=False), []
     for root in np.unique(label[enumerated]):

@@ -236,6 +236,24 @@ def test_emit_tables_matches_cell_by_cell_reference():
         assert rep.mismatches == []
 
 
+@pytest.mark.parametrize("F, pairs", [(F4, 3481), (F8, 9801)], ids=["gf4", "gf8"])
+def test_coincidences_are_the_cells_an_even_coefficient_collapses(monkeypatch, F, pairs):
+    # a cell is a small-field coincidence iff its rule's answer changes when
+    # `_times` ignores the coefficient's parity, on every ordered pair of
+    # sizes <= 3
+    insts = all_class_instances(F, 3, 3)
+    cells = list(itertools.product(insts, repeat=2))
+    rules = (
+        (witt._sum_coefficient_collapsed, expected_sum_class),
+        (witt._product_coefficient_collapsed, lambda c1, c2: expected_product_class(c1, c2, F)),
+    )
+    honest = [[rule(c1, c2) for c1, c2 in cells] for _, rule in rules]
+    monkeypatch.setattr(witt, "_times", lambda coeff, a: a)
+    assert len(cells) == pairs
+    for (collapsed, rule), want in zip(rules, honest):
+        assert [collapsed(c1, c2) for c1, c2 in cells] == [rule(c1, c2) != w for (c1, c2), w in zip(cells, want)]
+
+
 def test_emit_tables_gf2():
     # every sum and every product (dim <= 81) on sizes <= 3 over GF(2) agrees
     # with the rules
