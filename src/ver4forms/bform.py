@@ -69,6 +69,13 @@ class BilinearForm:
         self.gram = obj.as_grams(gram)
         self._rank: int | None = None
 
+    @classmethod
+    def _certified(cls, obj: VerObject, gram: np.ndarray) -> "BilinearForm":
+        """A BilinearForm on a Gram its caller has already certified: no copy and no re-check."""
+        beta = cls.__new__(cls)
+        beta.obj, beta.gram, beta._rank = obj, gram, None
+        return beta
+
     @property
     def field(self) -> Field:
         return self.obj.field

@@ -203,7 +203,8 @@ class CanonicalClass:
 
     def code(self, q: int) -> int:
         """The class over GF(q) as one integer, family index * q + parameter
-        (0 for none), as `_class_codes` writes it; `from_code` reads it."""
+        (0 for none), as `class_codes` writes it, -1 there for a degenerate
+        Gram; `from_code` reads it."""
         return FAMILIES.index(self.family) * q + (self.param or 0)
 
     @classmethod
@@ -298,9 +299,9 @@ def classify_batch(obj: VerObject, grams: np.ndarray) -> list[CanonicalClass]:
 _FAMILY_OF = np.array([2, 3, 4, 5, -1, 0, -1, 1])
 
 
-def _class_codes(obj: VerObject, G: np.ndarray) -> np.ndarray:
-    """The array core of `_classify_grams`: each member's `CanonicalClass.code`, from alternation, good
-    pairs and the form invariant, rising along `class_inventory`; -1 where `_block_invariants` finds it degenerate."""
+def class_codes(obj: VerObject, G: np.ndarray) -> np.ndarray:
+    """Each member's `CanonicalClass.code` in a stack of compatible Grams on `obj` (unchecked), from alternation,
+    good pairs and the form invariant, rising along `class_inventory`; -1 where `_block_invariants` finds it degenerate."""
     F = obj.field
     if not (G == G.swapaxes(1, 2)).all():
         raise ValueError("classification requires a symmetric form")
@@ -315,22 +316,12 @@ def _class_codes(obj: VerObject, G: np.ndarray) -> np.ndarray:
 
 def _classify_grams(obj: VerObject, G: np.ndarray) -> list[CanonicalClass]:
     """`classify_batch` of a stack already valid as Grams on `obj`: its
-    `_class_codes`, one shared `CanonicalClass` per distinct code."""
-    codes, q = _class_codes(obj, G).tolist(), obj.field.order
+    `class_codes`, one shared `CanonicalClass` per distinct code."""
+    codes, q = class_codes(obj, G).tolist(), obj.field.order
     if -1 in (distinct := set(codes)):
         raise ValueError("classification requires a non-degenerate form")
     made = {c: CanonicalClass.from_code(c, obj.m, obj.n, q) for c in distinct}
     return [made[c] for c in codes]
-
-
-def inventory_indices(obj: VerObject, grams: np.ndarray, inventory: list[CanonicalClass]) -> np.ndarray:
-    """Each Gram's class in a (b, d, d) stack on `obj` as its index in `inventory`,
-    len(inventory) for a class outside it and -1 for a degenerate Gram: `classify_batch`
-    without the objects, through one lookup table over the class codes."""
-    q = obj.field.order
-    lookup = np.append(np.full(len(FAMILIES) * q, len(inventory)), -1)  # code -1 reads the last slot
-    lookup[[cls.code(q) for cls in inventory]] = np.arange(len(inventory))
-    return lookup[_class_codes(obj, obj.as_grams(grams, stacked=True))]
 
 
 # -- constructive canonicalization --------------------------------------------

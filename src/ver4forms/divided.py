@@ -49,7 +49,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bform import BilinearForm, Subobject, subobject_standard_basis
-from .classify import CanonicalClass, _class_codes
+from .classify import CanonicalClass, class_codes
 from .field import Field, make_field
 from .linalg import column_support, congruence, eye, mat_mul, rank, readonly, solve, support_gather, zeros
 from .verobj import Morphism, VerObject, braiding, free_entry_count, json_ints, tensor, tensor_raw
@@ -338,7 +338,7 @@ def quad_from_parts(F: Field, h: int, gamma_np: BilinearForm | None) -> Quadrati
 
 def classify_quadratic(q: QuadraticForm):
     """Hyperbolic multiplicity and the canonical class of the nP part: the
-    bilinear class code of beta_q (`_class_codes`), read on nP.
+    bilinear class code of beta_q (`class_codes`), read on nP.
 
     beta_q must be non-degenerate.  Its G_vv is alternating, so its class
     is C, D, E or F, and for odd m G_vv is singular: the degenerate error
@@ -356,7 +356,7 @@ def classify_quadratic(q: QuadraticForm):
         raise ValueError("classification requires GF(2^k) with k >= 2")
     G = obj.gram_from_free_entries(q.values)
     G[obj.vs, obj.vs] = 0
-    (code,) = _class_codes(obj, G[None]).tolist()
+    (code,) = class_codes(obj, G[None]).tolist()
     if code < 0:
         raise ValueError("quadratic form is degenerate (beta_q is singular)")
     return obj.m // 2, CanonicalClass.from_code(code, 0, obj.n, q.field.order)

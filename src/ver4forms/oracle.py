@@ -8,7 +8,7 @@ entries in that order, which is the Gamma^2 line order of `divided`
 (families 1-7): the key of a quadratic form is its line values read in
 base q.  Candidates are walked in key order, i.e. itertools.product(range(q),
 repeat=free_entry_count) over the line values, and non-degeneracy is the
-classifier's block test, read as a class index >= 0 (`inventory_indices`).
+classifier's block test, read as a class code >= 0 (`class_codes`).
 
 `orbit_classes` takes the congruence orbits of the group G of invertible
 equivariant maps as the connected components of the key set under a small
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .bform import BilinearForm
-from .classify import canonical_rep, class_inventory, inventory_indices
+from .classify import canonical_rep, class_codes, class_inventory
 from .field import Field
 from .linalg import congruence, eye, zeros
 from .verobj import VerObject, commutes, free_entry_count
@@ -67,23 +67,23 @@ def _keys_of_grams(obj: VerObject, grams: np.ndarray) -> np.ndarray:
     return entries @ _place(obj.field.order, entries.shape[-1])
 
 
-def _candidates(obj: VerObject, inventory: list):
-    """(keys, grams, classes) for every candidate Gram, in key order and in
-    chunks: classes are its `inventory_indices`, -1 where it is degenerate."""
+def _candidates(obj: VerObject):
+    """(keys, grams, codes) for every candidate Gram, in key order and in
+    chunks: codes are its `class_codes`, -1 where it is degenerate."""
     total = obj.field.order ** free_entry_count(obj.m, obj.n)
     for start in range(0, total, _CHUNK):
         keys = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         grams = _grams_of_keys(obj, keys)
-        yield keys, grams, inventory_indices(obj, grams, inventory)
+        yield keys, grams, class_codes(obj, grams)
 
 
 def enumerate_forms(m: int, n: int, F: Field):
     """Yield every non-degenerate symmetric compatible form exactly once."""
     _check_budget("candidate Grams to enumerate", F.k * free_entry_count(m, n))
     obj = VerObject(F, m, n)
-    for _, grams, classes in _candidates(obj, class_inventory(m, n, F)):
-        for G in grams[classes >= 0]:
-            yield BilinearForm(obj, G)
+    for _, grams, codes in _candidates(obj):
+        for G in grams[codes >= 0]:
+            yield BilinearForm._certified(obj, G)
 
 
 def _generators(obj: VerObject) -> np.ndarray:
@@ -194,9 +194,9 @@ def orbit_classes(m: int, n: int, F: Field) -> OrbitReport:
     """The orbits, as the components of the key set under `_generators`, in
     `class_inventory` order.  Verifies that the generators commute with t,
     that their key images are linear (`_images`), that they keep the
-    enumerated set, and that `classify` is constant on each component and a
-    bijection from the components onto `class_inventory`.  Refuses, before
-    any work, over 2^BUDGET_BITS images."""
+    enumerated set, and that the class code is constant on each component
+    and a bijection from the components onto `class_inventory`.  Refuses,
+    before any work, over 2^BUDGET_BITS images."""
     L, k, q = free_entry_count(m, n), F.k, F.order
     # |S| = len(_generators(obj)) in closed form: S of size ~m^4 is not built over the budget
     s = k * (m * (m - 1) + n * (n - 1) + 2 * m * n + n * n) + (k > 1) * ((m > 0) + (n > 0))
@@ -206,18 +206,19 @@ def orbit_classes(m: int, n: int, F: Field) -> OrbitReport:
     if not commutes(obj, obj, S):
         raise AssertionError("a census generator does not commute with t")
     images = _images(obj, S)
-    inventory = class_inventory(m, n, F)
-    classes = np.concatenate([chunk for _, _, chunk in _candidates(obj, inventory)])
-    enumerated = classes >= 0
+    codes = np.concatenate([chunk for _, _, chunk in _candidates(obj)])
+    enumerated = codes >= 0
     if not all(enumerated[image[enumerated]].all() for image in images):
         raise AssertionError("a generator's image leaves the enumerated set")
-    keys, label, named = np.flatnonzero(enumerated), _components(images), inventory + ["a class outside the inventory"]
-    for u in keys[classes[keys] != classes[label[keys]]][:1]:
-        raise AssertionError(f"orbit of {named[classes[label[u]]]} has a member classified as {named[classes[u]]}")
+    keys, label, inventory = np.flatnonzero(enumerated), _components(images), class_inventory(m, n, F)
+    named = {cls.code(q): cls.label() for cls in inventory}
+    for u in keys[codes[keys] != codes[label[keys]]][:1]:
+        name = [named.get(c, "a class outside the inventory") for c in (codes[label[u]], codes[u])]
+        raise AssertionError(f"orbit of {name[0]} has a member classified as {name[1]}")
     roots, sizes = np.unique(label[keys], return_counts=True)
-    if not np.array_equal(np.sort(classes[roots]), np.arange(len(inventory))):
+    if not np.array_equal(np.sort(codes[roots]), sorted(named)):
         raise AssertionError("orbits are not one per class of class_inventory")
     group = math.prod(q**s - q**i for s in (m, n) for i in range(s)) * q ** (2 * m * n + n * n)
-    size = dict(zip(classes[roots].tolist(), sizes.tolist()))
-    orbits = [(cls.label(), size[i], canonical_rep(cls, F).gram) for i, cls in enumerate(inventory)]
+    size = dict(zip(codes[roots].tolist(), sizes.tolist()))
+    orbits = [(cls.label(), size[cls.code(q)], canonical_rep(cls, F).gram) for cls in inventory]
     return OrbitReport(m, n, k, len(keys), group, orbits)

@@ -25,8 +25,8 @@ from ver4forms.classify import (
     _block_invariants,
     _good_pair_shapes,
     _move_x_function,
+    class_codes,
     class_inventory,
-    inventory_indices,
 )
 from ver4forms.field import make_field
 from ver4forms.verobj import (
@@ -425,7 +425,7 @@ def _sparse_sym(rng, q, s, batch, density=0.4):
 @given(k=st.integers(1, 16), m=st.integers(0, 4), n=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
 def test_block_lemma(k, m, n, seed):
     # a compatible symmetric Gram is non-degenerate iff G_vv and G_wx are
-    # invertible; the census reads that decision as a class index >= 0
+    # invertible; the census reads that decision as a class code >= 0
     Fk, rng = make_field(k), np.random.default_rng(seed)
     obj, q = VerObject(Fk, m, n), Fk.order
     grams = obj.gram_from_blocks(
@@ -436,7 +436,7 @@ def test_block_lemma(k, m, n, seed):
     blocks_ok = la.batch_solve(Fk, vv)[0] & la.batch_solve(Fk, wx)[0]
     full_rank = [BilinearForm(obj, G).is_nondegenerate() for G in grams]
     assert blocks_ok.tolist() == full_rank
-    assert (inventory_indices(obj, grams, class_inventory(m, n, Fk)) >= 0).tolist() == full_rank
+    assert (class_codes(obj, grams) >= 0).tolist() == full_rank
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,6 +10,7 @@ import pytest
 
 from ver4forms import linalg as la
 from ver4forms import oracle
+from ver4forms.classify import CanonicalClass
 from ver4forms.divided import QuadraticForm
 from ver4forms.field import make_field
 from ver4forms.oracle import (
@@ -150,8 +151,8 @@ def test_linear_images_are_the_acted_keys(k, m, n, stride):
     S = oracle._generators(obj)
     images = oracle._images(obj, S)
     enumerated = np.zeros(images.shape[1], dtype=bool)
-    for keys, grams, classes in oracle._candidates(obj, class_inventory(m, n, F)):
-        enumerated[keys] = ok = classes >= 0
+    for keys, grams, codes in oracle._candidates(obj):
+        enumerated[keys] = ok = codes >= 0
         checked, sample = keys[ok][::stride], grams[ok][::stride]
         for T, image in zip(S, images):
             assert np.array_equal(image[checked], _keys_of_grams(obj, la.congruence(F, T, sample)))
@@ -163,8 +164,8 @@ def test_candidate_mask_is_invertibility(k, m, n):
     # the classifier's block test, as the census reads it, against the
     # serial row_reduce rank of the whole Gram
     F = make_field(k)
-    for _, grams, classes in oracle._candidates(VerObject(F, m, n), class_inventory(m, n, F)):
-        assert (classes >= 0).tolist() == [la.is_invertible(F, G) for G in grams]
+    for _, grams, codes in oracle._candidates(VerObject(F, m, n)):
+        assert (codes >= 0).tolist() == [la.is_invertible(F, G) for G in grams]
 
 
 def test_enumerate_respects_budget():
@@ -244,7 +245,7 @@ def test_orbits_match_whole_group_sweep(monkeypatch, k, m, n):
     obj, labels, components = VerObject(F, m, n), [], oracle._components
     monkeypatch.setattr(oracle, "_components", lambda images: labels.append(components(images)) or labels[0])
     report = orbit_classes(m, n, F)
-    enumerated = np.concatenate([classes >= 0 for _, _, classes in oracle._candidates(obj, class_inventory(m, n, F))])
+    enumerated = np.concatenate([codes >= 0 for _, _, codes in oracle._candidates(obj)])
     label = np.where(enumerated, labels[0], -1)
     unipotent, levi, sizes = _group(m, n, F, levi=False), _group(m, n, F, unipotent=False), []
     for root in np.unique(label[enumerated]):
@@ -326,17 +327,41 @@ def test_orbit_census_p_object():
     assert sum(size for _, size, _ in report.orbits) == 12
 
 
-def test_orbit_census_catches_a_misclassified_member(monkeypatch):
-    inventory_indices = oracle.inventory_indices
+def _last_code_becomes(monkeypatch, pick):
+    """Patch the census so the last candidate's class code is pick(its code)."""
+    class_codes = oracle.class_codes
 
-    def last_one_wrong(obj, grams, inventory):
-        out = inventory_indices(obj, grams, inventory)
-        out[-1] = next(i for i in range(len(inventory)) if i != out[-1])
+    def last_one_wrong(obj, grams):
+        out = class_codes(obj, grams)
+        out[-1] = pick(out[-1])
         return out
 
-    monkeypatch.setattr(oracle, "inventory_indices", last_one_wrong)
+    monkeypatch.setattr(oracle, "class_codes", last_one_wrong)
+
+
+def test_orbit_census_catches_a_misclassified_member(monkeypatch):
+    codes = [cls.code(F4.order) for cls in class_inventory(0, 1, F4)]
+    _last_code_becomes(monkeypatch, lambda code: next(c for c in codes if c != code))
     with pytest.raises(AssertionError, match=r"orbit of E\[0,1\]\(1\) has a member classified as E\[0,1\]\(0\)"):
         orbit_classes(0, 1, F4)
+
+
+def test_orbit_census_names_a_class_outside_the_inventory(monkeypatch):
+    # B lives only where m > 0, so no (0,1) candidate should get its code
+    _last_code_becomes(monkeypatch, lambda code: CanonicalClass("B", 1, 1).code(F4.order))
+    with pytest.raises(AssertionError, match="has a member classified as a class outside the inventory"):
+        orbit_classes(0, 1, F4)
+
+
+def test_enumerate_forms_does_not_revalidate_its_grams(monkeypatch):
+    # the Grams come from gram_from_free_entries and the block test has
+    # classified them, so no form is built through VerObject.as_grams
+    def refuse(*args, **kwargs):
+        raise AssertionError("as_grams called")
+
+    monkeypatch.setattr(VerObject, "as_grams", refuse)
+    forms = list(enumerate_forms(1, 1, F4))
+    assert len(forms) == 3 * 4 * 4 * 3 and all(beta.is_nondegenerate() for beta in forms)
 
 
 def test_orbit_report_json():
