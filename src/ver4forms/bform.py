@@ -15,7 +15,8 @@ standard basis:
   oscillating       beta(u, t.u) = 0 for all u           (diagonal of G T)
   super-alternating beta(u, u) = 0 for all u             (full diagonal)
 
-Degenerate forms are representable here; the classifier rejects them.
+Degenerate forms are representable here; the block lemma (`block_invariants`)
+tells them apart, for every compatible Gram, and the classifier rejects them.
 """
 
 from __future__ import annotations
@@ -24,8 +25,25 @@ import numpy as np
 
 from . import linalg
 from .field import Field, make_field
-from .linalg import eye, mat_mul, null_space, rank, row_reduce, solve
+from .linalg import eye, mat_mul, null_space, row_reduce, solve
 from .verobj import RawTModule, VerObject, json_ints, standard_basis
+
+
+def block_invariants(F: Field, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(nondegenerate, form invariant) of a stack of compatible Grams,
+    symmetric or not, given by its `gram_blocks`.  Block lemma: in slot
+    order v, w, x, G = [[G_vv, G_vw, 0], [G_wv, G_ww, G_wx], [0, G_xw, 0]]
+    and T^T G = G T forces G_xw = G_wx, so det G = +-det G_vv det(G_wx)^2.
+    The invariant sum_i f_i (G_wx^-1)_ii, f the G_ww diagonal, means
+    something where G is symmetric, non-degenerate and alternating.  It is
+    g^T G_wx^-1 g with g = sqrt(f), one solve: N = G_wx^-1 is symmetric, so
+    g^T N g = sum_i g_i^2 N_ii + sum_{i<j} 2 g_i g_j N_ij, and 2 = 0."""
+    vv, _, ww, wx = blocks
+    g = F.sqrt_arr(ww.diagonal(0, -2, -1))
+    ok_v, _ = linalg.batch_solve(F, vv)
+    ok_x, x = linalg.batch_solve(F, wx, g[..., None])
+    invariant = np.bitwise_xor.reduce(F.mul_arr(g, x[..., 0]), axis=1)
+    return ok_v & ok_x, invariant
 
 
 class Subobject:
@@ -67,13 +85,12 @@ class BilinearForm:
     def __init__(self, obj: VerObject, gram: np.ndarray):
         self.obj = obj
         self.gram = obj.as_grams(gram)
-        self._rank: int | None = None
 
     @classmethod
     def _certified(cls, obj: VerObject, gram: np.ndarray) -> "BilinearForm":
         """A BilinearForm on a Gram its caller has already certified: no copy and no re-check."""
         beta = cls.__new__(cls)
-        beta.obj, beta.gram, beta._rank = obj, gram, None
+        beta.obj, beta.gram = obj, gram
         return beta
 
     @property
@@ -115,9 +132,7 @@ class BilinearForm:
         return Subobject(self.obj, null_space(self.field, self.gram))
 
     def is_nondegenerate(self) -> bool:
-        if self._rank is None:
-            self._rank = rank(self.field, self.gram)
-        return self._rank == self.dim
+        return bool(block_invariants(self.field, self.obj.gram_blocks(self.gram[None]))[0][0])
 
     # -- subobjects ---------------------------------------------------------
 
@@ -137,10 +152,7 @@ class BilinearForm:
         restr = self.restrict(sub)
         if not restr.is_nondegenerate():
             raise ValueError("restriction to the subobject is degenerate; no splitting")
-        comp = self.orthogonal_complement(sub)
-        if sub.dim + comp.dim != self.dim:
-            raise ValueError("subobject and complement do not fill the ambient object")
-        return restr, self.restrict(comp)
+        return restr, self.restrict(self.orthogonal_complement(sub))
 
     # -- serialization --------------------------------------------------------
 

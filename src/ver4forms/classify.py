@@ -45,7 +45,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .bform import BilinearForm
+from .bform import BilinearForm, block_invariants
 from .field import Field
 from .linalg import congruence, eye, mat_mul, readonly, zeros
 from .verobj import InternalCheckError, Morphism, VerObject, commutes
@@ -118,7 +118,7 @@ def _require_alternating_nondegenerate(beta: BilinearForm) -> int:
     returns its form invariant, which the block test computes anyway."""
     if not beta.is_alternating():
         raise ValueError("operation requires an alternating form")
-    nondegenerate, invariant = _block_invariants(beta.field, beta.obj.gram_blocks(beta.gram[None]))
+    nondegenerate, invariant = block_invariants(beta.field, beta.obj.gram_blocks(beta.gram[None]))
     if not nondegenerate[0]:
         raise ValueError("operation requires a non-degenerate form")
     return int(invariant[0])
@@ -144,23 +144,6 @@ def x_function(beta: BilinearForm) -> np.ndarray:
 def form_invariant(beta: BilinearForm) -> int:
     """The basis-invariant scalar sum_i f(x_i) * (M^-1)_ii."""
     return _require_alternating_nondegenerate(beta)
-
-
-def _block_invariants(F: Field, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """(nondegenerate, form invariant) of a stack of symmetric compatible
-    Grams, given by its `gram_blocks`.  Block lemma: G is non-degenerate
-    iff G_vv and G_wx are invertible (eliminating the x-rows [0, G_xw, 0]
-    against the w-columns leaves G_vv).  The invariant sum_i f_i
-    (G_wx^-1)_ii, f the G_ww diagonal, means something where G is
-    non-degenerate and alternating.  It is g^T G_wx^-1 g with g = sqrt(f),
-    one solve: N = G_wx^-1 is symmetric, so g^T N g = sum_i g_i^2 N_ii +
-    sum_{i<j} 2 g_i g_j N_ij, and 2 = 0."""
-    vv, _, ww, wx = blocks
-    g = F.sqrt_arr(_diag(ww))
-    ok_v, _ = linalg.batch_solve(F, vv)
-    ok_x, x = linalg.batch_solve(F, wx, g[..., None])
-    invariant = np.bitwise_xor.reduce(F.mul_arr(g, x[..., 0]), axis=1)
-    return ok_v & ok_x, invariant
 
 
 # -- canonical classes ---------------------------------------------------------
@@ -301,12 +284,12 @@ _FAMILY_OF = np.array([2, 3, 4, 5, -1, 0, -1, 1])
 
 def class_codes(obj: VerObject, G: np.ndarray) -> np.ndarray:
     """Each member's `CanonicalClass.code` in a stack of compatible Grams on `obj` (unchecked), from alternation,
-    good pairs and the form invariant, rising along `class_inventory`; -1 where `_block_invariants` finds it degenerate."""
+    good pairs and the form invariant, rising along `class_inventory`; -1 where `block_invariants` finds it degenerate."""
     F = obj.field
     if not (G == G.swapaxes(1, 2)).all():
         raise ValueError("classification requires a symmetric form")
     blocks = obj.gram_blocks(G)
-    nondegenerate, invariant = _block_invariants(F, blocks)
+    nondegenerate, invariant = block_invariants(F, blocks)
     shape, slope = _good_pair_shapes(F, blocks)
     family = _FAMILY_OF[4 * _diag(blocks[0]).any(axis=1) + shape]
     if (bad := (family < 0) & nondegenerate).any():

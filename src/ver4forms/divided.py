@@ -52,7 +52,7 @@ from .bform import BilinearForm, Subobject, subobject_standard_basis
 from .classify import CanonicalClass, class_codes
 from .field import Field, make_field
 from .linalg import column_support, congruence, eye, mat_mul, rank, readonly, solve, support_gather, zeros
-from .verobj import Morphism, VerObject, braiding, free_entry_count, json_ints, tensor, tensor_raw
+from .verobj import InternalCheckError, Morphism, VerObject, braiding, free_entry_count, json_ints, tensor, tensor_raw
 from .witt import _product_grams, _sum_grams
 
 
@@ -141,11 +141,11 @@ def _verify_gamma2(obj: VerObject, basis: Gamma2Basis):
     omc = one_minus_braiding(obj)
     B = basis.basis_matrix()
     if support_gather(F, column_support(B), omc, -1).any():
-        raise AssertionError("generator outside ker(1 - c)")
+        raise InternalCheckError("generator outside ker(1 - c)")
     if rank(F, B) != basis.dim:
-        raise AssertionError("generators are dependent")  # pragma: no cover
+        raise InternalCheckError("generators are dependent")  # pragma: no cover
     if obj.dim * obj.dim - rank(F, omc) != basis.dim:
-        raise AssertionError("generators do not span ker(1 - c)")  # pragma: no cover
+        raise InternalCheckError("generators do not span ker(1 - c)")  # pragma: no cover
 
 
 def gamma2_dim_formula(m: int, n: int) -> int:
@@ -295,7 +295,7 @@ def quad_product(gamma: BilinearForm, q: QuadraticForm) -> QuadraticForm:
     _, B, _ = tensor(V, W)
     kron_vs = np.add.outer(V.vs * W.dim, W.vs).reshape(-1)
     if (B[kron_vs, tobj.vs] != 1).any() or np.count_nonzero(B[:, tobj.vs]) != tobj.m:
-        raise AssertionError("tensor basis v's are not the v_i (x) v_j")  # pragma: no cover
+        raise InternalCheckError("tensor basis v's are not the v_i (x) v_j")  # pragma: no cover
     P[tobj.vs, tobj.vs] = F.mul_arr(gamma_vv[:, None], q_vv[None, :]).reshape(-1)
     return QuadraticForm(tobj, tobj.free_entries(P))
 
@@ -347,9 +347,10 @@ def classify_quadratic(q: QuadraticForm):
     S = G_ww + G_vw^T G_vv^-1 G_vw and G_wx (as G_vx = 0).  G_vv^-1 is
     alternating too, so the Schur term has a zero diagonal and S shares
     G_ww's diagonal.  The good pairs (whose v rows are zero here), the
-    form invariant sum diag(G_ww) diag(G_wx^-1) and the block-lemma test
-    read nothing else, so they agree on beta_q and on its nP part.  GF(2)
-    is refused first: no census of quadratic orbits covers it yet.
+    form invariant sum diag(G_ww) diag(G_wx^-1) and the block lemma
+    (`bform.block_invariants`) read nothing else, so they agree on beta_q
+    and on its nP part.  GF(2) is refused first: no census of quadratic
+    orbits covers it yet.
     """
     obj = q.obj
     if q.field.k < 2:

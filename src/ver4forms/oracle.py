@@ -7,8 +7,8 @@ determined).  A Gram's key is the base-q number whose digits are those
 entries in that order, which is the Gamma^2 line order of `divided`
 (families 1-7): the key of a quadratic form is its line values read in
 base q.  Candidates are walked in key order, i.e. itertools.product(range(q),
-repeat=free_entry_count) over the line values, and non-degeneracy is the
-classifier's block test, read as a class code >= 0 (`class_codes`).
+repeat=free_entry_count) over the line values, and non-degeneracy (the
+block lemma, `bform.block_invariants`) is a class code >= 0 (`class_codes`).
 
 `orbit_classes` takes the congruence orbits of the group G of invertible
 equivariant maps as the connected components of the key set under a small
@@ -32,7 +32,7 @@ from .bform import BilinearForm
 from .classify import canonical_rep, class_codes, class_inventory
 from .field import Field
 from .linalg import congruence, eye, zeros
-from .verobj import VerObject, commutes, free_entry_count
+from .verobj import InternalCheckError, VerObject, commutes, free_entry_count
 
 BUDGET_BITS = 24
 
@@ -143,7 +143,7 @@ def _images(obj: VerObject, S: np.ndarray) -> np.ndarray:
     basis = _grams_of_keys(obj, 1 << np.arange(F.k * L))
     acted = congruence(F, S[:, None], basis)
     if not np.array_equal(obj.gram_from_free_entries(obj.free_entries(acted)), acted):
-        raise AssertionError("linearity certificate: a generator's image of a basis Gram is not its free entries' Gram")
+        raise InternalCheckError("linearity certificate: a generator's image of a basis Gram is not its free entries' Gram")
     images = np.zeros((len(S), F.order**L), dtype=np.int32)  # keys < 2^BUDGET_BITS
     for j, image in enumerate(_keys_of_grams(obj, acted).T.astype(np.int32)):
         np.bitwise_xor(images[:, : 1 << j], image[:, None], out=images[:, 1 << j : 2 << j])
@@ -204,20 +204,20 @@ def orbit_classes(m: int, n: int, F: Field) -> OrbitReport:
     obj = VerObject(F, m, n)
     S = _generators(obj)
     if not commutes(obj, obj, S):
-        raise AssertionError("a census generator does not commute with t")
+        raise InternalCheckError("a census generator does not commute with t")
     images = _images(obj, S)
     codes = np.concatenate([chunk for _, _, chunk in _candidates(obj)])
     enumerated = codes >= 0
     if not all(enumerated[image[enumerated]].all() for image in images):
-        raise AssertionError("a generator's image leaves the enumerated set")
+        raise InternalCheckError("a generator's image leaves the enumerated set")
     keys, label, inventory = np.flatnonzero(enumerated), _components(images), class_inventory(m, n, F)
     named = {cls.code(q): cls.label() for cls in inventory}
     for u in keys[codes[keys] != codes[label[keys]]][:1]:
         name = [named.get(c, "a class outside the inventory") for c in (codes[label[u]], codes[u])]
-        raise AssertionError(f"orbit of {name[0]} has a member classified as {name[1]}")
+        raise InternalCheckError(f"orbit of {name[0]} has a member classified as {name[1]}")
     roots, sizes = np.unique(label[keys], return_counts=True)
     if not np.array_equal(np.sort(codes[roots]), sorted(named)):
-        raise AssertionError("orbits are not one per class of class_inventory")
+        raise InternalCheckError("orbits are not one per class of class_inventory")
     group = math.prod(q**s - q**i for s in (m, n) for i in range(s)) * q ** (2 * m * n + n * n)
     size = dict(zip(codes[roots].tolist(), sizes.tolist()))
     orbits = [(cls.label(), size[cls.code(q)], canonical_rep(cls, F).gram) for cls in inventory]

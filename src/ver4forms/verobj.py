@@ -335,7 +335,7 @@ def standard_basis(raw) -> tuple[VerObject, np.ndarray]:
     XK = np.concatenate([X, null_space(F, T)], axis=1)
     v_piv = row_reduce(F, XK)[1][n:]
     if len(v_piv) != m:
-        raise AssertionError("kernel completion failed")  # pragma: no cover
+        raise InternalCheckError("kernel completion failed")  # pragma: no cover
     obj = VerObject(F, m, n)
     v, _, x = obj.slots
     B = zeros(d, d)

@@ -8,7 +8,7 @@ and `table_cell` computes the honest form-level operation on canonical
 representatives, classifies it and pairs it with the rule's answer.
 `emit_tables` groups its cells by operation and operand objects and
 computes each group as one stack: the sums or products of the stacked
-representatives, classified by one `classify_batch`.  `table_cell`,
+representatives, classified by one `_classify_grams`.  `table_cell`,
 `direct_sum` and `tensor_product` are the same helpers on a stack of one.
 
 Orientation of the rules: the first operand lives on m1 + nP (parameter a
@@ -42,10 +42,10 @@ import numpy as np
 from .bform import BilinearForm
 # `classify` is unused here; perfbench's tracer smoke test checks that this
 # module binding is patched and restored, so it stays imported
-from .classify import CanonicalClass, canonical_rep, class_inventory, classify, classify_batch  # noqa: F401
+from .classify import CanonicalClass, _classify_grams, canonical_rep, class_inventory, classify  # noqa: F401
 from .field import Field
 from .linalg import congruence, kron, mat_mul, support_congruence
-from .verobj import TENSOR_MAX_DIM, VerObject, braiding, tensor
+from .verobj import TENSOR_MAX_DIM, InternalCheckError, VerObject, braiding, tensor
 
 
 def direct_sum(b1: BilinearForm, b2: BilinearForm) -> BilinearForm:
@@ -144,7 +144,7 @@ def expected_sum_class(c1: CanonicalClass, c2: CanonicalClass) -> CanonicalClass
         return CanonicalClass("F", m, n, cb.param ^ _times(ca.n, ca.param))
     if pair == "FF":
         return CanonicalClass("F", m, n, ca.param ^ cb.param)
-    raise AssertionError(f"unhandled family pair {pair}")  # pragma: no cover
+    raise InternalCheckError(f"unhandled family pair {pair}")  # pragma: no cover
 
 
 def expected_product_class(c1: CanonicalClass, c2: CanonicalClass, F: Field) -> CanonicalClass:
@@ -186,7 +186,7 @@ def expected_product_class(c1: CanonicalClass, c2: CanonicalClass, F: Field) -> 
         if a == b:
             return CanonicalClass("D", m, n)
         return CanonicalClass("E", m, n, F.div(F.mul(a, b) ^ 1, a ^ b))
-    raise AssertionError(f"unhandled family pair {pair}")  # pragma: no cover
+    raise InternalCheckError(f"unhandled family pair {pair}")  # pragma: no cover
 
 
 def table_cell(op: str, c1: CanonicalClass, c2: CanonicalClass, F: Field):
@@ -199,7 +199,8 @@ def table_cell(op: str, c1: CanonicalClass, c2: CanonicalClass, F: Field):
 def _table_cells(op: str, pairs, F: Field) -> list:
     """`table_cell` for each (c1, c2) of `pairs`, where all first classes
     share one object and all second classes another: the stacked sums or
-    products are classified by one `classify_batch`."""
+    products, built from validated representatives, are classified without
+    a re-check by one `_classify_grams`."""
     reps = [(canonical_rep(c1, F), canonical_rep(c2, F)) for c1, c2 in pairs]
     G1 = np.stack([r1.gram for r1, _ in reps])
     G2 = np.stack([r2.gram for _, r2 in reps])
@@ -210,7 +211,7 @@ def _table_cells(op: str, pairs, F: Field) -> list:
     else:
         obj, grams = _product_grams(U, R, G1, G2)
         expected = [expected_product_class(c1, c2, F) for c1, c2 in pairs]
-    return list(zip(classify_batch(obj, grams), expected))
+    return list(zip(_classify_grams(obj, grams), expected))
 
 
 # -- full table verification -----------------------------------------------------
@@ -391,11 +392,10 @@ def emit_tables(
         rep = reports[op]
         rep.cells += 1
         rep.records.append(rec)
-        cell = f"{c1} {_OP_SYMBOL[op]} {c2}"
         if not rec[-1]:
-            rep.mismatches.append(f"{cell}: computed {rec[8]}, rule {rec[9]}")
+            rep.mismatches.append(f"{c1} {_OP_SYMBOL[op]} {c2}: computed {rec[8]}, rule {rec[9]}")
         if collapsed[op](c1, c2):
-            rep.coincidences.append(cell)
+            rep.coincidences.append(f"{c1} {_OP_SYMBOL[op]} {c2}")
     return reports["sum"], reports["product"]
 
 

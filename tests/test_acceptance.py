@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ver4forms import linalg as la
-from ver4forms.bform import BilinearForm, Subobject
+from ver4forms.bform import BilinearForm, Subobject, block_invariants
 from ver4forms.classify import (
     CanonicalClass,
     canonical_rep,
@@ -20,7 +20,6 @@ from ver4forms.classify import (
     classify,
     classify_batch,
     form_invariant,
-    _block_invariants,
 )
 from ver4forms.divided import (
     QuadraticForm,
@@ -128,7 +127,7 @@ def test_criterion_4_invariant_basis_independence():
             out = classify_batch(rep.obj, grams)
             assert out == [cls] * 1000
             assert len({id(c) for c in out}) == len(set(out))  # one object per class
-            _, invariants = _block_invariants(F8, rep.obj.gram_blocks(grams))
+            _, invariants = block_invariants(F8, rep.obj.gram_blocks(grams))
             assert invariants.tolist() == [expected] * 1000
             for G in grams[::40]:
                 assert form_invariant(BilinearForm(rep.obj, G)) == expected

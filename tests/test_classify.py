@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ver4forms import linalg as la
-from ver4forms.bform import BilinearForm
+from ver4forms.bform import BilinearForm, block_invariants
 from ver4forms.classify import (
     FAMILIES,
     CanonicalClass,
@@ -22,7 +22,6 @@ from ver4forms.classify import (
     good_pairs,
     x_function,
     x_matrix,
-    _block_invariants,
     _good_pair_shapes,
     _move_x_function,
     class_codes,
@@ -415,28 +414,41 @@ def test_labels():
     assert str(CanonicalClass("F", 2, 3, 0)) == "F[2,3](0)"
 
 
+def _sparse(rng, q, s, batch, density=0.4, t=None):
+    """(batch, s, t) blocks, square by default, with many zeros, so singular ones are common."""
+    shape = (batch, s, s if t is None else t)
+    return rng.integers(0, q, size=shape) * (rng.random(shape) < density)
+
+
 def _sparse_sym(rng, q, s, batch, density=0.4):
     """Symmetric (batch, s, s) blocks with many zeros, so singular ones are common."""
-    upper = np.triu(rng.integers(0, q, size=(batch, s, s)) * (rng.random((batch, s, s)) < density))
+    upper = np.triu(_sparse(rng, q, s, batch, density))
     return upper ^ np.triu(upper, 1).swapaxes(-1, -2)
 
 
 @settings(max_examples=25, deadline=None)
 @given(k=st.integers(1, 16), m=st.integers(0, 4), n=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
 def test_block_lemma(k, m, n, seed):
-    # a compatible symmetric Gram is non-degenerate iff G_vv and G_wx are
-    # invertible; the census reads that decision as a class code >= 0
+    # a compatible Gram, symmetric or not, is non-degenerate iff G_vv and G_wx
+    # are invertible; `is_nondegenerate`, the stacked `block_invariants` and
+    # the census (a class code >= 0) read that decision, full rank is the reference
     Fk, rng = make_field(k), np.random.default_rng(seed)
     obj, q = VerObject(Fk, m, n), Fk.order
-    grams = obj.gram_from_blocks(
+    sym = obj.gram_from_blocks(
         _sparse_sym(rng, q, m, 16), rng.integers(0, q, size=(16, m, n)),
         _sparse_sym(rng, q, n, 16), _sparse_sym(rng, q, n, 16),
     )
-    vv, _, _, wx = obj.gram_blocks(grams)
-    blocks_ok = la.batch_solve(Fk, vv)[0] & la.batch_solve(Fk, wx)[0]
-    full_rank = [BilinearForm(obj, G).is_nondegenerate() for G in grams]
-    assert blocks_ok.tolist() == full_rank
-    assert (class_codes(obj, grams) >= 0).tolist() == full_rank
+    # non-symmetric: independent G_vw and G_wv, any G_ww and G_wx, and G_xw = G_wx
+    v, w, x = obj.slots
+    nonsym = np.zeros_like(sym)
+    nonsym[:, v, v], nonsym[:, w, w] = _sparse(rng, q, m, 16), _sparse(rng, q, n, 16)
+    nonsym[:, v, w], nonsym[:, w, v] = _sparse(rng, q, m, 16, t=n), _sparse(rng, q, n, 16, t=m)
+    nonsym[:, w, x] = nonsym[:, x, w] = _sparse(rng, q, n, 16)
+    grams = obj.as_grams(np.concatenate([sym, nonsym]), stacked=True)
+    full_rank = [la.is_invertible(Fk, G) for G in grams]
+    assert [BilinearForm(obj, G).is_nondegenerate() for G in grams] == full_rank
+    assert block_invariants(Fk, obj.gram_blocks(grams))[0].tolist() == full_rank
+    assert (class_codes(obj, sym) >= 0).tolist() == full_rank[:16]
 
 
 @settings(max_examples=40, deadline=None)
@@ -452,7 +464,7 @@ def test_form_invariant_is_one_solve_with_the_square_root(k, m, n, seed):
         _sparse_sym(rng, q, m, 16, 1.0), rng.integers(0, q, size=(16, m, n)), sym(1.0), sym(0.9)
     )
     blocks = obj.gram_blocks(grams)
-    _, invariant = _block_invariants(Fk, blocks)
+    _, invariant = block_invariants(Fk, blocks)
     for ww, wx, got in zip(blocks[2], blocks[3], invariant.tolist()):
         if la.is_invertible(Fk, wx):
             f, N = np.diagonal(ww), la.inverse(Fk, wx)

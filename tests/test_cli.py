@@ -2,6 +2,7 @@ import hashlib
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -330,6 +331,30 @@ def test_oracle_command(capsys):
     assert main(["--json", "oracle", "--m", "0", "--n", "1", "--k", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["orbit_count"] == 4
+
+
+def test_oracle_failed_census_check_exits_2(monkeypatch, capsys):
+    # the last (0,1)/GF(4) candidate gets another class's code, so its orbit is mixed
+    oracle_mod = sys.modules["ver4forms.oracle"]
+    class_codes = oracle_mod.class_codes
+
+    def last_one_wrong(obj, grams):
+        out = class_codes(obj, grams)
+        out[-1] ^= 1
+        return out
+
+    monkeypatch.setattr(oracle_mod, "class_codes", last_one_wrong)
+    assert main(["oracle", "--m", "0", "--n", "1", "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal mismatch:")
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_internal_checks_raise_internal_check_error():
+    # main maps only InternalCheckError to exit 2; field.py sits below verobj, which defines it
+    sources = list((Path(__file__).resolve().parents[1] / "src" / "ver4forms").glob("*.py"))
+    assert sources
+    assert {p.name for p in sources if "raise AssertionError" in p.read_text()} <= {"field.py"}
 
 
 def test_oracle_budget(capsys):

@@ -30,7 +30,7 @@ from ver4forms.divided import (
     quadratic_from_bilinear,
 )
 from ver4forms.field import make_field
-from ver4forms.verobj import Morphism, VerObject, random_equivariant_automorphism, tensor
+from ver4forms.verobj import InternalCheckError, Morphism, VerObject, random_equivariant_automorphism, tensor
 from ver4forms.witt import direct_sum
 
 F2 = make_field(1)
@@ -251,7 +251,7 @@ def test_gamma2_check_rejects_a_corrupted_top():
         top = lines[i].top.copy()
         top[1] ^= 1
         bad = lines[:i] + [Line(lines[i].family, lines[i].indices, top, lines[i].image)] + lines[i + 1:]
-        with pytest.raises(AssertionError, match=r"generator outside ker\(1 - c\)"):
+        with pytest.raises(InternalCheckError, match=r"generator outside ker\(1 - c\)"):
             _verify_gamma2(obj, Gamma2Basis(obj, bad))
     _verify_gamma2(obj, Gamma2Basis(obj, lines))
 

@@ -21,7 +21,7 @@ from ver4forms.oracle import (
     free_entry_count,
     orbit_classes,
 )
-from ver4forms.verobj import VerObject
+from ver4forms.verobj import InternalCheckError, VerObject
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -276,14 +276,14 @@ def _drop_f_blocks(obj, S):
 def test_census_catches_a_set_that_does_not_generate(monkeypatch, drop, m, n):
     generators = oracle._generators
     monkeypatch.setattr(oracle, "_generators", lambda obj: drop(obj, generators(obj)))
-    with pytest.raises(AssertionError, match="not one per class"):
+    with pytest.raises(InternalCheckError, match="not one per class"):
         orbit_classes(m, n, F4)
 
 
 def test_census_catches_an_image_outside_the_enumerated_set(monkeypatch):
     # the zero Gram is degenerate, so its key 0 is not enumerated
     monkeypatch.setattr(oracle, "congruence", lambda F, T, G: np.zeros(np.broadcast_shapes(T.shape, G.shape), int))
-    with pytest.raises(AssertionError, match="leaves the enumerated set"):
+    with pytest.raises(InternalCheckError, match="leaves the enumerated set"):
         orbit_classes(0, 1, F4)
 
 
@@ -298,7 +298,7 @@ def test_census_catches_a_basis_image_that_breaks_linearity(monkeypatch):
         return out
 
     monkeypatch.setattr(oracle, "congruence", corrupt_first)
-    with pytest.raises(AssertionError, match="linearity certificate"):
+    with pytest.raises(InternalCheckError, match="linearity certificate"):
         orbit_classes(0, 2, F4)
 
 
@@ -342,14 +342,14 @@ def _last_code_becomes(monkeypatch, pick):
 def test_orbit_census_catches_a_misclassified_member(monkeypatch):
     codes = [cls.code(F4.order) for cls in class_inventory(0, 1, F4)]
     _last_code_becomes(monkeypatch, lambda code: next(c for c in codes if c != code))
-    with pytest.raises(AssertionError, match=r"orbit of E\[0,1\]\(1\) has a member classified as E\[0,1\]\(0\)"):
+    with pytest.raises(InternalCheckError, match=r"orbit of E\[0,1\]\(1\) has a member classified as E\[0,1\]\(0\)"):
         orbit_classes(0, 1, F4)
 
 
 def test_orbit_census_names_a_class_outside_the_inventory(monkeypatch):
     # B lives only where m > 0, so no (0,1) candidate should get its code
     _last_code_becomes(monkeypatch, lambda code: CanonicalClass("B", 1, 1).code(F4.order))
-    with pytest.raises(AssertionError, match="has a member classified as a class outside the inventory"):
+    with pytest.raises(InternalCheckError, match="has a member classified as a class outside the inventory"):
         orbit_classes(0, 1, F4)
 
 

@@ -371,6 +371,18 @@ def test_emit_tables_clean_and_serializable():
     assert len(csv_text.splitlines()) == prod_rep.cells + 1
 
 
+def test_emit_tables_does_not_revalidate_its_stacks(monkeypatch):
+    # the warm call caches the validated representatives; the stacked sums
+    # and products built from them are classified without VerObject.as_grams
+    warm = emit_tables(F4, max_size=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("as_grams called")
+
+    monkeypatch.setattr(VerObject, "as_grams", refuse)
+    assert emit_tables(F4, max_size=2) == warm
+
+
 @pytest.mark.parametrize(
     "max_size, params, cap, message",
     [
