@@ -49,10 +49,12 @@ class Field:
     Scalar operations take and return plain int encodings.  Array operations
     (`mul_arr`, `inv_arr`) accept numpy int arrays of encodings and
     broadcast; they are the building blocks of the exact linear algebra
-    layer (addition is XOR).
+    layer (addition is XOR).  `exp_view` and `log_view` are zero-copy
+    memoryviews of the exp/log tables whose items read as Python ints, for
+    scalar code such as `mul` and `linalg.row_reduce` on small matrices.
     """
 
-    __slots__ = ("k", "order", "modulus", "_gorder", "_exp", "_log", "_sqrt", "_logz", "_expz")
+    __slots__ = ("k", "order", "modulus", "_gorder", "_exp", "_log", "_sqrt", "_logz", "_expz", "exp_view", "log_view")
 
     def __init__(self, k: int):
         if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_DEGREE:
@@ -98,6 +100,8 @@ class Field:
         exp[om:] = exp[:om]
         self._exp = exp
         self._log = log
+        self.exp_view = memoryview(exp)
+        self.log_view = memoryview(log)
         # zero-aware tables: log(0) maps to a sentinel just past `exp`, so
         # the summed exponent of any product with 0 lands in the zero tail
         # of _expz (sums of two real logs stay inside `exp`)
@@ -122,18 +126,19 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
-        return int(self._exp[self._log[a] + self._log[b]])
+        return self.exp_view[self.log_view[a] + self.log_view[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF(2^{self.k})")
-        return int(self._exp[self._gorder - self._log[a]])
+        return self.exp_view[self._gorder - self.log_view[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
     def sqrt(self, a: int) -> int:
-        return int(self._sqrt[a])
+        # a^(2^(k-1)): the exponent's factor order/2 inverts 2 modulo order - 1
+        return self.exp_view[self.log_view[a] * (self.order >> 1) % self._gorder] if a else 0
 
     def elements(self) -> range:
         return range(self.order)
@@ -163,6 +168,10 @@ class Field:
 
     def __repr__(self):
         return f"GF(2^{self.k})"
+
+    def __reduce__(self):
+        # memoryviews do not pickle; a context is its degree
+        return make_field, (self.k,)
 
 
 @lru_cache(maxsize=None)

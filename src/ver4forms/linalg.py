@@ -1,14 +1,15 @@
 """Dense exact linear algebra over GF(2^k).
 
 Matrices are 2-D numpy int64 arrays of element encodings; a `Field` context
-supplies the arithmetic.  Row reduction uses standard Gaussian elimination
-with vectorised row operations (row addition is XOR, scaling goes through
-the field's exp/log tables), so everything stays exact.  There is one
-product kernel, `_product` (A B over broadcast leading batch axes), behind
-`mat_mul` (two matrices) and `congruence` (T^T G T, stacks included), and
-two elimination kernels: `row_reduce` (RREF and pivots of one matrix) and
-`batch_solve` (invertibility of a stack of square blocks, and A^-1 B for
-right-hand sides B when given).
+supplies the arithmetic.  Row reduction is Gauss-Jordan elimination (row
+addition is XOR, scaling goes through the field's exp/log tables), so
+everything stays exact: small matrices run it on Python lists of ints with
+scalar table reads, larger ones with vectorised numpy row operations.
+There is one product kernel, `_product` (A B over broadcast leading batch
+axes), behind `mat_mul` (two matrices) and `congruence` (T^T G T, stacks
+included), and two elimination kernels: `row_reduce` (RREF and pivots of
+one matrix) and `batch_solve` (invertibility of a stack of square blocks,
+and A^-1 B for right-hand sides B when given).
 """
 
 from __future__ import annotations
@@ -107,6 +108,15 @@ def kron(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (ra * rb, ca * cb))
 
 
+# Matrices with at most this many entries are reduced on Python lists of ints
+# with scalar exp/log reads, larger ones by numpy row operations.  On dense
+# s x (s+1) matrices (2-CPU x86 VM, best of two runs) numpy took
+# 32/57/195/264 us against the lists' 8/21/122/352 us at s = 2/4/12/16 over
+# GF(8), and 30/77/187/310 us against 9/24/193/388 us over GF(2^16): the lists
+# break even near 150-270 entries over GF(8) and 110-160 over GF(2^16).
+SCALAR_ENTRIES = 64
+
+
 def row_reduce(F: Field, M: np.ndarray, n_pivot_cols: int | None = None):
     """Reduced row echelon form over the field.
 
@@ -116,13 +126,39 @@ def row_reduce(F: Field, M: np.ndarray, n_pivot_cols: int | None = None):
     "first independent columns" choice in the package is made.
     Pivot search can be limited to the first `n_pivot_cols` columns (for
     augmented systems); row operations always apply to the full width.
+    Each column takes its first non-zero at or below the current row as
+    pivot, scaled to 1, and clears it from every other row: on Python lists
+    of ints up to `SCALAR_ENTRIES` entries, by numpy row operations above.
     """
-    R = np.array(M, dtype=np.int64, copy=True)
-    rows, cols = R.shape
+    M = np.asarray(M, dtype=np.int64)
+    rows, cols = M.shape
     if n_pivot_cols is None:
         n_pivot_cols = cols
     pivots: list[int] = []
     r = 0
+    if rows * cols <= SCALAR_ENTRIES:
+        L, exp, log, om = M.tolist(), F.exp_view, F.log_view, F.order - 1
+        for c in range(n_pivot_cols):
+            p = next((i for i in range(r, rows) if L[i][c]), rows)
+            if p == rows:
+                continue
+            row = L[p]
+            L[p], L[r] = L[r], row
+            if row[c] != 1:
+                s = om - log[row[c]]
+                row[:] = [exp[log[x] + s] if x else 0 for x in row]
+            # a row operation reads the pivot row's non-zeros alone
+            terms = [(j, log[x]) for j, x in enumerate(row) if x]
+            for i, other in enumerate(L):
+                f = other[c]
+                if f and i != r:
+                    f = log[f]
+                    for j, lx in terms:
+                        other[j] ^= exp[f + lx]
+            pivots.append(c)
+            r += 1
+        return np.array(L, dtype=np.int64).reshape(rows, cols), pivots
+    R = M.copy()
     for c in range(n_pivot_cols):
         if r == rows:
             break
@@ -179,9 +215,9 @@ def batch_solve(F: Field, A: np.ndarray, B: np.ndarray | None = None) -> tuple[n
     the pivot row, zero left of c, is added into the other rows on the
     trailing columns: with B every other row (Gauss-Jordan), without B only
     the rows below, as the rank needs no back substitution.  A batch of one
-    goes through `row_reduce` instead: on dense GF(8) matrices with
-    s = 1..14, the stacked pass on one matrix took 1.0-2.6x the time of
-    `is_invertible`, the most at s <= 2.
+    goes through `row_reduce` instead: on dense GF(8) matrices the stacked
+    pass on one matrix took 2.6-5.9x the time of `is_invertible` for
+    s = 1..8, which `row_reduce` runs on lists, and 0.96-1.3x for s = 9..14.
     """
     A = np.asarray(A, dtype=np.int64)
     b, s, s2 = A.shape

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ver4forms import linalg as la
 from ver4forms.classify import CanonicalClass, canonical_rep, canonicalize_batch
-from ver4forms.field import make_field
+from ver4forms.field import Field, make_field
 from ver4forms.oracle import orbit_classes
 from ver4forms.verobj import random_equivariant_matrices
 from ver4forms.witt import emit_tables, tensor_product, tensor_product_via_braiding
@@ -38,6 +40,93 @@ def test_row_reduce_rank_bounds():
         col = R[:, c].copy()
         col[r] = 0
         assert not col.any()
+
+
+def _reference_rref(Fk, M, n_pivot_cols):
+    """Gauss-Jordan with `Fk.mul` and `Fk.inv` on nested lists: each of the
+    first n_pivot_cols columns takes its first non-zero at or below the
+    next pivot row, scaled to 1, and is cleared from every other row."""
+    R = [[int(x) for x in row] for row in M]
+    pivots = []
+    for c in range(n_pivot_cols):
+        r = len(pivots)
+        below = [i for i in range(r, len(R)) if R[i][c]]
+        if not below:
+            continue
+        R[r], R[below[0]] = R[below[0]], R[r]
+        scale = Fk.inv(R[r][c])
+        R[r] = [Fk.mul(scale, x) for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [y ^ Fk.mul(f, x) for x, y in zip(R[r], R[i])]
+        pivots.append(c)
+    return np.array(R, dtype=np.int64).reshape(M.shape), pivots
+
+
+@st.composite
+def _reduce_shapes(draw):
+    # (lists, rows, cols, n_pivot_cols) with rows, cols <= 16 and rows * cols
+    # at most SCALAR_ENTRIES exactly when `lists` is drawn
+    lists = draw(st.booleans())
+    if lists:
+        rows = draw(st.integers(0, 16))
+        cols = draw(st.integers(0, min(16, la.SCALAR_ENTRIES // max(rows, 1))))
+    else:
+        rows = draw(st.integers(la.SCALAR_ENTRIES // 16 + 1, 16))
+        cols = draw(st.integers(la.SCALAR_ENTRIES // rows + 1, 16))
+    return lists, rows, cols, draw(st.none() | st.integers(0, cols))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    k=st.integers(1, 16),
+    shape=_reduce_shapes(),
+    density=st.sampled_from([0.0, 0.3, 1.0]),
+    repeats=st.integers(0, 8),
+    zero_cols=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_row_reduce_matches_reference_on_both_sides_of_the_scalar_bound(
+    k, shape, density, repeats, zero_cols, seed
+):
+    # rank deficiency from repeated (scaled) rows and zero columns, with
+    # 0-row and 0-column matrices; lists below the bound, numpy above it
+    (lists, rows, cols, n_pivot_cols), Fk, rng = shape, make_field(k), np.random.default_rng(seed)
+    assert (rows * cols <= la.SCALAR_ENTRIES) == lists
+    M = rng.integers(0, Fk.order, size=(rows, cols)) * (rng.random((rows, cols)) < density)
+    if rows:
+        for dst, src in rng.integers(0, rows, size=(repeats, 2)):
+            M[dst] = Fk.mul_arr(M[src], rng.integers(0, Fk.order))
+    if cols:
+        M[:, rng.integers(0, cols, size=zero_cols)] = 0
+    R, piv = la.row_reduce(Fk, M, n_pivot_cols)
+    want_R, want_piv = _reference_rref(Fk, M, cols if n_pivot_cols is None else n_pivot_cols)
+    assert R.dtype == want_R.dtype and R.shape == (rows, cols)
+    assert R.tobytes() == want_R.tobytes() and piv == want_piv
+
+
+def test_row_reduce_below_the_scalar_bound_makes_no_array_products(monkeypatch):
+    calls, mul_arr = [], Field.mul_arr
+
+    def counting(self, a, b):
+        calls.append(1)
+        return mul_arr(self, a, b)
+
+    monkeypatch.setattr(Field, "mul_arr", counting)
+    # entries >= 2: the first pivot needs scaling, which numpy does by mul_arr
+    small, large = RNG.integers(2, F.order, size=(4, 5)), RNG.integers(2, F.order, size=(9, 9))
+    assert small.size <= la.SCALAR_ENTRIES < large.size
+    assert len(la.row_reduce(F, small)[1]) == 4 and not calls
+    la.row_reduce(F, large)
+    assert calls
+
+
+def test_fields_pickle_and_copy_to_the_cached_context():
+    # the memoryviews that row_reduce reads cannot be pickled themselves
+    for k in (1, 3, 16):
+        Fk = make_field(k)
+        assert pickle.loads(pickle.dumps(Fk)) is Fk and copy.deepcopy(Fk) is Fk
 
 
 def test_inverse_roundtrip():
