@@ -327,13 +327,50 @@ def _congruence_basis(F: Field, M: np.ndarray) -> tuple[np.ndarray, bool]:
     active columns, and the active part of M drops the Schur term of that
     pivot; with none left, a hyperbolic pair (k, j) is the pivot, and if a
     unit column g is done already, the three become the unit columns
-    g + k, g + j, g + k + j.
+    g + k, g + j, g + k + j.  Up to `linalg.SCALAR_ENTRIES` entries this
+    runs on Python lists of ints with scalar exp/log reads, as `row_reduce`
+    does, above on numpy arrays; both give the same (E, alternating).
     """
     n = len(M)
-    M, E = M.copy(), eye(n)
-    active = np.ones(n, dtype=bool)
     units: list[int] = []
     pairs: list[int] = []
+    if n * n <= linalg.SCALAR_ENTRIES:
+        L, exp, log, om = M.tolist(), F.exp_view, F.log_view, F.order - 1
+        # Et[c] is column c of E.  Scales are logs in [0, om), so a sum of two
+        # indexes exp; 1/sqrt(a) is exp[-log(a) order/2], as in `Field.sqrt`
+        Et, active = eye(n).tolist(), list(range(n))
+        while active:
+            k = next((c for c in active if L[c][c]), None)
+            if k is not None:
+                piv, scale = [k], [-log[L[k][k]] * (F.order >> 1) % om]
+            else:
+                k = active[0]
+                j = next(c for c in active if L[k][c])
+                piv, scale = [k, j], [0, -log[L[k][j]] % om]
+            active = [c for c in active if c not in piv]
+            for p, s in zip(piv, scale):
+                Et[p] = [exp[log[x] + s] if x else 0 for x in Et[p]]
+            # E ^= E_piv rows[::-1] and M ^= rows^T rows[::-1], on (index, log) terms
+            cols = [[(i, log[x]) for i, x in enumerate(Et[p]) if x] for p in piv]
+            rows = [[(c, (log[L[p][c]] + s) % om) for c in active if L[p][c]] for p, s in zip(piv, scale)]
+            for col, row, rev in zip(cols, rows, rows[::-1]):
+                for X, outer, inner in ((Et, rev, col), (L, row, rev)):
+                    for a, la in outer:
+                        Xa = X[a]
+                        for b, lb in inner:
+                            Xa[b] ^= exp[la + lb]
+            if len(piv) == 1:
+                units += piv
+            elif units:
+                g = units.pop()
+                gk, gj = ([x ^ y for x, y in zip(Et[g], Et[c])] for c in piv)
+                Et[g], Et[k], Et[j] = gk, gj, [x ^ y for x, y in zip(gk, Et[j])]
+                units += [g, k, j]
+            else:
+                pairs += piv
+        return np.array(Et, dtype=np.int64).reshape(n, n).T[:, units or pairs], not units
+    M, E = M.copy(), eye(n)
+    active = np.ones(n, dtype=bool)
     while active.any():
         diag = np.flatnonzero(active & (np.diagonal(M) != 0))
         if diag.size:

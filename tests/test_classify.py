@@ -1,6 +1,8 @@
 import hashlib
 import itertools
+import math
 import sys
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from ver4forms.classify import (
     good_pairs,
     x_function,
     x_matrix,
+    _congruence_basis,
     _good_pair_shapes,
     _move_x_function,
     class_codes,
@@ -581,10 +584,11 @@ def _families_for(m, n):
 
 
 @settings(max_examples=30, deadline=None)
-@given(k=st.integers(1, 16), m=st.integers(0, 5), n=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+@given(k=st.integers(1, 16), m=st.integers(0, 10), n=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
 def test_canonicalize_random_block_grams(k, m, n, seed):
     # one Gram per family the shape allows (all six when m, n >= 2 are
-    # even), drawn from random blocks rather than scrambled representatives
+    # even), drawn from random blocks rather than scrambled representatives;
+    # G_vv and G_wx fall on both sides of `la.SCALAR_ENTRIES`
     Fk, rng = make_field(k), np.random.default_rng(seed)
     obj = VerObject(Fk, m, n)
     T_std = obj.t_action()
@@ -605,6 +609,70 @@ def test_canonicalize_random_block_grams(k, m, n, seed):
         assert k1 == k2
         assert np.array_equal(t1.matrix, t2.matrix)
         assert np.array_equal(c1.gram, c2.gram)
+
+
+def _units_beside_alternating(Fk, rng, n, units):
+    """A symmetric invertible n x n block: `units` nonzero diagonal entries
+    beside an alternating block on the other n - units (even) indices, rows
+    and columns permuted alike, so elimination meets hyperbolic pairs after
+    unit pivots and mixes them."""
+    M = la.zeros(n, n)
+    M[range(units), range(units)] = rng.integers(1, Fk.order, size=units)
+    M[units:, units:] = _symmetric_invertible(Fk, rng, n - units, True)
+    p = rng.permutation(n)
+    return M[p][:, p]
+
+
+@st.composite
+def _congruence_blocks(draw):
+    # (lists, n, units): n x n is at most SCALAR_ENTRIES entries exactly when
+    # `lists` is drawn; units is None for a dense non-alternating block
+    lists = draw(st.booleans())
+    side = math.isqrt(la.SCALAR_ENTRIES)
+    n = draw(st.integers(0, side) if lists else st.integers(side + 1, 16))
+    units = draw(st.none() | st.integers(0, n)) if n else 0
+    return lists, n, None if units is None else units + (n - units) % 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(1, 16), block=_congruence_blocks(), seed=st.integers(0, 2**32 - 1))
+def test_congruence_basis_lists_match_numpy_on_both_sides_of_the_scalar_bound(k, block, seed):
+    (lists, n, units), Fk, rng = block, make_field(k), np.random.default_rng(seed)
+    assert (n * n <= la.SCALAR_ENTRIES) == lists
+    if units is None:
+        M = _symmetric_invertible(Fk, rng, n, False)
+    else:
+        M = _units_beside_alternating(Fk, rng, n, units)
+    E, alternating = _congruence_basis(Fk, M)
+    # -1, not 0, so that the numpy body runs for n = 0 too
+    with patch.object(la, "SCALAR_ENTRIES", -1):
+        want_E, want_alternating = _congruence_basis(Fk, M)
+    assert E.dtype == want_E.dtype and E.shape == want_E.shape == (n, n)
+    assert E.tobytes() == want_E.tobytes() and alternating == want_alternating == (units == 0)
+    assert np.array_equal(la.congruence(Fk, E, M), la.eye(n)[np.arange(n) ^ alternating])
+
+
+# sha256 prefix of the serial `canonicalize` transforms (bytes and shape) of
+# one seeded scramble of every GF(8) class on m, n <= 4, where G_wx has at
+# most SCALAR_ENTRIES entries, and of GF(2^16) classes on shapes with
+# n >= 10, where it has more (232 forms), pinned from the output of the
+# numpy-only `_congruence_basis` that preceded its list path
+_CANONICALIZE_T_SHA256 = "20bda7f5cf3c6636"
+
+
+def test_canonicalize_transform_is_unchanged():
+    h, count, rng = hashlib.sha256(), 0, np.random.default_rng(28)
+    F16 = make_field(16)
+    shapes = [(F8, m, n, None) for m, n in itertools.product(range(5), repeat=2)]
+    shapes += [(F16, m, n, [0, 1, 0xBEEF, 0xFFFF]) for m, n in ((0, 10), (2, 12), (1, 14))]
+    for Fk, m, n, params in shapes:
+        for cls in class_inventory(m, n, Fk, params):
+            rep = canonical_rep(cls, Fk)
+            G = la.congruence(Fk, random_equivariant_matrix(rep.obj, rng), rep.gram)
+            T = canonicalize(BilinearForm(rep.obj, G))[0].matrix
+            h.update(T.tobytes() + str(T.shape).encode())
+            count += 1
+    assert (count, h.hexdigest()[:16]) == (232, _CANONICALIZE_T_SHA256)
 
 
 def test_canonicalize_batch_rejects_like_classify_batch():

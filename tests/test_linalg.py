@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ver4forms import linalg as la
-from ver4forms.classify import CanonicalClass, canonical_rep, canonicalize_batch
+from ver4forms.classify import CanonicalClass, _congruence_basis, canonical_rep, canonicalize_batch
 from ver4forms.field import Field, make_field
 from ver4forms.oracle import orbit_classes
 from ver4forms.verobj import random_equivariant_matrices
@@ -106,7 +106,32 @@ def test_row_reduce_matches_reference_on_both_sides_of_the_scalar_bound(
     assert R.tobytes() == want_R.tobytes() and piv == want_piv
 
 
-def test_row_reduce_below_the_scalar_bound_makes_no_array_products(monkeypatch):
+def _symmetric_invertible(n):
+    # P^T P for a unit upper triangular P
+    P = np.triu(np.arange(n * n).reshape(n, n) % F.order, 1) ^ la.eye(n)
+    return la.congruence(F, P, la.eye(n))
+
+
+@pytest.mark.parametrize(
+    "rank_after, draw_small, draw_large",
+    [
+        # entries >= 2: the first pivot needs scaling, which numpy does by mul_arr
+        (
+            lambda M: len(la.row_reduce(F, M)[1]),
+            lambda: RNG.integers(2, F.order, size=(4, 5)),
+            lambda: RNG.integers(2, F.order, size=(9, 9)),
+        ),
+        # numpy's symmetric elimination scales E's pivot columns by mul_arr
+        (
+            lambda M: la.rank(F, _congruence_basis(F, M)[0]),
+            lambda: _symmetric_invertible(4),
+            lambda: _symmetric_invertible(9),
+        ),
+    ],
+    ids=["row_reduce", "congruence_basis"],
+)
+def test_row_reduce_below_the_scalar_bound_makes_no_array_products(monkeypatch, rank_after, draw_small, draw_large):
+    small, large = draw_small(), draw_large()
     calls, mul_arr = [], Field.mul_arr
 
     def counting(self, a, b):
@@ -114,11 +139,9 @@ def test_row_reduce_below_the_scalar_bound_makes_no_array_products(monkeypatch):
         return mul_arr(self, a, b)
 
     monkeypatch.setattr(Field, "mul_arr", counting)
-    # entries >= 2: the first pivot needs scaling, which numpy does by mul_arr
-    small, large = RNG.integers(2, F.order, size=(4, 5)), RNG.integers(2, F.order, size=(9, 9))
     assert small.size <= la.SCALAR_ENTRIES < large.size
-    assert len(la.row_reduce(F, small)[1]) == 4 and not calls
-    la.row_reduce(F, large)
+    assert rank_after(small) == 4 and not calls
+    rank_after(large)
     assert calls
 
 
