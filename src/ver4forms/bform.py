@@ -26,7 +26,7 @@ import numpy as np
 from . import linalg
 from .field import Field, make_field
 from .linalg import eye, mat_mul, null_space, row_reduce, solve
-from .verobj import RawTModule, VerObject, json_ints, standard_basis
+from .verobj import RawTModule, VerObject, json_fields, json_ints, standard_basis
 
 
 def block_invariants(F: Field, blocks) -> tuple[np.ndarray, np.ndarray]:
@@ -165,13 +165,13 @@ class BilinearForm:
 
     @classmethod
     def from_json(cls, doc: dict) -> "BilinearForm":
-        try:
-            k, obj_doc, gram = doc["field"]["k"], doc["object"], doc["gram"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed form document: missing {exc}") from exc
-        F = make_field(json_ints(k, "field degree k"))
+        field, obj_doc, gram = json_fields(doc, "form document", "field", "object", "gram")
+        F = make_field(json_ints(*json_fields(field, "field document", "k"), "field degree k"))
         obj = VerObject.from_json(F, obj_doc)
-        gram = np.array(json_ints(gram, "gram entries", depth=2, bound=F.order), dtype=np.int64)
+        lengths = [len(row) for row in json_ints(gram, "gram entries", depth=2, bound=F.order)]
+        if len(set(lengths)) > 1:
+            raise ValueError(f"gram rows must have equal lengths, got lengths {lengths!r:.60}")
+        gram = np.array(gram, dtype=np.int64)
         if not gram.size:  # a dim-0 form writes "gram": [], which numpy reads as 1-D
             gram = gram.reshape(0, 0)
         return cls(obj, gram)

@@ -322,83 +322,55 @@ def _congruence_basis(F: Field, M: np.ndarray) -> tuple[np.ndarray, bool]:
     hyperbolic [[0, 1], [1, 0]] blocks on consecutive columns if M is
     alternating (zero diagonal), else the identity.
 
-    Symmetric elimination, whole rows at a time.  A still-active column
-    with a nonzero diagonal entry, scaled to 1, is cleared from the other
-    active columns, and the active part of M drops the Schur term of that
-    pivot; with none left, a hyperbolic pair (k, j) is the pivot, and if a
-    unit column g is done already, the three become the unit columns
-    g + k, g + j, g + k + j.  Up to `linalg.SCALAR_ENTRIES` entries this
-    runs on Python lists of ints with scalar exp/log reads, as `row_reduce`
-    does, above on numpy arrays; both give the same (E, alternating).
+    Symmetric elimination, whole rows at a time, on Python lists of ints
+    with scalar exp/log reads.  A still-active column with a nonzero
+    diagonal entry, scaled to 1, is cleared from the other active columns,
+    and the active part of M drops the Schur term of that pivot; with none
+    left, a hyperbolic pair (k, j) is the pivot, and if a unit column g is
+    done already, the three become the unit columns g + k, g + j, g + k + j.
+    Tests and benchmark workloads pass n <= 16.  On dense blocks (2-CPU
+    x86 VM, best of 5) this took 0.2-0.7x the time of the same elimination
+    on numpy arrays (the tests' reference) for n <= 24 over GF(8) and
+    0.2-0.9x for n <= 20 over GF(2^16); one body costs 1.0x, 1.5x and 2.6x
+    at n = 24, 32 and 48 over GF(2^16), where no test or workload goes.
     """
     n = len(M)
     units: list[int] = []
     pairs: list[int] = []
-    if n * n <= linalg.SCALAR_ENTRIES:
-        L, exp, log, om = M.tolist(), F.exp_view, F.log_view, F.order - 1
-        # Et[c] is column c of E.  Scales are logs in [0, om), so a sum of two
-        # indexes exp; 1/sqrt(a) is exp[-log(a) order/2], as in `Field.sqrt`
-        Et, active = eye(n).tolist(), list(range(n))
-        while active:
-            k = next((c for c in active if L[c][c]), None)
-            if k is not None:
-                piv, scale = [k], [-log[L[k][k]] * (F.order >> 1) % om]
-            else:
-                k = active[0]
-                j = next(c for c in active if L[k][c])
-                piv, scale = [k, j], [0, -log[L[k][j]] % om]
-            active = [c for c in active if c not in piv]
-            for p, s in zip(piv, scale):
-                Et[p] = [exp[log[x] + s] if x else 0 for x in Et[p]]
-            # E ^= E_piv rows[::-1] and M ^= rows^T rows[::-1], on (index, log) terms
-            cols = [[(i, log[x]) for i, x in enumerate(Et[p]) if x] for p in piv]
-            rows = [[(c, (log[L[p][c]] + s) % om) for c in active if L[p][c]] for p, s in zip(piv, scale)]
-            for col, row, rev in zip(cols, rows, rows[::-1]):
-                for X, outer, inner in ((Et, rev, col), (L, row, rev)):
-                    for a, la in outer:
-                        Xa = X[a]
-                        for b, lb in inner:
-                            Xa[b] ^= exp[la + lb]
-            if len(piv) == 1:
-                units += piv
-            elif units:
-                g = units.pop()
-                gk, gj = ([x ^ y for x, y in zip(Et[g], Et[c])] for c in piv)
-                Et[g], Et[k], Et[j] = gk, gj, [x ^ y for x, y in zip(gk, Et[j])]
-                units += [g, k, j]
-            else:
-                pairs += piv
-        return np.array(Et, dtype=np.int64).reshape(n, n).T[:, units or pairs], not units
-    M, E = M.copy(), eye(n)
-    active = np.ones(n, dtype=bool)
-    while active.any():
-        diag = np.flatnonzero(active & (np.diagonal(M) != 0))
-        if diag.size:
-            k = int(diag[0])
-            piv, scale = [k], [F.inv(F.sqrt(int(M[k, k])))]
+    L, exp, log, om = M.tolist(), F.exp_view, F.log_view, F.order - 1
+    # Et[c] is column c of E.  Scales are logs in [0, om), so a sum of two
+    # indexes exp; 1/sqrt(a) is exp[-log(a) order/2], as in `Field.sqrt`
+    Et, active = eye(n).tolist(), list(range(n))
+    while active:
+        k = next((c for c in active if L[c][c]), None)
+        if k is not None:
+            piv, scale = [k], [-log[L[k][k]] * (F.order >> 1) % om]
         else:
-            k = int(np.flatnonzero(active)[0])
-            j = int(np.flatnonzero(active & (M[k] != 0))[0])
-            piv, scale = [k, j], [1, F.inv(int(M[k, j]))]
-        active[piv] = False
-        scale = np.array(scale, dtype=np.int64)
-        E[:, piv] = F.mul_arr(E[:, piv], scale)
-        # the scaled pivot rows on the active columns; the pivot block is
-        # [1] or [[0, 1], [1, 0]], its own inverse, so the coefficients of
-        # the pivot columns are these rows in reverse order
-        rows = F.mul_arr(M[piv], scale[:, None]) * active
-        E ^= mat_mul(F, E[:, piv], rows[::-1])
-        M ^= mat_mul(F, rows.T, rows[::-1])
+            k = active[0]
+            j = next(c for c in active if L[k][c])
+            piv, scale = [k, j], [0, -log[L[k][j]] % om]
+        active = [c for c in active if c not in piv]
+        for p, s in zip(piv, scale):
+            Et[p] = [exp[log[x] + s] if x else 0 for x in Et[p]]
+        # E ^= E_piv rows[::-1] and M ^= rows^T rows[::-1], on (index, log) terms
+        cols = [[(i, log[x]) for i, x in enumerate(Et[p]) if x] for p in piv]
+        rows = [[(c, (log[L[p][c]] + s) % om) for c in active if L[p][c]] for p, s in zip(piv, scale)]
+        for col, row, rev in zip(cols, rows, rows[::-1]):
+            for X, outer, inner in ((Et, rev, col), (L, row, rev)):
+                for a, la in outer:
+                    Xa = X[a]
+                    for b, lb in inner:
+                        Xa[b] ^= exp[la + lb]
         if len(piv) == 1:
             units += piv
         elif units:
             g = units.pop()
-            mixed = [g] + piv
-            E[:, mixed] = mat_mul(F, E[:, mixed], [[1, 1, 1], [1, 0, 1], [0, 1, 1]])
-            units += mixed
+            gk, gj = ([x ^ y for x, y in zip(Et[g], Et[c])] for c in piv)
+            Et[g], Et[k], Et[j] = gk, gj, [x ^ y for x, y in zip(gk, Et[j])]
+            units += [g, k, j]
         else:
             pairs += piv
-    return E[:, units or pairs], not units
+    return np.array(Et, dtype=np.int64).reshape(n, n).T[:, units or pairs], not units
 
 
 def _transvection(F: Field, E: np.ndarray, x_rows: np.ndarray, g: np.ndarray, h: np.ndarray) -> None:

@@ -52,7 +52,7 @@ from .bform import BilinearForm, Subobject, subobject_standard_basis
 from .classify import CanonicalClass, class_codes
 from .field import Field, make_field
 from .linalg import column_support, congruence, eye, mat_mul, rank, readonly, solve, support_gather, zeros
-from .verobj import InternalCheckError, Morphism, VerObject, braiding, free_entry_count, json_ints, tensor, tensor_raw
+from .verobj import InternalCheckError, Morphism, VerObject, braiding, free_entry_count, json_fields, json_ints, tensor, tensor_raw
 from .witt import _product_grams, _sum_grams
 
 
@@ -208,11 +208,8 @@ class QuadraticForm:
 
     @classmethod
     def from_json(cls, doc: dict) -> "QuadraticForm":
-        try:
-            k, obj_doc, values = doc["field"]["k"], doc["object"], doc["values"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed quadratic form document: missing {exc}") from exc
-        F = make_field(json_ints(k, "field degree k"))
+        field, obj_doc, values = json_fields(doc, "quadratic form document", "field", "object", "values")
+        F = make_field(json_ints(*json_fields(field, "field document", "k"), "field degree k"))
         obj = VerObject.from_json(F, obj_doc)
         return cls(obj, json_ints(values, "quadratic form values", depth=1, bound=F.order))
 

@@ -5,7 +5,7 @@ supplies the arithmetic.  Row reduction is Gauss-Jordan elimination (row
 addition is XOR, scaling goes through the field's exp/log tables), so
 everything stays exact: matrices of at most `SCALAR_ENTRIES` entries run it
 on Python lists of ints with scalar table reads, larger ones with numpy
-row operations, and `classify`'s symmetric elimination splits the same way.
+row operations.
 There is one product kernel, `_product` (A B over broadcast leading batch
 axes), behind `mat_mul` (two matrices) and `congruence` (T^T G T, stacks
 included), and two elimination kernels: `row_reduce` (RREF and pivots of
@@ -109,14 +109,13 @@ def kron(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (ra * rb, ca * cb))
 
 
-# Matrices with at most this many entries are reduced on Python lists of ints
-# with scalar exp/log reads, larger ones by numpy row operations, here and in
-# `classify._congruence_basis`.  On dense s x (s+1) matrices (2-CPU x86 VM,
-# best of two runs) numpy took 32/57/195/264 us against the lists'
-# 8/21/122/352 us at s = 2/4/12/16 over GF(8), and 30/77/187/310 us against
-# 9/24/193/388 us over GF(2^16): break-even near 150-270 entries over GF(8)
-# and 110-160 over GF(2^16).  Symmetric elimination of dense invertible n x n
-# blocks took 0.2-0.4x numpy's time at n <= 8 and 0.7-1.4x at n = 24.
+# `row_reduce` reduces matrices with at most this many entries on Python
+# lists of ints with scalar exp/log reads, larger ones by numpy row
+# operations.  On dense s x (s+1) matrices (2-CPU x86 VM, best of two runs)
+# numpy took 32/57/195/264 us against the lists' 8/21/122/352 us at
+# s = 2/4/12/16 over GF(8), and 30/77/187/310 us against 9/24/193/388 us
+# over GF(2^16): break-even near 150-270 entries over GF(8) and 110-160
+# over GF(2^16).
 SCALAR_ENTRIES = 64
 
 

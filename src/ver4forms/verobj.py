@@ -56,6 +56,16 @@ def json_ints(data, what: str, depth: int = 0, bound: int | None = None):
     return data
 
 
+def json_fields(doc, what: str, *keys: str) -> list:
+    """[doc[key] for key in keys] from untrusted JSON: a ValueError says
+    that doc is not a JSON object, or names the first key it lacks."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed {what}: must be a JSON object with keys {', '.join(map(repr, keys))}")
+    if missing := [key for key in keys if key not in doc]:
+        raise ValueError(f"malformed {what}: missing {missing[0]!r}")
+    return [doc[key] for key in keys]
+
+
 @dataclass(frozen=True)
 class VerObject:
     """The standard module m1 + nP over a fixed field.
@@ -200,10 +210,7 @@ class VerObject:
 
     @classmethod
     def from_json(cls, field: Field, doc: dict) -> "VerObject":
-        try:
-            m, n = doc["m"], doc["n"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed object document: missing {exc}") from exc
+        m, n = json_fields(doc, "object document", "m", "n")
         return cls(field, json_ints(m, "object size m"), json_ints(n, "object size n"))
 
     def __repr__(self):

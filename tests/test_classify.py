@@ -1,8 +1,6 @@
 import hashlib
 import itertools
-import math
 import sys
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -587,8 +585,7 @@ def _families_for(m, n):
 @given(k=st.integers(1, 16), m=st.integers(0, 10), n=st.integers(0, 10), seed=st.integers(0, 2**32 - 1))
 def test_canonicalize_random_block_grams(k, m, n, seed):
     # one Gram per family the shape allows (all six when m, n >= 2 are
-    # even), drawn from random blocks rather than scrambled representatives;
-    # G_vv and G_wx fall on both sides of `la.SCALAR_ENTRIES`
+    # even), drawn from random blocks rather than scrambled representatives
     Fk, rng = make_field(k), np.random.default_rng(seed)
     obj = VerObject(Fk, m, n)
     T_std = obj.t_action()
@@ -623,40 +620,73 @@ def _units_beside_alternating(Fk, rng, n, units):
     return M[p][:, p]
 
 
+def _reference_congruence_basis(F, M):
+    """`_congruence_basis` on numpy arrays: the same pivots, scales and
+    mixing, each step one array product, with 1/sqrt read through
+    `Field.inv` and `Field.sqrt` instead of log arithmetic."""
+    n = len(M)
+    units: list[int] = []
+    pairs: list[int] = []
+    M, E = M.copy(), la.eye(n)
+    active = np.ones(n, dtype=bool)
+    while active.any():
+        diag = np.flatnonzero(active & (np.diagonal(M) != 0))
+        if diag.size:
+            k = int(diag[0])
+            piv, scale = [k], [F.inv(F.sqrt(int(M[k, k])))]
+        else:
+            k = int(np.flatnonzero(active)[0])
+            j = int(np.flatnonzero(active & (M[k] != 0))[0])
+            piv, scale = [k, j], [1, F.inv(int(M[k, j]))]
+        active[piv] = False
+        scale = np.array(scale, dtype=np.int64)
+        E[:, piv] = F.mul_arr(E[:, piv], scale)
+        # the scaled pivot rows on the active columns; the pivot block is
+        # [1] or [[0, 1], [1, 0]], its own inverse, so the coefficients of
+        # the pivot columns are these rows in reverse order
+        rows = F.mul_arr(M[piv], scale[:, None]) * active
+        E ^= la.mat_mul(F, E[:, piv], rows[::-1])
+        M ^= la.mat_mul(F, rows.T, rows[::-1])
+        if len(piv) == 1:
+            units += piv
+        elif units:
+            g = units.pop()
+            mixed = [g] + piv
+            E[:, mixed] = la.mat_mul(F, E[:, mixed], [[1, 1, 1], [1, 0, 1], [0, 1, 1]])
+            units += mixed
+        else:
+            pairs += piv
+    return E[:, units or pairs], not units
+
+
 @st.composite
 def _congruence_blocks(draw):
-    # (lists, n, units): n x n is at most SCALAR_ENTRIES entries exactly when
-    # `lists` is drawn; units is None for a dense non-alternating block
-    lists = draw(st.booleans())
-    side = math.isqrt(la.SCALAR_ENTRIES)
-    n = draw(st.integers(0, side) if lists else st.integers(side + 1, 16))
+    # (n, units): units is None for a dense non-alternating block
+    n = draw(st.integers(0, 24))
     units = draw(st.none() | st.integers(0, n)) if n else 0
-    return lists, n, None if units is None else units + (n - units) % 2
+    return n, None if units is None else units + (n - units) % 2
 
 
 @settings(max_examples=150, deadline=None)
 @given(k=st.integers(1, 16), block=_congruence_blocks(), seed=st.integers(0, 2**32 - 1))
-def test_congruence_basis_lists_match_numpy_on_both_sides_of_the_scalar_bound(k, block, seed):
-    (lists, n, units), Fk, rng = block, make_field(k), np.random.default_rng(seed)
-    assert (n * n <= la.SCALAR_ENTRIES) == lists
+def test_congruence_basis_matches_the_numpy_reference(k, block, seed):
+    (n, units), Fk, rng = block, make_field(k), np.random.default_rng(seed)
     if units is None:
         M = _symmetric_invertible(Fk, rng, n, False)
     else:
         M = _units_beside_alternating(Fk, rng, n, units)
     E, alternating = _congruence_basis(Fk, M)
-    # -1, not 0, so that the numpy body runs for n = 0 too
-    with patch.object(la, "SCALAR_ENTRIES", -1):
-        want_E, want_alternating = _congruence_basis(Fk, M)
+    want_E, want_alternating = _reference_congruence_basis(Fk, M)
     assert E.dtype == want_E.dtype and E.shape == want_E.shape == (n, n)
     assert E.tobytes() == want_E.tobytes() and alternating == want_alternating == (units == 0)
     assert np.array_equal(la.congruence(Fk, E, M), la.eye(n)[np.arange(n) ^ alternating])
 
 
 # sha256 prefix of the serial `canonicalize` transforms (bytes and shape) of
-# one seeded scramble of every GF(8) class on m, n <= 4, where G_wx has at
-# most SCALAR_ENTRIES entries, and of GF(2^16) classes on shapes with
-# n >= 10, where it has more (232 forms), pinned from the output of the
-# numpy-only `_congruence_basis` that preceded its list path
+# one seeded scramble of every GF(8) class on m, n <= 4 and of GF(2^16)
+# classes on shapes with n = 10, 12 and 14 (232 forms), pinned from the
+# output of the numpy-array elimination (`_reference_congruence_basis`),
+# which the list elimination reproduces at every n
 _CANONICALIZE_T_SHA256 = "20bda7f5cf3c6636"
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -81,20 +82,30 @@ def test_schema_violation(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command, doc",
+    "command, doc, message",
     [
-        ("classify", {"field": {"k": 2}, "object": {"m": 0, "n": 1}, "gram": [[2.9, 1.2], [1, 0]]}),
-        ("classify", {"field": {"k": 2}, "object": {"m": True, "n": 0}, "gram": [[1]]}),
-        ("classify", {"field": {"k": 2}, "object": {"m": 0, "n": 1}, "gram": [[2**63, 1], [1, 0]]}),
-        ("quad-classify", {"field": {"k": 2}, "object": {"m": "0", "n": 1}, "values": [0, 1]}),
-        ("quad-classify", {"field": {"k": 2}, "object": {"m": 2, "n": 0}, "values": [0, 0, 1.0]}),
+        ("classify", {"field": {"k": 2}, "object": {"m": 0, "n": 1}, "gram": [[2.9, 1.2], [1, 0]]}, "non-negative integers"),
+        ("classify", {"field": {"k": 2}, "object": {"m": True, "n": 0}, "gram": [[1]]}, "non-negative integers"),
+        ("classify", {"field": {"k": 2}, "object": {"m": 0, "n": 1}, "gram": [[2**63, 1], [1, 0]]}, "below 4"),
+        ("quad-classify", {"field": {"k": 2}, "object": {"m": "0", "n": 1}, "values": [0, 1]}, "non-negative integers"),
+        ("quad-classify", {"field": {"k": 2}, "object": {"m": 2, "n": 0}, "values": [0, 0, 1.0]}, "non-negative integers"),
+        ("classify", {"field": {"k": 2}, "object": {"m": 0, "n": 1}, "gram": [[1, 2], [3]]}, r"equal lengths, got lengths \[2, 1\]$"),
+        ("classify", [{"field": {"k": 2}}], "form document: must be a JSON object with keys 'field', 'object', 'gram'"),
+        ("quad-classify", [], "form document: must be a JSON object with keys 'field', 'object', 'values'"),
+        ("classify", {"field": {"k": 2}, "object": [0, 1], "gram": [[1]]}, "object document: must be a JSON object with keys 'm'"),
+        ("quad-classify", {"field": {"k": 2}, "object": [0, 1], "values": [0, 1]}, "object document: must be a JSON object"),
+        ("classify", {"field": {"k": 2}, "object": {"m": 0}, "gram": [[1]]}, "object document: missing 'n'$"),
     ],
-    ids=["float-gram", "bool-size", "gram-2^63", "string-size", "float-value"],
+    ids=[
+        "float-gram", "bool-size", "gram-2^63", "string-size", "float-value", "ragged-gram",
+        "list-document", "list-quad-document", "list-object", "list-quad-object", "missing-key",
+    ],
 )
-def test_strict_integer_input(tmp_path, capsys, command, doc):
+def test_strict_integer_input(tmp_path, capsys, command, doc, message):
     assert main([command, _write(tmp_path, "f.json", doc)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert re.search(message, err.strip())
 
 
 def test_canonicalize_command(tmp_path, capsys):

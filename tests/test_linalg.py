@@ -112,26 +112,8 @@ def _symmetric_invertible(n):
     return la.congruence(F, P, la.eye(n))
 
 
-@pytest.mark.parametrize(
-    "rank_after, draw_small, draw_large",
-    [
-        # entries >= 2: the first pivot needs scaling, which numpy does by mul_arr
-        (
-            lambda M: len(la.row_reduce(F, M)[1]),
-            lambda: RNG.integers(2, F.order, size=(4, 5)),
-            lambda: RNG.integers(2, F.order, size=(9, 9)),
-        ),
-        # numpy's symmetric elimination scales E's pivot columns by mul_arr
-        (
-            lambda M: la.rank(F, _congruence_basis(F, M)[0]),
-            lambda: _symmetric_invertible(4),
-            lambda: _symmetric_invertible(9),
-        ),
-    ],
-    ids=["row_reduce", "congruence_basis"],
-)
-def test_row_reduce_below_the_scalar_bound_makes_no_array_products(monkeypatch, rank_after, draw_small, draw_large):
-    small, large = draw_small(), draw_large()
+@pytest.fixture
+def mul_arr_calls(monkeypatch):
     calls, mul_arr = [], Field.mul_arr
 
     def counting(self, a, b):
@@ -139,10 +121,26 @@ def test_row_reduce_below_the_scalar_bound_makes_no_array_products(monkeypatch, 
         return mul_arr(self, a, b)
 
     monkeypatch.setattr(Field, "mul_arr", counting)
+    return calls
+
+
+def test_row_reduce_below_the_scalar_bound_makes_no_array_products(mul_arr_calls):
+    # entries >= 2: the first pivot needs scaling, which numpy does by mul_arr
+    small, large = RNG.integers(2, F.order, size=(4, 5)), RNG.integers(2, F.order, size=(9, 9))
     assert small.size <= la.SCALAR_ENTRIES < large.size
-    assert rank_after(small) == 4 and not calls
-    rank_after(large)
-    assert calls
+    assert len(la.row_reduce(F, small)[1]) == 4 and not mul_arr_calls
+    la.row_reduce(F, large)
+    assert mul_arr_calls
+
+
+@pytest.mark.parametrize("n", [4, 9, 16])
+def test_congruence_basis_makes_no_array_products(mul_arr_calls, n):
+    # symmetric elimination runs on lists of ints at every size
+    M = _symmetric_invertible(n)
+    mul_arr_calls.clear()  # building M multiplies arrays
+    E, alternating = _congruence_basis(F, M)
+    assert not mul_arr_calls
+    assert np.array_equal(la.congruence(F, E, M), la.eye(n)) and not alternating
 
 
 def test_fields_pickle_and_copy_to_the_cached_context():
