@@ -172,7 +172,7 @@ class BilinearForm:
         if len(set(lengths)) > 1:
             raise ValueError(f"gram rows must have equal lengths, got lengths {lengths!r:.60}")
         gram = np.array(gram, dtype=np.int64)
-        if not gram.size:  # a dim-0 form writes "gram": [], which numpy reads as 1-D
+        if gram.ndim == 1:  # a dim-0 form writes "gram": [], which numpy reads as 1-D
             gram = gram.reshape(0, 0)
         return cls(obj, gram)
 

@@ -97,8 +97,8 @@ class Gamma2Basis:
         return self._basis
 
 
-# verifying the basis applies 1 - c to B by gathers and takes two ranks (0.04-0.06 s
-# at dim 24 on a 2-CPU x86 VM); past dim 24 the braiding is over TENSOR_MAX_DIM anyway
+# verifying the basis applies 1 - c to B by gathers and takes two ranks (gamma2 takes
+# 0.06-0.07 s at dim 24 on a 2-CPU x86 VM); past dim 24 the braiding is over TENSOR_MAX_DIM anyway
 GAMMA2_BASIS_MAX_DIM = 24
 
 

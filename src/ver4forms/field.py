@@ -50,11 +50,12 @@ class Field:
     (`mul_arr`, `inv_arr`) accept numpy int arrays of encodings and
     broadcast; they are the building blocks of the exact linear algebra
     layer (addition is XOR).  `exp_view` and `log_view` are zero-copy
-    memoryviews of the exp/log tables whose items read as Python ints, for
-    scalar code such as `mul` and `linalg.row_reduce` on small matrices.
+    memoryviews of the same exp/log tables whose items read as Python ints,
+    for scalar code such as `mul` and `linalg.row_reduce`; log(0) reads as
+    a sentinel, so scalar code reads log[x] only for x != 0.
     """
 
-    __slots__ = ("k", "order", "modulus", "_gorder", "_exp", "_log", "_sqrt", "_logz", "_expz", "exp_view", "log_view")
+    __slots__ = ("k", "order", "modulus", "_gorder", "_sqrt", "_logz", "_expz", "exp_view", "log_view")
 
     def __init__(self, k: int):
         if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= MAX_DEGREE:
@@ -98,20 +99,17 @@ class Field:
         if self._xtime(int(exp[om - 1])) != 1 or np.count_nonzero(log) != om - 1:
             raise AssertionError(f"modulus for k={self.k} is not primitive")
         exp[om:] = exp[:om]
-        self._exp = exp
-        self._log = log
-        self.exp_view = memoryview(exp)
-        self.log_view = memoryview(log)
         # zero-aware tables: log(0) maps to a sentinel just past `exp`, so
         # the summed exponent of any product with 0 lands in the zero tail
         # of _expz (sums of two real logs stay inside `exp`)
         zlog = exp.shape[0]
-        logz = log.copy()
-        logz[0] = zlog
-        self._logz = logz
+        log[0] = zlog
+        self._logz = log
         expz = np.zeros(2 * zlog + 1, dtype=np.int64)
         expz[:zlog] = exp
         self._expz = expz
+        self.exp_view = memoryview(expz)
+        self.log_view = memoryview(log)
         # sqrt via the inverse of the Frobenius bijection a -> a^2, which
         # sends exp[i] to exp[2i]
         sq = np.zeros(self.order, dtype=np.int64)

@@ -3,9 +3,8 @@
 Matrices are 2-D numpy int64 arrays of element encodings; a `Field` context
 supplies the arithmetic.  Row reduction is Gauss-Jordan elimination (row
 addition is XOR, scaling goes through the field's exp/log tables), so
-everything stays exact: matrices of at most `SCALAR_ENTRIES` entries run it
-on Python lists of ints with scalar table reads, larger ones with numpy
-row operations.
+everything stays exact; `row_reduce` runs it on Python lists of ints with
+scalar table reads at every size.
 There is one product kernel, `_product` (A B over broadcast leading batch
 axes), behind `mat_mul` (two matrices) and `congruence` (T^T G T, stacks
 included), and two elimination kernels: `row_reduce` (RREF and pivots of
@@ -109,16 +108,6 @@ def kron(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (ra * rb, ca * cb))
 
 
-# `row_reduce` reduces matrices with at most this many entries on Python
-# lists of ints with scalar exp/log reads, larger ones by numpy row
-# operations.  On dense s x (s+1) matrices (2-CPU x86 VM, best of two runs)
-# numpy took 32/57/195/264 us against the lists' 8/21/122/352 us at
-# s = 2/4/12/16 over GF(8), and 30/77/187/310 us against 9/24/193/388 us
-# over GF(2^16): break-even near 150-270 entries over GF(8) and 110-160
-# over GF(2^16).
-SCALAR_ENTRIES = 64
-
-
 def row_reduce(F: Field, M: np.ndarray, n_pivot_cols: int | None = None):
     """Reduced row echelon form over the field.
 
@@ -128,9 +117,17 @@ def row_reduce(F: Field, M: np.ndarray, n_pivot_cols: int | None = None):
     "first independent columns" choice in the package is made.
     Pivot search can be limited to the first `n_pivot_cols` columns (for
     augmented systems); row operations always apply to the full width.
-    Each column takes its first non-zero at or below the current row as
-    pivot, scaled to 1, and clears it from every other row: on Python lists
-    of ints up to `SCALAR_ENTRIES` entries, by numpy row operations above.
+
+    Gauss-Jordan on Python lists of ints with scalar exp/log reads: each
+    column takes its first non-zero at or below the current row as pivot,
+    scaled to 1, and clears it from every other row.  Benchmark workloads
+    pass at most 36 x 37.  On 5 dense n x (n+1) matrices (2-CPU x86 VM,
+    best of 5) this took 0.3-0.8x the time of numpy row operations (the
+    former numpy body) for n <= 16 over GF(8) and 0.3-1.1x for n <= 14
+    over GF(2^16).  One body costs 1.6x/1.9x at n = 24/36 over GF(8) (6
+    sweep solves per round have n >= 24) and 2.4x at n = 24 over GF(2^16);
+    where no workload goes, 4x/11x on dense 192 x 192 matrices, 1.7x on
+    `gamma2` at dim 24 and 2.2x on `standard_basis` of a dim-576 tensor.
     """
     M = np.asarray(M, dtype=np.int64)
     rows, cols = M.shape
@@ -138,53 +135,30 @@ def row_reduce(F: Field, M: np.ndarray, n_pivot_cols: int | None = None):
         n_pivot_cols = cols
     pivots: list[int] = []
     r = 0
-    if rows * cols <= SCALAR_ENTRIES:
-        L, exp, log, om = M.tolist(), F.exp_view, F.log_view, F.order - 1
-        for c in range(n_pivot_cols):
-            p = next((i for i in range(r, rows) if L[i][c]), rows)
-            if p == rows:
-                continue
-            row = L[p]
-            L[p], L[r] = L[r], row
-            if row[c] != 1:
-                s = om - log[row[c]]
-                row[:] = [exp[log[x] + s] if x else 0 for x in row]
-            # a row operation reads the pivot row's non-zeros alone
-            terms = [(j, log[x]) for j, x in enumerate(row) if x]
-            for i, other in enumerate(L):
-                f = other[c]
-                if f and i != r:
-                    f = log[f]
-                    for j, lx in terms:
-                        other[j] ^= exp[f + lx]
-            pivots.append(c)
-            r += 1
-        return np.array(L, dtype=np.int64).reshape(rows, cols), pivots
-    R = M.copy()
+    L, exp, log, om = M.tolist(), F.exp_view, F.log_view, F.order - 1
     for c in range(n_pivot_cols):
-        if r == rows:
-            break
-        nz = np.nonzero(R[r:, c])[0]
-        if nz.size == 0:
+        p = next((i for i in range(r, rows) if L[i][c]), rows)
+        if p == rows:
             continue
-        p = r + int(nz[0])
-        if p != r:
-            R[[r, p]] = R[[p, r]]
-        pv = int(R[r, c])
-        if pv != 1:
-            R[r] = F.mul_arr(R[r], F.inv(pv))
-        mask = R[:, c] != 0
-        mask[r] = False
-        if mask.any():
-            R[mask] ^= F.mul_arr(R[mask, c][:, None], R[r][None, :])
+        row = L[p]
+        L[p], L[r] = L[r], row
+        if row[c] != 1:
+            s = om - log[row[c]]
+            row[:] = [exp[log[x] + s] if x else 0 for x in row]
+        # a row operation reads the pivot row's non-zeros alone
+        terms = [(j, log[x]) for j, x in enumerate(row) if x]
+        for i, other in enumerate(L):
+            f = other[c]
+            if f and i != r:
+                f = log[f]
+                for j, lx in terms:
+                    other[j] ^= exp[f + lx]
         pivots.append(c)
         r += 1
-    return R, pivots
+    return np.array(L, dtype=np.int64).reshape(rows, cols), pivots
 
 
 def rank(F: Field, M: np.ndarray) -> int:
-    if M.size == 0:
-        return 0
     return len(row_reduce(F, M)[1])
 
 
@@ -217,9 +191,11 @@ def batch_solve(F: Field, A: np.ndarray, B: np.ndarray | None = None) -> tuple[n
     the pivot row, zero left of c, is added into the other rows on the
     trailing columns: with B every other row (Gauss-Jordan), without B only
     the rows below, as the rank needs no back substitution.  A batch of one
-    goes through `row_reduce` instead: on dense GF(8) matrices the stacked
-    pass on one matrix took 2.6-5.9x the time of `is_invertible` for
-    s = 1..8, which `row_reduce` runs on lists, and 0.96-1.3x for s = 9..14.
+    goes through `row_reduce` instead: on dense s x s matrices (best of 5)
+    the stacked pass on one matrix took 2.4-4.1x the time of `row_reduce`
+    for s = 1..8 and 1.1-2.4x for s = 9..18 over GF(8), 1.8-4.1x for
+    s = 1..8 and 1.0-1.7x for s = 9..13 over GF(2^16); above that the
+    stacked pass is faster, 0.4x at s = 36 over GF(8) and 0.24x over GF(2^16).
     """
     A = np.asarray(A, dtype=np.int64)
     b, s, s2 = A.shape

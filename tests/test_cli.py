@@ -95,10 +95,13 @@ def test_schema_violation(tmp_path):
         ("classify", {"field": {"k": 2}, "object": [0, 1], "gram": [[1]]}, "object document: must be a JSON object with keys 'm'"),
         ("quad-classify", {"field": {"k": 2}, "object": [0, 1], "values": [0, 1]}, "object document: must be a JSON object"),
         ("classify", {"field": {"k": 2}, "object": {"m": 0}, "gram": [[1]]}, "object document: missing 'n'$"),
+        ("classify", {"field": {"k": 2}, "object": {"m": 0, "n": 0}, "gram": [[]]}, r"gram shape \(1, 0\) does not match dim 0$"),
+        ("canonicalize", {"field": {"k": 2}, "object": {"m": 0, "n": 0}, "gram": [[], [], []]}, r"gram shape \(3, 0\) does not match dim 0$"),
     ],
     ids=[
         "float-gram", "bool-size", "gram-2^63", "string-size", "float-value", "ragged-gram",
         "list-document", "list-quad-document", "list-object", "list-quad-object", "missing-key",
+        "dim0-empty-row", "dim0-empty-rows",
     ],
 )
 def test_strict_integer_input(tmp_path, capsys, command, doc, message):
@@ -106,6 +109,13 @@ def test_strict_integer_input(tmp_path, capsys, command, doc, message):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert re.search(message, err.strip())
+
+
+def test_dim0_form_reads_its_empty_gram(tmp_path, capsys):
+    # a dim-0 form writes "gram": []; lists of empty rows are refused above
+    doc = {"field": {"k": 2}, "object": {"m": 0, "n": 0}, "gram": []}
+    assert main(["classify", _write(tmp_path, "f.json", doc)]) == 0
+    assert capsys.readouterr().out.strip() == "C[0,0]"
 
 
 def test_canonicalize_command(tmp_path, capsys):

@@ -66,16 +66,9 @@ def _reference_rref(Fk, M, n_pivot_cols):
 
 @st.composite
 def _reduce_shapes(draw):
-    # (lists, rows, cols, n_pivot_cols) with rows, cols <= 16 and rows * cols
-    # at most SCALAR_ENTRIES exactly when `lists` is drawn
-    lists = draw(st.booleans())
-    if lists:
-        rows = draw(st.integers(0, 16))
-        cols = draw(st.integers(0, min(16, la.SCALAR_ENTRIES // max(rows, 1))))
-    else:
-        rows = draw(st.integers(la.SCALAR_ENTRIES // 16 + 1, 16))
-        cols = draw(st.integers(la.SCALAR_ENTRIES // rows + 1, 16))
-    return lists, rows, cols, draw(st.none() | st.integers(0, cols))
+    # (rows, cols, n_pivot_cols), up to the 36 x 37 solves of the benchmark sweep
+    rows, cols = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+    return rows, cols, draw(st.none() | st.integers(0, cols))
 
 
 @settings(max_examples=120, deadline=None)
@@ -87,13 +80,10 @@ def _reduce_shapes(draw):
     zero_cols=st.integers(0, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_row_reduce_matches_reference_on_both_sides_of_the_scalar_bound(
-    k, shape, density, repeats, zero_cols, seed
-):
+def test_row_reduce_matches_reference(k, shape, density, repeats, zero_cols, seed):
     # rank deficiency from repeated (scaled) rows and zero columns, with
-    # 0-row and 0-column matrices; lists below the bound, numpy above it
-    (lists, rows, cols, n_pivot_cols), Fk, rng = shape, make_field(k), np.random.default_rng(seed)
-    assert (rows * cols <= la.SCALAR_ENTRIES) == lists
+    # 0-row and 0-column matrices
+    (rows, cols, n_pivot_cols), Fk, rng = shape, make_field(k), np.random.default_rng(seed)
     M = rng.integers(0, Fk.order, size=(rows, cols)) * (rng.random((rows, cols)) < density)
     if rows:
         for dst, src in rng.integers(0, rows, size=(repeats, 2)):
@@ -124,13 +114,15 @@ def mul_arr_calls(monkeypatch):
     return calls
 
 
-def test_row_reduce_below_the_scalar_bound_makes_no_array_products(mul_arr_calls):
-    # entries >= 2: the first pivot needs scaling, which numpy does by mul_arr
-    small, large = RNG.integers(2, F.order, size=(4, 5)), RNG.integers(2, F.order, size=(9, 9))
-    assert small.size <= la.SCALAR_ENTRIES < large.size
-    assert len(la.row_reduce(F, small)[1]) == 4 and not mul_arr_calls
-    la.row_reduce(F, large)
-    assert mul_arr_calls
+@pytest.mark.parametrize("rows, cols", [(4, 5), (9, 9), (36, 37)])
+def test_row_reduce_makes_no_array_products(mul_arr_calls, rows, cols):
+    # Gauss-Jordan runs on lists of ints at every size; entries >= 2, so
+    # the first pivot needs scaling
+    M = RNG.integers(2, F.order, size=(rows, cols))
+    R, piv = la.row_reduce(F, M)
+    assert not mul_arr_calls
+    want_R, want_piv = _reference_rref(F, M, cols)
+    assert R.tobytes() == want_R.tobytes() and piv == want_piv
 
 
 @pytest.mark.parametrize("n", [4, 9, 16])
