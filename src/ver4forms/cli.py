@@ -4,7 +4,8 @@ Exit codes: 0 on success, 1 on validation errors (bad JSON, schema
 violations, out-of-range fields, unclassifiable input), 2 on internal
 cross-check mismatches.  `--json` suppresses prose and prints one JSON
 document; default output is human-readable with the JSON appended where it
-is the payload.
+is the payload.  Handlers import what they run, so a cold `classify` or
+`canonicalize` loads none of `divided`, `witt` and `oracle`.
 """
 
 from __future__ import annotations
@@ -29,28 +30,36 @@ from .classify import (
     form_invariant,
     good_pairs,
 )
-from .divided import GAMMA2_BASIS_MAX_DIM, QuadraticForm, classify_quadratic, gamma2, gamma2_dim_formula
 from .field import make_field
 from .linalg import congruence, eye, mat_mul
 from .verobj import (
+    GAMMA2_BASIS_MAX_DIM,
     VerObject,
     braiding,
     check_r_matrix_axioms,
     hexagons_hold,
     random_equivariant_matrices,
 )
-from .witt import direct_sum, emit_tables, tensor_product
-from . import oracle as oracle_mod
 
 # selfcheck's time and memory grow with --trials ((trials, 3) field triples,
 # trials // 4 + 1 scrambles per class): ~0.5 ms a trial (2-CPU x86 VM), ~50 s
 SELFCHECK_MAX_TRIALS = 100_000
 
 
+def _unique_keys(pairs: list) -> dict:
+    """`object_pairs_hook` for `json.load`: a JSON object that repeats no key."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ValueError(f"duplicate key {key!r:.40} in a JSON object")
+        doc[key] = value
+    return doc
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -61,10 +70,6 @@ def _load_json(path: str) -> dict:
 
 def _load_form(path: str) -> BilinearForm:
     return BilinearForm.from_json(_load_json(path))
-
-
-def _load_quadratic(path: str) -> QuadraticForm:
-    return QuadraticForm.from_json(_load_json(path))
 
 
 def _emit(payload: dict, args, prose: str | None = None):
@@ -118,10 +123,12 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
-def _binary_op(args, op) -> int:
+def _binary_op(args, op: str) -> int:
+    from . import witt
+
     b1 = _load_form(args.file1)
     b2 = _load_form(args.file2)
-    result = op(b1, b2)
+    result = getattr(witt, op)(b1, b2)
     payload = {"form": result.to_json()}
     if result.is_symmetric() and result.is_nondegenerate():
         payload["class"] = classify(result).to_json()
@@ -132,7 +139,9 @@ def _binary_op(args, op) -> int:
 
 
 def _cmd_quad_classify(args) -> int:
-    q = _load_quadratic(args.file)
+    from .divided import QuadraticForm, classify_quadratic
+
+    q = QuadraticForm.from_json(_load_json(args.file))
     h, cls = classify_quadratic(q)
     payload = {"hyperbolic_multiplicity": h, "np_class": cls.to_json()}
     _emit(payload, args, f"{h} hyperbolic plane(s) + {cls.label()}")
@@ -140,6 +149,8 @@ def _cmd_quad_classify(args) -> int:
 
 
 def _cmd_gamma2_basis(args) -> int:
+    from .divided import gamma2
+
     F = make_field(args.k)
     obj = VerObject(F, args.m, args.n)
     basis = gamma2(obj)
@@ -169,6 +180,8 @@ def _cmd_gamma2_basis(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    from .witt import emit_tables
+
     F = make_field(args.k)
     params = None
     if F.order > 8:
@@ -204,8 +217,10 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import orbit_classes
+
     F = make_field(args.k)
-    report = oracle_mod.orbit_classes(args.m, args.n, F)
+    report = orbit_classes(args.m, args.n, F)
     _emit(report.to_json(), args, report.summary())
     return 0
 
@@ -233,6 +248,10 @@ def _canonicalizes(cls: CanonicalClass, F, rng, count: int) -> bool:
 def _selfchecks(args) -> list:
     """The selfcheck table: (name, check) in the order they run, each check
     a call into the library that returns whether it passed."""
+    from .divided import gamma2, gamma2_dim_formula
+    from .oracle import orbit_classes
+    from .witt import emit_tables
+
     rng = np.random.default_rng(args.seed)
     F4 = make_field(2)
     objs = [VerObject(F4, m, n) for m, n in ((1, 0), (0, 1), (1, 1), (2, 1))]
@@ -254,7 +273,7 @@ def _selfchecks(args) -> list:
          lambda: all(_canonicalizes(CanonicalClass(*c), F4, rng, args.trials // 4 + 1) for c in shapes)),
         ("witt sum table sample", lambda: witt()[0].ok),
         ("witt product table sample", lambda: witt()[1].ok),
-        ("oracle (0,1) orbit census", lambda: oracle_mod.orbit_classes(0, 1, F4).orbit_count == 4),
+        ("oracle (0,1) orbit census", lambda: orbit_classes(0, 1, F4).orbit_count == 4),
     ]
 
 
@@ -299,12 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sum", help="direct sum of two form documents")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.set_defaults(func=lambda a: _binary_op(a, direct_sum))
+    p.set_defaults(func=lambda a: _binary_op(a, "direct_sum"))
 
     p = sub.add_parser("product", help="braided tensor product of two form documents")
     p.add_argument("file1")
     p.add_argument("file2")
-    p.set_defaults(func=lambda a: _binary_op(a, tensor_product))
+    p.set_defaults(func=lambda a: _binary_op(a, "tensor_product"))
 
     p = sub.add_parser("quad-classify", help="classify a quadratic form document")
     p.add_argument("file")

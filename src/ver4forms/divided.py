@@ -52,7 +52,8 @@ from .bform import BilinearForm, Subobject, subobject_standard_basis
 from .classify import CanonicalClass, class_codes
 from .field import Field, make_field
 from .linalg import column_support, congruence, eye, mat_mul, rank, readonly, solve, support_gather, zeros
-from .verobj import InternalCheckError, Morphism, VerObject, braiding, free_entry_count, json_fields, json_ints, tensor, tensor_raw
+from .verobj import (GAMMA2_BASIS_MAX_DIM, InternalCheckError, Morphism, VerObject, braiding, free_entry_count,
+                     json_fields, json_ints, tensor, tensor_raw)
 from .witt import _product_grams, _sum_grams
 
 
@@ -95,11 +96,6 @@ class Gamma2Basis:
 
     def basis_matrix(self) -> np.ndarray:
         return self._basis
-
-
-# verifying the basis applies 1 - c to B by gathers and takes two ranks (gamma2 takes
-# 0.06-0.07 s at dim 24 on a 2-CPU x86 VM); past dim 24 the braiding is over TENSOR_MAX_DIM anyway
-GAMMA2_BASIS_MAX_DIM = 24
 
 
 @lru_cache(maxsize=None)

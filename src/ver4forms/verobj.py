@@ -58,11 +58,13 @@ def json_ints(data, what: str, depth: int = 0, bound: int | None = None):
 
 def json_fields(doc, what: str, *keys: str) -> list:
     """[doc[key] for key in keys] from untrusted JSON: a ValueError says
-    that doc is not a JSON object, or names the first key it lacks."""
+    that doc is not a JSON object, or names its first missing or unknown key."""
     if not isinstance(doc, dict):
         raise ValueError(f"malformed {what}: must be a JSON object with keys {', '.join(map(repr, keys))}")
     if missing := [key for key in keys if key not in doc]:
         raise ValueError(f"malformed {what}: missing {missing[0]!r}")
+    if unknown := [key for key in doc if key not in keys]:
+        raise ValueError(f"malformed {what}: unknown key {unknown[0]!r:.40}")
     return [doc[key] for key in keys]
 
 
@@ -355,6 +357,9 @@ def standard_basis(raw) -> tuple[VerObject, np.ndarray]:
 # Largest tensor product dimension; `tensor_raw`, under every tensor product, braiding
 # and evaluation, refuses more before anything is allocated.
 TENSOR_MAX_DIM = 576
+# `gamma2` verifies its basis by applying 1 - c to B by gathers and taking two ranks
+# (0.06-0.07 s at dim 24 on a 2-CPU x86 VM); past dim 24 the braiding is over TENSOR_MAX_DIM anyway
+GAMMA2_BASIS_MAX_DIM = 24
 
 
 class TensorModule:

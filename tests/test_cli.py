@@ -1,6 +1,9 @@
 import hashlib
+import importlib
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -18,13 +21,17 @@ from ver4forms.verobj import random_equivariant_matrix
 
 
 def _write(tmp_path, name, doc):
+    # a str is written as it is: json.dumps cannot write a repeated key
     path = tmp_path / name
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     return str(path)
 
 
 def bp_doc(y, k=2):
     return {"field": {"k": k}, "object": {"m": 0, "n": 1}, "gram": [[y, 1], [1, 0]]}
+
+
+_QUAD_DOC = {"field": {"k": 2}, "object": {"m": 2, "n": 0}, "values": [0, 0, 1]}
 
 
 def test_classify_command(tmp_path, capsys):
@@ -54,6 +61,28 @@ def test_prime_field_commands(tmp_path, capsys):
     quad = {"field": {"k": 1}, "object": {"m": 2, "n": 0}, "values": [0, 0, 1]}
     assert main(["quad-classify", _write(tmp_path, "q.json", quad)]) == 1
     assert "k >= 2" in capsys.readouterr().err
+
+
+_COLD_CALLS = """
+import json, sys
+from ver4forms import cli
+
+lazy = {"ver4forms.divided", "ver4forms.witt", "ver4forms.oracle"}
+for command, path in zip(["classify", "canonicalize", "quad-classify"], sys.argv[1:]):
+    assert cli.main(["--json", command, path]) == 0
+    print(json.dumps(sorted(lazy & set(sys.modules))))
+"""
+
+
+def test_cold_calls_load_only_what_they_run(tmp_path):
+    # a fresh interpreter: in this one, other tests have imported every module
+    form, quad = _write(tmp_path, "f.json", bp_doc(2)), _write(tmp_path, "q.json", _QUAD_DOC)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _COLD_CALLS, form, form, quad],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("[")]
+    assert loaded[:2] == [[], []] and "ver4forms.divided" in loaded[2]
 
 
 def test_malformed_json(tmp_path, capsys):
@@ -97,11 +126,18 @@ def test_schema_violation(tmp_path):
         ("classify", {"field": {"k": 2}, "object": {"m": 0}, "gram": [[1]]}, "object document: missing 'n'$"),
         ("classify", {"field": {"k": 2}, "object": {"m": 0, "n": 0}, "gram": [[]]}, r"gram shape \(1, 0\) does not match dim 0$"),
         ("canonicalize", {"field": {"k": 2}, "object": {"m": 0, "n": 0}, "gram": [[], [], []]}, r"gram shape \(3, 0\) does not match dim 0$"),
+        ("classify", {"field": {"k": 2}, "object": {"m": 0, "n": 1}, "gram": [[2, 1], [1, 0]], "class": "E"}, r"form document: unknown key 'class'$"),
+        ("classify", {"field": {"k": 3, "modulus": 13}, "object": {"m": 0, "n": 1}, "gram": [[2, 1], [1, 0]]}, r"field document: unknown key 'modulus'$"),
+        ("canonicalize", {"field": {"k": 2}, "object": {"m": 0, "n": 1, "p": 1}, "gram": [[2, 1], [1, 0]]}, r"object document: unknown key 'p'$"),
+        ("quad-classify", {**_QUAD_DOC, "gram": [[0]]}, r"quadratic form document: unknown key 'gram'$"),
+        ("classify", '{"field": {"k": 2}, "field": {"k": 3}, "object": {"m": 0, "n": 1}, "gram": [[2, 1], [1, 0]]}', r"duplicate key 'field'"),
+        ("quad-classify", '{"field": {"k": 2}, "object": {"m": 2, "n": 0, "n": 1}, "values": [0, 0, 1]}', r"duplicate key 'n'"),
     ],
     ids=[
         "float-gram", "bool-size", "gram-2^63", "string-size", "float-value", "ragged-gram",
         "list-document", "list-quad-document", "list-object", "list-quad-object", "missing-key",
-        "dim0-empty-row", "dim0-empty-rows",
+        "dim0-empty-row", "dim0-empty-rows", "unknown-form-key", "unknown-field-key", "unknown-object-key",
+        "unknown-quad-key", "duplicate-form-key", "duplicate-object-key",
     ],
 )
 def test_strict_integer_input(tmp_path, capsys, command, doc, message):
@@ -183,7 +219,6 @@ def test_product_refuses_over_the_tensor_cap(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: tensor product dim 40 x 40 is over the cap 576")
 
 
-_QUAD_DOC = {"field": {"k": 2}, "object": {"m": 2, "n": 0}, "values": [0, 0, 1]}
 _LARGE_QUAD_CLASS = CanonicalClass("F", 0, 50, 2)
 
 
@@ -356,7 +391,7 @@ def test_oracle_command(capsys):
 
 def test_oracle_failed_census_check_exits_2(monkeypatch, capsys):
     # the last (0,1)/GF(4) candidate gets another class's code, so its orbit is mixed
-    oracle_mod = sys.modules["ver4forms.oracle"]
+    oracle_mod = importlib.import_module("ver4forms.oracle")
     class_codes = oracle_mod.class_codes
 
     def last_one_wrong(obj, grams):
