@@ -183,9 +183,7 @@ def _cmd_tables(args) -> int:
     from .witt import emit_tables
 
     F = make_field(args.k)
-    params = None
-    if F.order > 8:
-        params = sorted(set(range(min(F.order, 4))) | {F.order - 1})
+    params = [0, 1, 2, 3, F.order - 1] if F.order > 8 else None
     outdir = Path(args.out)
     # refuse an unusable --out before computing, making no directory for a refused grid
     nearest = next(p for p in (outdir, *outdir.parents) if p.exists())

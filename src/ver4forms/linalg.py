@@ -6,10 +6,11 @@ addition is XOR, scaling goes through the field's exp/log tables), so
 everything stays exact; `row_reduce` runs it on Python lists of ints with
 scalar table reads at every size.
 There is one product kernel, `_product` (A B over broadcast leading batch
-axes), behind `mat_mul` (two matrices) and `congruence` (T^T G T, stacks
-included), and two elimination kernels: `row_reduce` (RREF and pivots of
-one matrix) and `batch_solve` (invertibility of a stack of square blocks,
-and A^-1 B for right-hand sides B when given).
+axes, its transient terms chunked by `ONE_SHOT_ENTRIES`), behind `mat_mul`
+(two matrices) and `congruence` (T^T G T, stacks included), and two
+elimination kernels: `row_reduce` (RREF and pivots of one matrix) and
+`batch_solve` (invertibility of a stack of square blocks, and A^-1 B for
+right-hand sides B when given).
 """
 
 from __future__ import annotations
@@ -48,18 +49,17 @@ def as_matrix(F: Field, data, stacked: bool = False) -> np.ndarray:
     return M
 
 
-# Products with at most this many scalar terms (a whole stack's) are one
-# broadcast `mul_arr` and one XOR-reduce; larger ones loop over the inner
-# index, skipping zero columns of A and rows of B.  On dense square GF(8)
-# matrices (2-CPU x86 VM) the broadcast took 0.1-0.3x the loop's time from
-# 2x2 to 28x28, broke even near 40x40 and took 1.5x at 81x81.
+# `_product`'s chunk bound, in scalar terms: it computes a product in chunks
+# of the inner index, each one broadcast `mul_arr` and XOR-reduce of as many
+# indices as fit within the bound (at least one).  Over GF(8) on a 2-CPU x86
+# VM chunks took 1.0-2.3x the time of the former per-index loop on dense 48 to
+# 144 square matrices and 1.0-1.2x on (1000, 8, 8) and (40, 30, 30) congruences.
 ONE_SHOT_ENTRIES = 1 << 15
 
 
 def _product(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A B for (..., r, l) A and (..., l, c) B, leading batch axes broadcast;
-    the one place that chooses between the broadcast and the loop, by the
-    product's batch * r * l * c scalar terms."""
+    """A B for (..., r, l) A and (..., l, c) B, leading batch axes broadcast,
+    in chunks of the inner index bounded by `ONE_SHOT_ENTRIES` terms."""
     (r, inner), (inner_b, c) = A.shape[-2:], B.shape[-2:]
     if inner != inner_b:
         raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
@@ -67,15 +67,10 @@ def _product(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     batch = a if a == b else np.broadcast_shapes(a, b)
     if math.prod(batch, start=r * inner * c) <= ONE_SHOT_ENTRIES:
         return np.bitwise_xor.reduce(F.mul_arr(A[..., None], B[..., None, :, :]), axis=-2)
+    step = max(1, ONE_SHOT_ENTRIES // math.prod(batch, start=r * c))
     C = np.zeros(batch + (r, c), dtype=np.int64)
-    for l in range(inner):
-        col = A[..., :, l, None]
-        if not col.any():
-            continue
-        row = B[..., None, l, :]
-        if not row.any():
-            continue
-        C ^= F.mul_arr(col, row)
+    for l in range(0, inner, step):
+        C ^= np.bitwise_xor.reduce(F.mul_arr(A[..., l : l + step, None], B[..., None, l : l + step, :]), axis=-2)
     return C
 
 

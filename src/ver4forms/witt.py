@@ -119,6 +119,16 @@ def _sorted_pair(c1: CanonicalClass, c2: CanonicalClass):
 
 def expected_sum_class(c1: CanonicalClass, c2: CanonicalClass) -> CanonicalClass:
     """Transcribed addition rule for a pair of canonical classes."""
+    return _sum_rule(c1, c2, _times)
+
+
+def expected_product_class(c1: CanonicalClass, c2: CanonicalClass, F: Field) -> CanonicalClass:
+    """Transcribed multiplication rule for a pair of canonical classes."""
+    return _product_rule(c1, c2, F, _times)
+
+
+def _sum_rule(c1: CanonicalClass, c2: CanonicalClass, times) -> CanonicalClass:
+    """`expected_sum_class`, reducing coefficients by `times`."""
     ca, cb = _sorted_pair(c1, c2)
     pair = ca.family + cb.family
     m, n = c1.m + c2.m, c1.n + c2.n
@@ -135,20 +145,20 @@ def expected_sum_class(c1: CanonicalClass, c2: CanonicalClass) -> CanonicalClass
     if pair in ("CF", "DF"):
         return CanonicalClass("F", m, n, cb.param)
     if pair == "DE":
-        return CanonicalClass("F", m, n, _times(cb.n, cb.param))
+        return CanonicalClass("F", m, n, times(cb.n, cb.param))
     if pair == "EE":
         if ca.param == cb.param:
             return CanonicalClass("E", m, n, ca.param)
-        return CanonicalClass("F", m, n, _times(ca.n, ca.param) ^ _times(cb.n, cb.param))
+        return CanonicalClass("F", m, n, times(ca.n, ca.param) ^ times(cb.n, cb.param))
     if pair == "EF":
-        return CanonicalClass("F", m, n, cb.param ^ _times(ca.n, ca.param))
+        return CanonicalClass("F", m, n, cb.param ^ times(ca.n, ca.param))
     if pair == "FF":
         return CanonicalClass("F", m, n, ca.param ^ cb.param)
     raise InternalCheckError(f"unhandled family pair {pair}")  # pragma: no cover
 
 
-def expected_product_class(c1: CanonicalClass, c2: CanonicalClass, F: Field) -> CanonicalClass:
-    """Transcribed multiplication rule for a pair of canonical classes."""
+def _product_rule(c1: CanonicalClass, c2: CanonicalClass, F: Field, times) -> CanonicalClass:
+    """`expected_product_class`, reducing coefficients by `times`."""
     ca, cb = _sorted_pair(c1, c2)
     pair = ca.family + cb.family
     m = c1.m * c2.m
@@ -170,13 +180,13 @@ def expected_product_class(c1: CanonicalClass, c2: CanonicalClass, F: Field) -> 
     if pair == "AE":
         return CanonicalClass("E", m, n, cb.param)
     if pair == "AF":
-        return CanonicalClass("F", m, n, _times(ca.m, cb.param))
+        return CanonicalClass("F", m, n, times(ca.m, cb.param))
     if pair == "BD":
         return CanonicalClass("F", m, n, 0)
     if pair == "BE":
-        return CanonicalClass("F", m, n, _times(ca.m * cb.n, cb.param))
+        return CanonicalClass("F", m, n, times(ca.m * cb.n, cb.param))
     if pair == "BF":
-        return CanonicalClass("F", m, n, _times(ca.m, cb.param))
+        return CanonicalClass("F", m, n, times(ca.m, cb.param))
     if pair == "DE":
         return CanonicalClass("E", m, n, cb.param)
     if pair in ("DF", "EF", "FF"):
@@ -193,25 +203,29 @@ def table_cell(op: str, c1: CanonicalClass, c2: CanonicalClass, F: Field):
     """One table cell: (got, expected), where `got` classifies the honest
     form-level sum or product of the canonical representatives and
     `expected` is the transcribed rule; `op` is "sum" or "product"."""
-    return _table_cells(op, [(c1, c2)], F)[0]
+    return _table_cells(op, [(c1, c2)], F)[0][:2]
 
 
 def _table_cells(op: str, pairs, F: Field) -> list:
-    """`table_cell` for each (c1, c2) of `pairs`, where all first classes
-    share one object and all second classes another: the stacked sums or
-    products, built from validated representatives, are classified without
+    """`table_cell` for each (c1, c2) of `pairs`, and whether the rule's
+    `_times` dropped a non-zero parameter by an even coefficient.  All first
+    classes share one object and all second classes another: the stacked sums
+    or products, built from validated representatives, are classified without
     a re-check by one `_classify_grams`."""
     reps = [(canonical_rep(c1, F), canonical_rep(c2, F)) for c1, c2 in pairs]
     G1 = np.stack([r1.gram for r1, _ in reps])
     G2 = np.stack([r2.gram for _, r2 in reps])
     U, R = reps[0][0].obj, reps[0][1].obj
-    if op == "sum":
-        obj, grams = _sum_grams(U, R, G1, G2)
-        expected = [expected_sum_class(c1, c2) for c1, c2 in pairs]
-    else:
-        obj, grams = _product_grams(U, R, G1, G2)
-        expected = [expected_product_class(c1, c2, F) for c1, c2 in pairs]
-    return list(zip(_classify_grams(obj, grams), expected))
+    obj, grams = (_sum_grams if op == "sum" else _product_grams)(U, R, G1, G2)
+    expected, dropped = [], [False] * len(pairs)
+
+    def times(coeff: int, a: int) -> int:
+        dropped[i] |= a != 0 and coeff % 2 == 0
+        return _times(coeff, a)
+
+    for i, (c1, c2) in enumerate(pairs):
+        expected.append(_sum_rule(c1, c2, times) if op == "sum" else _product_rule(c1, c2, F, times))
+    return list(zip(_classify_grams(obj, grams), expected, dropped))
 
 
 # -- full table verification -----------------------------------------------------
@@ -267,10 +281,10 @@ SYMBOLIC_PRODUCT = {
 }
 
 
-def all_class_instances(F: Field, max_m: int = 4, max_n: int = 4, params=None):
-    """`class_inventory` over every shape with m <= max_m and n <= max_n,
-    ordered by family, then m, n and parameter."""
-    grid = [c for m in range(max_m + 1) for n in range(max_n + 1) for c in class_inventory(m, n, F, params)]
+def all_class_instances(F: Field, max_size: int = 4, params=None):
+    """`class_inventory` over every shape with m, n <= max_size, ordered by
+    family, then m, n and parameter."""
+    grid = [c for m in range(max_size + 1) for n in range(max_size + 1) for c in class_inventory(m, n, F, params)]
     return sorted(grid, key=lambda c: c.family)
 
 
@@ -369,7 +383,7 @@ def emit_tables(
         )
     # cells of one operation on one pair of objects are classified as one stack
     cells, groups = [], {}
-    insts = all_class_instances(F, max_size, max_size, params)
+    insts = all_class_instances(F, max_size, params)
     for c1, c2 in combinations_with_replacement(insts, 2):
         dim = (c1.m + 2 * c1.n) * (c2.m + 2 * c2.n)
         for op in ("sum",) if dim > product_dim_cap else ("sum", "product"):
@@ -383,39 +397,17 @@ def emit_tables(
         for start in range(0, len(members), step):
             chunk = members[start : start + step]
             pairs = [cells[i][1:] for i in chunk]
-            for i, (c1, c2), (got, expected) in zip(chunk, pairs, _table_cells(op, pairs, F)):
+            for i, (c1, c2), (got, expected, dropped) in zip(chunk, pairs, _table_cells(op, pairs, F)):
                 records[i] = (c1.family, c1.m, c1.n, c1.param, c2.family, c2.m, c2.n, c2.param,
-                              got.label(), expected.label(), got == expected)
+                              got.label(), expected.label(), got == expected), dropped
     reports = {"sum": TableReport("sum", F.k), "product": TableReport("product", F.k)}
-    collapsed = {"sum": _sum_coefficient_collapsed, "product": _product_coefficient_collapsed}
-    for (op, c1, c2), rec in zip(cells, records):
+    for (op, c1, c2), (rec, dropped) in zip(cells, records):
         rep = reports[op]
         rep.cells += 1
         rep.records.append(rec)
         if not rec[-1]:
             rep.mismatches.append(f"{c1} {_OP_SYMBOL[op]} {c2}: computed {rec[8]}, rule {rec[9]}")
-        if collapsed[op](c1, c2):
+        if dropped:
             rep.coincidences.append(f"{c1} {_OP_SYMBOL[op]} {c2}")
     return reports["sum"], reports["product"]
 
-
-def _sum_coefficient_collapsed(c1: CanonicalClass, c2: CanonicalClass) -> bool:
-    ca, cb = _sorted_pair(c1, c2)
-    pair = ca.family + cb.family
-    if pair == "DE":
-        return cb.n % 2 == 0 and cb.param not in (None, 0)
-    if pair == "EE" and ca.param != cb.param:
-        return (ca.n % 2 == 0 and ca.param != 0) or (cb.n % 2 == 0 and cb.param != 0)
-    if pair == "EF":
-        return ca.n % 2 == 0 and ca.param != 0
-    return False
-
-
-def _product_coefficient_collapsed(c1: CanonicalClass, c2: CanonicalClass) -> bool:
-    ca, cb = _sorted_pair(c1, c2)
-    pair = ca.family + cb.family
-    if pair == "AF" or pair == "BF":
-        return ca.m % 2 == 0 and cb.param != 0
-    if pair == "BE" and cb.param not in (None, 0, 1):
-        return (ca.m * cb.n) % 2 == 0
-    return False

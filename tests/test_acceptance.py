@@ -113,7 +113,7 @@ def test_criterion_3_form_invariant_values():
 
 
 def _alternating_classes(F):
-    return [c for c in all_class_instances(F, 4, 4) if c.family in "CDEF"]
+    return [c for c in all_class_instances(F, 4) if c.family in "CDEF"]
 
 
 def test_criterion_4_invariant_basis_independence():
@@ -173,7 +173,7 @@ def test_criterion_5_oracle_concordance():
 def test_criterion_6_classification_stability_and_canonicalize():
     with criterion(6, "classify stable under 1000 congruences; canonicalize exact"):
         rng = np.random.default_rng(42)
-        for cls in all_class_instances(F8, 4, 4):
+        for cls in all_class_instances(F8, 4):
             rep = canonical_rep(cls, F8)
             mats = random_equivariant_matrices(rep.obj, rng, 1000)
             grams = la.congruence(F8, mats, rep.gram)

@@ -125,7 +125,7 @@ def test_gf2_classifies_every_scrambled_class():
     # whose certificates check each transform and canonical Gram
     rng = np.random.default_rng(2)
     assert classify(BilinearForm(VerObject(F2, 1, 0), la.eye(1))) == CanonicalClass("A", 1, 0)
-    classes = all_class_instances(F2, 6, 6)
+    classes = all_class_instances(F2, 6)
     assert len(classes) == 172
     for cls in classes:
         rep = canonical_rep(cls, F2)
@@ -399,7 +399,7 @@ def test_classify_and_canonicalize_beyond_acceptance_grid():
 
     rng = np.random.default_rng(123)
     F16 = make_field(4)
-    for cls in all_class_instances(F16, 5, 5, params=[0, 1, 7, 15]):
+    for cls in all_class_instances(F16, 5, params=[0, 1, 7, 15]):
         rep = canonical_rep(cls, F16)
         assert classify(rep) == cls
         phi = random_equivariant_matrix(rep.obj, rng)

@@ -268,8 +268,8 @@ def test_congruence_and_stacked_products_match_scalar_sums(k, layout, sizes, r, 
     seed=st.integers(0, 2**32 - 1),
 )
 def test_products_above_the_one_shot_bound_match_the_broadcast(k, d, g, t, density, seed):
-    # above ONE_SHOT_ENTRIES the kernel loops over the inner index and skips
-    # indices that are zero across the stack; the reference never loops
+    # above ONE_SHOT_ENTRIES the kernel XORs the products over chunks of the
+    # inner index (here of 5 to 14 indices); the reference never chunks
     Fk, rng = make_field(k), np.random.default_rng(seed)
     T = rng.integers(0, Fk.order, size=(t, d, d)) * (rng.random((t, d, d)) < density)
     G = rng.integers(0, Fk.order, size=(g, 1, d, d)) * (rng.random((g, 1, d, d)) < density)
@@ -280,6 +280,33 @@ def test_products_above_the_one_shot_bound_match_the_broadcast(k, d, g, t, densi
     A, B = T.reshape(-1, d)[: 3 * d], G.reshape(d, -1)[:, : 3 * d]
     assert (3 * d) ** 2 * d > la.ONE_SHOT_ENTRIES
     assert np.array_equal(la.mat_mul(Fk, A, B), _broadcast_product(Fk, A, B))
+
+
+def test_a_stack_over_the_one_shot_bound_alone_takes_one_inner_index_at_a_time():
+    # batch * r * c alone is over ONE_SHOT_ENTRIES, so each chunk is one index
+    Fk, rng = make_field(5), np.random.default_rng(3)
+    T, G = rng.integers(0, Fk.order, size=(40, 30, 30)), rng.integers(0, Fk.order, size=(30, 30))
+    assert 40 * 30 * 30 > la.ONE_SHOT_ENTRIES
+    want = _broadcast_product(Fk, _broadcast_product(Fk, _transpose(T), G), T)
+    assert np.array_equal(la.congruence(Fk, T, G), want)
+
+
+def test_an_empty_inner_index_over_the_one_shot_bound_gives_zeros():
+    A, B = np.zeros((40, 30, 0), dtype=np.int64), np.zeros((40, 0, 30), dtype=np.int64)
+    assert 40 * 30 * 30 > la.ONE_SHOT_ENTRIES
+    got = la._product(F, A, B)
+    assert got.shape == (40, 30, 30) and not got.any()
+    got = la.mat_mul(F, np.zeros((200, 0), dtype=np.int64), np.zeros((0, 200), dtype=np.int64))
+    assert got.shape == (200, 200) and not got.any()
+
+
+def test_a_chunk_step_that_does_not_divide_the_inner_length():
+    Fk, rng = make_field(4), np.random.default_rng(4)
+    b, r, inner, c = 4, 20, 30, 20
+    step = la.ONE_SHOT_ENTRIES // (b * r * c)
+    assert b * r * inner * c > la.ONE_SHOT_ENTRIES and 1 < step < inner and inner % step
+    A, B = rng.integers(0, Fk.order, size=(b, r, inner)), rng.integers(0, Fk.order, size=(b, inner, c))
+    assert np.array_equal(la._product(Fk, A, B), _scalar_product(Fk, A, B))
 
 
 def test_mat_mul_refuses_stacks():

@@ -219,7 +219,7 @@ def test_emit_tables_matches_cell_by_cell_reference():
     # grouped and stacked cells come back in grid order with the records a
     # per-cell sum / braiding-product classification gives
     sum_rep, prod_rep = emit_tables(F4, max_size=2, product_dim_cap=36)
-    insts = all_class_instances(F4, 2, 2)
+    insts = all_class_instances(F4, 2)
     pairs = [(c1, c2) for i, c1 in enumerate(insts) for c2 in insts[i:]]
     for rep, op, rule in (
         (sum_rep, direct_sum, expected_sum_class),
@@ -236,22 +236,35 @@ def test_emit_tables_matches_cell_by_cell_reference():
         assert rep.mismatches == []
 
 
-@pytest.mark.parametrize("F, pairs", [(F4, 3481), (F8, 9801)], ids=["gf4", "gf8"])
-def test_coincidences_are_the_cells_an_even_coefficient_collapses(monkeypatch, F, pairs):
+@pytest.mark.parametrize(
+    "F, max_size, params, cap, counts",
+    [
+        (F4, 3, None, 81, (192, 120, 1770, 1770)),
+        (F8, 3, None, 81, (952, 320, 4950, 4950)),
+        (F8, 4, [0, 1, 5], -1, (612, 0, 5356, 0)),
+    ],
+    ids=["gf4", "gf8", "gf8-size4-sums"],
+)
+def test_coincidences_are_the_cells_an_even_coefficient_collapses(monkeypatch, F, max_size, params, cap, counts):
     # a cell is a small-field coincidence iff its rule's answer changes when
-    # `_times` ignores the coefficient's parity, on every ordered pair of
-    # sizes <= 3
-    insts = all_class_instances(F, 3, 3)
-    cells = list(itertools.product(insts, repeat=2))
-    rules = (
-        (witt._sum_coefficient_collapsed, expected_sum_class),
-        (witt._product_coefficient_collapsed, lambda c1, c2: expected_product_class(c1, c2, F)),
-    )
-    honest = [[rule(c1, c2) for c1, c2 in cells] for _, rule in rules]
+    # `_times` ignores the coefficient's parity: the tables' coincidences,
+    # noted from the rules' own `_times` calls, against the public rules
+    # re-run with that patch on every unordered pair the tables compute
+    reports = emit_tables(F, max_size, params, product_dim_cap=cap)
+    pairs = list(itertools.combinations_with_replacement(all_class_instances(F, max_size, params), 2))
+    cells = {
+        "sum": pairs,
+        "product": [(c1, c2) for c1, c2 in pairs if (c1.m + 2 * c1.n) * (c2.m + 2 * c2.n) <= cap],
+    }
+    rules = {"sum": expected_sum_class, "product": lambda c1, c2: expected_product_class(c1, c2, F)}
+    honest = {op: [rules[op](c1, c2) for c1, c2 in cells[op]] for op in rules}
     monkeypatch.setattr(witt, "_times", lambda coeff, a: a)
-    assert len(cells) == pairs
-    for (collapsed, rule), want in zip(rules, honest):
-        assert [collapsed(c1, c2) for c1, c2 in cells] == [rule(c1, c2) != w for (c1, c2), w in zip(cells, want)]
+    for rep, symbol in zip(reports, "+x"):
+        op = rep.operation
+        collapsed = [f"{c1} {symbol} {c2}" for (c1, c2), w in zip(cells[op], honest[op]) if rules[op](c1, c2) != w]
+        assert rep.cells == len(cells[op])
+        assert rep.coincidences == collapsed
+    assert tuple(len(rep.coincidences) for rep in reports) + tuple(rep.cells for rep in reports) == counts
 
 
 def test_emit_tables_gf2():
@@ -334,7 +347,7 @@ def test_specific_product_cells():
 
 
 def test_class_commutativity_small():
-    insts = all_class_instances(F4, 1, 1)
+    insts = all_class_instances(F4, 1)
     pairs = list(itertools.product(insts, repeat=2))
     pairs.append((CanonicalClass("B", 2, 1), CanonicalClass("D", 0, 4)))
     for c1, c2 in pairs:
@@ -405,7 +418,7 @@ def test_table_class_bound_covers_the_grid(F):
     for max_size in range(4):
         for params in (None, [0, 1]):
             P = F.order if params is None else len(params)
-            assert len(all_class_instances(F, max_size, max_size, params)) <= (max_size + 1) ** 2 * (4 + 2 * P)
+            assert len(all_class_instances(F, max_size, params)) <= (max_size + 1) ** 2 * (4 + 2 * P)
 
 
 def test_sum_and_product_preserve_nondegeneracy():
