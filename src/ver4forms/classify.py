@@ -216,8 +216,16 @@ class CanonicalClass:
 def class_inventory(m: int, n: int, F: Field, params=None) -> list[CanonicalClass]:
     """Every canonical class living on m1 + nP over F, in family order, with
     the E and F parameters taken from `params` (default: every field
-    element): each family's `CanonicalClass.admits` read once, on them all."""
-    choices = np.arange(F.order) if params is None else np.asarray(params, dtype=np.int64)
+    element): each family's `CanonicalClass.admits` read once, on them all.
+    Raises ValueError for a parameter outside the field or given twice."""
+    if params is None:
+        choices = np.arange(F.order)
+    else:
+        choices = np.asarray(params, dtype=np.int64)
+        if (outside := (choices < 0) | (choices >= F.order)).any():
+            raise ValueError(f"parameter {choices[outside][0]} is not an element of {F!r}")
+        if len(set(choices.tolist())) < len(choices):
+            raise ValueError(f"parameters {params!r} repeat an element")
     out = []
     for fam in FAMILIES:
         ps = choices if fam in ("E", "F") else np.array([None])

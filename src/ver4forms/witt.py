@@ -6,10 +6,12 @@ At class level the operations close over the six canonical families; the
 transcribed rules live in `expected_sum_class` / `expected_product_class`,
 and `table_cell` computes the honest form-level operation on canonical
 representatives, classifies it and pairs it with the rule's answer.
-`emit_tables` groups its cells by operation and operand objects and
-computes each group as one stack: the sums or products of the stacked
-representatives, classified by one `_classify_grams`.  `table_cell`,
-`direct_sum` and `tensor_product` are the same helpers on a stack of one.
+`emit_tables` builds its cells per operand pair and classifies them per
+result object: the sums or products of the stacked representatives of each
+pair of operand objects are built as one stack, and every stack with the
+same operation and result object is classified by one `_classify_grams`.
+`table_cell`, `direct_sum` and `tensor_product` are the same helpers on a
+stack of one.
 
 Orientation of the rules: the first operand lives on m1 + nP (parameter a
 for E/F), the second on p1 + qP (parameter b); both tables are symmetric.
@@ -35,7 +37,7 @@ rather than two matrix products.  The braiding path multiplies by the matrix
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, groupby
 
 import numpy as np
 
@@ -208,15 +210,15 @@ def table_cell(op: str, c1: CanonicalClass, c2: CanonicalClass, F: Field):
 
 def _table_cells(op: str, pairs, F: Field) -> list:
     """`table_cell` for each (c1, c2) of `pairs`, and whether the rule's
-    `_times` dropped a non-zero parameter by an even coefficient.  All first
-    classes share one object and all second classes another: the stacked sums
-    or products, built from validated representatives, are classified without
-    a re-check by one `_classify_grams`."""
-    reps = [(canonical_rep(c1, F), canonical_rep(c2, F)) for c1, c2 in pairs]
-    G1 = np.stack([r1.gram for r1, _ in reps])
-    G2 = np.stack([r2.gram for _, r2 in reps])
-    U, R = reps[0][0].obj, reps[0][1].obj
-    obj, grams = (_sum_grams if op == "sum" else _product_grams)(U, R, G1, G2)
+    `_times` dropped a non-zero parameter by an even coefficient.  Built per
+    operand pair, classified per result object: all sums or products live on
+    one object, each run of pairs on one pair of operand objects is one
+    `_cell_grams` stack, and the stacks, built from validated
+    representatives, are classified without a re-check by one
+    `_classify_grams`."""
+    runs = groupby(pairs, key=lambda pair: (pair[0].m, pair[0].n, pair[1].m, pair[1].n))
+    built = [_cell_grams(op, list(run), F) for _, run in runs]
+    grams = built[0][1] if len(built) == 1 else np.concatenate([g for _, g in built])
     expected, dropped = [], [False] * len(pairs)
 
     def times(coeff: int, a: int) -> int:
@@ -225,7 +227,17 @@ def _table_cells(op: str, pairs, F: Field) -> list:
 
     for i, (c1, c2) in enumerate(pairs):
         expected.append(_sum_rule(c1, c2, times) if op == "sum" else _product_rule(c1, c2, F, times))
-    return list(zip(_classify_grams(obj, grams), expected, dropped))
+    return list(zip(_classify_grams(built[0][0], grams), expected, dropped))
+
+
+def _cell_grams(op: str, pairs, F: Field):
+    """The result object and the stacked sums or products of the canonical
+    representatives of `pairs`, whose first classes share one object and
+    whose second classes share another."""
+    reps = [(canonical_rep(c1, F), canonical_rep(c2, F)) for c1, c2 in pairs]
+    G1 = np.stack([r1.gram for r1, _ in reps])
+    G2 = np.stack([r2.gram for _, r2 in reps])
+    return (_sum_grams if op == "sum" else _product_grams)(reps[0][0].obj, reps[0][1].obj, G1, G2)
 
 
 # -- full table verification -----------------------------------------------------
@@ -342,8 +354,9 @@ class TableReport:
         return "\n".join(out) + "\n"
 
 
-# Table cells are classified in stacks of at most this many Gram entries
-# (at least one cell), which bounds the transient arrays of a group.
+# Table cells are built per operand pair and classified per result object,
+# in stacks of at most this many result Gram entries (at least one cell),
+# which bounds the transient arrays of a group.
 CELL_STACK_ENTRIES = 1 << 15
 
 # emit_tables refuses a grid with over 2^TABLE_BUDGET_BITS class pairs, up front
@@ -357,6 +370,11 @@ def emit_tables(
     product_dim_cap: int = 24,
 ) -> tuple[TableReport, TableReport]:
     """Compute every table cell over a size grid and diff against the rules.
+
+    Cells are built per operand pair and classified per result object: one
+    `_classify_grams` per operation and result shape, in chunks of at most
+    `CELL_STACK_ENTRIES` result Gram entries (at least one cell), and the
+    records come back in grid order.
 
     Parameters default to the whole field.  Product cells whose result
     dimension exceeds `product_dim_cap` are skipped (the rules are
@@ -381,19 +399,23 @@ def emit_tables(
             f"tables with max_size {max_size}: products up to dim {largest}, "
             f"over the tensor cap of dim {TENSOR_MAX_DIM}"
         )
-    # cells of one operation on one pair of objects are classified as one stack
+    # cells of one operation with one result object are classified as one stack,
+    # their runs on the same pair of operand objects built as one stack each
     cells, groups = [], {}
     insts = all_class_instances(F, max_size, params)
     for c1, c2 in combinations_with_replacement(insts, 2):
         dim = (c1.m + 2 * c1.n) * (c2.m + 2 * c2.n)
         for op in ("sum",) if dim > product_dim_cap else ("sum", "product"):
-            groups.setdefault((op, c1.m, c1.n, c2.m, c2.n), []).append(len(cells))
+            if op == "sum":
+                m, n = c1.m + c2.m, c1.n + c2.n
+            else:
+                m, n = c1.m * c2.m, 2 * c1.n * c2.n + c1.m * c2.n + c1.n * c2.m
+            groups.setdefault((op, m, n), {}).setdefault((c1.m, c1.n, c2.m, c2.n), []).append(len(cells))
             cells.append((op, c1, c2))
     records = [None] * len(cells)
-    for (op, m1, n1, m2, n2), members in groups.items():
-        d1, d2 = m1 + 2 * n1, m2 + 2 * n2
-        d = d1 + d2 if op == "sum" else d1 * d2
-        step = max(1, CELL_STACK_ENTRIES // max(1, d * d))
+    for (op, m, n), runs in groups.items():
+        members = [i for run in runs.values() for i in run]
+        step = max(1, CELL_STACK_ENTRIES // max(1, (m + 2 * n) ** 2))
         for start in range(0, len(members), step):
             chunk = members[start : start + step]
             pairs = [cells[i][1:] for i in chunk]

@@ -1,3 +1,5 @@
+import collections
+import hashlib
 import itertools
 
 import numpy as np
@@ -6,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ver4forms import linalg as la, verobj, witt
 from ver4forms.bform import BilinearForm
-from ver4forms.classify import CanonicalClass, canonical_rep, classify, form_invariant, good_pairs
+from ver4forms.classify import CanonicalClass, canonical_rep, class_inventory, classify, form_invariant, good_pairs
 from ver4forms.field import make_field
 from ver4forms.verobj import VerObject
 from ver4forms.witt import (
@@ -394,6 +396,73 @@ def test_emit_tables_does_not_revalidate_its_stacks(monkeypatch):
 
     monkeypatch.setattr(VerObject, "as_grams", refuse)
     assert emit_tables(F4, max_size=2) == warm
+
+
+def _result_shape(op, rec):
+    m1, n1, m2, n2 = rec[1], rec[2], rec[5], rec[6]
+    if op == "sum":
+        return m1 + m2, n1 + n2
+    return m1 * m2, 2 * n1 * n2 + m1 * n2 + n1 * m2
+
+
+@pytest.mark.parametrize("entries", [None, 1 << 8, 1 << 20], ids=["default", "small", "large"])
+def test_emit_tables_classifies_one_stack_per_result_object(monkeypatch, entries):
+    # each `_classify_grams` call holds valid Grams of one result object, and
+    # the cells of one (op, result shape) fill as few calls as the bound
+    # max(1, CELL_STACK_ENTRIES // d^2) allows: one call where it holds them
+    # all, and reports equal to those of the default bound
+    want = emit_tables(F4, 2, product_dim_cap=36)
+    if entries is not None:
+        monkeypatch.setattr(witt, "CELL_STACK_ENTRIES", entries)
+    calls, real = [], witt._classify_grams
+
+    def spy(obj, G):
+        assert np.array_equal(obj.as_grams(G, stacked=True), G)
+        calls.append((obj.m, obj.n, len(G)))
+        return real(obj, G)
+
+    monkeypatch.setattr(witt, "_classify_grams", spy)
+    assert emit_tables(F4, 2, product_dim_cap=36) == want
+    chunks = []
+    for rep in want:
+        counts = collections.Counter(_result_shape(rep.operation, rec) for rec in rep.records)
+        for (m, n), count in counts.items():
+            step = max(1, witt.CELL_STACK_ENTRIES // max(1, (m + 2 * n) ** 2))
+            chunks += [(m, n, min(step, count - start)) for start in range(0, count, step)]
+    assert sorted(calls) == sorted(chunks)
+    if entries == 1 << 20:
+        assert len(calls) == 25 + 30
+    assert sum(size for _, _, size in calls) == sum(rep.cells for rep in want)
+
+
+# sha256 prefix of both reports' `to_csv()`, mismatches and coincidences of
+# `emit_tables(GF(8), 3, params=[0, 1, 5], product_dim_cap=81)`, pinned from
+# the tables that classified one stack per pair of operand objects
+_TABLES_SHA256 = "7034c02f2cf8fb3e"
+
+
+def test_emit_tables_output_is_pinned():
+    reports = emit_tables(F8, 3, params=[0, 1, 5], product_dim_cap=81)
+    h = hashlib.sha256()
+    for rep in reports:
+        h.update(rep.to_csv().encode() + repr(rep.mismatches).encode() + repr(rep.coincidences).encode())
+    got = [rep.cells for rep in reports] + [len(rep.coincidences) for rep in reports]
+    assert (got, h.hexdigest()[:16]) == ([1225, 1225, 92, 70], _TABLES_SHA256)
+
+
+@pytest.mark.parametrize(
+    "params, message",
+    [([1, 1], "repeat an element"), ([7], "parameter 7 is not an element"), ([0, -1], "parameter -1 is not")],
+    ids=["repeated", "outside", "negative"],
+)
+def test_class_inventory_refuses_repeated_and_outside_parameters(params, message):
+    # a repeated parameter would list its E and F classes twice (and count
+    # them twice against the table budget); one outside the field would fail
+    # only later, in `canonical_rep`
+    with pytest.raises(ValueError, match=message):
+        class_inventory(0, 2, F4, params)
+    with pytest.raises(ValueError, match=message):
+        emit_tables(F4, 1, params=params)
 
 
 @pytest.mark.parametrize(
