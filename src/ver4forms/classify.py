@@ -52,6 +52,15 @@ from .verobj import InternalCheckError, Morphism, VerObject, commutes
 
 FAMILIES = ("A", "B", "C", "D", "E", "F")
 _E = FAMILIES.index("E")  # E and F, the last two families, take a parameter
+# each family's condition on (m, n, param), read by `CanonicalClass.admits`
+_ADMITS = {
+    "A": lambda m, n, p: m > 0 and n % 2 == 0,
+    "B": lambda m, n, p: m > 0 and n > 0,
+    "C": lambda m, n, p: m % 2 == 0 and n % 2 == 0,
+    "D": lambda m, n, p: m % 2 == 0 and n % 2 == 0 and n >= 2,
+    "E": lambda m, n, p: m % 2 == 0 and n > 0,
+    "F": lambda m, n, p: m % 2 == 0 and n >= 2 and (n != 2) | (p != 0),
+}
 
 
 # -- good pairs ---------------------------------------------------------------
@@ -175,14 +184,7 @@ class CanonicalClass:
     @staticmethod
     def admits(fam: str, m: int, n: int, p=None):
         """Whether the family lives on m1 + nP with parameter p, elementwise for an array p."""
-        return {
-            "A": m > 0 and n % 2 == 0,
-            "B": m > 0 and n > 0,
-            "C": m % 2 == 0 and n % 2 == 0,
-            "D": m % 2 == 0 and n % 2 == 0 and n >= 2,
-            "E": m % 2 == 0 and n > 0,
-            "F": m % 2 == 0 and n >= 2 and (n != 2) | (p != 0),
-        }[fam]
+        return _ADMITS[fam](m, n, p)
 
     def code(self, q: int) -> int:
         """The class over GF(q) as one integer, family index * q + parameter

@@ -157,11 +157,6 @@ def rank(F: Field, M: np.ndarray) -> int:
     return len(row_reduce(F, M)[1])
 
 
-def is_invertible(F: Field, M: np.ndarray) -> bool:
-    n = M.shape[0]
-    return M.shape[1] == n and rank(F, M) == n
-
-
 def null_space(F: Field, M: np.ndarray) -> np.ndarray:
     """Basis of the right null space, as matrix columns (deterministic)."""
     rows, cols = M.shape
@@ -222,15 +217,6 @@ def batch_solve(F: Field, A: np.ndarray, B: np.ndarray | None = None) -> tuple[n
     return ok, R[:, :, s:]
 
 
-def inverse(F: Field, M: np.ndarray) -> np.ndarray:
-    if M.shape[0] != M.shape[1]:
-        raise ValueError("inverse of a non-square matrix")
-    ok, inv = batch_solve(F, M[None], eye(len(M))[None])
-    if not ok[0]:
-        raise ValueError("matrix is singular")
-    return inv[0]
-
-
 def solve(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Solve A X = B exactly for full-column-rank A; raises otherwise."""
     B = np.asarray(B, dtype=np.int64)
@@ -272,18 +258,27 @@ def column_support(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def support_gather(F: Field, support, M: np.ndarray, axis: int) -> np.ndarray:
     """M B (axis -1) or B^T M (axis -2) for a (..., r, r) stack M, with B
-    given by its `column_support`: one gather of M's columns (rows) per
-    support level, weighted by its coefficients, so a member costs O(s r c)
-    entries rather than a product's O(r^2 c)."""
+    given by its `column_support`: level 0 is one gather of M's columns
+    (rows), each higher level gathers and XORs in only its columns with a
+    non-zero coefficient, and only coefficients other than 1 multiply, so a
+    member costs O(nnz(B) r) entries rather than a product's O(r^2 c)."""
     rows, coefs = support
-    shape = list(M.shape)
-    shape[axis] = rows.shape[1]
-    out = np.zeros(shape, dtype=np.int64)
-    for r, c in zip(rows, coefs):
-        part = np.take(M, r, axis=axis)
-        if (c != 1).any():
-            part = F.mul_arr(part, c if axis == -1 else c[:, None])
-        out ^= part
+    at = (lambda j: (..., j)) if axis == -1 else (lambda j: (..., j, slice(None)))
+
+    def scaled(part, c):
+        s = np.flatnonzero(c != 1)
+        if s.size:
+            part[at(s)] = F.mul_arr(part[at(s)], c[s] if axis == -1 else c[s, None])
+        return part
+
+    if not len(rows):  # B is zero
+        shape = list(M.shape)
+        shape[axis] = rows.shape[1]
+        return np.zeros(shape, dtype=np.int64)
+    out = scaled(np.take(M, rows[0], axis=axis), coefs[0])
+    for r, c in zip(rows[1:], coefs[1:]):
+        j = np.flatnonzero(c)
+        out[at(j)] ^= scaled(np.take(M, r[j], axis=axis), c[j])
     return out
 
 

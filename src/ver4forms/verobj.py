@@ -413,22 +413,34 @@ def tensor(a: VerObject, b: VerObject) -> tuple[VerObject, np.ndarray, tuple]:
     one-term t-image (w (x) v', w (x) x', v (x) w'), then the w (x) w' (image
     x (x) w' + w (x) x'), each by index; each x is t of its w.  B is
     invertible: its unit columns cover all but the x (x) w', which the
-    two-term columns add.  Equivariance is certified by `commutes`, and
-    `support` is B's `linalg.column_support`.  m' = m*p, n' = 2nq + mq + np.
+    two-term columns add.  `support` is B's `linalg.column_support`, written
+    in closed form and B built from it: level 0 holds each column's first
+    non-zero row, level 1 the x (x) w' row of the x's of the w (x) w' and
+    elsewhere coefficient 0 at row 0 (row 1 where level 0 is row 0).
+    Equivariance is certified by `commutes`.  m' = m*p, n' = 2nq + mq + np.
     """
     ab = tensor_raw(a, b)
     pairs = lambda us, rs: np.add.outer(us * b.dim, rs).reshape(-1)
     one_term = np.sort(np.concatenate([pairs(a.ws, b.vs), pairs(a.ws, b.xs), pairs(a.vs, b.ws)]))
     w_idx = np.concatenate([one_term, pairs(a.ws, b.ws)])
     obj = VerObject(a.field, a.m * b.m, len(w_idx))
-    B = zeros(obj.dim, obj.dim)
-    B[pairs(a.vs, b.vs), obj.vs] = B[w_idx, obj.ws] = 1
-    # t moves w_k (x) r by dim b places to x_k (x) r, and u (x) w'_l by one to u (x) x'_l
-    for moved, step in ((np.isin(w_idx // b.dim, a.ws), b.dim), (np.isin(w_idx % b.dim, b.ws), 1)):
-        B[w_idx[moved] + step, obj.xs[moved]] = 1
+    d, two_term = obj.dim, obj.xs[len(one_term):]
+    # slot i of m1 + nP is a w iff i >= m and i - m is even; t moves u (x) w'_l by one
+    # place to u (x) x'_l and w_k (x) r by dim b places to x_k (x) r
+    i = w_idx % b.dim - b.m
+    rows = np.zeros((2 if len(two_term) else min(d, 1), d), dtype=np.int64)
+    coefs = np.zeros_like(rows)
+    coefs[:1] = 1
+    rows[:1, obj.vs], rows[:1, obj.ws] = pairs(a.vs, b.vs), w_idx
+    rows[:1, obj.xs] = w_idx + np.where((i >= 0) & (i % 2 == 0), 1, b.dim)
+    if len(two_term):
+        rows[1] = rows[0] == 0
+        rows[1, two_term], coefs[1, two_term] = w_idx[len(one_term):] + b.dim, 1
+    B = zeros(d, d)
+    B[rows, np.arange(d)] = coefs
     if not commutes(obj, ab, B):
         raise InternalCheckError("tensor basis does not commute with the t-actions")
-    return obj, readonly(B), linalg.column_support(B)
+    return obj, readonly(B), (readonly(rows), readonly(coefs))
 
 
 def braiding(a, b) -> np.ndarray:

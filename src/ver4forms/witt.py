@@ -25,12 +25,15 @@ The product Gram follows the evaluation law
 
 frozen from the braiding composition (retained in
 `tensor_product_via_braiding` as a cross-check path), then rewritten on the
-standard basis B of the product object.  That congruence B^T K B is a
-gather: `verobj.tensor` caches B with its column support (by its closed-form
-construction every column of B is a unit vector or the t-image
-x (x) w' + w (x) x' of a w (x) w', so it has at most two non-zeros, each 1),
-so it costs a few index gathers of K and XORs (`linalg.support_congruence`)
-rather than two matrix products.  The braiding path multiplies by the matrix
+standard basis B of the product object.  On Kronecker bases its Gram is
+K = G1 (x) G2 + G1 T1 (x) G2 T2, and G T is zero but on the w columns, where
+column w_k is column x_k of G: the t-term is G1[:, xs] (x) G2[:, xs'] on the
+w (x) w' columns alone.  The congruence B^T K B is a gather: `verobj.tensor`
+caches B with its column support, written in closed form (every column of B
+is a unit vector or the t-image x (x) w' + w (x) x' of a w (x) w', so it has
+at most two non-zeros, each 1), so it costs one index gather of K per side
+plus an XOR of the w (x) w' x-columns (`linalg.support_congruence`) rather
+than two matrix products.  The braiding path multiplies by the matrix
 `braiding(R, U)` and applies the same cached B by a plain congruence.
 """
 
@@ -84,11 +87,14 @@ def _sum_grams(o1: VerObject, o2: VerObject, G1: np.ndarray, G2: np.ndarray):
 def _product_grams(U: VerObject, R: VerObject, G1: np.ndarray, G2: np.ndarray):
     """The product object of U and R, and the products of the Gram stacks
     G1 (on U) and G2 (on R), member by member: the evaluation law on the
-    Kronecker basis, moved onto the standard basis by gathers over its
-    cached column support."""
+    Kronecker basis, G1 (x) G2 with the t-term G1[:, xs] (x) G2[:, xs'] XORed
+    into its w (x) w' columns, moved onto the standard basis by gathers over
+    its cached column support."""
     F = U.field
     tobj, _, support = tensor(U, R)
-    K = kron(F, G1, G2) ^ kron(F, U.times_t(G1), R.times_t(G2))
+    K = kron(F, G1, G2)
+    # G T is zero but on the w columns, where column w_k is column x_k of G
+    K[..., np.add.outer(U.ws * R.dim, R.ws).reshape(-1)] ^= kron(F, G1[..., U.slots[2]], G2[..., R.slots[2]])
     return tobj, support_congruence(F, support, K)
 
 

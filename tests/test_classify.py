@@ -37,6 +37,7 @@ from ver4forms.verobj import (
     random_equivariant_matrix,
 )
 from ver4forms.witt import all_class_instances, direct_sum
+from reference import inverse, is_invertible
 
 F2 = make_field(1)
 F4 = make_field(2)
@@ -161,6 +162,34 @@ def test_canonical_class_constraints():
     with pytest.raises(ValueError):
         CanonicalClass("A", 2, 2, 1)  # unexpected parameter
     CanonicalClass("F", 0, 3, 0)  # fine when n > 2
+
+
+def _admits_all_families(fam, m, n, p):
+    # the conditions of all six families in one table, indexed by family
+    return {
+        "A": m > 0 and n % 2 == 0,
+        "B": m > 0 and n > 0,
+        "C": m % 2 == 0 and n % 2 == 0,
+        "D": m % 2 == 0 and n % 2 == 0 and n >= 2,
+        "E": m % 2 == 0 and n > 0,
+        "F": m % 2 == 0 and n >= 2 and (n != 2) | (p != 0),
+    }[fam]
+
+
+def test_admits_reads_one_family_as_the_six_family_table():
+    params = (None, 0, 1, 6, np.arange(8), np.array([0]), np.array([], dtype=np.int64))
+    for fam, m, n, p in itertools.product(FAMILIES, range(7), range(7), params):
+        got, want = CanonicalClass.admits(fam, m, n, p), _admits_all_families(fam, m, n, p)
+        assert np.array_equal(np.broadcast_to(got, np.shape(p)), np.broadcast_to(want, np.shape(p)))
+        if p is None or isinstance(p, int):
+            try:
+                CanonicalClass(fam, m, n, p)
+                built = True
+            except ValueError:
+                built = False
+            assert built == (bool(want) and (p is None) == (fam not in "EF"))
+    with pytest.raises(KeyError):
+        CanonicalClass.admits("G", 2, 2)
 
 
 def _inventory_trying_every_parameter(m, n, F, params):
@@ -338,7 +367,7 @@ def test_canonicalize_transform_contract():
             assert np.array_equal(
                 la.mat_mul(F8, transform.matrix, T), la.mat_mul(F8, T, transform.matrix)
             )
-            assert la.is_invertible(F8, transform.matrix)
+            assert is_invertible(F8, transform.matrix)
 
 
 def test_invariant_under_x_basis_change():
@@ -446,7 +475,7 @@ def test_block_lemma(k, m, n, seed):
     nonsym[:, v, w], nonsym[:, w, v] = _sparse(rng, q, m, 16, t=n), _sparse(rng, q, n, 16, t=m)
     nonsym[:, w, x] = nonsym[:, x, w] = _sparse(rng, q, n, 16)
     grams = obj.as_grams(np.concatenate([sym, nonsym]), stacked=True)
-    full_rank = [la.is_invertible(Fk, G) for G in grams]
+    full_rank = [is_invertible(Fk, G) for G in grams]
     assert [BilinearForm(obj, G).is_nondegenerate() for G in grams] == full_rank
     assert block_invariants(Fk, obj.gram_blocks(grams))[0].tolist() == full_rank
     assert (class_codes(obj, sym) >= 0).tolist() == full_rank[:16]
@@ -467,8 +496,8 @@ def test_form_invariant_is_one_solve_with_the_square_root(k, m, n, seed):
     blocks = obj.gram_blocks(grams)
     _, invariant = block_invariants(Fk, blocks)
     for ww, wx, got in zip(blocks[2], blocks[3], invariant.tolist()):
-        if la.is_invertible(Fk, wx):
-            f, N = np.diagonal(ww), la.inverse(Fk, wx)
+        if is_invertible(Fk, wx):
+            f, N = np.diagonal(ww), inverse(Fk, wx)
             assert got == int(np.bitwise_xor.reduce(Fk.mul_arr(f, np.diagonal(N))))
 
 
@@ -550,7 +579,7 @@ def _symmetric_invertible(Fk, rng, s, alternating):
         if not alternating:
             B[np.diag_indices(s)] = rng.integers(0, Fk.order, size=s)
             B[0, 0] = rng.integers(1, Fk.order)
-        if la.is_invertible(Fk, B):
+        if is_invertible(Fk, B):
             return B
 
 
@@ -599,7 +628,7 @@ def test_canonicalize_random_block_grams(k, m, n, seed):
         assert np.array_equal(la.congruence(Fk, transform.matrix, G), canon.gram)
         M = transform.matrix
         assert np.array_equal(la.mat_mul(Fk, M, T_std), la.mat_mul(Fk, T_std, M))
-        assert la.is_invertible(Fk, M)
+        assert is_invertible(Fk, M)
     batch = canonicalize_batch(obj, grams)
     assert len(batch) == len(results)
     for (t1, c1, k1), (t2, c2, k2) in zip(batch, results):

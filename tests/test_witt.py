@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ver4forms import linalg as la, verobj, witt
 from ver4forms.bform import BilinearForm
@@ -215,6 +215,36 @@ def test_product_gather_matches_braiding_composition_on_random_grams(k, sizes, b
         assert one.obj == ref.obj == tobj
         assert np.array_equal(got, ref.gram)
         assert np.array_equal(one.gram, got)
+
+
+def _as_bytes(a):
+    return a.shape, a.dtype, a.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 16),
+    sizes=st.tuples(*[st.integers(0, 3)] * 4),
+    b=st.integers(1, 3),
+    symmetric=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=1, sizes=(0, 0, 0, 0), b=1, symmetric=True, seed=0)  # dim 0 on both sides
+@example(k=16, sizes=(0, 2, 3, 0), b=2, symmetric=False, seed=1)  # m = 0 times n = 0
+@example(k=3, sizes=(2, 3, 0, 0), b=1, symmetric=False, seed=2)  # times dim 0
+def test_product_grams_equal_the_dense_evaluation_law(k, sizes, b, symmetric, seed):
+    # the t-term written on the w (x) w' columns, moved by the closed-form
+    # support, is B^T (G1 (x) G2 + G1 T1 (x) G2 T2) B on the dense B, byte
+    # for byte; the Grams are not symmetric, as quad_product's need not be
+    F = make_field(k)
+    U, R = VerObject(F, *sizes[:2]), VerObject(F, *sizes[2:])
+    rng = np.random.default_rng(seed)
+    G1, G2 = _compatible_grams(U, rng, b, symmetric), _compatible_grams(R, rng, b, symmetric)
+    tobj, B, support = verobj.tensor(U, R)
+    for got, want in zip(support, la.column_support(B), strict=True):
+        assert _as_bytes(got) == _as_bytes(want)
+    K = la.kron(F, G1, G2) ^ la.kron(F, U.times_t(G1), R.times_t(G2))
+    assert _as_bytes(_product_grams(U, R, G1, G2)[1]) == _as_bytes(la.congruence(F, B, K))
 
 
 def test_emit_tables_matches_cell_by_cell_reference():
