@@ -66,17 +66,12 @@ __all__ = [
     "BilinearForm",
     "CanonicalClass",
     "Field",
-    "Gamma2Basis",
     "GoodPairSpace",
     "InternalCheckError",
     "Morphism",
-    "OrbitReport",
-    "QuadraticForm",
     "RawTModule",
     "Subobject",
     "VerObject",
-    "a2_iso_check",
-    "beta_q",
     "braiding",
     "canonical_rep",
     "canonicalize",
@@ -85,40 +80,21 @@ __all__ = [
     "class_inventory",
     "classify",
     "classify_batch",
-    "classify_quadratic",
-    "direct_sum",
     "dual",
-    "emit_tables",
-    "enumerate_forms",
-    "expected_product_class",
-    "expected_sum_class",
     "form_invariant",
-    "frobenius_twist_rank",
-    "gamma2",
-    "gamma2_dim_formula",
     "good_pairs",
     "hexagons_hold",
-    "hyperbolic_quadratic",
     "make_field",
-    "orbit_classes",
-    "quad_from_parts",
-    "quad_product",
-    "quad_restrict",
-    "quad_sum",
-    "quad_transform",
-    "quadratic_from_bilinear",
     "random_equivariant_automorphism",
     "random_equivariant_matrix",
     "standard_basis",
     "standard_subobject",
-    "table_cell",
     "tensor",
-    "tensor_product",
-    "tensor_product_via_braiding",
     "tensor_raw",
     "unit_object",
     "x_function",
     "x_matrix",
+    *_LAZY,
 ]
 
 __version__ = "0.1.0"

@@ -47,7 +47,7 @@ import numpy as np
 from . import linalg
 from .bform import BilinearForm, block_invariants
 from .field import Field
-from .linalg import congruence, eye, mat_mul, readonly, zeros
+from .linalg import congruence, eye, integers, mat_mul, readonly, zeros
 from .verobj import InternalCheckError, Morphism, VerObject, commutes
 
 FAMILIES = ("A", "B", "C", "D", "E", "F")
@@ -219,11 +219,12 @@ def class_inventory(m: int, n: int, F: Field, params=None) -> list[CanonicalClas
     """Every canonical class living on m1 + nP over F, in family order, with
     the E and F parameters taken from `params` (default: every field
     element): each family's `CanonicalClass.admits` read once, on them all.
-    Raises ValueError for a parameter outside the field or given twice."""
+    Raises ValueError for a parameter that is not an integer, lies outside
+    the field or is given twice."""
     if params is None:
         choices = np.arange(F.order)
     else:
-        choices = np.asarray(params, dtype=np.int64)
+        choices = integers(np.asarray(params), "parameters")
         if (outside := (choices < 0) | (choices >= F.order)).any():
             raise ValueError(f"parameter {choices[outside][0]} is not an element of {F!r}")
         if len(set(choices.tolist())) < len(choices):
@@ -253,8 +254,8 @@ def canonical_rep(cls: CanonicalClass, F: Field) -> BilinearForm:
     Cached, with the Gram made read-only.
     """
     fam, m, n, p = cls.family, cls.m, cls.n, cls.param
-    if p is not None and not 0 <= p < F.order:
-        raise ValueError(f"parameter {p} is not an element of {F!r}")
+    if p is not None and (type(p) is not int or not 0 <= p < F.order):
+        raise ValueError(f"parameter {p!r} is not an element of {F!r}")
     f = np.zeros(n, dtype=np.int64)
     if fam == "D":
         f[0] = 1

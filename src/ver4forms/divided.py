@@ -51,7 +51,7 @@ import numpy as np
 from .bform import BilinearForm, Subobject, subobject_standard_basis
 from .classify import CanonicalClass, class_codes
 from .field import Field, make_field
-from .linalg import column_support, congruence, eye, mat_mul, rank, readonly, solve, support_gather, zeros
+from .linalg import column_support, congruence, eye, integers, mat_mul, rank, readonly, solve, support_gather, zeros
 from .verobj import (GAMMA2_BASIS_MAX_DIM, InternalCheckError, Morphism, VerObject, braiding, free_entry_count,
                      json_fields, json_ints, tensor, tensor_raw)
 from .witt import _product_grams, _sum_grams
@@ -136,7 +136,7 @@ def _verify_gamma2(obj: VerObject, basis: Gamma2Basis):
     F = obj.field
     omc = one_minus_braiding(obj)
     B = basis.basis_matrix()
-    if support_gather(F, column_support(B), omc, -1).any():
+    if support_gather(column_support(B), omc, -1).any():
         raise InternalCheckError("generator outside ker(1 - c)")
     if rank(F, B) != basis.dim:
         raise InternalCheckError("generators are dependent")  # pragma: no cover
@@ -171,7 +171,7 @@ class QuadraticForm:
     """A module map Gamma^2(U) -> 1, stored as one value per line."""
 
     def __init__(self, obj: VerObject, values):
-        values = np.array(values, dtype=np.int64)
+        values = integers(np.array(values), "quadratic form values")
         lines = free_entry_count(obj.m, obj.n)  # a formula: no free-entry table is built to refuse
         if values.shape != (lines,):
             raise ValueError(

@@ -39,14 +39,23 @@ def readonly(a: np.ndarray) -> np.ndarray:
 
 def as_matrix(F: Field, data, stacked: bool = False) -> np.ndarray:
     """Validate and copy `data` into an int64 matrix of field encodings, or
-    with `stacked` into a (b, rows, cols) stack of them."""
-    M = np.array(data, dtype=np.int64)
+    with `stacked` into a (b, rows, cols) stack of them.  Entries must be
+    integers: floats, bools and objects are refused, never truncated."""
+    M = integers(np.array(data), "matrix entries")
     if M.ndim != 2 + stacked:
         what = "stack of matrices" if stacked else "matrix"
         raise ValueError(f"expected a {what}, got array of ndim {M.ndim}")
     if M.size and (M.min() < 0 or M.max() >= F.order):
         raise ValueError(f"matrix entries must be encodings in [0, {F.order})")
     return M
+
+
+def integers(a: np.ndarray, what: str) -> np.ndarray:
+    """`a` as int64, or ValueError where a non-empty `a` holds anything but
+    integers: a float, a bool, or a Python int too large for int64."""
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers, got dtype {a.dtype}")
+    return a.astype(np.int64, copy=False)
 
 
 # `_product`'s chunk bound, in scalar terms: it computes a product in chunks
@@ -245,43 +254,38 @@ def congruence(F: Field, T: np.ndarray, G: np.ndarray) -> np.ndarray:
 batch_congruence = congruence
 
 
-def column_support(B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """B by its column support: read-only (rows, coefs), both (s, cols) with
-    s the most non-zeros in a column, such that column j of B is
-    sum_a coefs[a, j] e_rows[a, j].  Shorter columns are padded with
-    coefficient 0."""
-    nz = B != 0
-    s = int(nz.sum(axis=0).max(initial=0))
-    rows = np.argsort(~nz, axis=0, kind="stable")[:s].copy()
-    return readonly(rows), readonly(np.take_along_axis(B, rows, axis=0))
+def column_support(B: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """A 0/1 matrix B with no zero column by its column support: read-only
+    (rows, levels).  rows[j] is the first non-zero row of column j, and
+    level a is a (cols, rows) pair holding the (a + 1)-th non-zero row of
+    each column that has one, so B is the sum of the unit columns that rows
+    and the levels name.  Raises ValueError for an entry other than 0/1 or
+    a zero column."""
+    if ((B != 0) & (B != 1)).any():
+        raise ValueError("a column support needs a matrix of 0/1 entries")
+    cols, rows = np.nonzero(B.T)
+    count = np.bincount(cols, minlength=B.shape[1])
+    if not count.all():
+        raise ValueError(f"column {int(np.argmin(count))} of a column support's matrix is zero")
+    # a non-zero's level is its place in its column's run of the column-major order
+    level = np.arange(len(cols)) - (np.cumsum(count) - count)[cols]
+    at = [level == a for a in range(count.max(initial=1))]
+    return readonly(rows[at[0]]), tuple((readonly(cols[s]), readonly(rows[s])) for s in at[1:])
 
 
-def support_gather(F: Field, support, M: np.ndarray, axis: int) -> np.ndarray:
+def support_gather(support, M: np.ndarray, axis: int) -> np.ndarray:
     """M B (axis -1) or B^T M (axis -2) for a (..., r, r) stack M, with B
-    given by its `column_support`: level 0 is one gather of M's columns
-    (rows), each higher level gathers and XORs in only its columns with a
-    non-zero coefficient, and only coefficients other than 1 multiply, so a
-    member costs O(nnz(B) r) entries rather than a product's O(r^2 c)."""
-    rows, coefs = support
-    at = (lambda j: (..., j)) if axis == -1 else (lambda j: (..., j, slice(None)))
-
-    def scaled(part, c):
-        s = np.flatnonzero(c != 1)
-        if s.size:
-            part[at(s)] = F.mul_arr(part[at(s)], c[s] if axis == -1 else c[s, None])
-        return part
-
-    if not len(rows):  # B is zero
-        shape = list(M.shape)
-        shape[axis] = rows.shape[1]
-        return np.zeros(shape, dtype=np.int64)
-    out = scaled(np.take(M, rows[0], axis=axis), coefs[0])
-    for r, c in zip(rows[1:], coefs[1:]):
-        j = np.flatnonzero(c)
-        out[at(j)] ^= scaled(np.take(M, r[j], axis=axis), c[j])
+    given by its `column_support`: level 0 is one gather of M's columns (or
+    rows), and each further level gathers and XORs into its own columns, so
+    a member costs O(nnz(B) r) entries rather than a product's O(r^2 c)."""
+    rows, levels = support
+    tail = (slice(None),) * (-1 - axis)
+    out = np.take(M, rows, axis=axis)
+    for cols, r in levels:
+        out[(..., cols, *tail)] ^= np.take(M, r, axis=axis)
     return out
 
 
-def support_congruence(F: Field, support, K: np.ndarray) -> np.ndarray:
+def support_congruence(support, K: np.ndarray) -> np.ndarray:
     """B^T K B for a (..., r, r) stack K, with B given by its `column_support`."""
-    return support_gather(F, support, support_gather(F, support, K, -1), -2)
+    return support_gather(support, support_gather(support, K, -1), -2)

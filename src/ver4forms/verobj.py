@@ -84,8 +84,8 @@ class VerObject:
     n: int
 
     def __post_init__(self):
-        if self.m < 0 or self.n < 0:
-            raise ValueError("multiplicities must be non-negative")
+        if type(self.m) is not int or type(self.n) is not int or self.m < 0 or self.n < 0:
+            raise ValueError(f"multiplicities must be non-negative integers, got {self.m!r:.40}, {self.n!r:.40}")
 
     @property
     def dim(self) -> int:
@@ -414,10 +414,10 @@ def tensor(a: VerObject, b: VerObject) -> tuple[VerObject, np.ndarray, tuple]:
     x (x) w' + w (x) x'), each by index; each x is t of its w.  B is
     invertible: its unit columns cover all but the x (x) w', which the
     two-term columns add.  `support` is B's `linalg.column_support`, written
-    in closed form and B built from it: level 0 holds each column's first
-    non-zero row, level 1 the x (x) w' row of the x's of the w (x) w' and
-    elsewhere coefficient 0 at row 0 (row 1 where level 0 is row 0).
-    Equivariance is certified by `commutes`.  m' = m*p, n' = 2nq + mq + np.
+    in closed form and B built from it: rows holds each column's first
+    non-zero row, and its one level, present where there are w (x) w', the
+    x (x) w' row of their x's.  Equivariance is certified by `commutes`.
+    m' = m*p, n' = 2nq + mq + np.
     """
     ab = tensor_raw(a, b)
     pairs = lambda us, rs: np.add.outer(us * b.dim, rs).reshape(-1)
@@ -428,19 +428,16 @@ def tensor(a: VerObject, b: VerObject) -> tuple[VerObject, np.ndarray, tuple]:
     # slot i of m1 + nP is a w iff i >= m and i - m is even; t moves u (x) w'_l by one
     # place to u (x) x'_l and w_k (x) r by dim b places to x_k (x) r
     i = w_idx % b.dim - b.m
-    rows = np.zeros((2 if len(two_term) else min(d, 1), d), dtype=np.int64)
-    coefs = np.zeros_like(rows)
-    coefs[:1] = 1
-    rows[:1, obj.vs], rows[:1, obj.ws] = pairs(a.vs, b.vs), w_idx
-    rows[:1, obj.xs] = w_idx + np.where((i >= 0) & (i % 2 == 0), 1, b.dim)
-    if len(two_term):
-        rows[1] = rows[0] == 0
-        rows[1, two_term], coefs[1, two_term] = w_idx[len(one_term):] + b.dim, 1
+    rows = np.zeros(d, dtype=np.int64)
+    rows[obj.vs], rows[obj.ws] = pairs(a.vs, b.vs), w_idx
+    rows[obj.xs] = w_idx + np.where((i >= 0) & (i % 2 == 0), 1, b.dim)
+    x_rows = readonly(w_idx[len(one_term):] + b.dim)
     B = zeros(d, d)
-    B[rows, np.arange(d)] = coefs
+    B[rows, np.arange(d)] = 1
+    B[x_rows, two_term] = 1
     if not commutes(obj, ab, B):
         raise InternalCheckError("tensor basis does not commute with the t-actions")
-    return obj, readonly(B), (readonly(rows), readonly(coefs))
+    return obj, readonly(B), (readonly(rows), ((two_term, x_rows),) if len(two_term) else ())
 
 
 def braiding(a, b) -> np.ndarray:

@@ -28,12 +28,13 @@ frozen from the braiding composition (retained in
 standard basis B of the product object.  On Kronecker bases its Gram is
 K = G1 (x) G2 + G1 T1 (x) G2 T2, and G T is zero but on the w columns, where
 column w_k is column x_k of G: the t-term is G1[:, xs] (x) G2[:, xs'] on the
-w (x) w' columns alone.  The congruence B^T K B is a gather: `verobj.tensor`
-caches B with its column support, written in closed form (every column of B
-is a unit vector or the t-image x (x) w' + w (x) x' of a w (x) w', so it has
-at most two non-zeros, each 1), so it costs one index gather of K per side
-plus an XOR of the w (x) w' x-columns (`linalg.support_congruence`) rather
-than two matrix products.  The braiding path multiplies by the matrix
+w (x) w' columns alone.  The congruence B^T K B is a gather: every column
+of B is a unit vector or the t-image x (x) w' + w (x) x' of a w (x) w', so
+`verobj.tensor` caches B with its 0/1 column support, written in closed
+form: each column's first non-zero row, and one level holding the x (x) w'
+rows of those t-images.  It costs one index gather of K per side plus an XOR
+into the w (x) w' x-columns (`linalg.support_congruence`), with no field
+multiply, rather than two matrix products.  The braiding path multiplies by the matrix
 `braiding(R, U)` and applies the same cached B by a plain congruence.
 """
 
@@ -95,7 +96,7 @@ def _product_grams(U: VerObject, R: VerObject, G1: np.ndarray, G2: np.ndarray):
     K = kron(F, G1, G2)
     # G T is zero but on the w columns, where column w_k is column x_k of G
     K[..., np.add.outer(U.ws * R.dim, R.ws).reshape(-1)] ^= kron(F, G1[..., U.slots[2]], G2[..., R.slots[2]])
-    return tobj, support_congruence(F, support, K)
+    return tobj, support_congruence(support, K)
 
 
 def tensor_product_via_braiding(b1: BilinearForm, b2: BilinearForm) -> BilinearForm:

@@ -68,6 +68,13 @@ def test_new_form_rejects_wrong_shape():
         BilinearForm(P, np.array([[0, 1, 0], [0, 0, 0]]))
 
 
+@pytest.mark.parametrize("gram", [[[1.7]], [[True]], [[2**70]]], ids=["float", "bool", "over-int64"])
+def test_new_form_refuses_entries_that_are_not_integers(gram):
+    # as_matrix would otherwise truncate 1.7 to 1 and read True as 1
+    with pytest.raises(ValueError, match="matrix entries must be integers"):
+        BilinearForm(VerObject(F, 1, 0), gram)
+
+
 def test_zero_dim_form():
     beta = BilinearForm(VerObject(F, 0, 0), la.zeros(0, 0))
     assert beta.is_symmetric()

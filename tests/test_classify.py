@@ -241,6 +241,14 @@ def test_canonical_rep_examples():
         canonical_rep(CanonicalClass("E", 0, 1, 9), F4)  # parameter out of range
 
 
+@pytest.mark.parametrize("param", [1.5, "1"], ids=["float", "str"])
+def test_canonical_rep_refuses_a_parameter_that_is_not_an_int(param):
+    # 1.5 would otherwise build E(1)'s Gram; a value equal to an int, such as
+    # 2.0 or True, reaches the check only when its class is not yet cached
+    with pytest.raises(ValueError, match="is not an element of"):
+        canonical_rep(CanonicalClass("E", 0, 1, param), F4)
+
+
 # sha256 prefix of every canonical representative on m, n <= 6 over GF(2^k),
 # k in (2, 3, 4, 8, 16), E and F parameters every element for k <= 4 and
 # 0-11 and the last element otherwise (2796 classes), pinned from the output

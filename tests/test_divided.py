@@ -325,6 +325,12 @@ def test_line_count_formula():
         QuadraticForm(obj, [0] * 8)
 
 
+@pytest.mark.parametrize("values", [[1.5, 1], [True, False], [2**70, 1]], ids=["float", "bool", "over-int64"])
+def test_quadratic_form_refuses_values_that_are_not_integers(values):
+    with pytest.raises(ValueError, match="quadratic form values must be integers"):
+        QuadraticForm(VerObject(F4, 0, 1), values)
+
+
 @pytest.mark.parametrize("m, n, lines", [(2000, 0, 2001000), (0, 1000, 1001000)], ids=["2000-0", "0-1000"])
 def test_value_count_is_checked_before_any_table(m, n, lines):
     # the count is a formula: a short document on a large object is refused
@@ -342,10 +348,10 @@ def test_value_count_is_checked_before_any_table(m, n, lines):
 
 def test_cached_results_are_read_only():
     rep = canonical_rep(CanonicalClass("E", 0, 2, 1), F4)
-    _, B, (rows, coefs) = tensor(VerObject(F4, 1, 1), VerObject(F4, 0, 1))
+    _, B, (rows, [(cols, x_rows)]) = tensor(VerObject(F4, 1, 1), VerObject(F4, 0, 1))
     basis = gamma2(VerObject(F4, 1, 1))
     line = next(ln for ln in basis.lines if ln.image is not None)
-    for frozen in (rep.gram, B, rows, coefs, basis.basis_matrix(), line.top, line.image):
+    for frozen in (rep.gram, B, rows, cols, x_rows, basis.basis_matrix(), line.top, line.image):
         with pytest.raises(ValueError, match="read-only"):
             frozen[...] = 0
 

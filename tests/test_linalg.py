@@ -4,7 +4,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ver4forms import linalg as la
 from ver4forms.classify import CanonicalClass, _congruence_basis, canonical_rep, canonicalize_batch
@@ -391,25 +391,42 @@ def test_kron_broadcasts_batch_axes():
     r=st.integers(0, 6),
     c=st.integers(0, 6),
     b=st.integers(1, 3),
-    density=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_support_congruence_matches_congruence_for_any_basis(k, r, c, b, density, seed):
-    # any coefficients and any number of non-zeros per column, not only the
-    # 0/1 columns with at most two entries that tensor bases have
+@example(k=1, r=0, c=3, b=2, seed=0)  # dim 0: empty rows, no level
+def test_support_congruence_matches_congruence_for_any_basis(k, r, c, b, seed):
+    # any 0/1 basis with no zero column, 1 to r non-zeros in each, not only
+    # the columns with at most two entries that tensor bases have
     Fk = make_field(k)
     rng = np.random.default_rng(seed)
-    B = rng.integers(0, Fk.order, size=(r, c)) * (rng.random((r, c)) < density)
-    rows, coefs = support = la.column_support(B)
-    rebuilt = np.zeros((r, c), dtype=np.int64)
-    for row, coef in zip(rows, coefs):
-        rebuilt[row, np.arange(c)] ^= coef
-    assert np.array_equal(rebuilt, B)
+    c = c if r else 0
+    B = la.zeros(r, c)
+    for j in range(c):
+        B[rng.choice(r, size=rng.integers(1, r + 1), replace=False), j] = 1
+    rows, levels = support = la.column_support(B)
+    for j in range(c):  # column j's non-zero rows in order, level by level
+        assert [rows[j], *(at[cols == j][0] for cols, at in levels if j in cols)] == np.flatnonzero(B[:, j]).tolist()
+    for frozen in (rows, *(a for level in levels for a in level)):
+        with pytest.raises(ValueError, match="read-only"):
+            frozen[...] = 0
     K = rng.integers(0, Fk.order, size=(b, r, r))
-    got = la.support_congruence(Fk, support, K)
+    got = la.support_congruence(support, K)
     assert got.shape == (b, c, c)
     for Km, g in zip(K, got):
         assert np.array_equal(g, la.congruence(Fk, B, Km))
+
+
+@pytest.mark.parametrize(
+    "B, message",
+    [
+        (np.array([[1, 0], [2, 1]]), "0/1 entries"),
+        (np.array([[1, 0, 1], [0, 0, 1]]), "column 1 .* is zero"),
+        (la.zeros(0, 2), "column 0 .* is zero"),
+    ],
+)
+def test_column_support_refuses_other_entries_and_zero_columns(B, message):
+    with pytest.raises(ValueError, match=message):
+        la.column_support(B)
 
 
 @settings(max_examples=80, deadline=None)
@@ -419,25 +436,21 @@ def test_support_congruence_matches_congruence_for_any_basis(k, r, c, b, density
     c=st.integers(0, 6),
     other=st.integers(0, 4),
     b=st.integers(1, 3),
-    levels=st.lists(st.sampled_from(["zero", "unit", "any"]), max_size=3),
-    zero_column=st.booleans(),
+    levels=st.lists(st.sampled_from(["empty", "every", "some"]), max_size=3),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_support_gather_on_sparse_levels_matches_the_dense_product(k, r, c, other, b, levels, zero_column, seed):
-    # hand-made supports, not only column_support's: a level may have no
-    # non-zero coefficient, a column of B may be zero at every level, and
-    # coefficients other than 1 sit among 0/1 ones; B sums its levels
+def test_support_gather_on_sparse_levels_matches_the_dense_product(k, r, c, other, b, levels, seed):
+    # hand-made supports, not only column_support's: a level may name no
+    # column or every column, and B is the XOR of the unit columns named
     Fk, rng = make_field(k), np.random.default_rng(seed)
-    rows = rng.integers(0, r, size=(len(levels), c))
-    coefs = np.zeros((len(levels), c), dtype=np.int64)
-    for level, kind in zip(coefs, levels):
-        level[:] = 0 if kind == "zero" else rng.integers(0, 2 if kind == "unit" else Fk.order, size=c)
-    if zero_column and c:
-        coefs[:, rng.integers(c)] = 0
+    rows = rng.integers(0, r, size=c)
+    cols = {"empty": lambda: np.arange(0), "every": lambda: np.arange(c), "some": lambda: np.flatnonzero(rng.random(c) < 0.5)}
+    support = rows, [(j, rng.integers(0, r, size=len(j))) for j in (cols[kind]() for kind in levels)]
     B = la.zeros(r, c)
-    for row, coef in zip(rows, coefs):
-        B[row, np.arange(c)] ^= coef
+    B[rows, np.arange(c)] = 1
+    for j, at in support[1]:
+        B[at, j] ^= 1
     M = rng.integers(0, Fk.order, size=(b, other, r))
-    assert np.array_equal(la.support_gather(Fk, (rows, coefs), M, -1), la._product(Fk, M, B))
+    assert np.array_equal(la.support_gather(support, M, -1), la._product(Fk, M, B))
     MT = np.swapaxes(M, 1, 2).copy()
-    assert np.array_equal(la.support_gather(Fk, (rows, coefs), MT, -2), la._product(Fk, B.T, MT))
+    assert np.array_equal(la.support_gather(support, MT, -2), la._product(Fk, B.T, MT))

@@ -56,6 +56,12 @@ def test_standard_t_action():
         assert img[obj.xs[k]] == 1 and np.count_nonzero(img) == 1
 
 
+@pytest.mark.parametrize("m, n", [(1.5, 0), (0, 2.0), (True, 0), ("1", 0), (np.int64(1), 0), (-1, 0)])
+def test_object_sizes_must_be_non_negative_ints(m, n):
+    with pytest.raises(ValueError, match="multiplicities must be non-negative integers"):
+        VerObject(F, m, n)
+
+
 def test_raw_module_rejects_non_nilpotent():
     with pytest.raises(ValueError):
         RawTModule(F, np.array([[1, 0], [0, 0]]))
@@ -180,8 +186,12 @@ def test_tensor_basis_is_equivariant_invertible_and_fixes_unit_tensors(k, shape)
     units = la.zeros(U.dim * R.dim, obj.m)
     units[np.add.outer(U.vs * R.dim, R.vs).reshape(-1), np.arange(obj.m)] = 1
     assert np.array_equal(B[:, obj.vs], units)
-    for got, want in zip(support, la.column_support(B)):
-        assert np.array_equal(got, want)
+    flat = lambda rows, levels: [rows, *(a for level in levels for a in level)]
+    arrays = flat(*support)
+    assert [(a.dtype, a.tobytes()) for a in arrays] == [(a.dtype, a.tobytes()) for a in flat(*la.column_support(B))]
+    for frozen in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            frozen[...] = 0
 
 
 def _assert_tensor_is_the_standard_basis(U, R):

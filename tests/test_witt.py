@@ -241,8 +241,8 @@ def test_product_grams_equal_the_dense_evaluation_law(k, sizes, b, symmetric, se
     rng = np.random.default_rng(seed)
     G1, G2 = _compatible_grams(U, rng, b, symmetric), _compatible_grams(R, rng, b, symmetric)
     tobj, B, support = verobj.tensor(U, R)
-    for got, want in zip(support, la.column_support(B), strict=True):
-        assert _as_bytes(got) == _as_bytes(want)
+    flat = lambda rows, levels: [_as_bytes(a) for a in (rows, *(a for level in levels for a in level))]
+    assert flat(*support) == flat(*la.column_support(B))
     K = la.kron(F, G1, G2) ^ la.kron(F, U.times_t(G1), R.times_t(G2))
     assert _as_bytes(_product_grams(U, R, G1, G2)[1]) == _as_bytes(la.congruence(F, B, K))
 
@@ -482,13 +482,20 @@ def test_emit_tables_output_is_pinned():
 
 @pytest.mark.parametrize(
     "params, message",
-    [([1, 1], "repeat an element"), ([7], "parameter 7 is not an element"), ([0, -1], "parameter -1 is not")],
-    ids=["repeated", "outside", "negative"],
+    [
+        ([1, 1], "repeat an element"),
+        ([7], "parameter 7 is not an element"),
+        ([0, -1], "parameter -1 is not"),
+        ([1.5], "parameters must be integers, got dtype float64"),
+        ([True], "parameters must be integers, got dtype bool"),
+        ([2**70], "parameters must be integers, got dtype object"),
+    ],
+    ids=["repeated", "outside", "negative", "float", "bool", "over-int64"],
 )
 def test_class_inventory_refuses_repeated_and_outside_parameters(params, message):
     # a repeated parameter would list its E and F classes twice (and count
     # them twice against the table budget); one outside the field would fail
-    # only later, in `canonical_rep`
+    # only later, in `canonical_rep`; a float would be truncated to an element
     with pytest.raises(ValueError, match=message):
         class_inventory(0, 2, F4, params)
     with pytest.raises(ValueError, match=message):
