@@ -23,7 +23,8 @@ invariant), while `canonicalize` constructs an explicit invertible
 equivariant congruence onto the canonical representative.  Both work on
 the free Gram blocks (G_vv, G_vw, G_ww, G_wx) of a whole stack
 (`classify_batch`, `canonicalize_batch`); `classify`, `good_pairs`,
-`form_invariant` and `canonicalize` are that code with a batch of one.
+`form_invariant` and `canonicalize` are that code with a batch of one,
+which `class_codes` reads on Python ints.
 
 The construction reduces the unit part on G_vv alone.  The Schur
 complement S = G_ww + G_vw^T G_vv^-1 G_vw decouples the v's, which leaves
@@ -171,6 +172,9 @@ class CanonicalClass:
         fam, m, n, p = self.family, self.m, self.n, self.param
         if fam not in FAMILIES:
             raise ValueError(f"unknown family {fam!r}")
+        # one check, before any cache: True, np.int64(1) and 1.0 hash equal to 1
+        if type(m) is not int or type(n) is not int or p is not None and type(p) is not int:
+            raise ValueError(f"sizes and parameter must be ints, got m={m!r}, n={n!r}, param={p!r}")
         if m < 0 or n < 0:
             raise ValueError("sizes must be non-negative")
         needs_param = fam in ("E", "F")
@@ -224,7 +228,7 @@ def class_inventory(m: int, n: int, F: Field, params=None) -> list[CanonicalClas
     if params is None:
         choices = np.arange(F.order)
     else:
-        choices = integers(np.asarray(params), "parameters")
+        choices = integers(params, "parameters")
         if (outside := (choices < 0) | (choices >= F.order)).any():
             raise ValueError(f"parameter {choices[outside][0]} is not an element of {F!r}")
         if len(set(choices.tolist())) < len(choices):
@@ -254,7 +258,7 @@ def canonical_rep(cls: CanonicalClass, F: Field) -> BilinearForm:
     Cached, with the Gram made read-only.
     """
     fam, m, n, p = cls.family, cls.m, cls.n, cls.param
-    if p is not None and (type(p) is not int or not 0 <= p < F.order):
+    if p is not None and not 0 <= p < F.order:
         raise ValueError(f"parameter {p!r} is not an element of {F!r}")
     f = np.zeros(n, dtype=np.int64)
     if fam == "D":
@@ -295,10 +299,14 @@ _FAMILY_OF = np.array([2, 3, 4, 5, -1, 0, -1, 1])
 
 def class_codes(obj: VerObject, G: np.ndarray) -> np.ndarray:
     """Each member's `CanonicalClass.code` in a stack of compatible Grams on `obj` (unchecked), from alternation,
-    good pairs and the form invariant, rising along `class_inventory`; -1 where `block_invariants` finds it degenerate."""
+    good pairs and the form invariant, rising along `class_inventory`; -1 where `block_invariants` finds it degenerate.
+    A batch of one is read on Python ints (`_class_code`), as `batch_solve` sends one matrix to `row_reduce`;
+    the tests take the stacked body as the reference for it."""
     F = obj.field
     if not (G == G.swapaxes(1, 2)).all():
         raise ValueError("classification requires a symmetric form")
+    if len(G) == 1:
+        return np.array([_class_code(obj, G[0])])
     blocks = obj.gram_blocks(G)
     nondegenerate, invariant = block_invariants(F, blocks)
     shape, slope = _good_pair_shapes(F, blocks)
@@ -306,6 +314,34 @@ def class_codes(obj: VerObject, G: np.ndarray) -> np.ndarray:
     if (bad := (family < 0) & nondegenerate).any():
         raise InternalCheckError(f"non-alternating form with good pairs {GoodPairSpace.SHAPES[shape[bad][0]]}")
     return np.where(nondegenerate, family * F.order + np.where(family == _E, slope, invariant) * (family >= _E), -1)
+
+
+def _class_code(obj: VerObject, G: np.ndarray) -> int:
+    """`class_codes` of one Gram, read on Python ints: `row_reduce` decides
+    G_vv and solves G_wx x = g, g = sqrt(diag G_ww), for the form invariant
+    g^T x (`block_invariants`), and the good-pair rows give the family as
+    in `_good_pair_shapes`."""
+    F, m, n = obj.field, obj.m, obj.n
+    L, ws = G.tolist(), range(m, m + 2 * n, 2)
+    vv = [L[i][i] for i in range(m)]
+    rows = [(0, f) for f in vv] + [(L[i][i + 1], L[i][i]) for i in ws]
+    g = [F.sqrt(L[i][i]) for i in ws]
+    _, pv = linalg.row_reduce(F, G[:m, :m])
+    R, px = linalg.row_reduce(F, np.column_stack((G[m::2, m + 1 :: 2], g)), n)
+    if len(pv) < m or len(px) < n:
+        return -1
+    ref = next((r for r in rows if r != (0, 0)), (0, 0))
+    proportional = all(F.mul(ref[0], r1) == F.mul(ref[1], r0) for r0, r1 in rows)
+    shape = (2 if ref[0] else int(ref[1] != 0)) if proportional else 3
+    family = int(_FAMILY_OF[4 * any(vv) + shape])
+    if family < 0:
+        raise InternalCheckError(f"non-alternating form with good pairs {GoodPairSpace.SHAPES[shape]}")
+    if family == _E:
+        return family * F.order + F.div(ref[1], ref[0])
+    invariant = 0
+    for gi, xi in zip(g, R[:, n].tolist()):
+        invariant ^= F.mul(gi, xi)
+    return family * F.order + invariant * (family > _E)
 
 
 def _classify_grams(obj: VerObject, G: np.ndarray) -> list[CanonicalClass]:

@@ -171,7 +171,7 @@ class QuadraticForm:
     """A module map Gamma^2(U) -> 1, stored as one value per line."""
 
     def __init__(self, obj: VerObject, values):
-        values = integers(np.array(values), "quadratic form values")
+        values = integers(values, "quadratic form values")
         lines = free_entry_count(obj.m, obj.n)  # a formula: no free-entry table is built to refuse
         if values.shape != (lines,):
             raise ValueError(

@@ -41,7 +41,7 @@ def as_matrix(F: Field, data, stacked: bool = False) -> np.ndarray:
     """Validate and copy `data` into an int64 matrix of field encodings, or
     with `stacked` into a (b, rows, cols) stack of them.  Entries must be
     integers: floats, bools and objects are refused, never truncated."""
-    M = integers(np.array(data), "matrix entries")
+    M = integers(data, "matrix entries")
     if M.ndim != 2 + stacked:
         what = "stack of matrices" if stacked else "matrix"
         raise ValueError(f"expected a {what}, got array of ndim {M.ndim}")
@@ -50,11 +50,17 @@ def as_matrix(F: Field, data, stacked: bool = False) -> np.ndarray:
     return M
 
 
-def integers(a: np.ndarray, what: str) -> np.ndarray:
-    """`a` as int64, or ValueError where a non-empty `a` holds anything but
-    integers: a float, a bool, or a Python int too large for int64."""
+def integers(data, what: str) -> np.ndarray:
+    """`data` copied into an int64 array, or ValueError where a non-empty one
+    holds anything but integers: a float, a bool, or a Python int too large
+    for int64.  An ndarray is judged by its dtype; other input, such as a
+    list, by its entries too, as numpy reads [True, 1] as int64."""
+    a = np.array(data)
     if a.size and a.dtype.kind not in "iu":
         raise ValueError(f"{what} must be integers, got dtype {a.dtype}")
+    if a.size and not isinstance(data, np.ndarray):
+        if bools := [x for x in np.array(data, dtype=object).flat if isinstance(x, (bool, np.bool_))]:
+            raise ValueError(f"{what} must be integers, got {bools[0]!r}")
     return a.astype(np.int64, copy=False)
 
 

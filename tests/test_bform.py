@@ -75,6 +75,15 @@ def test_new_form_refuses_entries_that_are_not_integers(gram):
         BilinearForm(VerObject(F, 1, 0), gram)
 
 
+def test_new_form_refuses_a_gram_row_mixing_bools_and_ints():
+    # numpy reads [[True, 1], [1, 0]] as int64, so a list is judged by its
+    # entries; an ndarray, numpy's integers among them, by its dtype alone
+    with pytest.raises(ValueError, match="matrix entries must be integers, got True"):
+        BilinearForm(VerObject(F, 0, 1), [[True, 1], [1, 0]])
+    for gram in ([[np.int64(1), 1], [1, 0]], np.array([[True, 1], [1, 0]])):
+        assert BilinearForm(VerObject(F, 0, 1), gram).gram.tolist() == [[1, 1], [1, 0]]
+
+
 def test_zero_dim_form():
     beta = BilinearForm(VerObject(F, 0, 0), la.zeros(0, 0))
     assert beta.is_symmetric()

@@ -241,12 +241,16 @@ def test_canonical_rep_examples():
         canonical_rep(CanonicalClass("E", 0, 1, 9), F4)  # parameter out of range
 
 
-@pytest.mark.parametrize("param", [1.5, "1"], ids=["float", "str"])
+@pytest.mark.parametrize("param", [1.5, "1", 1.0, True, np.int64(1)], ids=["float", "str", "integral-float", "bool", "int64"])
 def test_canonical_rep_refuses_a_parameter_that_is_not_an_int(param):
-    # 1.5 would otherwise build E(1)'s Gram; a value equal to an int, such as
-    # 2.0 or True, reaches the check only when its class is not yet cached
-    with pytest.raises(ValueError, match="is not an element of"):
+    # 1.5 would otherwise build E(1)'s Gram; 1.0, True and np.int64(1) hash
+    # equal to 1, so E(1) is cached first: the class itself refuses them
+    canonical_rep(CanonicalClass("E", 0, 1, 1), F4)
+    with pytest.raises(ValueError, match="must be ints"):
         canonical_rep(CanonicalClass("E", 0, 1, param), F4)
+    for m, n in ((0, True), (np.int64(0), 1)):
+        with pytest.raises(ValueError, match="must be ints"):
+            CanonicalClass("E", m, n, 1)
 
 
 # sha256 prefix of every canonical representative on m, n <= 6 over GF(2^k),
@@ -487,6 +491,34 @@ def test_block_lemma(k, m, n, seed):
     assert [BilinearForm(obj, G).is_nondegenerate() for G in grams] == full_rank
     assert block_invariants(Fk, obj.gram_blocks(grams))[0].tolist() == full_rank
     assert (class_codes(obj, sym) >= 0).tolist() == full_rank[:16]
+
+
+@settings(max_examples=50, deadline=None)
+@given(k=st.integers(1, 16), m=st.integers(0, 5), n=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+def test_class_codes_of_a_batch_of_one_match_the_stack(k, m, n, seed):
+    # reference: the stacked body (b >= 2); each member alone is read on Python
+    # ints.  Random free entries, many degenerate, then a scramble of every
+    # representative in the inventory for three parameters
+    Fk, rng = make_field(k), np.random.default_rng(seed)
+    obj, q = VerObject(Fk, m, n), Fk.order
+    free = obj.gram_from_blocks(
+        _sparse_sym(rng, q, m, 12, 0.6), _sparse(rng, q, m, 12, t=n), _sparse_sym(rng, q, n, 12), _sparse_sym(rng, q, n, 12, 0.7)
+    )
+    classes = class_inventory(m, n, Fk, sorted({0, 1, int(rng.integers(q))}))
+    reps = np.stack([canonical_rep(c, Fk).gram for c in classes])
+    grams = np.concatenate([free, la.congruence(Fk, random_equivariant_matrices(obj, rng, len(reps)), reps)])
+    stacked = class_codes(obj, grams).tolist()
+    assert [class_codes(obj, G[None]).tolist() for G in grams] == [[c] for c in stacked]
+    assert stacked[12:] == [c.code(q) for c in classes]
+    # a one-sided entry that the compatibility law leaves free
+    v, w = obj.vs, obj.ws
+    cell = (v[0], w[0]) if m and n else (v[0], v[1]) if m > 1 else (w[0], w[1]) if n > 1 else None
+    if cell:
+        asymmetric = grams[0].copy()
+        asymmetric[cell] ^= 1
+        for stack in (asymmetric[None], np.stack([grams[1], asymmetric])):
+            with pytest.raises(ValueError, match="classification requires a symmetric form"):
+                class_codes(obj, stack)
 
 
 @settings(max_examples=40, deadline=None)

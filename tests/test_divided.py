@@ -325,8 +325,11 @@ def test_line_count_formula():
         QuadraticForm(obj, [0] * 8)
 
 
-@pytest.mark.parametrize("values", [[1.5, 1], [True, False], [2**70, 1]], ids=["float", "bool", "over-int64"])
+@pytest.mark.parametrize(
+    "values", [[1.5, 1], [True, False], [True, 1], [2**70, 1]], ids=["float", "bool", "bool-and-int", "over-int64"]
+)
 def test_quadratic_form_refuses_values_that_are_not_integers(values):
+    # numpy reads [True, 1] as int64: a list is judged by its entries too
     with pytest.raises(ValueError, match="quadratic form values must be integers"):
         QuadraticForm(VerObject(F4, 0, 1), values)
 
