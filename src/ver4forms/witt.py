@@ -6,12 +6,12 @@ At class level the operations close over the six canonical families; the
 transcribed rules live in `expected_sum_class` / `expected_product_class`,
 and `table_cell` computes the honest form-level operation on canonical
 representatives, classifies it and pairs it with the rule's answer.
-`emit_tables` builds its cells per operand pair and classifies them per
-result object: the sums or products of the stacked representatives of each
-pair of operand objects are built as one stack, and every stack with the
-same operation and result object is classified by one `_classify_grams`.
-`table_cell`, `direct_sum` and `tensor_product` are the same helpers on a
-stack of one.
+`emit_tables` stacks each operand object's canonical representatives once
+per call, gathers each run of cells on one pair of operand objects from them
+by one index per side, and classifies the cells per result object: every
+stack with the same operation and result object is classified by one
+`_classify_grams`.  `table_cell`, `direct_sum` and `tensor_product` are the
+same helpers on a stack of one.
 
 Orientation of the rules: the first operand lives on m1 + nP (parameter a
 for E/F), the second on p1 + qP (parameter b); both tables are symmetric.
@@ -50,7 +50,7 @@ from .bform import BilinearForm
 # module binding is patched and restored, so it stays imported
 from .classify import CanonicalClass, _classify_grams, canonical_rep, class_inventory, classify  # noqa: F401
 from .field import Field
-from .linalg import congruence, kron, mat_mul, support_congruence
+from .linalg import congruence, kron, mat_mul, readonly, support_congruence
 from .verobj import TENSOR_MAX_DIM, InternalCheckError, VerObject, braiding, tensor
 
 
@@ -72,17 +72,18 @@ def tensor_product(b1: BilinearForm, b2: BilinearForm) -> BilinearForm:
 
 def _sum_grams(o1: VerObject, o2: VerObject, G1: np.ndarray, G2: np.ndarray):
     """The sum object of o1 and o2, and the orthogonal sums of the Gram
-    stacks G1 (on o1) and G2 (on o2), member by member."""
-    target = VerObject(o1.field, o1.m + o2.m, o1.n + o2.n)
-    # pos[target slot] = the same basis vector's slot in o1 (+) o2
-    pos = np.zeros(target.dim, dtype=np.int64)
-    pos[target.vs] = np.concatenate([o1.vs, o1.dim + o2.vs])
-    pos[target.ws] = np.concatenate([o1.ws, o1.dim + o2.ws])
-    pos[target.xs] = np.concatenate([o1.xs, o1.dim + o2.xs])
+    stacks G1 (on o1) and G2 (on o2), member by member, scattered onto the
+    standard layout: the v's of o1, then of o2, then o1's (w, x) pairs, then o2's."""
+    m1, m2 = o1.m, o2.m
+    target = VerObject(o1.field, m1 + m2, o1.n + o2.n)
+    i1 = np.arange(o1.dim)
+    i1[m1:] += m2
+    i2 = np.arange(o2.dim) + m1
+    i2[m2:] += 2 * o1.n
     stack = np.zeros((len(G1), target.dim, target.dim), dtype=np.int64)
-    stack[:, : o1.dim, : o1.dim] = G1
-    stack[:, o1.dim :, o1.dim :] = G2
-    return target, stack[:, pos[:, None], pos]
+    stack[:, i1[:, None], i1] = G1
+    stack[:, i2[:, None], i2] = G2
+    return target, stack
 
 
 def _product_grams(U: VerObject, R: VerObject, G1: np.ndarray, G2: np.ndarray):
@@ -212,19 +213,34 @@ def table_cell(op: str, c1: CanonicalClass, c2: CanonicalClass, F: Field):
     """One table cell: (got, expected), where `got` classifies the honest
     form-level sum or product of the canonical representatives and
     `expected` is the transcribed rule; `op` is "sum" or "product"."""
-    return _table_cells(op, [(c1, c2)], F)[0][:2]
+    return _table_cells(op, [(c1, c2)], F, _rep_stacks((c1, c2), F))[0][:2]
 
 
-def _table_cells(op: str, pairs, F: Field) -> list:
+def _rep_stacks(classes, F: Field) -> dict:
+    """Each class of `classes` -> (its object, the read-only stack of the
+    canonical representatives of the classes on that object, its index in
+    that stack): one `canonical_rep` per distinct class, one stack per object."""
+    by_obj = {}
+    for c in dict.fromkeys(classes):
+        by_obj.setdefault((c.m, c.n), []).append(c)
+    reps = {}
+    for members in by_obj.values():
+        forms = [canonical_rep(c, F) for c in members]
+        stack = readonly(np.stack([f.gram for f in forms]))
+        reps.update((c, (forms[0].obj, stack, i)) for i, c in enumerate(members))
+    return reps
+
+
+def _table_cells(op: str, pairs, F: Field, reps: dict) -> list:
     """`table_cell` for each (c1, c2) of `pairs`, and whether the rule's
     `_times` dropped a non-zero parameter by an even coefficient.  Built per
     operand pair, classified per result object: all sums or products live on
     one object, each run of pairs on one pair of operand objects is one
-    `_cell_grams` stack, and the stacks, built from validated
+    `_cell_grams` stack gathered from `reps`, and the stacks, of validated
     representatives, are classified without a re-check by one
     `_classify_grams`."""
     runs = groupby(pairs, key=lambda pair: (pair[0].m, pair[0].n, pair[1].m, pair[1].n))
-    built = [_cell_grams(op, list(run), F) for _, run in runs]
+    built = [_cell_grams(op, list(run), reps) for _, run in runs]
     grams = built[0][1] if len(built) == 1 else np.concatenate([g for _, g in built])
     expected, dropped = [], [False] * len(pairs)
 
@@ -237,14 +253,13 @@ def _table_cells(op: str, pairs, F: Field) -> list:
     return list(zip(_classify_grams(built[0][0], grams), expected, dropped))
 
 
-def _cell_grams(op: str, pairs, F: Field):
+def _cell_grams(op: str, pairs, reps: dict):
     """The result object and the stacked sums or products of the canonical
     representatives of `pairs`, whose first classes share one object and
-    whose second classes share another."""
-    reps = [(canonical_rep(c1, F), canonical_rep(c2, F)) for c1, c2 in pairs]
-    G1 = np.stack([r1.gram for r1, _ in reps])
-    G2 = np.stack([r2.gram for _, r2 in reps])
-    return (_sum_grams if op == "sum" else _product_grams)(reps[0][0].obj, reps[0][1].obj, G1, G2)
+    whose second classes share another, gathered from the `_rep_stacks` `reps`."""
+    (o1, S1, _), (o2, S2, _) = reps[pairs[0][0]], reps[pairs[0][1]]
+    G1, G2 = S1[[reps[c1][2] for c1, _ in pairs]], S2[[reps[c2][2] for _, c2 in pairs]]
+    return (_sum_grams if op == "sum" else _product_grams)(o1, o2, G1, G2)
 
 
 # -- full table verification -----------------------------------------------------
@@ -386,12 +401,15 @@ def emit_tables(
     Parameters default to the whole field.  Product cells whose result
     dimension exceeds `product_dim_cap` are skipped (the rules are
     dimension-uniform; the cap only bounds runtime).  Before any class is
-    built, refuses a negative `max_size`, a grid over 2^TABLE_BUDGET_BITS
+    built, refuses a `max_size` or `product_dim_cap` that is not an int
+    (bool included), a negative `max_size`, a grid over 2^TABLE_BUDGET_BITS
     class pairs by the bound N(N + 1)/2, N = (max_size + 1)^2 (4 + 2P)
     classes for P parameters (A-D once and E, F once per parameter on each
     shape), and a grid whose largest computed product, of dim at most
     min(product_dim_cap, (3 max_size)^2), is over `TENSOR_MAX_DIM`.
     """
+    if type(max_size) is not int or type(product_dim_cap) is not int:
+        raise ValueError(f"max_size and product_dim_cap must be ints, got {max_size!r:.40}, {product_dim_cap!r:.40}")
     if max_size < 0:
         raise ValueError(f"max_size must be non-negative, got {max_size}")
     N = (max_size + 1) ** 2 * (4 + 2 * (F.order if params is None else len(params)))
@@ -407,9 +425,10 @@ def emit_tables(
             f"over the tensor cap of dim {TENSOR_MAX_DIM}"
         )
     # cells of one operation with one result object are classified as one stack,
-    # their runs on the same pair of operand objects built as one stack each
+    # their runs on the same pair of operand objects gathered as one stack each
     cells, groups = [], {}
     insts = all_class_instances(F, max_size, params)
+    reps = _rep_stacks(insts, F)
     for c1, c2 in combinations_with_replacement(insts, 2):
         dim = (c1.m + 2 * c1.n) * (c2.m + 2 * c2.n)
         for op in ("sum",) if dim > product_dim_cap else ("sum", "product"):
@@ -426,7 +445,7 @@ def emit_tables(
         for start in range(0, len(members), step):
             chunk = members[start : start + step]
             pairs = [cells[i][1:] for i in chunk]
-            for i, (c1, c2), (got, expected, dropped) in zip(chunk, pairs, _table_cells(op, pairs, F)):
+            for i, (c1, c2), (got, expected, dropped) in zip(chunk, pairs, _table_cells(op, pairs, F, reps)):
                 records[i] = (c1.family, c1.m, c1.n, c1.param, c2.family, c2.m, c2.n, c2.param,
                               got.label(), expected.label(), got == expected), dropped
     reports = {"sum": TableReport("sum", F.k), "product": TableReport("product", F.k)}

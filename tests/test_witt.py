@@ -247,6 +247,71 @@ def test_product_grams_equal_the_dense_evaluation_law(k, sizes, b, symmetric, se
     assert _as_bytes(_product_grams(U, R, G1, G2)[1]) == _as_bytes(la.congruence(F, B, K))
 
 
+def _sum_by_position_map(o1, o2, G1, G2):
+    """The orthogonal sum laid out block-diagonally on o1 (+) o2 and gathered
+    onto the standard layout through the map from each target slot to the
+    same basis vector's slot there: the reference for `_sum_grams`' scatter."""
+    target = VerObject(o1.field, o1.m + o2.m, o1.n + o2.n)
+    pos = np.zeros(target.dim, dtype=np.int64)
+    pos[target.vs] = np.concatenate([o1.vs, o1.dim + o2.vs])
+    pos[target.ws] = np.concatenate([o1.ws, o1.dim + o2.ws])
+    pos[target.xs] = np.concatenate([o1.xs, o1.dim + o2.xs])
+    stack = np.zeros((len(G1), target.dim, target.dim), dtype=np.int64)
+    stack[:, : o1.dim, : o1.dim] = G1
+    stack[:, o1.dim :, o1.dim :] = G2
+    return target, stack[:, pos[:, None], pos]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 16),
+    sizes=st.tuples(*[st.integers(0, 4)] * 4),
+    b=st.integers(1, 3),
+    symmetric=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(k=1, sizes=(0, 0, 0, 0), b=1, symmetric=True, seed=0)  # dim 0 on both sides
+@example(k=3, sizes=(2, 1, 1, 2), b=2, symmetric=False, seed=1)  # o2's v's go before o1's pairs
+@example(k=16, sizes=(0, 2, 3, 0), b=3, symmetric=True, seed=2)  # o2's v's before all pairs
+def test_sum_grams_equal_the_position_map_gather(k, sizes, b, symmetric, seed):
+    # the scatter at offsets read off the operands' sizes equals the gather
+    # through the full position map, byte for byte, and `direct_sum` is its
+    # batch of one
+    F = make_field(k)
+    U, R = VerObject(F, *sizes[:2]), VerObject(F, *sizes[2:])
+    rng = np.random.default_rng(seed)
+    G1, G2 = _compatible_grams(U, rng, b, symmetric), _compatible_grams(R, rng, b, symmetric)
+    target, stacked = witt._sum_grams(U, R, G1, G2)
+    ref_target, ref = _sum_by_position_map(U, R, G1, G2)
+    assert target == ref_target
+    assert _as_bytes(stacked) == _as_bytes(ref)
+    for g1, g2, got in zip(G1, G2, stacked):
+        one = direct_sum(BilinearForm(U, g1), BilinearForm(R, g2))
+        assert one.obj == target
+        assert _as_bytes(one.gram) == _as_bytes(got)
+
+
+def test_emit_tables_fetches_each_representative_once(monkeypatch):
+    # the representatives are stacked once per operand object and call, so
+    # each class of the grid is fetched once, not once per cell it is in;
+    # `table_cell` on a class with itself fetches it once too
+    calls, real = collections.Counter(), witt.canonical_rep
+
+    def count(cls, F):
+        calls[cls] += 1
+        return real(cls, F)
+
+    monkeypatch.setattr(witt, "canonical_rep", count)
+    assert all(rep.ok for rep in emit_tables(F4, 2, product_dim_cap=36))
+    grid = set(all_class_instances(F4, 2))
+    assert set(calls) <= grid
+    assert max(calls.values()) == 1
+    c = CanonicalClass("E", 0, 2, 3)
+    calls.clear()
+    assert sum_class(c, c, F4) == CanonicalClass("E", 0, 4, 3)
+    assert calls == {c: 1}
+
+
 def test_emit_tables_matches_cell_by_cell_reference():
     # grouped and stacked cells come back in grid order with the records a
     # per-cell sum / braiding-product classification gives
@@ -506,12 +571,17 @@ def test_class_inventory_refuses_repeated_and_outside_parameters(params, message
     "max_size, params, cap, message",
     [
         (-1, None, 24, "max_size must be non-negative"),
+        (True, None, 24, "max_size and product_dim_cap must be ints, got True, 24"),
+        (2.0, None, 24, "must be ints, got 2.0, 24"),
+        (np.int64(2), None, 24, "must be ints, got np.int64"),
+        (2, None, 4.5, "must be ints, got 2, 4.5"),
+        (2, None, True, "must be ints, got 2, True"),
         (1000, None, 24, "class pairs"),
         (4, range(1 << 16), 24, "class pairs"),
         # sizes <= 9 reach dim 27 objects, whose products go up to 729
         (9, None, 600, "products up to dim 600, over the tensor cap of dim 576"),
     ],
-    ids=["negative", "size", "params", "tensor-cap"],
+    ids=["negative", "bool-size", "float-size", "int64-size", "float-cap", "bool-cap", "size", "params", "tensor-cap"],
 )
 def test_emit_tables_refuses_a_grid_before_building_classes(monkeypatch, max_size, params, cap, message):
     monkeypatch.setattr(witt, "all_class_instances", lambda *args: pytest.fail("classes were built"))
